@@ -12,6 +12,7 @@ import (
 	"context"
 	"sync"
 	"testing"
+	"time"
 
 	"repro/internal/browserfs"
 	"repro/internal/codegen"
@@ -456,11 +457,18 @@ func benchSimThroughput(b *testing.B, cfg *codegen.EngineConfig, metric string) 
 	}
 }
 
-// BenchmarkSpawnAllocs measures per-process allocation on the spawn path:
-// build once through the shared cache, then spawn/run/tear down repeatedly.
-// With the machine-memory recycle pool, allocations and bytes per spawn stay
-// flat instead of scaling with process count (each un-pooled spawn used to
-// allocate the full linear/globals/table/stack image).
+// spawnReps is the fixed number of spawns BenchmarkSpawnAllocs times for
+// its spawn-us metric, so the figure is a per-spawn mean even at
+// -benchtime=1x.
+const spawnReps = 200
+
+// BenchmarkSpawnAllocs measures the spawn path: build once through the
+// shared cache, then spawn/run/tear down repeatedly. allocs/op and B/op are
+// per spawn; with the machine-memory recycle pool they stay flat instead of
+// scaling with process count (each un-pooled spawn used to allocate the
+// full linear/globals/table/stack image). spawn-us is the mean host time of
+// one spawn over a fixed loop of spawnReps: the program is short, so it
+// tracks the cost of building and recycling a process's machine image.
 func BenchmarkSpawnAllocs(b *testing.B) {
 	const src = `
 int main() {
@@ -476,13 +484,7 @@ int main() {
 	if err != nil {
 		b.Fatal(err)
 	}
-	// Warm the pools.
-	if _, err := pipeline.Execute(ctx, cm, &pipeline.Request{}); err != nil {
-		b.Fatal(err)
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
+	spawn := func() {
 		res, err := pipeline.Execute(ctx, cm, &pipeline.Request{})
 		if err != nil {
 			b.Fatal(err)
@@ -491,6 +493,18 @@ int main() {
 			b.Fatalf("exit %d", res.ExitCode)
 		}
 	}
+	spawn() // warm the pools
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		spawn()
+	}
+	b.StopTimer()
+	start := time.Now()
+	for i := 0; i < spawnReps; i++ {
+		spawn()
+	}
+	b.ReportMetric(float64(time.Since(start).Microseconds())/spawnReps, "spawn-us")
 }
 
 // BenchmarkCompile_Chrome measures raw module compile throughput for the

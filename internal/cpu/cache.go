@@ -12,9 +12,17 @@ package cpu
 // with used == 0 is invalid, ticks start at 1, and the victim scan's strict
 // minimum over used picks the first invalid way when one exists, exactly as
 // an explicit invalid-first scan would.
+//
+// Reset costs time in proportion to the sets the cache actually used, not
+// its capacity: the miss path records each set that installs its first line
+// since the last Reset (dirty), and Reset clears only those. A set can hold
+// a valid line only after a miss in it, so every other set is still in its
+// NewCache state. The hit paths do no bookkeeping.
 type Cache struct {
 	lines    []line   // nsets * ways, way-stride 1
 	mru      []uint32 // per-set absolute index of the most recently used line
+	dirty    []uint32 // dirty[:ndirty]: sets that installed a line since Reset
+	ndirty   uint32
 	setMask  uint32
 	ways     uint32
 	lineBits uint32
@@ -35,6 +43,7 @@ func NewCache(size, lineSize, ways int) *Cache {
 	c := &Cache{
 		lines:   make([]line, nsets*ways),
 		mru:     make([]uint32, nsets),
+		dirty:   make([]uint32, nsets),
 		setMask: uint32(nsets - 1),
 		ways:    uint32(ways),
 	}
@@ -82,19 +91,31 @@ func (c *Cache) accessSlow(lineAddr uint64, set uint32) bool {
 		}
 	}
 	c.Misses++
+	// Ways fill in index order from an empty set (the victim scan picks
+	// the first invalid way), so an invalid way 0 means the set is empty
+	// and this is its first install since Reset.
+	// An indexed store rather than append keeps this function free of
+	// calls that return (append's growslice), so it stays a small frameless
+	// leaf on the miss path.
+	if ways[0].used == 0 {
+		c.dirty[c.ndirty] = set
+		c.ndirty++
+	}
 	ways[victim] = line{tag: lineAddr, used: c.tick}
 	c.mru[set] = base + uint32(victim)
 	return false
 }
 
-// Reset clears contents and statistics.
+// Reset clears contents and statistics, returning the cache to its NewCache
+// state by clearing only the sets that installed a line since the last
+// Reset.
 func (c *Cache) Reset() {
-	for i := range c.lines {
-		c.lines[i] = line{}
+	for _, set := range c.dirty[:c.ndirty] {
+		base := set * c.ways
+		clear(c.lines[base : base+c.ways])
+		c.mru[set] = base
 	}
-	for i := range c.mru {
-		c.mru[i] = uint32(i) * c.ways
-	}
+	c.ndirty = 0
 	c.Misses, c.Accesses, c.tick = 0, 0, 0
 }
 

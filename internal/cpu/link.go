@@ -37,9 +37,10 @@ func Load(cm *codegen.CompiledModule) (*Instance, error) {
 	}
 	// Poison every table slot (guard semantics: indirect calls through
 	// unset slots leave the code segment and trap), then fill real entries.
-	invalid := int64(len(cm.Prog.Code))
-	for slot := 0; slot < len(m.tableMem)/x86.TableEntrySize; slot++ {
-		m.SetTableEntry(slot, -1, invalid)
+	// One poisoned row is written and replicated by doubling copies.
+	m.SetTableEntry(0, -1, int64(len(cm.Prog.Code)))
+	for n := x86.TableEntrySize; n < len(m.tableMem); n *= 2 {
+		copy(m.tableMem[n:], m.tableMem[:n])
 	}
 	for slot, te := range cm.Table {
 		if te.FuncIdx < 0 {
@@ -52,9 +53,10 @@ func Load(cm *codegen.CompiledModule) (*Instance, error) {
 		if d.Offset.Op != wasm.OpI32Const {
 			return nil, fmt.Errorf("cpu: non-constant data offset")
 		}
-		if off < 0 || off+len(d.Bytes) > len(m.Linear) {
+		if off < 0 || off+len(d.Bytes) > m.linearSize {
 			return nil, fmt.Errorf("cpu: data segment out of bounds")
 		}
+		m.materialize(off + len(d.Bytes))
 		copy(m.Linear[off:], d.Bytes)
 	}
 

@@ -64,11 +64,20 @@ type Machine struct {
 	Flags Flags
 
 	// Memory regions.
-	Linear   []byte // wasm linear memory at address 0
-	MaxPages uint32
-	globals  []byte
-	tableMem []byte
-	rodata   []byte
+	//
+	// Linear is the materialized prefix [0, len(Linear)) of wasm linear
+	// memory at address 0; linearSize is its logical size. The backing
+	// buffer's capacity always covers the logical size, and every byte of
+	// it past the prefix is zero, so the prefix extends on first touch
+	// (slabSlow, LinearRange) by reslicing alone. Unmaterialized bytes read
+	// as zero, exactly like an eager allocation, and release clears only
+	// the prefix.
+	Linear     []byte
+	linearSize int
+	MaxPages   uint32
+	globals    []byte
+	tableMem   []byte
+	rodata     []byte
 	// stack covers [stackLow, StackTop): it grows downward on demand so a
 	// fresh machine does not zero the full 8 MiB reservation. Lazily
 	// materialized pages read as zero, exactly like the eager allocation.
@@ -80,9 +89,9 @@ type Machine struct {
 	L1I      *Cache
 	L1D      *Cache
 	L2       *Cache
-	// L3 is allocated lazily on the first L2 data miss (its metadata is
-	// ~4 MB and short-lived processes often never reach it), so it is nil
-	// until then.
+	// L3 (~4 MB of metadata) is allocated on the first L2 data miss, so it
+	// is nil until then; a machine built from a pooled image that already
+	// carries one reuses it.
 	L3 *Cache
 	BP *BranchPredictor
 
@@ -152,13 +161,16 @@ const (
 )
 
 // machineMem is the recyclable memory image of one machine: the big buffers
-// and the cache/predictor metadata. Buffers in the pool are fully scrubbed
-// (zero over their whole length, caches and predictor reset), so a machine
-// built from a pooled image is bit-identical to a freshly allocated one —
-// only the allocations are saved. This mirrors the kernel's aux-buffer pool:
-// the Browsix-SPEC chain spawns three processes per run, and without
-// recycling each spawn allocates tens of MB of linear memory, globals,
-// table, and stack.
+// and the cache/predictor metadata. Every pooled buffer is zero over its
+// whole capacity and the caches and predictor are reset, so a machine built
+// from a pooled image is bit-identical to a freshly allocated one — only the
+// allocations are saved. Release keeps that true at a cost proportional to
+// what the process touched: it clears the materialized linear prefix (the
+// spare capacity past it was never written) and only the cache sets that
+// installed a line. This mirrors the kernel's aux-buffer pool: the
+// Browsix-SPEC chain spawns three processes per run, and without recycling
+// each spawn allocates tens of MB of linear memory, globals, table, and
+// stack.
 type machineMem struct {
 	linear, globals, tableMem, stack []byte
 	l1i, l1d, l2, l3                 *Cache
@@ -167,35 +179,25 @@ type machineMem struct {
 
 var memPool = sync.Pool{}
 
-// grow0 resizes b to n bytes, reusing capacity when possible. Any byte the
-// caller can observe is zero: the region beyond b's previous length is
-// cleared explicitly (pool scrubbing guarantees [0:len(b)] already is).
-func grow0(b []byte, n int) []byte {
-	if n <= cap(b) {
-		old := len(b)
-		b = b[:n]
-		if n > old {
-			clear(b[old:])
-		}
-		return b
-	}
-	return make([]byte, n)
-}
-
 // NewMachine builds a machine for prog with the given initial linear memory
 // pages, drawing the memory image from the recycle pool when one is
 // available.
 func NewMachine(prog *x86.Program, pages, maxPages uint32) *Machine {
 	m := &Machine{
-		Prog:     prog,
-		MaxPages: maxPages,
-		stackLow: uint32(x86.StackTop) - 64*1024,
+		Prog:       prog,
+		MaxPages:   maxPages,
+		linearSize: int(pages) * 65536,
+		stackLow:   uint32(x86.StackTop) - 64*1024,
 	}
 	if v := memPool.Get(); v != nil {
 		mm := v.(*machineMem)
 		// A nil buffer was dropped at release for exceeding its retention
 		// cap; allocate fresh at this machine's own size.
-		m.Linear = grow0(mm.linear, int(pages)*65536)
+		if cap(mm.linear) >= m.linearSize {
+			m.Linear = mm.linear[:0]
+		} else {
+			m.Linear = make([]byte, 0, m.linearSize)
+		}
 		m.globals = mm.globals
 		m.tableMem = mm.tableMem
 		if mm.stack != nil {
@@ -206,7 +208,7 @@ func NewMachine(prog *x86.Program, pages, maxPages uint32) *Machine {
 		m.L1I, m.L1D, m.L2, m.L3 = mm.l1i, mm.l1d, mm.l2, mm.l3
 		m.BP = mm.bp
 	} else {
-		m.Linear = make([]byte, int(pages)*65536)
+		m.Linear = make([]byte, 0, m.linearSize)
 		m.globals = make([]byte, 64*1024)
 		m.tableMem = make([]byte, 256*1024)
 		m.stack = make([]byte, 64*1024)
@@ -215,10 +217,9 @@ func NewMachine(prog *x86.Program, pages, maxPages uint32) *Machine {
 		m.L2 = NewCache(256*1024, 64, 8)
 		m.BP = NewBranchPredictor(4096)
 	}
-	// L3 metadata is ~4 MB; it is only reachable through L2 misses, and
-	// short-lived processes (the Browsix-SPEC runspec/specinvoke chain)
-	// often never miss L2, so it is allocated on first use in dcacheWalk
-	// (and then travels with the pooled image).
+	// L3 is left to dcacheWalk/dwarm to allocate on the first L2 data
+	// miss; once allocated it travels with the pooled image, and its Reset
+	// costs only the sets the process touched.
 	m.uops = predecode(prog)
 	m.lastDLine = ^uint32(0)
 	m.pollAt = ^uint64(0)
@@ -243,8 +244,10 @@ const (
 	maxPooledStack = 1 << 20
 )
 
-// ReleaseMemory scrubs the machine's memory image and returns it to the
-// recycle pool. The machine keeps its counters (results outlive processes)
+// ReleaseMemory clears what the process touched of its memory image — the
+// materialized linear prefix, the stack window, globals, the table, and the
+// cache sets that installed lines — and returns the image to the recycle
+// pool. The machine keeps its counters (results outlive processes)
 // but loses its memory: it must not execute again. Safe to call more than
 // once. Oversized linear/stack buffers (see maxPooledLinear) are dropped
 // rather than pooled, so the pool's retained capacity stays bounded.
@@ -303,7 +306,31 @@ func (m *Machine) SetInterrupt(every uint64, fn func() error) {
 func (m *Machine) setMisc() {
 	// Stack limit: leave 64 KiB of headroom like the engines do.
 	binary.LittleEndian.PutUint64(m.misc[0:], uint64(stackBase)+64*1024)
-	binary.LittleEndian.PutUint32(m.misc[8:], uint32(len(m.Linear)/65536))
+	binary.LittleEndian.PutUint32(m.misc[8:], uint32(m.linearSize/65536))
+}
+
+// LinearSize returns the logical size of linear memory in bytes.
+func (m *Machine) LinearSize() int { return m.linearSize }
+
+// LinearRange returns linear memory [addr, addr+n) for host-side access,
+// such as the kernel's syscall copies, materializing it first. ok is false
+// when the range extends past the logical size.
+func (m *Machine) LinearRange(addr, n uint32) ([]byte, bool) {
+	end := uint64(addr) + uint64(n)
+	if end > uint64(m.linearSize) {
+		return nil, false
+	}
+	m.materialize(int(end))
+	return m.Linear[addr:end], true
+}
+
+// materialize extends the linear prefix to cover [0, end), rounded up to a
+// whole 64 KiB page; end must not exceed the logical size (a page
+// multiple). Spare capacity is zero, so extending needs no clear.
+func (m *Machine) materialize(end int) {
+	if n := (end + 65535) &^ 65535; n > len(m.Linear) {
+		m.Linear = m.Linear[:n]
+	}
 }
 
 // SetRodata installs the constant pool.
@@ -327,21 +354,18 @@ func (m *Machine) Global(idx int) uint64 {
 	return binary.LittleEndian.Uint64(m.globals[idx*8:])
 }
 
-// GrowLinear adds delta pages, returning the old page count or -1. Growth
-// reuses spare capacity from the recycle pool when available, zeroing only
-// the newly exposed region.
+// GrowLinear adds delta pages, returning the old page count or -1. It
+// raises the logical size only: the new pages materialize on first touch.
+// When the buffer lacks capacity for the new size, a new one carries the
+// materialized prefix over.
 func (m *Machine) GrowLinear(delta uint32) int32 {
-	old := uint32(len(m.Linear) / 65536)
+	old := uint32(m.linearSize / 65536)
 	if uint64(old)+uint64(delta) > uint64(m.MaxPages) {
 		return -1
 	}
-	oldLen := len(m.Linear)
-	need := oldLen + int(delta)*65536
-	if need <= cap(m.Linear) {
-		m.Linear = m.Linear[:need]
-		clear(m.Linear[oldLen:])
-	} else {
-		nb := make([]byte, need)
+	m.linearSize += int(delta) * 65536
+	if m.linearSize > cap(m.Linear) {
+		nb := make([]byte, len(m.Linear), m.linearSize)
 		copy(nb, m.Linear)
 		m.Linear = nb
 	}
@@ -362,10 +386,10 @@ func (m *Machine) AddCycles(q uint64) {
 	m.Counters.Cycles += q / 4
 }
 
-// fastSlab resolves the two hot regions — linear memory and the machine
-// stack — and is small enough to inline; ok=false routes everything else
-// (globals, tables, rodata, misc, faults, unmaterialized stack) to the
-// generic path.
+// fastSlab resolves the two hot regions — materialized linear memory and
+// the machine stack — and is small enough to inline; ok=false routes
+// everything else (globals, tables, rodata, misc, faults, unmaterialized
+// stack and linear memory) to the generic path.
 func (m *Machine) fastSlab(addr uint32, size uint32) ([]byte, uint32, bool) {
 	if int(addr)+int(size) <= len(m.Linear) {
 		return m.Linear, addr, true
@@ -386,8 +410,10 @@ func (m *Machine) slab(addr uint32, size uint32) ([]byte, uint32, bool) {
 	return m.slabSlow(addr, size)
 }
 
-// slabSlow resolves addresses outside linear memory (stack, globals,
-// tables, rodata, misc words).
+// slabSlow resolves addresses outside the fastSlab windows (stack below the
+// window, globals, tables, rodata, misc words, and linear memory past the
+// materialized prefix, checked last so the other regions pay nothing for
+// it).
 func (m *Machine) slabSlow(addr uint32, size uint32) ([]byte, uint32, bool) {
 	switch {
 	case addr >= stackBase && uint64(addr)+uint64(size) <= uint64(x86.StackTop):
@@ -405,6 +431,9 @@ func (m *Machine) slabSlow(addr uint32, size uint32) ([]byte, uint32, bool) {
 		return m.misc[:], addr - uint32(x86.StackLimitAddr), true
 	case addr >= uint32(x86.RodataBase) && int(addr-uint32(x86.RodataBase))+int(size) <= len(m.rodata):
 		return m.rodata, addr - uint32(x86.RodataBase), true
+	case uint64(addr)+uint64(size) <= uint64(m.linearSize):
+		m.materialize(int(addr) + int(size))
+		return m.Linear, addr, true
 	}
 	return nil, 0, false
 }
@@ -465,8 +494,8 @@ func (m *Machine) growStack(addr uint32) {
 		ns := m.stack[:size]
 		copy(ns[size-old:], ns[:old])
 		// The window at least doubled, so the vacated prefix covers every
-		// byte the old window occupied; beyond old, pool scrubbing keeps
-		// spare capacity zero.
+		// byte the old window occupied; beyond old, spare capacity is zero
+		// because release clears the whole window.
 		clear(ns[:size-old])
 		m.stack = ns
 	} else {

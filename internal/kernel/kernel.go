@@ -225,39 +225,40 @@ func (p *Process) chargeCopy(n int) {
 // copyIn copies process-memory bytes into the aux buffer (for syscalls that
 // pass buffers to the kernel) and returns the aux view.
 func (p *Process) copyIn(addr, n uint32) ([]byte, error) {
-	if int64(addr)+int64(n) > int64(len(p.Inst.Linear)) {
+	src, ok := p.Inst.LinearRange(addr, n)
+	if !ok {
 		return nil, errors.New("fault: bad address")
 	}
-	if int(n) > len(p.aux) {
-		n = uint32(len(p.aux))
-	}
-	copy(p.aux[:n], p.Inst.Linear[addr:addr+n])
-	p.chargeCopy(int(n))
-	return p.aux[:n], nil
+	c := copy(p.aux, src)
+	p.chargeCopy(c)
+	return p.aux[:c], nil
 }
 
 // copyOut copies aux-buffer bytes back into process memory.
 func (p *Process) copyOut(addr uint32, data []byte) error {
-	if int64(addr)+int64(len(data)) > int64(len(p.Inst.Linear)) {
+	dst, ok := p.Inst.LinearRange(addr, uint32(len(data)))
+	if !ok {
 		return errors.New("fault: bad address")
 	}
-	copy(p.Inst.Linear[addr:], data)
+	copy(dst, data)
 	p.chargeCopy(len(data))
 	return nil
 }
 
 // cstring reads a NUL-terminated string from process memory via the aux
-// protocol.
+// protocol. It scans only the materialized prefix of linear memory: the
+// bytes past it are zero, so a string ends at the prefix at the latest.
 func (p *Process) cstring(addr uint32) (string, error) {
-	lin := p.Inst.Linear
-	if int64(addr) >= int64(len(lin)) {
+	if int64(addr) >= int64(p.Inst.LinearSize()) {
 		return "", errors.New("fault: bad string address")
 	}
-	end := int(addr)
+	lin := p.Inst.Linear
+	start := min(int(addr), len(lin))
+	end := start
 	for end < len(lin) && lin[end] != 0 {
 		end++
 	}
-	s := string(lin[addr:end])
+	s := string(lin[start:end])
 	p.chargeCopy(len(s))
 	return s, nil
 }
@@ -346,7 +347,8 @@ func (p *Process) run() {
 		auxPool.Put(&aux)
 	}()
 	// A process's memory image dies with it, like a real exiting process:
-	// the machine's buffers are scrubbed and recycled for future spawns.
+	// what it touched of the machine's image is cleared and the image is
+	// recycled for future spawns.
 	// Counters survive on the instance — results outlive processes.
 	defer p.Inst.ReleaseMemory()
 	defer p.closeAllFDs()
@@ -381,13 +383,20 @@ func (p *Process) run() {
 	p.ExitCode = int(int32(ret))
 }
 
-// argsBase is where the loader writes argv into the process image. The
-// mini-C runtime reserves [1024, 4096) for it.
-const argsBase = 1024
+// argsBase and argsLimit bound where the loader writes argv into the
+// process image: the mini-C runtime reserves [1024, 4096) for it.
+const (
+	argsBase  = 1024
+	argsLimit = 4096
+)
 
 // writeArgs lays out argv in process memory: pointer array then strings.
 // Pointer slots follow the binary's data model (4 or 8 bytes).
 func (p *Process) writeArgs() (int, uint32, error) {
+	// Materializing the argv area makes the prefix cover it.
+	if _, ok := p.Inst.LinearRange(argsBase, argsLimit-argsBase); !ok {
+		return 0, 0, errors.New("kernel: linear memory too small for argv")
+	}
 	lin := p.Inst.Linear
 	ps := p.Inst.CM.PtrSize
 	if ps == 0 {
@@ -402,7 +411,7 @@ func (p *Process) writeArgs() (int, uint32, error) {
 		}
 	}
 	for i, a := range p.Args {
-		if off+len(a)+1 >= argsBase+3072 {
+		if off+len(a)+1 >= argsLimit {
 			return 0, 0, errors.New("kernel: argv too large")
 		}
 		putPtr(ptrs+ps*i, uint32(off))

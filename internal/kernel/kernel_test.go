@@ -1,6 +1,7 @@
 package kernel
 
 import (
+	"bytes"
 	"testing"
 
 	"repro/internal/browserfs"
@@ -35,6 +36,36 @@ func TestChargeCopyChunks(t *testing.T) {
 		if got := cost(c.n); got != c.want {
 			t.Errorf("chargeCopy(%d): %d browsix cycles, want %d", c.n, got, c.want)
 		}
+	}
+}
+
+// TestCopyOutMemoryRecyclesZero dirties a process's whole logical linear
+// memory through copyOut, releases it, and checks that machines built
+// afterwards (from the recycled image when the pool returns it) are zero
+// over their buffer's whole capacity and read back as zeros through copyIn.
+func TestCopyOutMemoryRecyclesZero(t *testing.T) {
+	prog := x86.NewProgram()
+	m := cpu.NewMachine(prog, 4, 4)
+	size := m.LinearSize()
+	p := &Process{Inst: &cpu.Instance{Machine: m}}
+	if err := p.copyOut(0, bytes.Repeat([]byte{0xAB}, size)); err != nil {
+		t.Fatal(err)
+	}
+	if err := p.copyOut(uint32(size)-1, []byte{1, 2}); err == nil {
+		t.Fatal("copyOut past the logical size must fault")
+	}
+	m.ReleaseMemory()
+	for i := 0; i < 4; i++ {
+		r := cpu.NewMachine(prog, 4, 4)
+		if full := r.Linear[:cap(r.Linear)]; bytes.Count(full, []byte{0}) != len(full) {
+			t.Fatal("recycled linear buffer is dirty")
+		}
+		q := &Process{Inst: &cpu.Instance{Machine: r}, aux: make([]byte, size)}
+		view, err := q.copyIn(0, uint32(size))
+		if err != nil || len(view) != size || bytes.Count(view, []byte{0}) != size {
+			t.Fatalf("copyIn of recycled memory: %d bytes, err %v", len(view), err)
+		}
+		r.ReleaseMemory()
 	}
 }
 

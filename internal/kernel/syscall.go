@@ -274,16 +274,16 @@ func sysSpawn(p *Process, a [4]uint32) (int32, error) {
 	// argv: array of char* terminated by NULL. Pointer slots follow the
 	// binary's data model (4 bytes for wasm32, 8 for the native build).
 	var argv []string
-	lin := p.Inst.Linear
 	ps := uint32(p.Inst.CM.PtrSize)
 	if ps == 0 {
 		ps = 4
 	}
 	for off := a[1]; ; off += ps {
-		if int(off)+int(ps) > len(lin) {
+		slot, ok := p.Inst.LinearRange(off, ps)
+		if !ok {
 			return -14, nil
 		}
-		ptr := uint32(lin[off]) | uint32(lin[off+1])<<8 | uint32(lin[off+2])<<16 | uint32(lin[off+3])<<24
+		ptr := uint32(slot[0]) | uint32(slot[1])<<8 | uint32(slot[2])<<16 | uint32(slot[3])<<24
 		if ptr == 0 {
 			break
 		}
