@@ -10,17 +10,18 @@ package repro_test
 
 import (
 	"context"
+	"runtime"
 	"sync"
 	"testing"
 	"time"
 
 	"repro/internal/browserfs"
 	"repro/internal/codegen"
+	"repro/internal/minic"
 	"repro/internal/perf"
 	"repro/internal/pipeline"
 	"repro/internal/spec"
 	"repro/internal/stats"
-	"repro/internal/toolchain"
 	"repro/internal/workloads"
 )
 
@@ -36,7 +37,7 @@ var (
 
 func specResults(b *testing.B) *spec.SuiteResults {
 	specOnce.Do(func() {
-		r, err := harness.RunSPEC()
+		r, err := harness.RunSPEC(context.Background())
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -50,7 +51,7 @@ func specResults(b *testing.B) *spec.SuiteResults {
 
 func polyResults(b *testing.B) *spec.SuiteResults {
 	polyOnce.Do(func() {
-		r, err := harness.RunPolybench()
+		r, err := harness.RunPolybench(context.Background())
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -64,7 +65,7 @@ func polyResults(b *testing.B) *spec.SuiteResults {
 
 func asmResults(b *testing.B) *spec.SuiteResults {
 	asmOnce.Do(func() {
-		r, err := harness.RunAsmJS()
+		r, err := harness.RunAsmJS(context.Background())
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -142,11 +143,11 @@ func BenchmarkTable2_CompileTimes(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		var ratios []float64
 		for _, w := range workloads.SPECCPU() {
-			nat, err := toolchain.Build(w.Source, codegen.Native())
+			nat, err := pipeline.Compile(context.Background(), &pipeline.Request{Module: w.Source, Config: codegen.Native()})
 			if err != nil {
 				b.Fatal(err)
 			}
-			chr, err := toolchain.Build(w.Source, codegen.Chrome())
+			chr, err := pipeline.Compile(context.Background(), &pipeline.Request{Module: w.Source, Config: codegen.Chrome()})
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -214,11 +215,11 @@ func BenchmarkFig6_AsmJSBest(b *testing.B) {
 func BenchmarkFig7_MatmulCodegen(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		src := spec.MatmulSource(16, 18, 19)
-		nat, err := toolchain.Build(src, codegen.Native())
+		nat, err := pipeline.Compile(context.Background(), &pipeline.Request{Module: src, Config: codegen.Native()})
 		if err != nil {
 			b.Fatal(err)
 		}
-		chr, err := toolchain.Build(src, codegen.Chrome())
+		chr, err := pipeline.Compile(context.Background(), &pipeline.Request{Module: src, Config: codegen.Chrome()})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -254,7 +255,7 @@ func BenchmarkFig8_MatmulSweep(b *testing.B) {
 				Source: spec.MatmulSource(sz[0], sz[1], sz[2]),
 			}
 			w.Name = w.Name + "-" + string(rune('a'+sz[0]/10))
-			rs, err := harness.RunSuite([]*workloads.Workload{w}, spec.EngineSet())
+			rs, err := harness.RunSuite(context.Background(), []*workloads.Workload{w}, spec.EngineSet())
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -315,11 +316,11 @@ func BenchmarkFig10_ICache(b *testing.B) {
 
 func ablationRun(b *testing.B, cfg *codegen.EngineConfig) float64 {
 	w := &workloads.Workload{Name: "matmul-ablate-" + cfg.Name, Source: spec.MatmulSource(40, 44, 48)}
-	res, err := toolchain.Run(w.Source, cfg, nil, nil)
+	res, err := pipeline.Do(context.Background(), &pipeline.Request{Module: w.Source, Config: cfg})
 	if err != nil {
 		b.Fatal(err)
 	}
-	return res.Proc.Inst.Counters.Seconds()
+	return res.Counters.Seconds()
 }
 
 // BenchmarkAblation_StackChecks measures the cost of per-function stack
@@ -373,11 +374,11 @@ func BenchmarkAblation_IndirectChecks(b *testing.B) {
 	}
 	for i := 0; i < b.N; i++ {
 		run := func(cfg *codegen.EngineConfig) float64 {
-			res, err := toolchain.Run(povray.Source, cfg, nil, povray.Files)
+			res, err := pipeline.Do(context.Background(), &pipeline.Request{Module: povray.Source, Config: cfg, Files: povray.Files})
 			if err != nil {
 				b.Fatal(err)
 			}
-			return res.Proc.Inst.Counters.Seconds()
+			return res.Counters.Seconds()
 		}
 		on := run(codegen.Chrome())
 		cfg := codegen.Chrome()
@@ -427,8 +428,8 @@ func BenchmarkSimThroughput(b *testing.B) {
 		})
 	}
 	// Fidelity-tier variants on the native config: the functional fast path
-	// (sim-func-inst/s, the ≥5x target) and the sampled tier at default
-	// windows (sim-sampled-inst/s, in between).
+	// (sim-func-inst/s) and the sampled tier at default windows
+	// (sim-sampled-inst/s, in between).
 	b.Run("native-functional", func(b *testing.B) {
 		benchSimThroughput(b, codegen.Native().ApplyFidelity(codegen.FidelityFunctional, codegen.SampleWindows{}), "sim-func-inst/s")
 	})
@@ -439,18 +440,19 @@ func BenchmarkSimThroughput(b *testing.B) {
 
 func benchSimThroughput(b *testing.B, cfg *codegen.EngineConfig, metric string) {
 	w := workloads.Polybench()[0] // 2mm: FP matrix kernel
-	cm, err := toolchain.Build(w.Source, cfg)
+	ctx := context.Background()
+	cm, err := pipeline.Compile(ctx, &pipeline.Request{Module: w.Source, Config: cfg})
 	if err != nil {
 		b.Fatal(err)
 	}
 	b.ResetTimer()
 	var insts uint64
 	for i := 0; i < b.N; i++ {
-		res, err := toolchain.RunCompiled(cm, nil, nil)
+		res, err := pipeline.Execute(ctx, cm, &pipeline.Request{})
 		if err != nil {
 			b.Fatal(err)
 		}
-		insts += res.Proc.Inst.Counters.Instructions
+		insts += res.Counters.Instructions
 	}
 	if secs := b.Elapsed().Seconds(); secs > 0 {
 		b.ReportMetric(float64(insts)/secs, metric)
@@ -479,13 +481,23 @@ int main() {
   print_nl();
   return 0;
 }`
+	// chainSrc spawns itself on argv[1:] and waits, so run with n
+	// arguments it keeps n processes live at once.
+	const chainSrc = `
+int main(int argc, char **argv) {
+  if (argc > 1) { return sys_wait(sys_spawn("/bin/prog", argv + 1)); }
+  return 0;
+}`
 	ctx := context.Background()
-	cm, err := pipeline.Compile(ctx, &pipeline.Request{Module: src, Config: codegen.Chrome()})
-	if err != nil {
-		b.Fatal(err)
+	compile := func(src string) *codegen.CompiledModule {
+		cm, err := pipeline.Compile(ctx, &pipeline.Request{Module: src, Config: codegen.Chrome()})
+		if err != nil {
+			b.Fatal(err)
+		}
+		return cm
 	}
-	spawn := func() {
-		res, err := pipeline.Execute(ctx, cm, &pipeline.Request{})
+	run := func(cm *codegen.CompiledModule, argv []string) {
+		res, err := pipeline.Execute(ctx, cm, &pipeline.Request{Argv: argv})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -493,7 +505,22 @@ int main() {
 			b.Fatalf("exit %d", res.ExitCode)
 		}
 	}
-	spawn() // warm the pools
+	cm := compile(src)
+	spawn := func() { run(cm, nil) }
+	// Warm the pools with one recycled image per P. An exiting process
+	// parks its machine image and aux buffer in its P's private sync.Pool
+	// slot, which a Get on any other P cannot see. The spawning goroutine
+	// changes P freely (b.ResetTimer stops the world), so with a single
+	// warm image the measured spawn misses whenever it runs on another P,
+	// and B/op reads a whole fresh image. A chain of GOMAXPROCS live
+	// processes returns GOMAXPROCS images, and at most GOMAXPROCS-1 of them
+	// can sit in other Ps' private slots.
+	chain := make([]string, runtime.GOMAXPROCS(0))
+	for i := range chain {
+		chain[i] = "prog"
+	}
+	run(compile(chainSrc), chain)
+	spawn() // the measured program's own first-run allocations
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -511,7 +538,7 @@ int main() {
 // browser backend (the "fast to compile" design goal).
 func BenchmarkCompile_Chrome(b *testing.B) {
 	w := workloads.SPECCPU()[0]
-	m, err := toolchain.BuildWasm(w.Source)
+	m, err := minic.Compile(w.Source, minic.ABI32)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -526,7 +553,7 @@ func BenchmarkCompile_Chrome(b *testing.B) {
 // BenchmarkCompile_Native measures the optimizing backend for comparison.
 func BenchmarkCompile_Native(b *testing.B) {
 	w := workloads.SPECCPU()[0]
-	m, err := toolchain.BuildWasm(w.Source)
+	m, err := minic.Compile(w.Source, minic.ABI32)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -548,7 +575,7 @@ func BenchmarkCompileAllocs(b *testing.B) {
 	for _, cfg := range []*codegen.EngineConfig{codegen.Native(), codegen.Chrome()} {
 		b.Run(cfg.Name, func(b *testing.B) {
 			w := workloads.SPECCPU()[0]
-			m, err := toolchain.BuildWasm(w.Source)
+			m, err := minic.Compile(w.Source, minic.ABI32)
 			if err != nil {
 				b.Fatal(err)
 			}

@@ -8,6 +8,7 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"os"
@@ -58,55 +59,30 @@ func main() {
 		fmt.Println(s)
 	}
 
-	var specRes, polyRes, asmRes *spec.SuiteResults
-	needSpec := func() *spec.SuiteResults {
-		if specRes == nil {
-			r, err := h.RunSPEC()
-			if err != nil && r == nil {
-				emit("", err)
+	ctx := context.Background()
+	// suite runs one of the harness's suites at most once per process.
+	suite := func(run func(context.Context) (*spec.SuiteResults, error)) func() *spec.SuiteResults {
+		var res *spec.SuiteResults
+		return func() *spec.SuiteResults {
+			if res == nil {
+				r, err := run(ctx)
+				if err != nil && r == nil {
+					emit("", err)
+				}
+				if err != nil {
+					// Degraded run: results usable, failure summary to stderr,
+					// nonzero exit at the end.
+					fmt.Fprintln(os.Stderr, "browsix-spec:", err)
+					exitCode = 1
+				}
+				res = r
 			}
-			if err != nil {
-				// Degraded run: results usable, failure summary to stderr,
-				// nonzero exit at the end.
-				fmt.Fprintln(os.Stderr, "browsix-spec:", err)
-				exitCode = 1
-			}
-			specRes = r
+			return res
 		}
-		return specRes
 	}
-	needPoly := func() *spec.SuiteResults {
-		if polyRes == nil {
-			r, err := h.RunPolybench()
-			if err != nil && r == nil {
-				emit("", err)
-			}
-			if err != nil {
-				// Degraded run: results usable, failure summary to stderr,
-				// nonzero exit at the end.
-				fmt.Fprintln(os.Stderr, "browsix-spec:", err)
-				exitCode = 1
-			}
-			polyRes = r
-		}
-		return polyRes
-	}
-	needAsm := func() *spec.SuiteResults {
-		if asmRes == nil {
-			r, err := h.RunAsmJS()
-			if err != nil && r == nil {
-				emit("", err)
-			}
-			if err != nil {
-				// Degraded run: results usable, failure summary to stderr,
-				// nonzero exit at the end.
-				fmt.Fprintln(os.Stderr, "browsix-spec:", err)
-				exitCode = 1
-			}
-			asmRes = r
-		}
-		return asmRes
-	}
+	needSpec := suite(h.RunSPEC)
+	needPoly := suite(h.RunPolybench)
+	needAsm := suite(h.RunAsmJS)
 
 	run := func(which string) {
 		switch which {

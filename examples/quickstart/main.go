@@ -4,11 +4,12 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
 	"repro/internal/codegen"
-	"repro/internal/toolchain"
+	"repro/internal/pipeline"
 )
 
 const program = `
@@ -30,11 +31,11 @@ func main() {
 		"engine", "time", "instructions", "loads", "branches", "L1i-miss")
 	var nativeMs float64
 	for _, cfg := range engines {
-		res, err := toolchain.Run(program, cfg, nil, nil)
+		res, err := pipeline.Do(context.Background(), &pipeline.Request{Module: program, Config: cfg})
 		if err != nil {
 			log.Fatal(err)
 		}
-		c := res.Proc.Inst.Counters
+		c := res.Counters
 		ms := c.Seconds() * 1000
 		if cfg.Name == "native" {
 			nativeMs = ms

@@ -4,12 +4,13 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
 	"repro/internal/codegen"
 	"repro/internal/kernel"
-	"repro/internal/toolchain"
+	"repro/internal/pipeline"
 )
 
 const childSrc = `
@@ -52,12 +53,13 @@ int main(int argc, char **argv) {
 }`
 
 func main() {
+	ctx := context.Background()
 	cfg := codegen.Firefox()
-	parent, err := toolchain.Build(parentSrc, cfg)
+	parent, err := pipeline.Compile(ctx, &pipeline.Request{Module: parentSrc, Config: cfg})
 	if err != nil {
 		log.Fatal(err)
 	}
-	child, err := toolchain.Build(childSrc, cfg)
+	child, err := pipeline.Compile(ctx, &pipeline.Request{Module: childSrc, Config: cfg})
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -143,7 +143,7 @@ func compileWorkers() int {
 // token runs serially on the calling goroutine, and one that outlives the
 // contention picks up freed tokens mid-run. ctx carries the scheduler's
 // pool marker when the compile was reached from inside a fan-out
-// (pipeline.BuildContext threads it through), so a nested compile never
+// (pipeline.Compile threads it through), so a nested compile never
 // double-charges the budget for its own goroutine; a cancelled ctx stops
 // dispatching further functions on the serial and parallel paths alike.
 // Outputs are index-addressed, so serial and parallel runs are

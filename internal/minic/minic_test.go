@@ -1,12 +1,13 @@
 package minic_test
 
 import (
+	"context"
 	"strings"
 	"testing"
 
 	"repro/internal/codegen"
 	"repro/internal/minic"
-	"repro/internal/toolchain"
+	"repro/internal/pipeline"
 	"repro/internal/wasm"
 )
 
@@ -22,7 +23,7 @@ func engines() []*codegen.EngineConfig {
 func runAll(t *testing.T, src, wantOut string, wantCode int) {
 	t.Helper()
 	for _, cfg := range engines() {
-		res, err := toolchain.Run(src, cfg, nil, nil)
+		res, err := pipeline.Do(context.Background(), &pipeline.Request{Module: src, Config: cfg})
 		if err != nil {
 			t.Fatalf("%s: %v", cfg.Name, err)
 		}
@@ -152,11 +153,11 @@ func TestStructSizeDiffersByABI(t *testing.T) {
 	src := `
 struct Node { int v; struct Node *next; };
 int main() { return sizeof(struct Node); }`
-	res32, err := toolchain.Run(src, codegen.Chrome(), nil, nil)
+	res32, err := pipeline.Do(context.Background(), &pipeline.Request{Module: src, Config: codegen.Chrome()})
 	if err != nil {
 		t.Fatal(err)
 	}
-	res64, err := toolchain.Run(src, codegen.Native(), nil, nil)
+	res64, err := pipeline.Do(context.Background(), &pipeline.Request{Module: src, Config: codegen.Native()})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -198,7 +199,7 @@ int main() {
   print_long((long)(u >> 32)); print_nl();
   return 0;
 }`
-	res, err := toolchain.Run(src, codegen.Native(), nil, nil)
+	res, err := pipeline.Do(context.Background(), &pipeline.Request{Module: src, Config: codegen.Native()})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -354,7 +355,7 @@ int main(int argc, char **argv) {
   return 0;
 }`
 	for _, cfg := range engines() {
-		res, err := toolchain.Run(src, cfg, []string{"prog", "alpha", "beta"}, nil)
+		res, err := pipeline.Do(context.Background(), &pipeline.Request{Module: src, Config: cfg, Argv: []string{"prog", "alpha", "beta"}})
 		if err != nil {
 			t.Fatalf("%s: %v", cfg.Name, err)
 		}
@@ -382,11 +383,11 @@ int main() {
   return 0;
 }`
 	for _, cfg := range engines() {
-		cm, err := toolchain.Build(src, cfg)
+		cm, err := pipeline.Compile(context.Background(), &pipeline.Request{Module: src, Config: cfg})
 		if err != nil {
 			t.Fatalf("%s: %v", cfg.Name, err)
 		}
-		res, err := toolchain.RunCompiled(cm, nil, map[string][]byte{"/data/in.txt": []byte("hello file")})
+		res, err := pipeline.Execute(context.Background(), cm, &pipeline.Request{Files: map[string][]byte{"/data/in.txt": []byte("hello file")}})
 		if err != nil {
 			t.Fatalf("%s: %v", cfg.Name, err)
 		}

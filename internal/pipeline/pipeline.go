@@ -8,10 +8,9 @@
 // jobs and the per-function compile fan-out inside them draw workers from
 // one process-wide token budget, so parallelism is ~GOMAXPROCS at any
 // nesting depth), and the canonical "run one binary in a fresh kernel"
-// helper. The spec harness, the toolchain front-end, the workloads
-// differential tests, and the cmd/* binaries all build and execute through
-// this package, so builds are shared and suite parallelism is governed in
-// one place.
+// helper. The spec harness, the workloads differential tests, the examples,
+// and the cmd/* binaries all build and execute through this package, so
+// builds are shared and suite parallelism is governed in one place.
 //
 // The unit of work is the serializable Request (module, engine, argv,
 // files, fidelity, limits) and its Result (exit code, stdout, counters,
@@ -301,23 +300,6 @@ func build(ctx context.Context, src string, cfg *codegen.EngineConfig) (*codegen
 		return nil, mine, fmt.Errorf("pipeline: build of %s panicked (poisoned cache entry)", k[:12])
 	}
 	return e.cm, mine, e.err
-}
-
-// Build compiles src for cfg through the shared cache.
-//
-// Deprecated: construct a Request and use Compile — this wrapper survives
-// one release so out-of-tree callers keep compiling.
-func Build(src string, cfg *codegen.EngineConfig) (*codegen.CompiledModule, error) {
-	return BuildContext(context.Background(), src, cfg)
-}
-
-// BuildContext is Build under a caller context.
-//
-// Deprecated: construct a Request and use Compile — this wrapper survives
-// one release so out-of-tree callers keep compiling.
-func BuildContext(ctx context.Context, src string, cfg *codegen.EngineConfig) (*codegen.CompiledModule, error) {
-	cm, _, err := build(ctx, src, cfg)
-	return cm, err
 }
 
 // buildLabel is the compile fault site's key: the fault.WithLabel value when

@@ -103,7 +103,7 @@ func TestRemoteWarmsSecondWorker(t *testing.T) {
 	key := Key(src, cfg)
 
 	before := Stats()
-	cmA, err := Build(src, cfg)
+	cmA, err := Compile(context.Background(), &Request{Module: src, Config: cfg})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -119,7 +119,7 @@ func TestRemoteWarmsSecondWorker(t *testing.T) {
 	withTestStore(t, defaultMaxBytes)
 	dropMemEntry(key)
 	before = Stats()
-	cmB, err := Build(src, cfg)
+	cmB, err := Compile(context.Background(), &Request{Module: src, Config: cfg})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -138,7 +138,7 @@ func TestRemoteWarmsSecondWorker(t *testing.T) {
 	// build hits disk, not the network.
 	dropMemEntry(key)
 	before = Stats()
-	if _, err := Build(src, cfg); err != nil {
+	if _, err := Compile(context.Background(), &Request{Module: src, Config: cfg}); err != nil {
 		t.Fatal(err)
 	}
 	if d := Stats().Sub(before); d.DiskHits != 1 || d.RemoteHits != 0 {
@@ -165,7 +165,7 @@ func TestRemoteDeadServerDegradesToCompile(t *testing.T) {
 	}
 	before := Stats()
 	for _, src := range srcs {
-		cm, err := Build(src, cfg)
+		cm, err := Compile(context.Background(), &Request{Module: src, Config: cfg})
 		if err != nil || cm == nil {
 			t.Fatalf("dead remote failed a build: %v", err)
 		}
@@ -217,7 +217,7 @@ func TestRemoteCorruptPayloadRejected(t *testing.T) {
 	}
 
 	before := Stats()
-	cm, err := Build(src, cfg)
+	cm, err := Compile(context.Background(), &Request{Module: src, Config: cfg})
 	if err != nil {
 		t.Fatalf("corrupt remote payload failed the build: %v", err)
 	}
@@ -247,7 +247,7 @@ func TestRemoteCorruptPayloadRejected(t *testing.T) {
 	withTestStore(t, defaultMaxBytes)
 	dropMemEntry(key)
 	before = Stats()
-	if _, err := Build(src, cfg); err != nil {
+	if _, err := Compile(context.Background(), &Request{Module: src, Config: cfg}); err != nil {
 		t.Fatal(err)
 	}
 	d = Stats().Sub(before)
@@ -271,7 +271,7 @@ func TestRemoteHangContainedByDeadline(t *testing.T) {
 	defer disarm()
 
 	start := time.Now()
-	cm, err := Build(uniqueRemoteSrc(9), codegen.Chrome())
+	cm, err := Compile(context.Background(), &Request{Module: uniqueRemoteSrc(9), Config: codegen.Chrome()})
 	elapsed := time.Since(start)
 	if err != nil || cm == nil {
 		t.Fatalf("hung remote failed the build: %v", err)
@@ -311,7 +311,7 @@ func TestDegradedRemoteSuite(t *testing.T) {
 	withTestStore(t, defaultMaxBytes)
 	for i, src := range srcs {
 		dropMemEntry(keys[i])
-		cm, err := Build(src, cfg)
+		cm, err := Compile(context.Background(), &Request{Module: src, Config: cfg})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -329,7 +329,7 @@ func TestDegradedRemoteSuite(t *testing.T) {
 	withTestStore(t, defaultMaxBytes)
 	for i, src := range srcs {
 		dropMemEntry(keys[i])
-		if _, err := Build(src, cfg); err != nil {
+		if _, err := Compile(context.Background(), &Request{Module: src, Config: cfg}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -369,7 +369,7 @@ func TestDegradedRemoteSuite(t *testing.T) {
 		case "half-open":
 			sawHalfOpen = true
 		}
-		cm, err := Build(src, cfg)
+		cm, err := Compile(context.Background(), &Request{Module: src, Config: cfg})
 		if err != nil {
 			t.Fatalf("degraded suite run %d failed: %v", i, err)
 		}

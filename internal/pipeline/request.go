@@ -9,9 +9,6 @@ package pipeline
 //	Execute(ctx, cm, req)  run an already-built module under req's policy
 //	Do(ctx, req)           Compile then Execute — the serving unit
 //
-// The pre-Request positional forms (Build/BuildContext, Exec/ExecContext,
-// Run/RunContext) survive as thin deprecated wrappers for one release.
-//
 // JSON field spellings here are the serving wire format, pinned by golden
 // fixtures in wire_test.go. Decoding tolerates unknown fields, so the
 // format can grow without breaking older clients.

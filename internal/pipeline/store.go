@@ -28,7 +28,7 @@ import (
 // fan-out directory. Everything is best-effort: a missing, truncated,
 // bit-flipped, or version-stale artifact reads as a cache miss and triggers
 // a recompile that overwrites it; an unwritable store directory disables the
-// layer entirely. The store never surfaces an error to Build callers.
+// layer entirely. The store never surfaces an error to Compile callers.
 //
 // Cross-process safety comes from atomic publication: writers produce the
 // artifact in a temp file in the destination directory and rename it into

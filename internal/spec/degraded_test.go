@@ -72,7 +72,7 @@ func TestDegradedSuiteContainsInjectedFaults(t *testing.T) {
 	base := degradedSuite("baseline")
 	base[1].Source = degradedSrc("deg-b", "baseline-only")
 	h0 := spec.NewHarness()
-	baseRes, err := h0.RunSuite(base, cfgs)
+	baseRes, err := h0.RunSuite(context.Background(), base, cfgs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -89,7 +89,7 @@ func TestDegradedSuiteContainsInjectedFaults(t *testing.T) {
 	faulted[1].Source = degradedSrc("deg-b", "faulted-only")
 	h1 := spec.NewHarness()
 	h1.Degraded = true
-	out, err := h1.RunSuiteContext(context.Background(), faulted, cfgs)
+	out, err := h1.RunSuite(context.Background(), faulted, cfgs)
 	if err == nil {
 		t.Fatal("degraded run with armed faults must return an error")
 	}

@@ -31,41 +31,29 @@ func (h *Harness) applyFidelity(cfgs []*codegen.EngineConfig) []*codegen.EngineC
 }
 
 // RunSPEC runs the SPEC-shaped suite on native/Chrome/Firefox.
-func (h *Harness) RunSPEC() (*SuiteResults, error) {
-	ws := workloads.SPECCPU()
-	cfgs := h.applyFidelity(EngineSet())
-	r, err := h.RunSuite(ws, cfgs)
-	if r == nil {
-		return nil, err
-	}
-	// err may be a *SuiteFailure from a degraded run: the results are
-	// usable (failed rows are Err-marked), the run still reads as failed.
-	return &SuiteResults{Workloads: ws, Engines: cfgs, R: r}, err
+func (h *Harness) RunSPEC(ctx context.Context) (*SuiteResults, error) {
+	return h.runSet(ctx, workloads.SPECCPU(), EngineSet())
 }
 
 // RunPolybench runs the PolybenchC suite on native/Chrome/Firefox.
-func (h *Harness) RunPolybench() (*SuiteResults, error) {
-	ws := workloads.Polybench()
-	cfgs := h.applyFidelity(EngineSet())
-	r, err := h.RunSuite(ws, cfgs)
-	if r == nil {
-		return nil, err
-	}
-	// err may be a *SuiteFailure from a degraded run: the results are
-	// usable (failed rows are Err-marked), the run still reads as failed.
-	return &SuiteResults{Workloads: ws, Engines: cfgs, R: r}, err
+func (h *Harness) RunPolybench(ctx context.Context) (*SuiteResults, error) {
+	return h.runSet(ctx, workloads.Polybench(), EngineSet())
 }
 
 // RunAsmJS runs the SPEC suite on the asm.js configurations.
-func (h *Harness) RunAsmJS() (*SuiteResults, error) {
-	ws := workloads.SPECCPU()
-	cfgs := h.applyFidelity(AsmJSEngines())
-	r, err := h.RunSuite(ws, cfgs)
+func (h *Harness) RunAsmJS(ctx context.Context) (*SuiteResults, error) {
+	return h.runSet(ctx, workloads.SPECCPU(), AsmJSEngines())
+}
+
+// runSet runs ws on cfgs under the harness's fidelity tier and bundles the
+// matrix. err may be a *SuiteFailure from a degraded run: the results are
+// usable (failed rows are Err-marked), the run still reads as failed.
+func (h *Harness) runSet(ctx context.Context, ws []*workloads.Workload, cfgs []*codegen.EngineConfig) (*SuiteResults, error) {
+	cfgs = h.applyFidelity(cfgs)
+	r, err := h.RunSuite(ctx, ws, cfgs)
 	if r == nil {
 		return nil, err
 	}
-	// err may be a *SuiteFailure from a degraded run: the results are
-	// usable (failed rows are Err-marked), the run still reads as failed.
 	return &SuiteResults{Workloads: ws, Engines: cfgs, R: r}, err
 }
 
@@ -73,25 +61,109 @@ func (h *Harness) RunAsmJS() (*SuiteResults, error) {
 func (s *SuiteResults) Relative(col int) []float64 {
 	out := make([]float64, len(s.R))
 	for i, row := range s.R {
-		out[i] = row[col].Seconds / row[0].Seconds
+		out[i] = rel(row, col)
 	}
 	return out
+}
+
+// CounterRatios returns per-benchmark event ratios engine-col/native for ev.
+func (s *SuiteResults) CounterRatios(ev perf.Event, col int) []float64 {
+	out := make([]float64, len(s.R))
+	for i, row := range s.R {
+		out[i] = counterRatio(row, ev, col)
+	}
+	return out
+}
+
+// rowOK reports whether a row is measurable: every engine produced a real
+// result (non-nil, no Err). Degraded suite runs return failed rows too, so
+// every figure guards with this and renders FAILED lines instead of
+// plotting zeros — and keeps failed rows out of its aggregates.
+func rowOK(row []*Result) bool {
+	if len(row) == 0 {
+		return false
+	}
+	for _, r := range row {
+		if r == nil || r.Err != nil {
+			return false
+		}
+	}
+	return true
+}
+
+// rowOK reports whether workload i's row is measurable.
+func (s *SuiteResults) rowOK(i int) bool { return rowOK(s.R[i]) }
+
+// failedLine is the rendered form of a failed row in line-based figures.
+func failedLine(name string) string {
+	return fmt.Sprintf("%-16s %10s\n", name, "FAILED")
+}
+
+// rel returns row[col]'s time relative to the native column.
+func rel(row []*Result, col int) float64 { return row[col].Seconds / row[0].Seconds }
+
+// counterRatio returns row[col]'s event count relative to native.
+func counterRatio(row []*Result, ev perf.Event, col int) float64 {
+	n := row[0].Counters.Get(ev)
+	if n == 0 {
+		n = 1
+	}
+	return float64(row[col].Counters.Get(ev)) / float64(n)
+}
+
+// ratioPanel writes one chrome/firefox ratio panel: the column header, one
+// line per workload (FAILED unless ok(i)), and the geomean of each column
+// over the measured rows in workload order.
+func ratioPanel(sb *strings.Builder, ws []*workloads.Workload, ok func(i int) bool, ratios func(i int) (chrome, firefox float64)) {
+	fmt.Fprintf(sb, "%-16s %10s %10s\n", "benchmark", "chrome", "firefox")
+	var cs, fs []float64
+	for i, w := range ws {
+		if !ok(i) {
+			sb.WriteString(failedLine(w.Name))
+			continue
+		}
+		c, f := ratios(i)
+		cs = append(cs, c)
+		fs = append(fs, f)
+		fmt.Fprintf(sb, "%-16s %10.2f %10.2f\n", w.Name, c, f)
+	}
+	fmt.Fprintf(sb, "%-16s %10.2f %10.2f\n", "geomean", stats.Geomean(cs), stats.Geomean(fs))
 }
 
 // Fig3 renders the relative-execution-time figure for a suite (3a for
 // Polybench, 3b for SPEC).
 func Fig3(s *SuiteResults, title string) string {
-	f := NewFig3Stream(title, len(s.R))
-	s.Feed(f)
-	return f.Render()
+	var sb strings.Builder
+	fmt.Fprintf(&sb, "%s — relative execution time (native = 1.0)\n", title)
+	ratioPanel(&sb, s.Workloads, s.rowOK, func(i int) (float64, float64) {
+		return rel(s.R[i], 1), rel(s.R[i], 2)
+	})
+	return sb.String()
 }
 
 // Table1 renders the SPEC absolute-times table. Simulated times are in
 // milliseconds (problem sizes are scaled down; see EXPERIMENTS.md).
 func Table1(s *SuiteResults) string {
-	t := NewTable1Stream(len(s.R))
-	s.Feed(t)
-	return t.Render()
+	var sb strings.Builder
+	sb.WriteString("Table 1 — SPEC CPU execution times (simulated ms)\n")
+	fmt.Fprintf(&sb, "%-16s %12s %12s %12s\n", "benchmark", "native", "chrome", "firefox")
+	var chrome, firefox []float64
+	for i, row := range s.R {
+		name := s.Workloads[i].Name
+		if !rowOK(row) {
+			fmt.Fprintf(&sb, "%-16s %12s %12s %12s\n", name, "FAILED", "-", "-")
+			continue
+		}
+		n := row[0].Seconds * 1000
+		c := row[1].Seconds * 1000
+		f := row[2].Seconds * 1000
+		chrome = append(chrome, c/n)
+		firefox = append(firefox, f/n)
+		fmt.Fprintf(&sb, "%-16s %12.2f %12.2f %12.2f\n", name, n, c, f)
+	}
+	fmt.Fprintf(&sb, "%-16s %12s %11.2fx %11.2fx\n", "Slowdown: geomean", "-", stats.Geomean(chrome), stats.Geomean(firefox))
+	fmt.Fprintf(&sb, "%-16s %12s %11.2fx %11.2fx\n", "Slowdown: median", "-", stats.Median(chrome), stats.Median(firefox))
+	return sb.String()
 }
 
 // Table2 renders compile times: "Clang" is the native pipeline (mini-C
@@ -119,29 +191,31 @@ func (h *Harness) Table2() (string, error) {
 // Fig4 renders the Browsix-overhead figure: % of time in Browsix syscalls
 // (Firefox column, like the paper).
 func Fig4(s *SuiteResults) string {
-	f := NewFig4Stream(len(s.R))
-	s.Feed(f)
-	return f.Render()
+	var sb strings.Builder
+	sb.WriteString("Figure 4 — % of time spent in Browsix (Firefox)\n")
+	var shares []float64
+	for i, row := range s.R {
+		name := s.Workloads[i].Name
+		if !rowOK(row) {
+			sb.WriteString(failedLine(name))
+			continue
+		}
+		share := row[2].BrowsixShare * 100
+		shares = append(shares, share)
+		fmt.Fprintf(&sb, "%-16s %8.3f%%   (%d syscalls)\n", name, share, row[2].Syscalls)
+	}
+	fmt.Fprintf(&sb, "%-16s %8.3f%%\n", "average", stats.Mean(shares))
+	return sb.String()
 }
 
 // Fig5 renders asm.js-vs-wasm relative time per browser.
 func Fig5(wasmRes, asmRes *SuiteResults) string {
 	var sb strings.Builder
 	sb.WriteString("Figure 5 — asm.js relative to WebAssembly (wasm = 1.0)\n")
-	fmt.Fprintf(&sb, "%-16s %10s %10s\n", "benchmark", "chrome", "firefox")
-	var rc, rf []float64
-	for i, w := range wasmRes.Workloads {
-		if !RowOK(wasmRes.R[i]) || !RowOK(asmRes.R[i]) {
-			fmt.Fprintf(&sb, "%-16s %10s\n", w.Name, "FAILED")
-			continue
-		}
-		c := asmRes.R[i][0].Seconds / wasmRes.R[i][1].Seconds
-		f := asmRes.R[i][1].Seconds / wasmRes.R[i][2].Seconds
-		rc = append(rc, c)
-		rf = append(rf, f)
-		fmt.Fprintf(&sb, "%-16s %10.2f %10.2f\n", w.Name, c, f)
-	}
-	fmt.Fprintf(&sb, "%-16s %10.2f %10.2f\n", "geomean", stats.Geomean(rc), stats.Geomean(rf))
+	ok := func(i int) bool { return wasmRes.rowOK(i) && asmRes.rowOK(i) }
+	ratioPanel(&sb, wasmRes.Workloads, ok, func(i int) (float64, float64) {
+		return asmRes.R[i][0].Seconds / wasmRes.R[i][1].Seconds, asmRes.R[i][1].Seconds / wasmRes.R[i][2].Seconds
+	})
 	return sb.String()
 }
 
@@ -151,8 +225,8 @@ func Fig6(wasmRes, asmRes *SuiteResults) string {
 	sb.WriteString("Figure 6 — best asm.js relative to best WebAssembly\n")
 	var ratios []float64
 	for i, w := range wasmRes.Workloads {
-		if !RowOK(wasmRes.R[i]) || !RowOK(asmRes.R[i]) {
-			fmt.Fprintf(&sb, "%-16s %10s\n", w.Name, "FAILED")
+		if !wasmRes.rowOK(i) || !asmRes.rowOK(i) {
+			sb.WriteString(failedLine(w.Name))
 			continue
 		}
 		bestWasm := stats.Min([]float64{wasmRes.R[i][1].Seconds, wasmRes.R[i][2].Seconds})
@@ -171,31 +245,27 @@ var Fig9Events = []perf.Event{
 	perf.ConditionalBranches, perf.InstructionsRetired, perf.CPUCycles,
 }
 
-// CounterRatios returns per-benchmark event ratios engine-col/native for ev.
-func (s *SuiteResults) CounterRatios(ev perf.Event, col int) []float64 {
-	out := make([]float64, len(s.R))
-	for i, row := range s.R {
-		n := row[0].Counters.Get(ev)
-		if n == 0 {
-			n = 1
-		}
-		out[i] = float64(row[col].Counters.Get(ev)) / float64(n)
-	}
-	return out
-}
-
 // Fig9 renders the six counter panels.
 func Fig9(s *SuiteResults) string {
-	f := NewFig9Stream(len(s.R))
-	s.Feed(f)
-	return f.Render()
+	var sb strings.Builder
+	sb.WriteString("Figure 9 — performance counters relative to native (native = 1.0)\n")
+	for pi, ev := range Fig9Events {
+		fmt.Fprintf(&sb, "\n(%c) %s\n", 'a'+pi, ev)
+		ratioPanel(&sb, s.Workloads, s.rowOK, func(i int) (float64, float64) {
+			return counterRatio(s.R[i], ev, 1), counterRatio(s.R[i], ev, 2)
+		})
+	}
+	return sb.String()
 }
 
 // Fig10 renders L1 icache miss ratios.
 func Fig10(s *SuiteResults) string {
-	f := NewFig10Stream(len(s.R))
-	s.Feed(f)
-	return f.Render()
+	var sb strings.Builder
+	sb.WriteString("Figure 10 — L1-icache-load-misses relative to native\n")
+	ratioPanel(&sb, s.Workloads, s.rowOK, func(i int) (float64, float64) {
+		return counterRatio(s.R[i], perf.L1ICacheLoadMisses, 1), counterRatio(s.R[i], perf.L1ICacheLoadMisses, 2)
+	})
+	return sb.String()
 }
 
 // Table3 renders the perf-event table.
@@ -213,11 +283,23 @@ func Table3() string {
 	return sb.String()
 }
 
-// Table4 renders the geomean counter increases.
+// Table4 renders the geomean counter increases: the Figure 9 panels plus
+// icache misses.
 func Table4(s *SuiteResults) string {
-	t := NewTable4Stream(len(s.R))
-	s.Feed(t)
-	return t.Render()
+	var sb strings.Builder
+	sb.WriteString("Table 4 — geomean of counter increases (SPEC, wasm vs native)\n")
+	fmt.Fprintf(&sb, "%-26s %10s %10s\n", "counter", "chrome", "firefox")
+	for _, ev := range append(append([]perf.Event{}, Fig9Events...), perf.L1ICacheLoadMisses) {
+		var chrome, firefox []float64
+		for _, row := range s.R {
+			if rowOK(row) {
+				chrome = append(chrome, counterRatio(row, ev, 1))
+				firefox = append(firefox, counterRatio(row, ev, 2))
+			}
+		}
+		fmt.Fprintf(&sb, "%-26s %9.2fx %9.2fx\n", ev, stats.Geomean(chrome), stats.Geomean(firefox))
+	}
+	return sb.String()
 }
 
 // Fig1Historical holds the thresholds series the paper shows for earlier
@@ -233,9 +315,28 @@ var Fig1Historical = []struct {
 // Fig1 counts Polybench kernels within each threshold of native (best
 // browser per kernel) and renders the comparison with the historical series.
 func Fig1(s *SuiteResults) string {
-	f := NewFig1Stream(len(s.R))
-	s.Feed(f)
-	return f.Render()
+	counts := map[float64]int{}
+	for _, row := range s.R {
+		if !rowOK(row) {
+			continue
+		}
+		best := stats.Min([]float64{rel(row, 1), rel(row, 2)})
+		for _, th := range []float64{1.1, 1.5, 2.0, 2.5} {
+			if best < th {
+				counts[th]++
+			}
+		}
+	}
+	var sb strings.Builder
+	sb.WriteString("Figure 1 — # PolybenchC benchmarks within x of native\n")
+	fmt.Fprintf(&sb, "%-12s %8s %8s %8s %8s\n", "series", "<1.1x", "<1.5x", "<2x", "<2.5x")
+	for _, h := range Fig1Historical {
+		fmt.Fprintf(&sb, "%-12s %8d %8d %8d %8d   (of 24; recorded from the paper)\n",
+			h.Label, h.Counts[1.1], h.Counts[1.5], h.Counts[2.0], h.Counts[2.5])
+	}
+	fmt.Fprintf(&sb, "%-12s %8d %8d %8d %8d   (of %d; measured)\n",
+		"This paper", counts[1.1], counts[1.5], counts[2.0], counts[2.5], len(s.R))
+	return sb.String()
 }
 
 // MatmulSource returns the §5 case-study kernel at the given sizes.
@@ -303,7 +404,7 @@ func (h *Harness) Fig8() (string, error) {
 			Name:   fmt.Sprintf("matmul-%dx%dx%d", sz[0], sz[1], sz[2]),
 			Source: MatmulSource(sz[0], sz[1], sz[2]),
 		}
-		rs, err := h.RunSuite([]*workloads.Workload{w}, EngineSet())
+		rs, err := h.RunSuite(context.Background(), []*workloads.Workload{w}, EngineSet())
 		if err != nil {
 			return "", err
 		}

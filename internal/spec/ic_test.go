@@ -1,6 +1,7 @@
 package spec_test
 
 import (
+	"context"
 	"testing"
 
 	"repro/internal/codegen"
@@ -22,7 +23,7 @@ func TestSjengICache(t *testing.T) {
 	var miss [3]uint64
 	var secs [3]float64
 	for i, cfg := range []*codegen.EngineConfig{codegen.Native(), codegen.Chrome(), codegen.Firefox()} {
-		r, err := h.Run(w, cfg)
+		r, err := h.Run(context.Background(), w, cfg)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -11,6 +11,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"strings"
 	"sync"
 	"time"
@@ -73,7 +74,7 @@ type Result struct {
 	// Err marks a failed run in a degraded suite: the workload/engine pair
 	// that failed and why (a JobPanicError, a pipeline.TimeoutError, an
 	// ordinary build or run error). All measurement fields are zero when Err
-	// is set; sinks render such rows as FAILED instead of plotting them.
+	// is set; the figures render such rows as FAILED instead of plotting them.
 	Err error
 	// Seconds is simulated wall time between the perf marks.
 	Seconds float64
@@ -113,11 +114,11 @@ type Harness struct {
 
 	// Degraded makes suite runs survive individual failures: a workload ×
 	// engine run that fails (build error, panic, watchdog timeout, output
-	// mismatch) becomes a Result with Err set, its row is still delivered
-	// to the sinks (rendered as FAILED), and RunSuiteRows returns a
-	// *SuiteFailure summarizing every failure — nonzero exit, zero lost
-	// rows. Without it, the first failure aborts the suite (the historical
-	// strict behavior tests rely on).
+	// mismatch) becomes a Result with Err set, its row is still filled in
+	// the matrix (rendered as FAILED), and RunSuite returns a *SuiteFailure
+	// summarizing every failure — nonzero exit, zero lost rows. Without it,
+	// the first failure aborts the suite (the historical strict behavior
+	// tests rely on).
 	Degraded bool
 
 	mu      sync.Mutex
@@ -132,8 +133,8 @@ type FailedRun struct {
 }
 
 // SuiteFailure is the error a degraded suite run returns when any run
-// failed: the suite completed (every surviving row was measured, validated,
-// and delivered) but the run as a whole must not read as clean.
+// failed: the suite completed (every surviving row was measured and
+// validated) but the run as a whole must not read as clean.
 type SuiteFailure struct {
 	Failures []FailedRun
 	// Total is the number of workload × engine runs attempted.
@@ -188,17 +189,12 @@ func (h *Harness) build(ctx context.Context, key, src string, cfg *codegen.Engin
 // Run executes workload w under engine cfg through the full Figure 2 chain
 // and returns the measurement. Results are memoized under the same content
 // address as builds, so configs that differ in any field — not just the
-// name — never share a measurement.
-func (h *Harness) Run(w *workloads.Workload, cfg *codegen.EngineConfig) (*Result, error) {
-	return h.RunContext(context.Background(), w, cfg)
-}
-
-// RunContext is Run under a caller context: the whole process chain
-// (runspec, specinvoke, the benchmark) polls ctx while simulating, so
-// cancellation preempts an in-flight measurement, not just queued ones.
-// The per-job watchdog (pipeline.JobLimits) rides the same polling; a
-// tripped limit returns a pipeline.TimeoutError with partial counters.
-func (h *Harness) RunContext(ctx context.Context, w *workloads.Workload, cfg *codegen.EngineConfig) (*Result, error) {
+// name — never share a measurement. The whole process chain (runspec,
+// specinvoke, the benchmark) polls ctx while simulating, so cancellation
+// preempts an in-flight measurement, not just queued ones. The per-job
+// watchdog (pipeline.JobLimits) rides the same polling; a tripped limit
+// returns a pipeline.TimeoutError with partial counters.
+func (h *Harness) Run(ctx context.Context, w *workloads.Workload, cfg *codegen.EngineConfig) (*Result, error) {
 	if fault.Enabled() && fault.LabelOf(ctx) == "" {
 		// Key the compile/exec fault sites under this run by workload name,
 		// so a rule can target one workload out of the suite.
@@ -329,65 +325,26 @@ func (h *Harness) RunContext(ctx context.Context, w *workloads.Workload, cfg *co
 
 // RunSuite runs every workload in ws under every engine in cfgs, validating
 // outputs across engines with the cmp check, and returns results indexed
-// [workload][engine].
-func (h *Harness) RunSuite(ws []*workloads.Workload, cfgs []*codegen.EngineConfig) ([][]*Result, error) {
-	return h.RunSuiteContext(context.Background(), ws, cfgs)
-}
-
-// RunSuiteContext is RunSuite under a caller context: cancellation stops the
-// suite early. Executions run in parallel on the pipeline scheduler (each is
-// fully isolated in its own kernel), bounded by h.Workers, and every failing
-// workload/engine pair is reported in the returned error, not just the
-// first. The matrix is collected from the streaming core (RunSuiteRows);
-// callers that only need figures can use RunSuiteRows directly and skip the
-// materialization.
-func (h *Harness) RunSuiteContext(ctx context.Context, ws []*workloads.Workload, cfgs []*codegen.EngineConfig) ([][]*Result, error) {
-	out := make([][]*Result, len(ws))
-	err := h.RunSuiteRows(ctx, ws, cfgs, rowCollector(out))
-	var sf *SuiteFailure
-	if err != nil && !errors.As(err, &sf) {
-		return nil, err
-	}
-	// A degraded run returns the partial matrix alongside the SuiteFailure:
-	// surviving rows are real measurements, failed rows carry Err-marked
-	// entries, and the caller decides whether to render despite the error.
-	return out, err
-}
-
-// rowCollector is the RowSink that materializes the [][]*Result matrix for
-// the compatibility API.
-type rowCollector [][]*Result
-
-// AddRow implements RowSink.
-func (c rowCollector) AddRow(wi int, w *workloads.Workload, row []*Result) {
-	c[wi] = append([]*Result(nil), row...)
-}
-
-// RunSuiteRows runs every workload in ws under every engine in cfgs and
-// streams each workload's validated row (results across cfgs, in engine
-// order) into the sinks as it completes, instead of materializing the full
-// [][]*Result matrix: a row is delivered once — under a lock, in completion
-// order, cmp-validated across engines — and dropped immediately after, so
-// peak memory is bounded by the rows in flight, not the suite size. Sinks
-// index by the workload position wi to reassemble ordered output (the
-// figure builders in figures_stream.go do exactly that).
-func (h *Harness) RunSuiteRows(ctx context.Context, ws []*workloads.Workload, cfgs []*codegen.EngineConfig, sinks ...RowSink) error {
+// [workload][engine]. Executions run in parallel on the shared scheduler
+// (each is fully isolated in its own kernel), bounded by h.Workers;
+// cancelling ctx stops the suite early, and every failing workload/engine
+// pair is reported in the returned error, not just the first. A degraded
+// run returns the full matrix alongside the *SuiteFailure: surviving rows
+// are real measurements, failed rows carry Err-marked entries, and the
+// caller decides whether to render despite the error.
+func (h *Harness) RunSuite(ctx context.Context, ws []*workloads.Workload, cfgs []*codegen.EngineConfig) ([][]*Result, error) {
 	before := pipeline.Stats()
-	type rowState struct {
-		row  []*Result
-		left int
-	}
-	states := make([]rowState, len(ws))
-	for wi := range states {
-		states[wi] = rowState{row: make([]*Result, len(cfgs)), left: len(cfgs)}
+	out := make([][]*Result, len(ws))
+	for wi := range out {
+		out[wi] = make([]*Result, len(cfgs))
 	}
 	var mu sync.Mutex
 	var failures []FailedRun
-	jobs := make([]pipeline.WeightedJob, 0, len(ws)*len(cfgs))
+	jobs := make([]sched.WeightedJob, 0, len(ws)*len(cfgs))
 	for wi := range ws {
 		for ci := range cfgs {
 			wi, ci := wi, ci
-			jobs = append(jobs, pipeline.WeightedJob{Weight: ws[wi].ExpectedInstructions(), Run: func(ctx context.Context) error {
+			jobs = append(jobs, sched.WeightedJob{Weight: ws[wi].ExpectedInstructions(), Run: func(ctx context.Context) error {
 				if err := ctx.Err(); err != nil {
 					return nil // the scheduler reports the cancellation
 				}
@@ -403,18 +360,15 @@ func (h *Harness) RunSuiteRows(ctx context.Context, ws []*workloads.Workload, cf
 					failures = append(failures, FailedRun{ws[wi].Name, cfgs[ci].Name, err})
 					r = &Result{Bench: ws[wi].Name, Engine: cfgs[ci].Name, Err: err}
 				}
-				st := &states[wi]
-				st.row[ci] = r
-				st.left--
-				if st.left > 0 {
-					return nil
+				row := out[wi]
+				row[ci] = r
+				if slices.Contains(row, nil) {
+					return nil // other engines of this row are still running
 				}
-				// Last engine in: validate, deliver, drop. A row with a
-				// failed entry skips cmp validation (there is nothing to
-				// compare) but is still delivered so sinks render it FAILED.
-				row := st.row
-				st.row = nil
-				if RowOK(row) {
+				// Last engine in: validate the row. A row with a failed
+				// entry skips cmp validation (there is nothing to compare)
+				// but stays in the matrix so the figures render it FAILED.
+				if rowOK(row) {
 					for i := 1; i < len(row); i++ {
 						if row[i].Output != row[0].Output {
 							err := fmt.Errorf("spec: %s: output mismatch between %s and %s",
@@ -425,17 +379,12 @@ func (h *Harness) RunSuiteRows(ctx context.Context, ws []*workloads.Workload, cf
 							failures = append(failures, FailedRun{ws[wi].Name, row[i].Engine, err})
 							// Mark the whole row: a mismatch impeaches the
 							// comparison, not one engine's measurement.
-							marked := make([]*Result, len(row))
 							for j, rr := range row {
-								marked[j] = &Result{Bench: rr.Bench, Engine: rr.Engine, Err: err}
+								row[j] = &Result{Bench: rr.Bench, Engine: rr.Engine, Err: err}
 							}
-							row = marked
 							break
 						}
 					}
-				}
-				for _, sk := range sinks {
-					sk.AddRow(wi, ws[wi], row)
 				}
 				return nil
 			}})
@@ -444,7 +393,7 @@ func (h *Harness) RunSuiteRows(ctx context.Context, ws []*workloads.Workload, cf
 	// Weighted dispatch: heavy workloads (by expected simulated
 	// instructions) are claimed first, so one long SPEC program overlaps
 	// the cheap Polybench kernels instead of starting after them.
-	err := pipeline.RunJobsWeighted(ctx, h.Workers, jobs)
+	err := sched.RunJobsWeighted(ctx, h.Workers, jobs)
 	if h.Logf != nil {
 		h.Logf("spec suite (%d workloads × %d engines) cache: %v",
 			len(ws), len(cfgs), pipeline.Stats().Sub(before))
@@ -453,12 +402,15 @@ func (h *Harness) RunSuiteRows(ctx context.Context, ws []*workloads.Workload, cf
 		}
 	}
 	if len(failures) > 0 {
-		err = errors.Join(err, &SuiteFailure{Failures: failures, Total: len(jobs)})
+		return out, errors.Join(err, &SuiteFailure{Failures: failures, Total: len(jobs)})
 	}
-	return err
+	if err != nil {
+		return nil, err
+	}
+	return out, nil
 }
 
-// runContained is RunContext with the same panic containment the scheduler
+// runContained is Run with the same panic containment the scheduler
 // applies at job boundaries, so a degraded suite can turn a panicking run —
 // an injected compile fault, an engine bug — into a failed row instead of a
 // failed job (which would abandon the whole row's accounting).
@@ -468,5 +420,5 @@ func (h *Harness) runContained(ctx context.Context, w *workloads.Workload, cfg *
 			r, err = nil, pe
 		}
 	}()
-	return h.RunContext(ctx, w, cfg)
+	return h.Run(ctx, w, cfg)
 }

@@ -33,7 +33,7 @@ func TestRunSuiteAggregatesFailures(t *testing.T) {
 		}
 	}
 	ws := []*workloads.Workload{bad("bad-exit-a", 3), bad("bad-exit-b", 4)}
-	_, err := h.RunSuite(ws, []*codegen.EngineConfig{codegen.Native()})
+	_, err := h.RunSuite(context.Background(), ws, []*codegen.EngineConfig{codegen.Native()})
 	if err == nil {
 		t.Fatal("failing workloads must error")
 	}
@@ -50,13 +50,13 @@ func TestRunSuiteAggregatesFailures(t *testing.T) {
 func TestHarnessResultsKeyedByConfigContent(t *testing.T) {
 	h := spec.NewHarness()
 	w := &workloads.Workload{Name: "memo-probe", Source: spec.MatmulSource(10, 11, 12)}
-	stock, err := h.Run(w, codegen.Chrome())
+	stock, err := h.Run(context.Background(), w, codegen.Chrome())
 	if err != nil {
 		t.Fatal(err)
 	}
 	ablated := codegen.Chrome() // same Name, different codegen
 	ablated.StackCheck = false
-	abl, err := h.Run(w, ablated)
+	abl, err := h.Run(context.Background(), w, ablated)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -71,7 +71,7 @@ func TestHarnessSingleBenchmark(t *testing.T) {
 	h := spec.NewHarness()
 	w := workloads.SPECCPU()[3] // 444.namd: medium-sized
 	for _, cfg := range spec.EngineSet() {
-		r, err := h.Run(w, cfg)
+		r, err := h.Run(context.Background(), w, cfg)
 		if err != nil {
 			t.Fatalf("%s: %v", cfg.Name, err)
 		}
@@ -102,7 +102,7 @@ func TestWasmSlowerThanNativeOnSPEC(t *testing.T) {
 			subset = append(subset, w)
 		}
 	}
-	rs, err := h.RunSuite(subset, spec.EngineSet())
+	rs, err := h.RunSuite(context.Background(), subset, spec.EngineSet())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -125,7 +125,7 @@ func TestWasmSlowerThanNativeOnSPEC(t *testing.T) {
 func TestBrowsixOverheadSmall(t *testing.T) {
 	h := spec.NewHarness()
 	w := workloads.SPECCPU()[3] // namd: few syscalls
-	r, err := h.Run(w, codegen.Firefox())
+	r, err := h.Run(context.Background(), w, codegen.Firefox())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -169,7 +169,7 @@ func TestMcfAnomaly(t *testing.T) {
 			mcf = w
 		}
 	}
-	rs, err := h.RunSuite([]*workloads.Workload{mcf}, spec.EngineSet())
+	rs, err := h.RunSuite(context.Background(), []*workloads.Workload{mcf}, spec.EngineSet())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -181,62 +181,27 @@ func TestMcfAnomaly(t *testing.T) {
 	}
 }
 
-// TestStreamingFiguresMatchMatrix runs a small suite both ways — streamed
-// row by row through the figure builders via RunSuiteRows, and materialized
-// through RunSuite + the matrix formatters — and demands byte-identical
-// renderings. It also checks rows arrive exactly once per workload.
-func TestStreamingFiguresMatchMatrix(t *testing.T) {
+// TestRunSuiteFillsMatrix checks RunSuite returns every row of the matrix,
+// in workload order and with the engines in the order given.
+func TestRunSuiteFillsMatrix(t *testing.T) {
 	h := spec.NewHarness()
 	ws := workloads.Polybench()[:3]
 	cfgs := spec.EngineSet()
-
-	n := len(ws)
-	fig1 := spec.NewFig1Stream(n)
-	fig3 := spec.NewFig3Stream("Figure 3a — PolybenchC", n)
-	tbl1 := spec.NewTable1Stream(n)
-	fig4 := spec.NewFig4Stream(n)
-	fig9 := spec.NewFig9Stream(n)
-	fig10 := spec.NewFig10Stream(n)
-	tbl4 := spec.NewTable4Stream(n)
-	seen := make([]int, n)
-	counter := rowCounter{seen: seen}
-	if err := h.RunSuiteRows(context.Background(), ws, cfgs,
-		fig1, fig3, tbl1, fig4, fig9, fig10, tbl4, counter); err != nil {
-		t.Fatal(err)
-	}
-	for wi, c := range seen {
-		if c != 1 {
-			t.Errorf("workload %d delivered %d times, want 1", wi, c)
-		}
-	}
-
-	// The matrix path reuses the harness's memoized results, so this adds
-	// no simulation time.
-	r, err := h.RunSuite(ws, cfgs)
+	rs, err := h.RunSuite(context.Background(), ws, cfgs)
 	if err != nil {
 		t.Fatal(err)
 	}
-	s := &spec.SuiteResults{Workloads: ws, Engines: cfgs, R: r}
-	checks := []struct {
-		name, stream, matrix string
-	}{
-		{"fig1", fig1.Render(), spec.Fig1(s)},
-		{"fig3", fig3.Render(), spec.Fig3(s, "Figure 3a — PolybenchC")},
-		{"table1", tbl1.Render(), spec.Table1(s)},
-		{"fig4", fig4.Render(), spec.Fig4(s)},
-		{"fig9", fig9.Render(), spec.Fig9(s)},
-		{"fig10", fig10.Render(), spec.Fig10(s)},
-		{"table4", tbl4.Render(), spec.Table4(s)},
+	if len(rs) != len(ws) {
+		t.Fatalf("got %d rows, want %d", len(rs), len(ws))
 	}
-	for _, c := range checks {
-		if c.stream != c.matrix {
-			t.Errorf("%s: streamed rendering differs from matrix rendering:\n--- stream\n%s\n--- matrix\n%s",
-				c.name, c.stream, c.matrix)
+	for wi, row := range rs {
+		if len(row) != len(cfgs) {
+			t.Fatalf("row %d has %d entries, want %d", wi, len(row), len(cfgs))
+		}
+		for ci, r := range row {
+			if r == nil || r.Bench != ws[wi].Name || r.Engine != cfgs[ci].Name {
+				t.Errorf("rs[%d][%d] = %+v, want %s on %s", wi, ci, r, ws[wi].Name, cfgs[ci].Name)
+			}
 		}
 	}
 }
-
-// rowCounter counts deliveries per workload index.
-type rowCounter struct{ seen []int }
-
-func (c rowCounter) AddRow(wi int, w *workloads.Workload, row []*spec.Result) { c.seen[wi]++ }
