@@ -2,17 +2,32 @@ package cpu
 
 // Micro-op dispatch engine. The hot loop walks the pre-decoded uop stream
 // (see decode.go): one dense switch, no per-instruction operand-kind or
-// register-class interpretation, effective addresses computed from flat
-// templates, and the instruction-cache line check inlined against the
-// precomputed line number. All counter and cycle accounting is bit-identical
-// to the legacy interpreter in exec_legacy.go, which remains the reference
+// register-class interpretation, and effective addresses computed from flat
+// templates. The legacy interpreter in exec_legacy.go remains the reference
 // semantics and the fallback for unspecialized shapes (uSlow).
+//
+// One generic loop, run[T], serves both micro-op tiers. run[exactTier]
+// models the icache, dcache, branch predictor and cycles on every retired
+// instruction, bit-identically to the legacy interpreter. run[functionalTier]
+// retires the same stream with the same architectural state and counters
+// (Instructions, Loads, Stores, Branches, CondBranches) and models no timing;
+// under sampled fast-forward it only warms the caches and the predictor (see
+// Machine.warm). Every timing hook sits behind a test of the tier's length,
+// which is a constant in each instantiation (see exactTier), so the
+// functional loop carries no dead hook.
+//
+// The loop keeps two values in locals, rip and a signed countdown to the
+// next machine-level event: the sampled tier's segment stop (stopAt), the
+// interrupt poll point (pollAt), or a chunk clamp. Instructions is rebuilt
+// from the countdown (Instructions = limit - rem) wherever machine state can
+// be observed, and the events themselves are checked only between chunks.
 
 import (
 	"encoding/binary"
 	"math"
 	"math/bits"
 
+	"repro/internal/codegen"
 	"repro/internal/x86"
 )
 
@@ -48,775 +63,969 @@ func (m *Machine) run() error {
 		return m.runLegacy()
 	}
 	switch m.fid {
-	case FidelityFunctional:
-		return m.runFunctional()
-	case FidelitySampled:
+	case codegen.FidelityFunctional:
+		return run[functionalTier](m)
+	case codegen.FidelitySampled:
 		return m.runSampled()
 	}
-	return m.runExact()
+	return run[exactTier](m)
 }
 
-// runExact is the full-fidelity micro-op loop: every icache/dcache access
-// and branch prediction modeled on every retired instruction. It is also
-// the detailed-window engine of the sampled tier, which sets stopAt to end
-// a window: the loop then returns nil with rip (and lastILine) preserved,
-// so re-entry continues bit-identically.
-func (m *Machine) runExact() error {
+// exactTier and functionalTier are run's type arguments. Go compiles one
+// instantiation per distinct underlying type, and inside each, len of the
+// tier is a constant, so timed folds away and the functional instantiation
+// contains no timing code. The two types must keep different underlying
+// types: if they shared one, they would share one instantiation and every
+// timing hook would become a runtime test.
+type (
+	exactTier      [1]struct{}
+	functionalTier [0]struct{}
+)
+
+type tier interface{ exactTier | functionalTier }
+
+// timed reports whether tier T models timing.
+func timed[T tier]() bool {
+	var t T
+	return len(t) != 0
+}
+
+// charge adds n quarter-cycles on the exact tier only.
+func charge[T tier](m *Machine, n uint64) {
+	if timed[T]() {
+		m.qacc += n
+	}
+}
+
+// maxChunk bounds one countdown so it fits comfortably in int64 even when
+// every event is the ^0 "disabled" sentinel; the outer loop re-enters
+// cheaply.
+const maxChunk = 1 << 30
+
+// run retires micro-ops until the program halts, traps, an interrupt poll
+// returns an error, or Instructions reaches stopAt (the end of a sampled
+// segment, set by runSampled; the loop then returns nil with rip preserved,
+// so re-entry continues bit-identically).
+func run[T tier](m *Machine) error {
+	exact := timed[T]()
+	warm := m.warm // sampled fast-forward: keep caches and predictor state hot
 	ops := m.uops
 	for !m.halted {
-		if m.Counters.Instructions >= m.stopAt {
+		n := m.Counters.Instructions
+		if n >= m.stopAt {
 			m.FlushCycles()
 			return nil
 		}
-		if uint(m.rip) >= uint(len(ops)) {
-			return &TrapError{Msg: "execution left code segment", PC: m.rip}
-		}
-		u := &ops[m.rip]
-		m.Counters.Instructions++ // qBase is charged in FlushCycles
-		if u.line != m.lastILine {
-			// Inlined icache walk against the precomputed line number.
-			// Unlike the legacy engine's lastLine (which taken branches
-			// reset to force a probe), lastILine tracks the last line
-			// actually probed: a repeat probe of that line is a guaranteed
-			// hit with no counter or cycle effect, and dropping consecutive
-			// duplicate touches never changes LRU order, so branches back
-			// into the current line skip the probe bit-identically.
-			m.lastILine = u.line
-			// Every cache level has 64-byte lines, so line<<6 is
-			// indistinguishable from the full fetch address here.
-			if !m.L1I.Access(u.line << 6) {
-				m.Counters.L1IMisses++
-				if m.L2.Access(u.line << 6) {
-					m.qacc += qL1IMiss
-				} else {
-					m.qacc += qL2IMiss
-				}
-			}
-		}
-		if m.MaxInstructions > 0 && m.Counters.Instructions > m.MaxInstructions {
-			return &TrapError{Msg: "instruction budget exhausted", PC: m.rip}
-		}
-		if m.Counters.Instructions >= m.pollAt {
-			m.pollAt = m.Counters.Instructions + m.pollEvery
+		if n >= m.pollAt {
+			m.pollAt = n + m.pollEvery
 			if err := m.interrupt(); err != nil {
 				m.FlushCycles()
 				return err
 			}
 		}
-
+		limit := min(m.stopAt, m.pollAt, n+maxChunk)
+		rip := m.rip
+		rem := int64(limit - n)
 		var err error
-		switch u.kind {
-		case uSlow:
-			err = m.exec(&m.Prog.Code[m.rip])
 
-		case uNop:
-			m.rip++
-
-		case uMovRR:
-			v := m.Regs[u.src]
-			if u.w == 4 {
-				v = uint64(uint32(v))
+	chunk:
+		for rem > 0 {
+			if uint(rip) >= uint(len(ops)) {
+				err = &TrapError{Msg: "execution left code segment", PC: rip}
+				break
 			}
-			m.Regs[u.dst] = v
-			m.rip++
-
-		case uMovRI:
-			m.Regs[u.dst] = u.imm
-			m.rip++
-
-		case uMovLoad:
-			var v uint64
-			if v, err = m.load(m.uea(u), u.w); err == nil {
-				m.Regs[u.dst] = v
-				m.rip++
-			}
-
-		case uMovStore:
-			if err = m.store(m.uea(u), u.w, m.Regs[u.src]); err == nil {
-				m.rip++
-			}
-
-		case uMovStoreI:
-			if err = m.store(m.uea(u), u.w, u.imm); err == nil {
-				m.rip++
-			}
-
-		case uExtR:
-			v := extend(m.Regs[u.src], u.alu)
-			if u.w == 4 {
-				v = uint64(uint32(v))
-			}
-			m.Regs[u.dst] = v
-			m.rip++
-
-		case uExtM:
-			var v uint64
-			if v, err = m.load(m.uea(u), extWidth[u.alu]); err == nil {
-				v = extend(v, u.alu)
-				if u.w == 4 {
-					v = uint64(uint32(v))
-				}
-				m.Regs[u.dst] = v
-				m.rip++
-			}
-
-		case uLea:
-			v := uint64(m.uea(u))
-			if u.w == 4 {
-				v = uint64(uint32(v))
-			}
-			m.Regs[u.dst] = v
-			m.rip++
-
-		case uAluRR:
-			m.Regs[u.dst] = m.aluOp(u, m.Regs[u.dst], m.Regs[u.src])
-			m.rip++
-
-		case uAluRI:
-			m.Regs[u.dst] = m.aluOp(u, m.Regs[u.dst], u.imm)
-			m.rip++
-
-		case uAluRM:
-			var b uint64
-			if b, err = m.load(m.uea(u), u.w); err == nil {
-				m.Regs[u.dst] = m.aluOp(u, m.Regs[u.dst], b)
-				m.rip++
-			}
-
-		case uAluMR:
-			ea := m.uea(u)
-			var a uint64
-			if a, err = m.load(ea, u.w); err == nil {
-				if err = m.store(ea, u.w, m.aluOp(u, a, m.Regs[u.src])); err == nil {
-					m.rip++
+			u := &ops[rip]
+			rem--
+			if exact && u.line != m.lastILine {
+				// Inlined icache walk against the precomputed line number.
+				// Unlike the legacy engine's lastLine (which taken branches
+				// reset to force a probe), lastILine tracks the last line
+				// actually probed: a repeat probe of that line is a
+				// guaranteed hit with no counter or cycle effect, and
+				// dropping consecutive duplicate touches never changes LRU
+				// order, so branches back into the current line skip the
+				// probe bit-identically. Every cache level has 64-byte
+				// lines, so line<<6 stands in for the fetch address.
+				m.lastILine = u.line
+				if !m.L1I.Access(u.line << 6) {
+					m.Counters.L1IMisses++
+					if m.L2.Access(u.line << 6) {
+						m.qacc += qL1IMiss
+					} else {
+						m.qacc += qL2IMiss
+					}
 				}
 			}
 
-		case uAluMI:
-			ea := m.uea(u)
-			var a uint64
-			if a, err = m.load(ea, u.w); err == nil {
-				if err = m.store(ea, u.w, m.aluOp(u, a, u.imm)); err == nil {
-					m.rip++
+			// m.rip is synced before any call-out that can observe it: the
+			// generic loads and stores and the helpers that trap with it.
+			switch u.kind {
+			case uSlow:
+				// The count is synced too: an OCallHost shape would let
+				// perf hooks snapshot counters.
+				m.rip = rip
+				m.Counters.Instructions = limit - uint64(rem)
+				if err = m.exec(&m.Prog.Code[rip]); err != nil {
+					break chunk
 				}
-			}
-
-		case uShiftR:
-			var s uint
-			if u.w == 4 {
-				s = uint(m.Regs[u.src] & 31)
-			} else {
-				s = uint(m.Regs[u.src] & 63)
-			}
-			m.Regs[u.dst] = shiftOp(u, m.Regs[u.dst], s)
-			m.rip++
-
-		case uShiftI:
-			m.Regs[u.dst] = shiftOp(u, m.Regs[u.dst], uint(u.imm))
-			m.rip++
-
-		case uNegR:
-			v := -m.Regs[u.dst]
-			if u.w == 4 {
-				v = uint64(uint32(v))
-			}
-			m.Regs[u.dst] = v
-			m.rip++
-
-		case uNotR:
-			v := ^m.Regs[u.dst]
-			if u.w == 4 {
-				v = uint64(uint32(v))
-			}
-			m.Regs[u.dst] = v
-			m.rip++
-
-		case uBitR:
-			m.Regs[u.dst] = bitOp(u, m.Regs[u.src])
-			m.rip++
-
-		case uBitM:
-			var v uint64
-			if v, err = m.load(m.uea(u), u.w); err == nil {
-				m.Regs[u.dst] = bitOp(u, v)
-				m.rip++
-			}
-
-		case uCdq:
-			m.execCdq(u.w)
-			m.rip++
-
-		case uDivR:
-			d := m.Regs[u.dst]
-			if u.w == 4 {
-				d = uint64(uint32(d))
-			}
-			if err = m.execDiv(d, u.w, u.alu == 1); err == nil {
-				m.rip++
-			}
-
-		case uDivM:
-			var d uint64
-			if d, err = m.load(m.uea(u), u.w); err == nil {
-				if err = m.execDiv(d, u.w, u.alu == 1); err == nil {
-					m.rip++
+				rip = m.rip
+				if m.halted {
+					break chunk
 				}
-			}
 
-		case uCmpRR:
-			m.setCmpFlags(m.Regs[u.dst], m.Regs[u.src], u.w)
-			m.rip++
+			case uNop:
+				rip++
 
-		case uCmpRI:
-			m.setCmpFlags(m.Regs[u.dst], u.imm, u.w)
-			m.rip++
-
-		case uCmpRM:
-			var b uint64
-			if b, err = m.load(m.uea(u), u.w); err == nil {
-				m.setCmpFlags(m.Regs[u.dst], b, u.w)
-				m.rip++
-			}
-
-		case uCmpMR:
-			var a uint64
-			if a, err = m.load(m.uea(u), u.w); err == nil {
-				m.setCmpFlags(a, m.Regs[u.src], u.w)
-				m.rip++
-			}
-
-		case uCmpMI:
-			var a uint64
-			if a, err = m.load(m.uea(u), u.w); err == nil {
-				m.setCmpFlags(a, u.imm, u.w)
-				m.rip++
-			}
-
-		case uTestRR:
-			m.setTestFlags(m.Regs[u.dst], m.Regs[u.src], u.w)
-			m.rip++
-
-		case uTestRI:
-			m.setTestFlags(m.Regs[u.dst], u.imm, u.w)
-			m.rip++
-
-		case uSet:
-			var v uint64
-			if m.cc(u.cc) {
-				v = 1
-			}
-			m.Regs[u.dst] = (m.Regs[u.dst] &^ 0xff) | v
-			m.rip++
-
-		case uCmovRR:
-			if m.cc(u.cc) {
+			case uMovRR:
 				v := m.Regs[u.src]
 				if u.w == 4 {
 					v = uint64(uint32(v))
 				}
 				m.Regs[u.dst] = v
-			}
-			m.rip++
+				rip++
 
-		case uCmovRM:
-			// cmov with a memory source performs the load either way.
-			var v uint64
-			if v, err = m.load(m.uea(u), u.w); err == nil {
+			case uMovRI:
+				m.Regs[u.dst] = u.imm
+				rip++
+
+			case uMovLoad:
+				m.rip = rip
+				var v uint64
+				if v, err = m.load(m.uea(u), u.w); err != nil {
+					break chunk
+				}
+				m.Regs[u.dst] = v
+				rip++
+
+			case uMovStore:
+				m.rip = rip
+				if err = m.store(m.uea(u), u.w, m.Regs[u.src]); err != nil {
+					break chunk
+				}
+				rip++
+
+			case uMovStoreI:
+				m.rip = rip
+				if err = m.store(m.uea(u), u.w, u.imm); err != nil {
+					break chunk
+				}
+				rip++
+
+			case uExtR:
+				v := extend(m.Regs[u.src], u.alu)
+				if u.w == 4 {
+					v = uint64(uint32(v))
+				}
+				m.Regs[u.dst] = v
+				rip++
+
+			case uExtM:
+				a := m.uea(u)
+				w := extWidth[u.alu]
+				var v uint64
+				if s, off, ok := m.fastSlab(a, uint32(w)); ok {
+					m.Counters.Loads++
+					if exact {
+						m.dtouch(a)
+					} else if warm {
+						m.dwarm(a)
+					}
+					switch w {
+					case 1:
+						v = uint64(s[off])
+					case 2:
+						v = uint64(binary.LittleEndian.Uint16(s[off:]))
+					default:
+						v = uint64(binary.LittleEndian.Uint32(s[off:]))
+					}
+				} else {
+					m.rip = rip
+					if v, err = m.load(a, w); err != nil {
+						break chunk
+					}
+				}
+				v = extend(v, u.alu)
+				if u.w == 4 {
+					v = uint64(uint32(v))
+				}
+				m.Regs[u.dst] = v
+				rip++
+
+			case uLea:
+				v := uint64(m.uea(u))
+				if u.w == 4 {
+					v = uint64(uint32(v))
+				}
+				m.Regs[u.dst] = v
+				rip++
+
+			case uAluRR:
+				m.Regs[u.dst] = aluOp[T](m, u, m.Regs[u.dst], m.Regs[u.src])
+				rip++
+
+			case uAluRI:
+				m.Regs[u.dst] = aluOp[T](m, u, m.Regs[u.dst], u.imm)
+				rip++
+
+			case uAluRM:
+				a := m.uea(u)
+				var b uint64
+				if s, off, ok := m.fastSlab(a, uint32(u.w)); ok && u.w >= 4 {
+					m.Counters.Loads++
+					if exact {
+						m.dtouch(a)
+					} else if warm {
+						m.dwarm(a)
+					}
+					if u.w == 4 {
+						b = uint64(binary.LittleEndian.Uint32(s[off:]))
+					} else {
+						b = binary.LittleEndian.Uint64(s[off:])
+					}
+				} else {
+					m.rip = rip
+					if b, err = m.load(a, u.w); err != nil {
+						break chunk
+					}
+				}
+				m.Regs[u.dst] = aluOp[T](m, u, m.Regs[u.dst], b)
+				rip++
+
+			case uAluMR, uAluMI:
+				m.rip = rip
+				ea := m.uea(u)
+				b := u.imm
+				if u.kind == uAluMR {
+					b = m.Regs[u.src]
+				}
+				var a uint64
+				if a, err = m.load(ea, u.w); err != nil {
+					break chunk
+				}
+				if err = m.store(ea, u.w, aluOp[T](m, u, a, b)); err != nil {
+					break chunk
+				}
+				rip++
+
+			case uShiftR:
+				var s uint
+				if u.w == 4 {
+					s = uint(m.Regs[u.src] & 31)
+				} else {
+					s = uint(m.Regs[u.src] & 63)
+				}
+				m.Regs[u.dst] = shiftOp(u, m.Regs[u.dst], s)
+				rip++
+
+			case uShiftI:
+				m.Regs[u.dst] = shiftOp(u, m.Regs[u.dst], uint(u.imm))
+				rip++
+
+			case uNegR:
+				v := -m.Regs[u.dst]
+				if u.w == 4 {
+					v = uint64(uint32(v))
+				}
+				m.Regs[u.dst] = v
+				rip++
+
+			case uNotR:
+				v := ^m.Regs[u.dst]
+				if u.w == 4 {
+					v = uint64(uint32(v))
+				}
+				m.Regs[u.dst] = v
+				rip++
+
+			case uBitR:
+				m.Regs[u.dst] = bitOp(u, m.Regs[u.src])
+				rip++
+
+			case uBitM:
+				m.rip = rip
+				var v uint64
+				if v, err = m.load(m.uea(u), u.w); err != nil {
+					break chunk
+				}
+				m.Regs[u.dst] = bitOp(u, v)
+				rip++
+
+			case uCdq:
+				m.execCdq(u.w)
+				rip++
+
+			case uDivR:
+				m.rip = rip
+				d := m.Regs[u.dst]
+				if u.w == 4 {
+					d = uint64(uint32(d))
+				}
+				if err = m.execDiv(d, u.w, u.alu == 1); err != nil {
+					break chunk
+				}
+				rip++
+
+			case uDivM:
+				m.rip = rip
+				var d uint64
+				if d, err = m.load(m.uea(u), u.w); err != nil {
+					break chunk
+				}
+				if err = m.execDiv(d, u.w, u.alu == 1); err != nil {
+					break chunk
+				}
+				rip++
+
+			case uCmpRR:
+				m.setCmpFlags(m.Regs[u.dst], m.Regs[u.src], u.w)
+				rip++
+
+			case uCmpRI:
+				m.setCmpFlags(m.Regs[u.dst], u.imm, u.w)
+				rip++
+
+			case uCmpRM:
+				a := m.uea(u)
+				var b uint64
+				if s, off, ok := m.fastSlab(a, uint32(u.w)); ok && u.w >= 4 {
+					m.Counters.Loads++
+					if exact {
+						m.dtouch(a)
+					} else if warm {
+						m.dwarm(a)
+					}
+					if u.w == 4 {
+						b = uint64(binary.LittleEndian.Uint32(s[off:]))
+					} else {
+						b = binary.LittleEndian.Uint64(s[off:])
+					}
+				} else {
+					m.rip = rip
+					if b, err = m.load(a, u.w); err != nil {
+						break chunk
+					}
+				}
+				m.setCmpFlags(m.Regs[u.dst], b, u.w)
+				rip++
+
+			case uCmpMR, uCmpMI:
+				m.rip = rip
+				b := u.imm
+				if u.kind == uCmpMR {
+					b = m.Regs[u.src]
+				}
+				var a uint64
+				if a, err = m.load(m.uea(u), u.w); err != nil {
+					break chunk
+				}
+				m.setCmpFlags(a, b, u.w)
+				rip++
+
+			case uTestRR:
+				m.setTestFlags(m.Regs[u.dst], m.Regs[u.src], u.w)
+				rip++
+
+			case uTestRI:
+				m.setTestFlags(m.Regs[u.dst], u.imm, u.w)
+				rip++
+
+			case uSet:
+				var v uint64
+				if m.cc(u.cc) {
+					v = 1
+				}
+				m.Regs[u.dst] = (m.Regs[u.dst] &^ 0xff) | v
+				rip++
+
+			case uCmovRR:
+				if m.cc(u.cc) {
+					v := m.Regs[u.src]
+					if u.w == 4 {
+						v = uint64(uint32(v))
+					}
+					m.Regs[u.dst] = v
+				}
+				rip++
+
+			case uCmovRM:
+				// cmov with a memory source performs the load either way.
+				m.rip = rip
+				var v uint64
+				if v, err = m.load(m.uea(u), u.w); err != nil {
+					break chunk
+				}
 				if m.cc(u.cc) {
 					m.Regs[u.dst] = v
 				}
-				m.rip++
-			}
+				rip++
 
-		// Branch kinds inline the unconditional branchTo body. The legacy
-		// engine's lastLine reset is not needed here: the micro-op engine
-		// tracks the last probed line (lastILine), which branches must not
-		// disturb.
-		case uJmp:
-			m.Counters.Branches++
-			m.qacc += qBranch
-			m.rip = int(u.tgt)
+			// Branch kinds inline the unconditional branchTo body. The legacy
+			// engine's lastLine reset is not needed here: lastILine tracks the
+			// last probed line, which branches must not disturb.
+			case uJmp:
+				m.Counters.Branches++
+				charge[T](m, qBranch)
+				rip = int(u.tgt)
 
-		case uJcc:
-			m.Counters.Branches++
-			m.Counters.CondBranches++
-			m.qacc += qBranch
-			taken := m.cc(u.cc)
-			if !m.BP.Predict(uint32(u.imm), taken) {
-				m.Counters.BranchMiss++
-				m.qacc += qMispred
-			}
-			if taken {
-				m.rip = int(u.tgt)
-			} else {
-				m.rip++
-			}
-
-		case uJmpTable:
-			targets := m.Prog.Code[m.rip].TableTargets
-			idx := int(uint32(m.Regs[u.dst]))
-			if idx < 0 || idx >= len(targets) {
-				err = &TrapError{Msg: "jump table index out of range", PC: m.rip}
-				break
-			}
-			m.Counters.Loads++ // table entry fetch
-			m.qacc += qLoad
-			m.Counters.Branches++
-			m.qacc += qBranch
-			m.rip = targets[idx]
-
-		case uCall:
-			m.Regs[x86.RSP] -= 8
-			a := uint32(m.Regs[x86.RSP])
-			if s, off, ok := m.fastSlab(a, 8); ok {
-				m.Counters.Stores++
-				if a>>6 == m.lastDLine {
-					m.qacc += qLoad
-				} else {
-					m.dcacheWalk(a)
+			case uJcc:
+				m.Counters.Branches++
+				m.Counters.CondBranches++
+				taken := m.cc(u.cc)
+				if exact {
+					m.qacc += qBranch
+					if !m.BP.Predict(uint32(u.imm), taken) {
+						m.Counters.BranchMiss++
+						m.qacc += qMispred
+					}
+				} else if warm && !m.BP.Predict(uint32(u.imm), taken) {
+					m.Counters.BranchMiss++
 				}
-				binary.LittleEndian.PutUint64(s[off:], uint64(m.rip+1))
-			} else if err = m.store(a, 8, uint64(m.rip+1)); err != nil {
-				break
-			}
-			m.Counters.Branches++
-			m.qacc += qBranch
-			m.rip = int(u.tgt)
-
-		case uCallR, uCallM:
-			var t uint64
-			if u.kind == uCallR {
-				t = m.Regs[u.dst]
-			} else if t, err = m.load(m.uea(u), 8); err != nil {
-				break
-			}
-			if t >= uint64(len(ops)) {
-				err = &TrapError{Msg: "indirect call to invalid target", PC: m.rip}
-				break
-			}
-			m.Regs[x86.RSP] -= 8
-			a := uint32(m.Regs[x86.RSP])
-			if s, off, ok := m.fastSlab(a, 8); ok {
-				m.Counters.Stores++
-				if a>>6 == m.lastDLine {
-					m.qacc += qLoad
+				if taken {
+					rip = int(u.tgt)
 				} else {
-					m.dcacheWalk(a)
+					rip++
 				}
-				binary.LittleEndian.PutUint64(s[off:], uint64(m.rip+1))
-			} else if err = m.store(a, 8, uint64(m.rip+1)); err != nil {
-				break
-			}
-			m.Counters.Branches++
-			m.qacc += qBranch
-			m.rip = int(t)
 
-		case uRet:
-			a := uint32(m.Regs[x86.RSP])
-			var ra uint64
-			if s, off, ok := m.fastSlab(a, 8); ok {
-				m.Counters.Loads++
-				if a>>6 == m.lastDLine {
-					m.qacc += qLoad
-				} else {
-					m.dcacheWalk(a)
+			case uJmpTable:
+				targets := m.Prog.Code[rip].TableTargets
+				idx := int(uint32(m.Regs[u.dst]))
+				if idx < 0 || idx >= len(targets) {
+					err = &TrapError{Msg: "jump table index out of range", PC: rip}
+					break chunk
 				}
-				ra = binary.LittleEndian.Uint64(s[off:])
-			} else if ra, err = m.load(a, 8); err != nil {
-				break
-			}
-			m.Regs[x86.RSP] += 8
-			m.Counters.Branches++
-			if ra == haltSentinel {
-				m.halted = true
-			} else {
-				m.qacc += qBranch
-				m.rip = int(ra)
-			}
+				m.Counters.Loads++ // table entry fetch
+				m.Counters.Branches++
+				charge[T](m, qLoad+qBranch)
+				rip = targets[idx]
 
-		case uPushR:
-			m.Regs[x86.RSP] -= 8
-			a := uint32(m.Regs[x86.RSP])
-			if s, off, ok := m.fastSlab(a, 8); ok {
-				m.Counters.Stores++
-				if a>>6 == m.lastDLine {
-					m.qacc += qLoad
-				} else {
-					m.dcacheWalk(a)
+			case uCall, uCallR, uCallM:
+				t := uint64(u.tgt)
+				switch u.kind {
+				case uCallR:
+					t = m.Regs[u.dst]
+				case uCallM:
+					m.rip = rip
+					if t, err = m.load(m.uea(u), 8); err != nil {
+						break chunk
+					}
 				}
-				binary.LittleEndian.PutUint64(s[off:], m.Regs[u.src])
-				m.rip++
-			} else if err = m.store(a, 8, m.Regs[u.src]); err == nil {
-				m.rip++
-			}
-
-		case uPushI:
-			m.Regs[x86.RSP] -= 8
-			if err = m.store(uint32(m.Regs[x86.RSP]), 8, u.imm); err == nil {
-				m.rip++
-			}
-
-		case uPushM:
-			var v uint64
-			if v, err = m.load(m.uea(u), 8); err == nil {
+				if u.kind != uCall && t >= uint64(len(ops)) {
+					err = &TrapError{Msg: "indirect call to invalid target", PC: rip}
+					break chunk
+				}
 				m.Regs[x86.RSP] -= 8
-				if err = m.store(uint32(m.Regs[x86.RSP]), 8, v); err == nil {
-					m.rip++
-				}
-			}
-
-		case uPop:
-			a := uint32(m.Regs[x86.RSP])
-			if s, off, ok := m.fastSlab(a, 8); ok {
-				m.Counters.Loads++
-				if a>>6 == m.lastDLine {
-					m.qacc += qLoad
+				a := uint32(m.Regs[x86.RSP])
+				if s, off, ok := m.fastSlab(a, 8); ok {
+					m.Counters.Stores++
+					if exact {
+						m.dtouch(a)
+					} else if warm {
+						m.dwarm(a)
+					}
+					binary.LittleEndian.PutUint64(s[off:], uint64(rip+1))
 				} else {
-					m.dcacheWalk(a)
+					m.rip = rip
+					if err = m.store(a, 8, uint64(rip+1)); err != nil {
+						break chunk
+					}
+				}
+				m.Counters.Branches++
+				charge[T](m, qBranch)
+				rip = int(t)
+
+			case uRet:
+				a := uint32(m.Regs[x86.RSP])
+				var ra uint64
+				if s, off, ok := m.fastSlab(a, 8); ok {
+					m.Counters.Loads++
+					if exact {
+						m.dtouch(a)
+					} else if warm {
+						m.dwarm(a)
+					}
+					ra = binary.LittleEndian.Uint64(s[off:])
+				} else {
+					m.rip = rip
+					if ra, err = m.load(a, 8); err != nil {
+						break chunk
+					}
 				}
 				m.Regs[x86.RSP] += 8
-				m.Regs[u.dst] = binary.LittleEndian.Uint64(s[off:])
-				m.rip++
-			} else {
+				m.Counters.Branches++
+				if ra == haltSentinel {
+					m.halted = true
+					break chunk
+				}
+				charge[T](m, qBranch)
+				rip = int(ra)
+
+			case uPushR:
+				m.Regs[x86.RSP] -= 8
+				a := uint32(m.Regs[x86.RSP])
+				if s, off, ok := m.fastSlab(a, 8); ok {
+					m.Counters.Stores++
+					if exact {
+						m.dtouch(a)
+					} else if warm {
+						m.dwarm(a)
+					}
+					binary.LittleEndian.PutUint64(s[off:], m.Regs[u.src])
+				} else {
+					m.rip = rip
+					if err = m.store(a, 8, m.Regs[u.src]); err != nil {
+						break chunk
+					}
+				}
+				rip++
+
+			case uPushI, uPushM:
+				m.rip = rip
+				v := u.imm
+				if u.kind == uPushM {
+					if v, err = m.load(m.uea(u), 8); err != nil {
+						break chunk
+					}
+				}
+				m.Regs[x86.RSP] -= 8
+				if err = m.store(uint32(m.Regs[x86.RSP]), 8, v); err != nil {
+					break chunk
+				}
+				rip++
+
+			case uPop:
+				a := uint32(m.Regs[x86.RSP])
 				var v uint64
-				if v, err = m.load(a, 8); err == nil {
-					m.Regs[x86.RSP] += 8
-					m.Regs[u.dst] = v
-					m.rip++
+				if s, off, ok := m.fastSlab(a, 8); ok {
+					m.Counters.Loads++
+					if exact {
+						m.dtouch(a)
+					} else if warm {
+						m.dwarm(a)
+					}
+					v = binary.LittleEndian.Uint64(s[off:])
+				} else {
+					m.rip = rip
+					if v, err = m.load(a, 8); err != nil {
+						break chunk
+					}
 				}
-			}
+				m.Regs[x86.RSP] += 8
+				m.Regs[u.dst] = v
+				rip++
 
-		case uUd2:
-			err = &TrapError{Msg: "unreachable executed (ud2)", PC: m.rip}
+			case uUd2:
+				err = &TrapError{Msg: "unreachable executed (ud2)", PC: rip}
+				break chunk
 
-		case uCallHost:
-			if m.Host == nil {
-				err = &TrapError{Msg: "host call with no host bound", PC: m.rip}
-				break
-			}
-			m.Counters.Branches++
-			m.qacc += qCallHost
-			if err = m.Host(m, int(u.tgt)); err == nil {
-				m.rip++
-			}
+			case uCallHost:
+				if m.Host == nil {
+					err = &TrapError{Msg: "host call with no host bound", PC: rip}
+					break chunk
+				}
+				m.Counters.Branches++
+				charge[T](m, qCallHost)
+				// Host handlers (syscalls, perf hooks) observe machine
+				// state: sync rip and the count before the call.
+				m.rip = rip
+				m.Counters.Instructions = limit - uint64(rem)
+				if err = m.Host(m, int(u.tgt)); err != nil {
+					break chunk
+				}
+				rip++
 
-		case uMovsdRR:
-			m.Xmm[u.dst] = m.Xmm[u.src]
-			m.rip++
+			case uMovsdRR:
+				m.Xmm[u.dst] = m.Xmm[u.src]
+				rip++
 
-		case uMovsdLoad:
-			var v uint64
-			if v, err = m.load(m.uea(u), u.w); err == nil {
+			case uMovsdLoad:
+				m.rip = rip
+				var v uint64
+				if v, err = m.load(m.uea(u), u.w); err != nil {
+					break chunk
+				}
 				m.Xmm[u.dst] = v
-				m.rip++
-			}
+				rip++
 
-		case uMovsdStore:
-			if err = m.store(m.uea(u), u.w, m.Xmm[u.src]); err == nil {
-				m.rip++
-			}
-
-		case uFAluRR:
-			m.Xmm[u.dst] = bitsOf(m.fAluOp(u, f64of(m.Xmm[u.dst], u.w), f64of(m.Xmm[u.src], u.w)), u.w)
-			m.rip++
-
-		case uFAluRM:
-			a := f64of(m.Xmm[u.dst], u.w)
-			var bv uint64
-			if bv, err = m.load(m.uea(u), u.w); err == nil {
-				m.Xmm[u.dst] = bitsOf(m.fAluOp(u, a, f64of(bv, u.w)), u.w)
-				m.rip++
-			}
-
-		case uSqrtR:
-			m.qacc += qFSqrt
-			m.Xmm[u.dst] = bitsOf(math.Sqrt(f64of(m.Xmm[u.src], u.w)), u.w)
-			m.rip++
-
-		case uSqrtM:
-			var bv uint64
-			if bv, err = m.load(m.uea(u), u.w); err == nil {
-				m.qacc += qFSqrt
-				m.Xmm[u.dst] = bitsOf(math.Sqrt(f64of(bv, u.w)), u.w)
-				m.rip++
-			}
-
-		case uUcomiR:
-			m.setUcomiFlags(f64of(m.Xmm[u.dst], u.w), f64of(m.Xmm[u.src], u.w))
-			m.rip++
-
-		case uUcomiM:
-			a := f64of(m.Xmm[u.dst], u.w)
-			var bv uint64
-			if bv, err = m.load(m.uea(u), u.w); err == nil {
-				m.setUcomiFlags(a, f64of(bv, u.w))
-				m.rip++
-			}
-
-		case uCvtSI2SDR:
-			m.qacc += qCvt
-			m.Xmm[u.dst] = math.Float64bits(cvtIntToF64(m.Regs[u.src], u.w, u.uns))
-			m.rip++
-
-		case uCvtSI2SDM:
-			var v uint64
-			if v, err = m.load(m.uea(u), u.w); err == nil {
-				m.qacc += qCvt
-				m.Xmm[u.dst] = math.Float64bits(cvtIntToF64(v, u.w, u.uns))
-				m.rip++
-			}
-
-		case uCvtTSD2SIR:
-			var r uint64
-			if r, err = m.cvtF64ToInt(f64of(m.Xmm[u.src], u.alu), u.w, u.uns); err == nil {
-				m.Regs[u.dst] = r
-				m.rip++
-			}
-
-		case uCvtTSD2SIM:
-			var bv uint64
-			if bv, err = m.load(m.uea(u), u.alu); err == nil {
-				var r uint64
-				if r, err = m.cvtF64ToInt(f64of(bv, u.alu), u.w, u.uns); err == nil {
-					m.Regs[u.dst] = r
-					m.rip++
+			case uMovsdStore:
+				m.rip = rip
+				if err = m.store(m.uea(u), u.w, m.Xmm[u.src]); err != nil {
+					break chunk
 				}
-			}
+				rip++
 
-		case uCvtSD2SSR:
-			m.qacc += qCvt
-			m.Xmm[u.dst] = cvtSD2SS(m.Xmm[u.src])
-			m.rip++
+			case uFAluRR:
+				m.Xmm[u.dst] = bitsOf(fAluOp[T](m, u, f64of(m.Xmm[u.dst], u.w), f64of(m.Xmm[u.src], u.w)), u.w)
+				rip++
 
-		case uCvtSD2SSM:
-			var bv uint64
-			if bv, err = m.load(m.uea(u), 8); err == nil {
-				m.qacc += qCvt
+			case uFAluRM:
+				a := m.uea(u)
+				var bv uint64
+				if s, off, ok := m.fastSlab(a, uint32(u.w)); ok {
+					m.Counters.Loads++
+					if exact {
+						m.dtouch(a)
+					} else if warm {
+						m.dwarm(a)
+					}
+					if u.w == 4 {
+						bv = uint64(binary.LittleEndian.Uint32(s[off:]))
+					} else {
+						bv = binary.LittleEndian.Uint64(s[off:])
+					}
+				} else {
+					m.rip = rip
+					if bv, err = m.load(a, u.w); err != nil {
+						break chunk
+					}
+				}
+				m.Xmm[u.dst] = bitsOf(fAluOp[T](m, u, f64of(m.Xmm[u.dst], u.w), f64of(bv, u.w)), u.w)
+				rip++
+
+			case uSqrtR:
+				charge[T](m, qFSqrt)
+				m.Xmm[u.dst] = bitsOf(math.Sqrt(f64of(m.Xmm[u.src], u.w)), u.w)
+				rip++
+
+			case uSqrtM:
+				m.rip = rip
+				var bv uint64
+				if bv, err = m.load(m.uea(u), u.w); err != nil {
+					break chunk
+				}
+				charge[T](m, qFSqrt)
+				m.Xmm[u.dst] = bitsOf(math.Sqrt(f64of(bv, u.w)), u.w)
+				rip++
+
+			case uUcomiR:
+				m.setUcomiFlags(f64of(m.Xmm[u.dst], u.w), f64of(m.Xmm[u.src], u.w))
+				rip++
+
+			case uUcomiM:
+				m.rip = rip
+				var bv uint64
+				if bv, err = m.load(m.uea(u), u.w); err != nil {
+					break chunk
+				}
+				m.setUcomiFlags(f64of(m.Xmm[u.dst], u.w), f64of(bv, u.w))
+				rip++
+
+			case uCvtSI2SDR:
+				charge[T](m, qCvt)
+				m.Xmm[u.dst] = math.Float64bits(cvtIntToF64(m.Regs[u.src], u.w, u.uns))
+				rip++
+
+			case uCvtSI2SDM:
+				m.rip = rip
+				var v uint64
+				if v, err = m.load(m.uea(u), u.w); err != nil {
+					break chunk
+				}
+				charge[T](m, qCvt)
+				m.Xmm[u.dst] = math.Float64bits(cvtIntToF64(v, u.w, u.uns))
+				rip++
+
+			case uCvtTSD2SIR:
+				m.rip = rip
+				var r uint64
+				if r, err = m.cvtF64ToInt(f64of(m.Xmm[u.src], u.alu), u.w, u.uns); err != nil {
+					break chunk
+				}
+				m.Regs[u.dst] = r
+				rip++
+
+			case uCvtTSD2SIM:
+				m.rip = rip
+				var bv, r uint64
+				if bv, err = m.load(m.uea(u), u.alu); err != nil {
+					break chunk
+				}
+				if r, err = m.cvtF64ToInt(f64of(bv, u.alu), u.w, u.uns); err != nil {
+					break chunk
+				}
+				m.Regs[u.dst] = r
+				rip++
+
+			case uCvtSD2SSR:
+				charge[T](m, qCvt)
+				m.Xmm[u.dst] = cvtSD2SS(m.Xmm[u.src])
+				rip++
+
+			case uCvtSD2SSM:
+				m.rip = rip
+				var bv uint64
+				if bv, err = m.load(m.uea(u), 8); err != nil {
+					break chunk
+				}
+				charge[T](m, qCvt)
 				m.Xmm[u.dst] = cvtSD2SS(bv)
-				m.rip++
-			}
+				rip++
 
-		case uCvtSS2SDR:
-			m.qacc += qCvt
-			m.Xmm[u.dst] = cvtSS2SD(m.Xmm[u.src])
-			m.rip++
+			case uCvtSS2SDR:
+				charge[T](m, qCvt)
+				m.Xmm[u.dst] = cvtSS2SD(m.Xmm[u.src])
+				rip++
 
-		case uCvtSS2SDM:
-			var bv uint64
-			if bv, err = m.load(m.uea(u), 4); err == nil {
-				m.qacc += qCvt
+			case uCvtSS2SDM:
+				m.rip = rip
+				var bv uint64
+				if bv, err = m.load(m.uea(u), 4); err != nil {
+					break chunk
+				}
+				charge[T](m, qCvt)
 				m.Xmm[u.dst] = cvtSS2SD(bv)
-				m.rip++
-			}
+				rip++
 
-		case uMovqXR:
-			v := m.Regs[u.src]
-			if u.w == 4 {
-				v = uint64(uint32(v))
-			}
-			m.Xmm[u.dst] = v
-			m.rip++
+			case uMovqXR:
+				v := m.Regs[u.src]
+				if u.w == 4 {
+					v = uint64(uint32(v))
+				}
+				m.Xmm[u.dst] = v
+				rip++
 
-		case uMovqRX:
-			v := m.Xmm[u.src]
-			if u.w == 4 {
-				v = uint64(uint32(v))
-			}
-			m.Regs[u.dst] = v
-			m.rip++
+			case uMovqRX:
+				v := m.Xmm[u.src]
+				if u.w == 4 {
+					v = uint64(uint32(v))
+				}
+				m.Regs[u.dst] = v
+				rip++
 
-		case uLogicXX:
-			if u.alu == 0 {
-				m.Xmm[u.dst] &= m.Xmm[u.src]
-			} else {
-				m.Xmm[u.dst] ^= m.Xmm[u.src]
-			}
-			m.rip++
-
-		case uLogicXM:
-			var b uint64
-			if b, err = m.load(m.uea(u), 8); err == nil {
+			case uLogicXX, uLogicXM:
+				b := m.Xmm[u.src]
+				if u.kind == uLogicXM {
+					m.rip = rip
+					if b, err = m.load(m.uea(u), 8); err != nil {
+						break chunk
+					}
+				}
 				if u.alu == 0 {
 					m.Xmm[u.dst] &= b
 				} else {
 					m.Xmm[u.dst] ^= b
 				}
-				m.rip++
-			}
+				rip++
 
-		case uRoundR:
-			m.qacc += qCvt
-			m.Xmm[u.dst] = bitsOf(roundMode(f64of(m.Xmm[u.src], u.w), u.alu), u.w)
-			m.rip++
+			case uRoundR:
+				charge[T](m, qCvt)
+				m.Xmm[u.dst] = bitsOf(roundMode(f64of(m.Xmm[u.src], u.w), u.alu), u.w)
+				rip++
 
-		case uRoundM:
-			var bv uint64
-			if bv, err = m.load(m.uea(u), u.w); err == nil {
-				m.qacc += qCvt
+			case uRoundM:
+				m.rip = rip
+				var bv uint64
+				if bv, err = m.load(m.uea(u), u.w); err != nil {
+					break chunk
+				}
+				charge[T](m, qCvt)
 				m.Xmm[u.dst] = bitsOf(roundMode(f64of(bv, u.w), u.alu), u.w)
-				m.rip++
-			}
+				rip++
 
-		// Width-specialized memory kinds: the whole linear-memory fast path
-		// (bounds check, retired-access counter, dcache memo, fixed-width
-		// access) is inlined here; anything outside linear memory falls back
-		// to the generic load/store with identical semantics.
-		case uMovLoad64:
-			a := m.uea(u)
-			if s, off, ok := m.fastSlab(a, 8); ok {
-				m.Counters.Loads++
-				if a>>6 == m.lastDLine {
-					m.qacc += qLoad
+			// Width-specialized memory kinds: the whole linear-memory fast
+			// path (bounds check, retired-access counter, dcache memo,
+			// fixed-width access) is inlined here; anything outside linear
+			// memory falls back to the generic load/store with identical
+			// semantics.
+			case uMovLoad64:
+				a := m.uea(u)
+				if s, off, ok := m.fastSlab(a, 8); ok {
+					m.Counters.Loads++
+					if exact {
+						m.dtouch(a)
+					} else if warm {
+						m.dwarm(a)
+					}
+					m.Regs[u.dst] = binary.LittleEndian.Uint64(s[off:])
 				} else {
-					m.dcacheWalk(a)
-				}
-				m.Regs[u.dst] = binary.LittleEndian.Uint64(s[off:])
-				m.rip++
-			} else {
-				var v uint64
-				if v, err = m.load(a, 8); err == nil {
+					m.rip = rip
+					var v uint64
+					if v, err = m.load(a, 8); err != nil {
+						break chunk
+					}
 					m.Regs[u.dst] = v
-					m.rip++
 				}
-			}
+				rip++
 
-		case uMovLoad32:
-			a := m.uea(u)
-			if s, off, ok := m.fastSlab(a, 4); ok {
-				m.Counters.Loads++
-				if a>>6 == m.lastDLine {
-					m.qacc += qLoad
+			case uMovLoad32:
+				a := m.uea(u)
+				if s, off, ok := m.fastSlab(a, 4); ok {
+					m.Counters.Loads++
+					if exact {
+						m.dtouch(a)
+					} else if warm {
+						m.dwarm(a)
+					}
+					m.Regs[u.dst] = uint64(binary.LittleEndian.Uint32(s[off:]))
 				} else {
-					m.dcacheWalk(a)
-				}
-				m.Regs[u.dst] = uint64(binary.LittleEndian.Uint32(s[off:]))
-				m.rip++
-			} else {
-				var v uint64
-				if v, err = m.load(a, 4); err == nil {
+					m.rip = rip
+					var v uint64
+					if v, err = m.load(a, 4); err != nil {
+						break chunk
+					}
 					m.Regs[u.dst] = v
-					m.rip++
 				}
-			}
+				rip++
 
-		case uMovStore64:
-			a := m.uea(u)
-			if s, off, ok := m.fastSlab(a, 8); ok {
-				m.Counters.Stores++
-				if a>>6 == m.lastDLine {
-					m.qacc += qLoad
+			case uMovStore64:
+				a := m.uea(u)
+				if s, off, ok := m.fastSlab(a, 8); ok {
+					m.Counters.Stores++
+					if exact {
+						m.dtouch(a)
+					} else if warm {
+						m.dwarm(a)
+					}
+					binary.LittleEndian.PutUint64(s[off:], m.Regs[u.src])
 				} else {
-					m.dcacheWalk(a)
+					m.rip = rip
+					if err = m.store(a, 8, m.Regs[u.src]); err != nil {
+						break chunk
+					}
 				}
-				binary.LittleEndian.PutUint64(s[off:], m.Regs[u.src])
-				m.rip++
-			} else if err = m.store(a, 8, m.Regs[u.src]); err == nil {
-				m.rip++
-			}
+				rip++
 
-		case uMovStore32:
-			a := m.uea(u)
-			if s, off, ok := m.fastSlab(a, 4); ok {
-				m.Counters.Stores++
-				if a>>6 == m.lastDLine {
-					m.qacc += qLoad
+			case uMovStore32:
+				a := m.uea(u)
+				if s, off, ok := m.fastSlab(a, 4); ok {
+					m.Counters.Stores++
+					if exact {
+						m.dtouch(a)
+					} else if warm {
+						m.dwarm(a)
+					}
+					binary.LittleEndian.PutUint32(s[off:], uint32(m.Regs[u.src]))
 				} else {
-					m.dcacheWalk(a)
+					m.rip = rip
+					if err = m.store(a, 4, m.Regs[u.src]); err != nil {
+						break chunk
+					}
 				}
-				binary.LittleEndian.PutUint32(s[off:], uint32(m.Regs[u.src]))
-				m.rip++
-			} else if err = m.store(a, 4, m.Regs[u.src]); err == nil {
-				m.rip++
-			}
+				rip++
 
-		case uFLoad64:
-			a := m.uea(u)
-			if s, off, ok := m.fastSlab(a, 8); ok {
-				m.Counters.Loads++
-				if a>>6 == m.lastDLine {
-					m.qacc += qLoad
+			case uFLoad64:
+				a := m.uea(u)
+				if s, off, ok := m.fastSlab(a, 8); ok {
+					m.Counters.Loads++
+					if exact {
+						m.dtouch(a)
+					} else if warm {
+						m.dwarm(a)
+					}
+					m.Xmm[u.dst] = binary.LittleEndian.Uint64(s[off:])
 				} else {
-					m.dcacheWalk(a)
-				}
-				m.Xmm[u.dst] = binary.LittleEndian.Uint64(s[off:])
-				m.rip++
-			} else {
-				var v uint64
-				if v, err = m.load(a, 8); err == nil {
+					m.rip = rip
+					var v uint64
+					if v, err = m.load(a, 8); err != nil {
+						break chunk
+					}
 					m.Xmm[u.dst] = v
-					m.rip++
 				}
-			}
+				rip++
 
-		case uFLoad32:
-			a := m.uea(u)
-			if s, off, ok := m.fastSlab(a, 4); ok {
-				m.Counters.Loads++
-				if a>>6 == m.lastDLine {
-					m.qacc += qLoad
+			case uFLoad32:
+				a := m.uea(u)
+				if s, off, ok := m.fastSlab(a, 4); ok {
+					m.Counters.Loads++
+					if exact {
+						m.dtouch(a)
+					} else if warm {
+						m.dwarm(a)
+					}
+					m.Xmm[u.dst] = uint64(binary.LittleEndian.Uint32(s[off:]))
 				} else {
-					m.dcacheWalk(a)
-				}
-				m.Xmm[u.dst] = uint64(binary.LittleEndian.Uint32(s[off:]))
-				m.rip++
-			} else {
-				var v uint64
-				if v, err = m.load(a, 4); err == nil {
+					m.rip = rip
+					var v uint64
+					if v, err = m.load(a, 4); err != nil {
+						break chunk
+					}
 					m.Xmm[u.dst] = v
-					m.rip++
 				}
-			}
+				rip++
 
-		case uFStore64:
-			a := m.uea(u)
-			if s, off, ok := m.fastSlab(a, 8); ok {
-				m.Counters.Stores++
-				if a>>6 == m.lastDLine {
-					m.qacc += qLoad
+			case uFStore64:
+				a := m.uea(u)
+				if s, off, ok := m.fastSlab(a, 8); ok {
+					m.Counters.Stores++
+					if exact {
+						m.dtouch(a)
+					} else if warm {
+						m.dwarm(a)
+					}
+					binary.LittleEndian.PutUint64(s[off:], m.Xmm[u.src])
 				} else {
-					m.dcacheWalk(a)
+					m.rip = rip
+					if err = m.store(a, 8, m.Xmm[u.src]); err != nil {
+						break chunk
+					}
 				}
-				binary.LittleEndian.PutUint64(s[off:], m.Xmm[u.src])
-				m.rip++
-			} else if err = m.store(a, 8, m.Xmm[u.src]); err == nil {
-				m.rip++
-			}
+				rip++
 
-		case uFStore32:
-			a := m.uea(u)
-			if s, off, ok := m.fastSlab(a, 4); ok {
-				m.Counters.Stores++
-				if a>>6 == m.lastDLine {
-					m.qacc += qLoad
+			case uFStore32:
+				a := m.uea(u)
+				if s, off, ok := m.fastSlab(a, 4); ok {
+					m.Counters.Stores++
+					if exact {
+						m.dtouch(a)
+					} else if warm {
+						m.dwarm(a)
+					}
+					binary.LittleEndian.PutUint32(s[off:], uint32(m.Xmm[u.src]))
 				} else {
-					m.dcacheWalk(a)
+					m.rip = rip
+					if err = m.store(a, 4, m.Xmm[u.src]); err != nil {
+						break chunk
+					}
 				}
-				binary.LittleEndian.PutUint32(s[off:], uint32(m.Xmm[u.src]))
-				m.rip++
-			} else if err = m.store(a, 4, m.Xmm[u.src]); err == nil {
-				m.rip++
-			}
+				rip++
 
-		case uCmpRRJcc:
-			m.setCmpFlags(m.Regs[u.dst], m.Regs[u.src], u.w)
-			if !m.fusedJcc(u) {
-				return &TrapError{Msg: "instruction budget exhausted", PC: m.rip}
+			// Fused compare-and-branch: the jcc's icache fetch is a
+			// guaranteed same-line skip, so its retirement is one more
+			// countdown step. When the countdown runs out between the
+			// halves at any limit but a sampled segment stop, the pair is
+			// split: the chunk ends with rip on the jcc, which then retires
+			// through its own unfused uop with identical effects. An
+			// interrupt therefore sees exactly the instructions an unfused
+			// engine would have retired. A segment stop lets the branch
+			// retire one past the boundary; the sampled windows are defined
+			// that way.
+			case uCmpRRJcc, uCmpRIJcc, uTestRRJcc:
+				switch u.kind {
+				case uCmpRRJcc:
+					m.setCmpFlags(m.Regs[u.dst], m.Regs[u.src], u.w)
+				case uCmpRIJcc:
+					m.setCmpFlags(m.Regs[u.dst], u.imm, u.w)
+				default:
+					m.setTestFlags(m.Regs[u.dst], m.Regs[u.src], u.w)
+				}
+				if rem == 0 && limit != m.stopAt {
+					rip++
+					break chunk
+				}
+				rem--
+				m.Counters.Branches++
+				m.Counters.CondBranches++
+				taken := m.cc(u.cc)
+				if exact {
+					m.qacc += qBranch
+					if !m.BP.Predict(uint32(u.disp), taken) {
+						m.Counters.BranchMiss++
+						m.qacc += qMispred
+					}
+				} else if warm && !m.BP.Predict(uint32(u.disp), taken) {
+					m.Counters.BranchMiss++
+				}
+				if taken {
+					rip = int(u.tgt)
+				} else {
+					rip += 2
+				}
 			}
-
-		case uCmpRIJcc:
-			m.setCmpFlags(m.Regs[u.dst], u.imm, u.w)
-			if !m.fusedJcc(u) {
-				return &TrapError{Msg: "instruction budget exhausted", PC: m.rip}
-			}
-
-		case uTestRRJcc:
-			m.setTestFlags(m.Regs[u.dst], m.Regs[u.src], u.w)
-			if !m.fusedJcc(u) {
-				return &TrapError{Msg: "instruction budget exhausted", PC: m.rip}
-			}
-
 		}
 
+		m.rip = rip
+		// rem is -1 when a fused pair's branch retired one past a segment
+		// stop; the unsigned subtraction folds the overshoot back in.
+		m.Counters.Instructions = limit - uint64(rem)
 		if err != nil {
 			m.FlushCycles()
 			return err
@@ -824,34 +1033,6 @@ func (m *Machine) runExact() error {
 	}
 	m.FlushCycles()
 	return nil
-}
-
-// fusedJcc retires the branch half of a fused compare-and-branch pair: the
-// per-instruction bookkeeping the main loop would have done for the jcc
-// (instruction count, budget check; its icache fetch is a guaranteed
-// same-line skip) followed by the branch itself. It returns false when the
-// instruction budget expires at the branch, with rip advanced to it so the
-// caller's trap carries the same PC the unfused engine would report.
-func (m *Machine) fusedJcc(u *uop) bool {
-	m.Counters.Instructions++
-	if m.MaxInstructions > 0 && m.Counters.Instructions > m.MaxInstructions {
-		m.rip++
-		return false
-	}
-	m.Counters.Branches++
-	m.Counters.CondBranches++
-	m.qacc += qBranch
-	taken := m.cc(u.cc)
-	if !m.BP.Predict(uint32(u.disp), taken) {
-		m.Counters.BranchMiss++
-		m.qacc += qMispred
-	}
-	if taken {
-		m.rip = int(u.tgt)
-	} else {
-		m.rip += 2
-	}
-	return true
 }
 
 // uea computes the effective address from a micro-op's pre-extracted
@@ -871,9 +1052,10 @@ func (m *Machine) uea(u *uop) uint32 {
 }
 
 // aluOp applies the integer ALU sub-operation, charging the multiply cost
-// and applying 32-bit result truncation exactly like the legacy engine.
-func (m *Machine) aluOp(u *uop, a, b uint64) uint64 {
-	var r uint64
+// on the exact tier and applying 32-bit result truncation exactly like the
+// legacy engine. It sits just inside the inliner's budget, which is why the
+// charge is spelled out instead of calling charge.
+func aluOp[T tier](m *Machine, u *uop, a, b uint64) (r uint64) {
 	switch u.alu {
 	case aluAdd:
 		r = a + b
@@ -887,7 +1069,9 @@ func (m *Machine) aluOp(u *uop, a, b uint64) uint64 {
 		r = a ^ b
 	case aluImul:
 		r = a * b
-		m.qacc += qMul
+		if timed[T]() {
+			m.qacc += qMul
+		}
 	}
 	if u.w == 4 {
 		r = uint64(uint32(r))
@@ -970,29 +1154,26 @@ func bitOp(u *uop, v uint64) uint64 {
 }
 
 // fAluOp applies a scalar float op with Wasm min/max semantics and float32
-// re-rounding at width 4, charging the op's cycle cost.
-func (m *Machine) fAluOp(u *uop, a, b float64) float64 {
+// re-rounding at width 4, charging the op's cycle cost on the exact tier.
+func fAluOp[T tier](m *Machine, u *uop, a, b float64) float64 {
 	var r float64
+	q := uint64(qFALU)
 	switch u.alu {
 	case fAdd:
 		r = a + b
-		m.qacc += qFALU
 	case fSub:
 		r = a - b
-		m.qacc += qFALU
 	case fMul:
 		r = a * b
-		m.qacc += qFALU
 	case fDiv:
 		r = a / b
-		m.qacc += qFDiv
+		q = qFDiv
 	case fMin:
 		r = wasmMin(a, b)
-		m.qacc += qFALU
 	case fMax:
 		r = wasmMax(a, b)
-		m.qacc += qFALU
 	}
+	charge[T](m, q)
 	if u.w == 4 {
 		// float32 rounding at each step
 		r = float64(float32(r))

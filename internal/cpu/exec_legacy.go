@@ -18,15 +18,6 @@ import (
 func (m *Machine) runLegacy() error {
 	code := m.Prog.Code
 	for !m.halted {
-		if m.rip < 0 || m.rip >= len(code) {
-			return &TrapError{Msg: "execution left code segment", PC: m.rip}
-		}
-		in := &code[m.rip]
-		m.Counters.Instructions++ // qBase is charged in FlushCycles
-		m.icache(in.Addr)
-		if m.MaxInstructions > 0 && m.Counters.Instructions > m.MaxInstructions {
-			return &TrapError{Msg: "instruction budget exhausted", PC: m.rip}
-		}
 		if m.Counters.Instructions >= m.pollAt {
 			m.pollAt = m.Counters.Instructions + m.pollEvery
 			if err := m.interrupt(); err != nil {
@@ -34,6 +25,12 @@ func (m *Machine) runLegacy() error {
 				return err
 			}
 		}
+		if m.rip < 0 || m.rip >= len(code) {
+			return &TrapError{Msg: "execution left code segment", PC: m.rip}
+		}
+		in := &code[m.rip]
+		m.Counters.Instructions++ // qBase is charged in FlushCycles
+		m.icache(in.Addr)
 		if err := m.exec(in); err != nil {
 			m.FlushCycles()
 			return err

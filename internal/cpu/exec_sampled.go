@@ -1,10 +1,11 @@
 package cpu
 
 // Sampled-fidelity engine: SMARTS-style interval sampling. Execution
-// alternates between the functional fast path (exec_functional.go) and
-// detailed windows run on the exact engine, on a deterministic schedule
-// measured in retired instructions — so two runs of the same program
-// produce identical counters regardless of host timing or scheduling.
+// alternates between the dispatch loop's functional instantiation
+// (run[functionalTier], exec.go) and detailed windows run on its exact
+// instantiation, on a deterministic schedule measured in retired
+// instructions — so two runs of the same program produce identical
+// counters regardless of host timing or scheduling.
 //
 // Each period of samplePeriod instructions is laid out as
 //
@@ -34,17 +35,6 @@ package cpu
 
 import "repro/internal/codegen"
 
-// Fidelity re-exports the codegen knob so machine-level code and tests can
-// name tiers without importing codegen.
-type Fidelity = codegen.Fidelity
-
-// Fidelity tiers (see codegen.Fidelity).
-const (
-	FidelityExact      = codegen.FidelityExact
-	FidelityFunctional = codegen.FidelityFunctional
-	FidelitySampled    = codegen.FidelitySampled
-)
-
 // Default sampled-tier schedule, in retired instructions: a 50k-instruction
 // detailed window preceded by a 25k warm-up out of every 500k instructions
 // — a 10% detailed duty cycle. The period is deliberately short: with the
@@ -62,10 +52,10 @@ const (
 // window schedule (0 picks the defaults). Call before execution; switching
 // tiers mid-run is not supported. The schedule is clamped so one period
 // always fits its warm-up and detailed window.
-func (m *Machine) SetFidelity(f Fidelity, period, detail, warmup uint64) {
+func (m *Machine) SetFidelity(f codegen.Fidelity, period, detail, warmup uint64) {
 	m.fid = f
-	m.noTime = f == FidelityFunctional
-	if f != FidelitySampled {
+	m.noTime = f == codegen.FidelityFunctional
+	if f != codegen.FidelitySampled {
 		return
 	}
 	if period == 0 {
@@ -130,7 +120,7 @@ func (m *Machine) runSampled() error {
 		if warmed {
 			m.stopAt = pStart + m.sampleWarmup
 			snap := m.timingSnap()
-			err := m.runExact()
+			err := run[exactTier](m)
 			m.timingRestore(snap)
 			if err != nil {
 				m.extrapolateTail()
@@ -143,7 +133,7 @@ func (m *Machine) runSampled() error {
 		wStart := m.Counters.Instructions
 		snap := m.timingSnap()
 		m.stopAt = wStart + m.sampleDetail
-		err := m.runExact()
+		err := run[exactTier](m)
 		delta := m.timingSnap().sub(snap)
 		w := m.Counters.Instructions - wStart
 		m.smpMeasInsts += w
@@ -158,7 +148,7 @@ func (m *Machine) runSampled() error {
 		m.stopAt = pStart + m.samplePeriod
 		m.noTime = true
 		m.warm = true
-		err = m.runFunctional()
+		err = run[functionalTier](m)
 		m.noTime = false
 		m.warm = false
 		if err != nil {

@@ -7,14 +7,16 @@ package cpu
 // programs that fit inside the first detailed window.
 
 import (
+	"errors"
 	"testing"
 
+	"repro/internal/codegen"
 	"repro/internal/perf"
 )
 
 // runGoldenFidelity runs the golden program under a tier and returns the
 // finished machine for state inspection.
-func runGoldenFidelity(t *testing.T, f Fidelity, period, detail, warmup uint64) (uint64, *Machine) {
+func runGoldenFidelity(t *testing.T, f codegen.Fidelity, period, detail, warmup uint64) (uint64, *Machine) {
 	t.Helper()
 	m := NewMachine(buildGoldenProgram(), 1, 1)
 	m.SetFidelity(f, period, detail, warmup)
@@ -54,8 +56,8 @@ func archCounters(c perf.Counters) perf.Counters {
 // from the functional tier: return value, registers, linear memory, and the
 // architectural counters — while all timing counters stay zero.
 func TestFunctionalMatchesExact(t *testing.T) {
-	retE, me := runGoldenFidelity(t, FidelityExact, 0, 0, 0)
-	retF, mf := runGoldenFidelity(t, FidelityFunctional, 0, 0, 0)
+	retE, me := runGoldenFidelity(t, codegen.FidelityExact, 0, 0, 0)
+	retF, mf := runGoldenFidelity(t, codegen.FidelityFunctional, 0, 0, 0)
 	if retE != retF {
 		t.Errorf("return values differ: exact %d, functional %d", retE, retF)
 	}
@@ -78,25 +80,53 @@ func TestFunctionalMatchesExact(t *testing.T) {
 	}
 }
 
-// TestFunctionalBudgetTrap pins that the instruction-budget trap fires at
-// the same instruction count and PC in both tiers.
-func TestFunctionalBudgetTrap(t *testing.T) {
-	trap := func(f Fidelity) (uint64, int) {
-		m := NewMachine(buildGoldenProgram(), 1, 1)
-		m.SetFidelity(f, 0, 0, 0)
-		m.MaxInstructions = 100
-		_, err := m.Call(0)
-		te, ok := err.(*TrapError)
-		if !ok {
-			t.Fatalf("budget run under %v: got %v, want trap", f, err)
-		}
-		return m.Counters.Instructions, te.PC
+// TestInterruptPollParity pins where an interrupt stops each engine. The
+// kernel watchdog enforces its instruction ceiling through SetInterrupt, so
+// every engine and tier must stop at the same retired-instruction count and
+// rip, and legacy and exact must agree on every counter. One k lands between
+// the halves of a fused compare-and-branch pair, which must be split there.
+func TestInterruptPollParity(t *testing.T) {
+	errStop := errors.New("stop")
+	type stop struct {
+		rip int
+		c   perf.Counters
 	}
-	ie, pce := trap(FidelityExact)
-	if_, pcf := trap(FidelityFunctional)
-	if ie != if_ || pce != pcf {
-		t.Errorf("budget trap diverged: exact insts=%d pc=%d, functional insts=%d pc=%d",
-			ie, pce, if_, pcf)
+	run := func(k uint64, legacy bool, f codegen.Fidelity) (stop, *Machine) {
+		m := NewMachine(buildGoldenProgram(), 1, 1)
+		m.NoPredecode = legacy
+		m.SetFidelity(f, 150, 40, 20)
+		m.SetInterrupt(k, func() error { return errStop })
+		if _, err := m.Call(0); !errors.Is(err, errStop) {
+			t.Fatalf("k=%d legacy=%v %v: got %v, want the interrupt's error", k, legacy, f, err)
+		}
+		return stop{m.rip, m.Counters}, m
+	}
+	splitPair := false
+	for _, k := range []uint64{1, 4, 37, 100, 333, 701} {
+		want, ml := run(k, true, codegen.FidelityExact)
+		if want.c.Instructions != k {
+			t.Errorf("k=%d: legacy stopped after %d instructions", k, want.c.Instructions)
+		}
+		if r := want.rip; r > 0 && r < len(ml.uops) && ml.uops[r].kind == uJcc {
+			switch ml.uops[r-1].kind {
+			case uCmpRRJcc, uCmpRIJcc, uTestRRJcc:
+				splitPair = true
+			}
+		}
+		for _, f := range []codegen.Fidelity{codegen.FidelityExact, codegen.FidelityFunctional, codegen.FidelitySampled} {
+			got, _ := run(k, false, f)
+			if got.c.Instructions != want.c.Instructions || got.rip != want.rip {
+				t.Errorf("k=%d %v: stopped at insts=%d rip=%d, legacy at insts=%d rip=%d",
+					k, f, got.c.Instructions, got.rip, want.c.Instructions, want.rip)
+			}
+			if f == codegen.FidelityExact && got.c != want.c {
+				t.Errorf("k=%d: exact counters diverged from legacy:\n exact:  %v\n legacy: %v",
+					k, got.c.String(), want.c.String())
+			}
+		}
+	}
+	if !splitPair {
+		t.Error("no k stopped between the halves of a fused compare-and-branch pair")
 	}
 }
 
@@ -104,8 +134,8 @@ func TestFunctionalBudgetTrap(t *testing.T) {
 // detailed window is bit-identical to exact under the sampled tier — the
 // first period has no warm-up and never leaves the exact engine.
 func TestSampledShortProgramIsExact(t *testing.T) {
-	retE, me := runGoldenFidelity(t, FidelityExact, 0, 0, 0)
-	retS, ms := runGoldenFidelity(t, FidelitySampled, 0, 0, 0)
+	retE, me := runGoldenFidelity(t, codegen.FidelityExact, 0, 0, 0)
+	retS, ms := runGoldenFidelity(t, codegen.FidelitySampled, 0, 0, 0)
 	if retE != retS {
 		t.Errorf("return values differ: exact %d, sampled %d", retE, retS)
 	}
@@ -120,8 +150,8 @@ func TestSampledShortProgramIsExact(t *testing.T) {
 // and demands identical counters and results across runs.
 func TestSampledDeterminism(t *testing.T) {
 	const period, detail, warmup = 150, 40, 20
-	ret1, m1 := runGoldenFidelity(t, FidelitySampled, period, detail, warmup)
-	ret2, m2 := runGoldenFidelity(t, FidelitySampled, period, detail, warmup)
+	ret1, m1 := runGoldenFidelity(t, codegen.FidelitySampled, period, detail, warmup)
+	ret2, m2 := runGoldenFidelity(t, codegen.FidelitySampled, period, detail, warmup)
 	if ret1 != ret2 {
 		t.Errorf("return values differ across runs: %d vs %d", ret1, ret2)
 	}
@@ -130,7 +160,7 @@ func TestSampledDeterminism(t *testing.T) {
 			m1.Counters.String(), m2.Counters.String())
 	}
 	// Architectural counters must still equal exact's, whatever the windows.
-	_, me := runGoldenFidelity(t, FidelityExact, 0, 0, 0)
+	_, me := runGoldenFidelity(t, codegen.FidelityExact, 0, 0, 0)
 	if ae, as := archCounters(me.Counters), archCounters(m1.Counters); ae != as {
 		t.Errorf("sampled architectural counters diverged from exact:\n exact:   %v\n sampled: %v",
 			ae.String(), as.String())
@@ -141,5 +171,28 @@ func TestSampledDeterminism(t *testing.T) {
 	// The sampled run did model some timing (detailed windows ran).
 	if m1.Counters.Cycles == 0 {
 		t.Error("sampled tier produced zero cycles; detailed windows never ran")
+	}
+}
+
+// sampledGoldenCounters is the golden program's full counter snapshot under
+// the sampled tier with 150/40/20 windows. Run-to-run equality alone would
+// not catch a moved window boundary or warm-up discard; this pin does.
+var sampledGoldenCounters = perf.Counters{
+	Loads:        70,
+	Stores:       68,
+	Branches:     169,
+	CondBranches: 82,
+	Instructions: 790,
+	Cycles:       2212,
+	L1IMisses:    12,
+	L1DMisses:    9,
+	L2Misses:     9,
+	BranchMiss:   2,
+}
+
+func TestSampledGoldenCounters(t *testing.T) {
+	_, m := runGoldenFidelity(t, codegen.FidelitySampled, 150, 40, 20)
+	if m.Counters != sampledGoldenCounters {
+		t.Errorf("sampled counters diverged:\n got:  %v\n want: %v", m.Counters.String(), sampledGoldenCounters.String())
 	}
 }

@@ -11,6 +11,7 @@ import (
 	"math"
 	"sync"
 
+	"repro/internal/codegen"
 	"repro/internal/perf"
 	"repro/internal/x86"
 )
@@ -105,7 +106,7 @@ type Machine struct {
 	qacc      uint64
 	qInstBase uint64 // Instructions value at the last cycle flush
 
-	// Fidelity tier state (see fidelity in exec_sampled.go). noTime is true
+	// Fidelity tier state (see SetFidelity in exec_sampled.go). noTime is true
 	// whenever timing modeling is suppressed: the whole run in the
 	// functional tier, the fast-forward segments of the sampled tier. It
 	// gates the generic dcache path, branch prediction, and cycle flushing,
@@ -121,7 +122,7 @@ type Machine struct {
 	// instead of re-paying compulsory misses after every fast-forward gap.
 	// Only the sampled tier sets it; the standalone functional tier keeps
 	// warming off and touches no timing structures at all.
-	fid    Fidelity
+	fid    codegen.Fidelity
 	noTime bool
 	warm   bool
 	stopAt uint64
@@ -140,13 +141,10 @@ type Machine struct {
 	// interrupt, when installed via SetInterrupt, is polled every pollEvery
 	// retired instructions; a non-nil return aborts execution with that
 	// error. pollAt is the next Instructions value to poll at (^0 when
-	// disabled, so the hot loop pays one always-false compare).
+	// disabled, so it never bounds a dispatch chunk).
 	interrupt func() error
 	pollEvery uint64
 	pollAt    uint64
-
-	// MaxInstructions bounds execution (0 = unlimited).
-	MaxInstructions uint64
 
 	// NoPredecode forces the legacy instruction-at-a-time interpreter
 	// instead of the pre-decoded micro-op engine. The two are bit-identical
@@ -285,8 +283,11 @@ func (m *Machine) ReleaseMemory() {
 }
 
 // SetInterrupt installs fn to be polled every `every` retired instructions
-// (both execution engines). A non-nil return from fn aborts the run with
-// that error — this is how the scheduler's context cancellation preempts
+// (every engine and tier): fn runs once that many more instructions have
+// retired, before the next one is fetched. A non-nil return from fn aborts
+// the run with that error, leaving Instructions at the poll point and rip
+// on the next instruction — this is how the kernel watchdog enforces its
+// instruction ceiling and how the scheduler's context cancellation preempts
 // in-flight simulations instead of only queued ones. Polling never touches
 // counters or cycles, so an uninterrupted run is bit-identical with or
 // without an interrupt installed. A nil fn (or zero interval) disables
@@ -506,25 +507,30 @@ func (m *Machine) growStack(addr uint32) {
 	m.stackLow = uint32(x86.StackTop) - size
 }
 
-// dcache walks the data-cache hierarchy for addr and charges cycles. A
+// dcache models the data-cache access of a generic load or store.
+func (m *Machine) dcache(addr uint32) {
+	if m.noTime {
+		// Functional fidelity: no data-cache timing. This gate covers every
+		// generic load/store (including the uSlow/legacy fallback paths);
+		// the dispatch loop's inlined fast paths gate their own hooks on
+		// the tier. Under sampled fast-forward the access still warms cache
+		// state.
+		if m.warm {
+			m.dwarm(addr)
+		}
+		return
+	}
+	m.dtouch(addr)
+}
+
+// dtouch walks the data-cache hierarchy for addr and charges cycles. A
 // repeat access to the immediately preceding line is known to hit L1D (the
 // previous access either hit or installed the line, and nothing else can
 // evict it in between), so the common stack/struct locality case charges
 // the hit cost without an associative probe. LRU state is unaffected:
 // dropping consecutive duplicate touches of one line never changes the
 // relative last-use order of any two lines in a set.
-func (m *Machine) dcache(addr uint32) {
-	if m.noTime {
-		// Functional fidelity: no data-cache timing. This gate covers every
-		// generic load/store (including the uSlow/legacy fallback paths);
-		// the exact engine's inlined fast paths call dcacheWalk directly and
-		// are never reached while noTime is set. Under sampled fast-forward
-		// the access still warms cache state.
-		if m.warm {
-			m.dwarm(addr)
-		}
-		return
-	}
+func (m *Machine) dtouch(addr uint32) {
 	if addr>>6 == m.lastDLine {
 		m.qacc += qLoad
 		return
