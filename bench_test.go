@@ -427,14 +427,11 @@ func BenchmarkSimThroughput(b *testing.B) {
 			benchSimThroughput(b, cfg, "sim-inst/s")
 		})
 	}
-	// Fidelity-tier variants on the native config: the functional fast path
-	// (sim-func-inst/s) and the sampled tier at default windows
-	// (sim-sampled-inst/s, in between).
+	// The functional tier on the native config (sim-func-inst/s).
 	b.Run("native-functional", func(b *testing.B) {
-		benchSimThroughput(b, codegen.Native().ApplyFidelity(codegen.FidelityFunctional, codegen.SampleWindows{}), "sim-func-inst/s")
-	})
-	b.Run("native-sampled", func(b *testing.B) {
-		benchSimThroughput(b, codegen.Native().ApplyFidelity(codegen.FidelitySampled, codegen.SampleWindows{}), "sim-sampled-inst/s")
+		cfg := codegen.Native()
+		cfg.Fidelity = codegen.FidelityFunctional
+		benchSimThroughput(b, cfg, "sim-func-inst/s")
 	})
 }
 

@@ -14,6 +14,7 @@ import (
 	"os"
 
 	"repro/internal/codegen"
+	"repro/internal/config"
 	"repro/internal/pipeline"
 	"repro/internal/spec"
 )
@@ -25,10 +26,10 @@ func main() {
 	workers := flag.Int("workers", 0, "suite parallelism (0 = GOMAXPROCS)")
 	cachestats := flag.Bool("cachestats", false, "report per-suite build-cache traffic (memory/disk/miss) on stderr")
 	degraded := flag.Bool("degraded", false, "survive individual workload failures: render FAILED rows, report a failure summary, exit nonzero")
-	fidelity := flag.String("fidelity", "", "simulation tier: exact, functional, sampled (default $REPRO_FIDELITY, else exact)")
+	fidelity := flag.String("fidelity", "", "simulation tier: exact or functional (default $REPRO_FIDELITY, else exact)")
 	flag.Parse()
 
-	fid, windows, err := codegen.ResolveFidelity(*fidelity)
+	fid, err := codegen.ParseFidelity(config.String(*fidelity, config.EnvFidelity, ""))
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "browsix-spec:", err)
 		os.Exit(2)
@@ -38,7 +39,6 @@ func main() {
 	h.Workers = *workers
 	h.Degraded = *degraded
 	h.Fidelity = fid
-	h.SampleWindows = windows
 	exitCode := 0
 	reportTotals := func() {}
 	if *cachestats {

@@ -312,8 +312,9 @@ func TestAdmissionRejects(t *testing.T) {
 	}
 }
 
-// TestBadRequest: malformed JSON and unknown engines are 400s with a
-// bad_request error class, echoed in the standard Result shape.
+// TestBadRequest: malformed JSON, unknown engines and unknown fidelity
+// tiers are 400s with a bad_request error class, echoed in the standard
+// Result shape.
 func TestBadRequest(t *testing.T) {
 	ts := httptest.NewServer(newServer(2, 8, nil).handler())
 	defer ts.Close()
@@ -327,12 +328,17 @@ func TestBadRequest(t *testing.T) {
 		t.Errorf("malformed body: %d, want 400", resp.StatusCode)
 	}
 
-	res, code := post(t, ts, "", &pipeline.Request{Module: uniqueSrc(4505), Engine: "z80"})
-	if code != http.StatusBadRequest {
-		t.Errorf("unknown engine: %d, want 400", code)
-	}
-	if res.Err == nil || res.Err.Class != pipeline.ClassBadRequest {
-		t.Errorf("unknown engine error: %+v", res.Err)
+	for name, req := range map[string]*pipeline.Request{
+		"unknown engine":   {Module: uniqueSrc(4505), Engine: "z80"},
+		"unknown fidelity": {Module: uniqueSrc(4505), Engine: "native", Fidelity: "sampled"},
+	} {
+		res, code := post(t, ts, "", req)
+		if code != http.StatusBadRequest {
+			t.Errorf("%s: %d, want 400", name, code)
+		}
+		if res.Err == nil || res.Err.Class != pipeline.ClassBadRequest {
+			t.Errorf("%s error: %+v", name, res.Err)
+		}
 	}
 }
 

@@ -18,6 +18,7 @@ import (
 	"time"
 
 	"repro/internal/codegen"
+	"repro/internal/config"
 	"repro/internal/pipeline"
 	"repro/internal/workloads"
 )
@@ -26,10 +27,10 @@ func main() {
 	suite := flag.String("suite", "polybench", "suite to run: polybench, spec, all")
 	short := flag.Bool("short", false, "run the scaled-down short subsets")
 	degraded := flag.Bool("degraded", false, "survive individual workload failures: report FAIL rows, exit nonzero")
-	fidelity := flag.String("fidelity", "", "simulation tier: exact, functional, sampled (default $REPRO_FIDELITY, else exact)")
+	fidelity := flag.String("fidelity", "", "simulation tier: exact or functional (default $REPRO_FIDELITY, else exact)")
 	flag.Parse()
 
-	fid, windows, err := codegen.ResolveFidelity(*fidelity)
+	fid, err := codegen.ParseFidelity(config.String(*fidelity, config.EnvFidelity, ""))
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "runsuite:", err)
 		os.Exit(2)
@@ -71,7 +72,7 @@ func main() {
 	exit := 0
 	for _, j := range jobs {
 		for _, cfg := range j.cfgs {
-			cfg.ApplyFidelity(fid, windows)
+			cfg.Fidelity = fid
 		}
 		rep, err := workloads.RunDifferential(context.Background(), j.ws, j.cfgs, *degraded)
 		if err != nil {

@@ -18,12 +18,13 @@ import (
 	"time"
 
 	"repro/internal/codegen"
+	"repro/internal/config"
 	"repro/internal/pipeline"
 )
 
 func main() {
 	engine := flag.String("engine", "chrome", "engine: "+strings.Join(codegen.EngineNames(), ", "))
-	fidelity := flag.String("fidelity", "", "simulation tier: exact, functional, sampled (default $REPRO_FIDELITY, else exact)")
+	fidelity := flag.String("fidelity", "", "simulation tier: exact or functional (default $REPRO_FIDELITY, else exact)")
 	counters := flag.Bool("counters", true, "print perf counters after the run")
 	flag.Parse()
 	if flag.NArg() < 1 {
@@ -40,12 +41,10 @@ func main() {
 		fmt.Fprintln(os.Stderr, "wasmrun:", err)
 		os.Exit(2)
 	}
-	f, w, err := codegen.ResolveFidelity(*fidelity)
-	if err != nil {
+	if cfg.Fidelity, err = codegen.ParseFidelity(config.String(*fidelity, config.EnvFidelity, "")); err != nil {
 		fmt.Fprintln(os.Stderr, "wasmrun:", err)
 		os.Exit(2)
 	}
-	cfg.ApplyFidelity(f, w)
 
 	res, err := pipeline.Do(context.Background(), &pipeline.Request{
 		Module: string(src),

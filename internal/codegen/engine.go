@@ -105,12 +105,6 @@ type EngineConfig struct {
 	// of the content address: cached artifacts and memoized suite results
 	// never mix fidelities.
 	Fidelity Fidelity
-
-	// SamplePeriod/SampleDetail/SampleWarmup override the sampled tier's
-	// window schedule, in retired instructions (0 = simulator default).
-	SamplePeriod uint64
-	SampleDetail uint64
-	SampleWarmup uint64
 }
 
 // Native returns the Clang-like native configuration.

@@ -6,16 +6,13 @@ package codegen
 // field, so compiled artifacts, the disk store, and the spec harness's
 // memoized results can never mix fidelities. internal/cpu interprets the
 // tier (see cpu.Machine.SetFidelity); this file only defines the knob and
-// its environment plumbing, keeping codegen the single package a caller
-// needs to configure an engine.
+// its spelling, keeping codegen the single package a caller needs to
+// configure an engine. Stock engine constructors never read
+// $REPRO_FIDELITY themselves — a stray environment must not silently change
+// what a test or golden harness measures — so callers resolve the knob
+// (config.String) and set EngineConfig.Fidelity explicitly.
 
-import (
-	"fmt"
-	"os"
-	"strconv"
-
-	"repro/internal/config"
-)
+import "fmt"
 
 // Fidelity selects how much of the microarchitecture the simulator models.
 type Fidelity uint8
@@ -23,32 +20,20 @@ type Fidelity uint8
 const (
 	// FidelityExact is the full micro-op engine: every dcache/icache access
 	// and branch prediction modeled on every retired instruction. The zero
-	// value, today's behavior, and the oracle the other tiers are measured
-	// against.
+	// value, and the oracle the functional tier is measured against.
 	FidelityExact Fidelity = iota
 	// FidelityFunctional retires instructions and updates architectural
 	// state plus the exact-by-construction counters (instructions, loads,
 	// stores, branches) but models no caches, branch predictor, or cycles.
 	FidelityFunctional
-	// FidelitySampled alternates functional fast-forward windows with
-	// detailed exact windows on a deterministic instruction schedule
-	// (SMARTS-style), extrapolating the timing-derived counters — cycles,
-	// cache misses, branch mispredicts — from the measured windows. Each
-	// detailed window is preceded by an exact warm-up whose timing is
-	// discarded, bounding cold-structure bias.
-	FidelitySampled
 )
 
 // String returns the tier's knob spelling.
 func (f Fidelity) String() string {
-	switch f {
-	case FidelityFunctional:
+	if f == FidelityFunctional {
 		return "functional"
-	case FidelitySampled:
-		return "sampled"
-	default:
-		return "exact"
 	}
+	return "exact"
 }
 
 // ParseFidelity parses a $REPRO_FIDELITY / -fidelity value.
@@ -58,95 +43,6 @@ func ParseFidelity(s string) (Fidelity, error) {
 		return FidelityExact, nil
 	case "functional":
 		return FidelityFunctional, nil
-	case "sampled":
-		return FidelitySampled, nil
 	}
-	return FidelityExact, fmt.Errorf("codegen: unknown fidelity %q (want exact, functional, or sampled)", s)
-}
-
-// Environment knobs (canonical names in internal/config). FidelityEnv
-// selects the tier; the window knobs override the sampled tier's schedule
-// in retired instructions (0 or unset keeps the cpu package's defaults).
-const (
-	FidelityEnv     = config.EnvFidelity
-	SamplePeriodEnv = config.EnvSamplePeriod
-	SampleDetailEnv = config.EnvSampleDetail
-	SampleWarmupEnv = config.EnvSampleWarmup
-)
-
-// SampleWindows is a sampled-tier schedule override, in retired
-// instructions; zero fields keep the simulator defaults.
-type SampleWindows struct {
-	Period, Detail, Warmup uint64
-}
-
-// FidelityFromEnv reads $REPRO_FIDELITY and the window knobs. set reports
-// whether $REPRO_FIDELITY was present at all, so callers can let an
-// explicit flag win over an unset environment.
-func FidelityFromEnv() (f Fidelity, w SampleWindows, set bool, err error) {
-	v, ok := os.LookupEnv(FidelityEnv)
-	if ok {
-		if f, err = ParseFidelity(v); err != nil {
-			return FidelityExact, SampleWindows{}, true, err
-		}
-	}
-	for _, k := range []struct {
-		env string
-		dst *uint64
-	}{{SamplePeriodEnv, &w.Period}, {SampleDetailEnv, &w.Detail}, {SampleWarmupEnv, &w.Warmup}} {
-		s := os.Getenv(k.env)
-		if s == "" {
-			continue
-		}
-		n, perr := strconv.ParseUint(s, 10, 64)
-		if perr != nil {
-			return f, w, ok, fmt.Errorf("codegen: %s=%q is not a non-negative instruction count", k.env, s)
-		}
-		*k.dst = n
-	}
-	return f, w, ok, nil
-}
-
-// ApplyFidelity sets the tier and window schedule on cfg and returns cfg,
-// so engine constructors chain: codegen.Chrome().ApplyFidelity(f, w).
-// Stock constructors never read the environment themselves — a stray
-// $REPRO_FIDELITY must not silently change what a test or golden harness
-// measures — so applying the env knob is always an explicit caller step.
-func (cfg *EngineConfig) ApplyFidelity(f Fidelity, w SampleWindows) *EngineConfig {
-	cfg.Fidelity = f
-	cfg.SamplePeriod = w.Period
-	cfg.SampleDetail = w.Detail
-	cfg.SampleWarmup = w.Warmup
-	return cfg
-}
-
-// ApplyFidelityEnv applies the environment's fidelity selection to every
-// config. It is the one-liner the cmd binaries and suite plumbing share.
-func ApplyFidelityEnv(cfgs ...*EngineConfig) error {
-	f, w, _, err := FidelityFromEnv()
-	if err != nil {
-		return err
-	}
-	for _, cfg := range cfgs {
-		cfg.ApplyFidelity(f, w)
-	}
-	return nil
-}
-
-// ResolveFidelity resolves a -fidelity flag value against the environment:
-// an explicit non-empty flag wins over $REPRO_FIDELITY, and the window
-// schedule always comes from the $REPRO_SAMPLE_* knobs. A malformed
-// environment is an error even when the flag overrides the tier — a typo'd
-// knob should fail loudly, not be half-read.
-func ResolveFidelity(flagVal string) (Fidelity, SampleWindows, error) {
-	f, w, _, err := FidelityFromEnv()
-	if err != nil {
-		return FidelityExact, SampleWindows{}, err
-	}
-	if flagVal != "" {
-		if f, err = ParseFidelity(flagVal); err != nil {
-			return FidelityExact, SampleWindows{}, err
-		}
-	}
-	return f, w, nil
+	return FidelityExact, fmt.Errorf("codegen: unknown fidelity %q (want exact or functional)", s)
 }

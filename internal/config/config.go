@@ -1,8 +1,10 @@
 // Package config is the single registry for the reproduction's runtime
 // knobs. Every `$REPRO_*` environment variable is named here exactly once,
-// every parser for a knob's value lives here, and every layer that accepts
-// the same knob from more than one source (a CLI flag, the environment, an
-// HTTP request field) resolves it through the same rule:
+// every parser for a knob's value lives here (except the fidelity tier's:
+// the Fidelity type is codegen's, so codegen.ParseFidelity parses it), and
+// every layer that accepts the same knob from more than one source (a CLI
+// flag, the environment, an HTTP request field) resolves it through the
+// same rule:
 //
 //	flag > environment > default
 //
@@ -30,13 +32,9 @@ import (
 // Environment knob names. These are the canonical spellings; consumer
 // packages re-export aliases where their public API already named them.
 const (
-	// EnvFidelity selects the simulation tier (exact, functional, sampled);
-	// the EnvSample* knobs override the sampled tier's window schedule in
-	// retired instructions.
-	EnvFidelity     = "REPRO_FIDELITY"
-	EnvSamplePeriod = "REPRO_SAMPLE_PERIOD"
-	EnvSampleDetail = "REPRO_SAMPLE_DETAIL"
-	EnvSampleWarmup = "REPRO_SAMPLE_WARMUP"
+	// EnvFidelity selects the simulation tier (exact or functional; see
+	// codegen.ParseFidelity).
+	EnvFidelity = "REPRO_FIDELITY"
 
 	// EnvCacheDir locates the disk artifact store ("off", "0", "none"
 	// disable it); EnvCacheMaxBytes bounds its size; EnvCacheSummary names

@@ -10,17 +10,16 @@ package cpu
 // models the icache, dcache, branch predictor and cycles on every retired
 // instruction, bit-identically to the legacy interpreter. run[functionalTier]
 // retires the same stream with the same architectural state and counters
-// (Instructions, Loads, Stores, Branches, CondBranches) and models no timing;
-// under sampled fast-forward it only warms the caches and the predictor (see
-// Machine.warm). Every timing hook sits behind a test of the tier's length,
-// which is a constant in each instantiation (see exactTier), so the
-// functional loop carries no dead hook.
+// (Instructions, Loads, Stores, Branches, CondBranches) and models no
+// timing. Every timing hook sits behind a test of the tier's length, which
+// is a constant in each instantiation (see exactTier), so the functional
+// loop carries no dead hook.
 //
 // The loop keeps two values in locals, rip and a signed countdown to the
-// next machine-level event: the sampled tier's segment stop (stopAt), the
-// interrupt poll point (pollAt), or a chunk clamp. Instructions is rebuilt
-// from the countdown (Instructions = limit - rem) wherever machine state can
-// be observed, and the events themselves are checked only between chunks.
+// next machine-level event: the interrupt poll point (pollAt) or a chunk
+// clamp. Instructions is rebuilt from the countdown (Instructions = limit -
+// rem) wherever machine state can be observed, and the events themselves
+// are checked only between chunks.
 
 import (
 	"encoding/binary"
@@ -56,17 +55,20 @@ func (m *Machine) Call(entry int) (uint64, error) {
 // extWidth maps extension modes to their source load width.
 var extWidth = [5]uint8{extZX8: 1, extZX16: 2, extSX8: 1, extSX16: 2, extSXD: 4}
 
+// SetFidelity selects the simulation tier. Call before execution;
+// switching tiers mid-run is not supported.
+func (m *Machine) SetFidelity(f codegen.Fidelity) {
+	m.noTime = f == codegen.FidelityFunctional
+}
+
 func (m *Machine) run() error {
 	if m.NoPredecode {
 		// The legacy interpreter is the reference oracle: it always runs
 		// exact, regardless of the fidelity tier.
 		return m.runLegacy()
 	}
-	switch m.fid {
-	case codegen.FidelityFunctional:
+	if m.noTime {
 		return run[functionalTier](m)
-	case codegen.FidelitySampled:
-		return m.runSampled()
 	}
 	return run[exactTier](m)
 }
@@ -102,20 +104,13 @@ func charge[T tier](m *Machine, n uint64) {
 // cheaply.
 const maxChunk = 1 << 30
 
-// run retires micro-ops until the program halts, traps, an interrupt poll
-// returns an error, or Instructions reaches stopAt (the end of a sampled
-// segment, set by runSampled; the loop then returns nil with rip preserved,
-// so re-entry continues bit-identically).
+// run retires micro-ops until the program halts, traps, or an interrupt
+// poll returns an error.
 func run[T tier](m *Machine) error {
 	exact := timed[T]()
-	warm := m.warm // sampled fast-forward: keep caches and predictor state hot
 	ops := m.uops
 	for !m.halted {
 		n := m.Counters.Instructions
-		if n >= m.stopAt {
-			m.FlushCycles()
-			return nil
-		}
 		if n >= m.pollAt {
 			m.pollAt = n + m.pollEvery
 			if err := m.interrupt(); err != nil {
@@ -123,7 +118,7 @@ func run[T tier](m *Machine) error {
 				return err
 			}
 		}
-		limit := min(m.stopAt, m.pollAt, n+maxChunk)
+		limit := min(m.pollAt, n+maxChunk)
 		rip := m.rip
 		rem := int64(limit - n)
 		var err error
@@ -227,8 +222,6 @@ func run[T tier](m *Machine) error {
 					m.Counters.Loads++
 					if exact {
 						m.dtouch(a)
-					} else if warm {
-						m.dwarm(a)
 					}
 					switch w {
 					case 1:
@@ -274,8 +267,6 @@ func run[T tier](m *Machine) error {
 					m.Counters.Loads++
 					if exact {
 						m.dtouch(a)
-					} else if warm {
-						m.dwarm(a)
 					}
 					if u.w == 4 {
 						b = uint64(binary.LittleEndian.Uint32(s[off:]))
@@ -391,8 +382,6 @@ func run[T tier](m *Machine) error {
 					m.Counters.Loads++
 					if exact {
 						m.dtouch(a)
-					} else if warm {
-						m.dwarm(a)
 					}
 					if u.w == 4 {
 						b = uint64(binary.LittleEndian.Uint32(s[off:]))
@@ -477,8 +466,6 @@ func run[T tier](m *Machine) error {
 						m.Counters.BranchMiss++
 						m.qacc += qMispred
 					}
-				} else if warm && !m.BP.Predict(uint32(u.imm), taken) {
-					m.Counters.BranchMiss++
 				}
 				if taken {
 					rip = int(u.tgt)
@@ -519,8 +506,6 @@ func run[T tier](m *Machine) error {
 					m.Counters.Stores++
 					if exact {
 						m.dtouch(a)
-					} else if warm {
-						m.dwarm(a)
 					}
 					binary.LittleEndian.PutUint64(s[off:], uint64(rip+1))
 				} else {
@@ -540,8 +525,6 @@ func run[T tier](m *Machine) error {
 					m.Counters.Loads++
 					if exact {
 						m.dtouch(a)
-					} else if warm {
-						m.dwarm(a)
 					}
 					ra = binary.LittleEndian.Uint64(s[off:])
 				} else {
@@ -566,8 +549,6 @@ func run[T tier](m *Machine) error {
 					m.Counters.Stores++
 					if exact {
 						m.dtouch(a)
-					} else if warm {
-						m.dwarm(a)
 					}
 					binary.LittleEndian.PutUint64(s[off:], m.Regs[u.src])
 				} else {
@@ -599,8 +580,6 @@ func run[T tier](m *Machine) error {
 					m.Counters.Loads++
 					if exact {
 						m.dtouch(a)
-					} else if warm {
-						m.dwarm(a)
 					}
 					v = binary.LittleEndian.Uint64(s[off:])
 				} else {
@@ -664,8 +643,6 @@ func run[T tier](m *Machine) error {
 					m.Counters.Loads++
 					if exact {
 						m.dtouch(a)
-					} else if warm {
-						m.dwarm(a)
 					}
 					if u.w == 4 {
 						bv = uint64(binary.LittleEndian.Uint32(s[off:]))
@@ -832,8 +809,6 @@ func run[T tier](m *Machine) error {
 					m.Counters.Loads++
 					if exact {
 						m.dtouch(a)
-					} else if warm {
-						m.dwarm(a)
 					}
 					m.Regs[u.dst] = binary.LittleEndian.Uint64(s[off:])
 				} else {
@@ -852,8 +827,6 @@ func run[T tier](m *Machine) error {
 					m.Counters.Loads++
 					if exact {
 						m.dtouch(a)
-					} else if warm {
-						m.dwarm(a)
 					}
 					m.Regs[u.dst] = uint64(binary.LittleEndian.Uint32(s[off:]))
 				} else {
@@ -872,8 +845,6 @@ func run[T tier](m *Machine) error {
 					m.Counters.Stores++
 					if exact {
 						m.dtouch(a)
-					} else if warm {
-						m.dwarm(a)
 					}
 					binary.LittleEndian.PutUint64(s[off:], m.Regs[u.src])
 				} else {
@@ -890,8 +861,6 @@ func run[T tier](m *Machine) error {
 					m.Counters.Stores++
 					if exact {
 						m.dtouch(a)
-					} else if warm {
-						m.dwarm(a)
 					}
 					binary.LittleEndian.PutUint32(s[off:], uint32(m.Regs[u.src]))
 				} else {
@@ -908,8 +877,6 @@ func run[T tier](m *Machine) error {
 					m.Counters.Loads++
 					if exact {
 						m.dtouch(a)
-					} else if warm {
-						m.dwarm(a)
 					}
 					m.Xmm[u.dst] = binary.LittleEndian.Uint64(s[off:])
 				} else {
@@ -928,8 +895,6 @@ func run[T tier](m *Machine) error {
 					m.Counters.Loads++
 					if exact {
 						m.dtouch(a)
-					} else if warm {
-						m.dwarm(a)
 					}
 					m.Xmm[u.dst] = uint64(binary.LittleEndian.Uint32(s[off:]))
 				} else {
@@ -948,8 +913,6 @@ func run[T tier](m *Machine) error {
 					m.Counters.Stores++
 					if exact {
 						m.dtouch(a)
-					} else if warm {
-						m.dwarm(a)
 					}
 					binary.LittleEndian.PutUint64(s[off:], m.Xmm[u.src])
 				} else {
@@ -966,8 +929,6 @@ func run[T tier](m *Machine) error {
 					m.Counters.Stores++
 					if exact {
 						m.dtouch(a)
-					} else if warm {
-						m.dwarm(a)
 					}
 					binary.LittleEndian.PutUint32(s[off:], uint32(m.Xmm[u.src]))
 				} else {
@@ -981,13 +942,10 @@ func run[T tier](m *Machine) error {
 			// Fused compare-and-branch: the jcc's icache fetch is a
 			// guaranteed same-line skip, so its retirement is one more
 			// countdown step. When the countdown runs out between the
-			// halves at any limit but a sampled segment stop, the pair is
-			// split: the chunk ends with rip on the jcc, which then retires
-			// through its own unfused uop with identical effects. An
-			// interrupt therefore sees exactly the instructions an unfused
-			// engine would have retired. A segment stop lets the branch
-			// retire one past the boundary; the sampled windows are defined
-			// that way.
+			// halves, the pair is split: the chunk ends with rip on the jcc,
+			// which then retires through its own unfused uop with identical
+			// effects. An interrupt therefore sees exactly the instructions
+			// an unfused engine would have retired.
 			case uCmpRRJcc, uCmpRIJcc, uTestRRJcc:
 				switch u.kind {
 				case uCmpRRJcc:
@@ -997,7 +955,7 @@ func run[T tier](m *Machine) error {
 				default:
 					m.setTestFlags(m.Regs[u.dst], m.Regs[u.src], u.w)
 				}
-				if rem == 0 && limit != m.stopAt {
+				if rem == 0 {
 					rip++
 					break chunk
 				}
@@ -1011,8 +969,6 @@ func run[T tier](m *Machine) error {
 						m.Counters.BranchMiss++
 						m.qacc += qMispred
 					}
-				} else if warm && !m.BP.Predict(uint32(u.disp), taken) {
-					m.Counters.BranchMiss++
 				}
 				if taken {
 					rip = int(u.tgt)
@@ -1023,8 +979,6 @@ func run[T tier](m *Machine) error {
 		}
 
 		m.rip = rip
-		// rem is -1 when a fused pair's branch retired one past a segment
-		// stop; the unsigned subtraction folds the overshoot back in.
 		m.Counters.Instructions = limit - uint64(rem)
 		if err != nil {
 			m.FlushCycles()
@@ -1333,10 +1287,6 @@ func (m *Machine) branchTo(target int, conditional, taken bool, addr uint32) {
 				m.Counters.BranchMiss++
 				m.q(qMispred)
 			}
-		} else if m.warm && !m.BP.Predict(addr, taken) {
-			// Sampled fast-forward: the predictor is simulated always-on
-			// (state and mispredict count), only the cycle charge is omitted.
-			m.Counters.BranchMiss++
 		}
 	}
 	if taken {

@@ -24,7 +24,7 @@ func Load(cm *codegen.CompiledModule) (*Instance, error) {
 		maxPages = x86.LinearMax / wasm.PageSize
 	}
 	m := NewMachine(cm.Prog, pages, maxPages)
-	m.SetFidelity(cm.Engine.Fidelity, cm.Engine.SamplePeriod, cm.Engine.SampleDetail, cm.Engine.SampleWarmup)
+	m.SetFidelity(cm.Engine.Fidelity)
 	m.SetRodata(cm.Rodata)
 
 	for i, v := range cm.GlobalInit {

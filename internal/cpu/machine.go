@@ -11,7 +11,6 @@ import (
 	"math"
 	"sync"
 
-	"repro/internal/codegen"
 	"repro/internal/perf"
 	"repro/internal/x86"
 )
@@ -106,33 +105,12 @@ type Machine struct {
 	qacc      uint64
 	qInstBase uint64 // Instructions value at the last cycle flush
 
-	// Fidelity tier state (see SetFidelity in exec_sampled.go). noTime is true
-	// whenever timing modeling is suppressed: the whole run in the
-	// functional tier, the fast-forward segments of the sampled tier. It
-	// gates the generic dcache path, branch prediction, and cycle flushing,
-	// so the uSlow/legacy fallbacks stay architecturally exact without
-	// touching timing structures. stopAt ends the current execution segment
-	// when Counters.Instructions reaches it (^0 = no segment boundary, the
-	// same always-false-compare trick as pollAt); the run loops return nil
-	// with rip preserved, and the tier driver resumes or switches engines.
-	// warm enables SMARTS functional warming while noTime is set: loads,
-	// stores, and conditional branches still update cache and predictor
-	// STATE (tags, LRU order, direction counters) without charging cycles or
-	// counting misses, so detailed windows measure warm-structure rates
-	// instead of re-paying compulsory misses after every fast-forward gap.
-	// Only the sampled tier sets it; the standalone functional tier keeps
-	// warming off and touches no timing structures at all.
-	fid    codegen.Fidelity
+	// noTime is set for the functional tier (see SetFidelity), which models
+	// no timing. It selects the functional dispatch loop and gates the
+	// generic dcache path, branch prediction, host cycle charges and cycle
+	// flushing, so the uSlow/legacy fallbacks stay architecturally exact
+	// without touching timing structures.
 	noTime bool
-	warm   bool
-	stopAt uint64
-	// Sampled-tier schedule (instructions) and extrapolation accumulators.
-	samplePeriod uint64
-	sampleDetail uint64
-	sampleWarmup uint64
-	smpMeasInsts uint64 // instructions retired inside measured windows
-	smpMeas      timing // timing-counter deltas measured inside windows
-	smpStamp     uint64 // Instructions at the last extrapolation stamp
 
 	// uops is the pre-decoded micro-op stream (1:1 with Prog.Code), shared
 	// across machines running the same program.
@@ -215,13 +193,12 @@ func NewMachine(prog *x86.Program, pages, maxPages uint32) *Machine {
 		m.L2 = NewCache(256*1024, 64, 8)
 		m.BP = NewBranchPredictor(4096)
 	}
-	// L3 is left to dcacheWalk/dwarm to allocate on the first L2 data
-	// miss; once allocated it travels with the pooled image, and its Reset
-	// costs only the sets the process touched.
+	// L3 is left to dcacheWalk to allocate on the first L2 data miss; once
+	// allocated it travels with the pooled image, and its Reset costs only
+	// the sets the process touched.
 	m.uops = predecode(prog)
 	m.lastDLine = ^uint32(0)
 	m.pollAt = ^uint64(0)
-	m.stopAt = ^uint64(0)
 	m.setMisc()
 	m.Regs[x86.RSP] = uint64(x86.StackTop - 64)
 	return m
@@ -375,11 +352,8 @@ func (m *Machine) GrowLinear(delta uint32) int32 {
 }
 
 // AddCycles charges host-side work (the Browsix syscall shim) to the
-// simulated clock, in quarter-cycles. While timing is suppressed
-// (functional tier, sampled fast-forward) the charge is dropped: the
-// functional tier's contract is zero timing counters, and the sampled
-// tier's window extrapolation already scales up the host charges it
-// observes inside measured windows.
+// simulated clock, in quarter-cycles. On the functional tier the charge is
+// dropped: its contract is zero timing counters.
 func (m *Machine) AddCycles(q uint64) {
 	if m.noTime {
 		return
@@ -507,17 +481,18 @@ func (m *Machine) growStack(addr uint32) {
 	m.stackLow = uint32(x86.StackTop) - size
 }
 
-// dcache models the data-cache access of a generic load or store.
+// dcache models the data-cache access of a generic load or store. It is
+// kept out of line: inlined into load and store it cost the exact tier
+// about 5% of its simulated MIPS (perfbench sim-suite, 2-vCPU KVM guest),
+// because those two sit on the dispatch loop's hottest memory uops.
+//
+//go:noinline
 func (m *Machine) dcache(addr uint32) {
 	if m.noTime {
 		// Functional fidelity: no data-cache timing. This gate covers every
 		// generic load/store (including the uSlow/legacy fallback paths);
 		// the dispatch loop's inlined fast paths gate their own hooks on
-		// the tier. Under sampled fast-forward the access still warms cache
-		// state.
-		if m.warm {
-			m.dwarm(addr)
-		}
+		// the tier.
 		return
 	}
 	m.dtouch(addr)
@@ -576,33 +551,6 @@ func (m *Machine) dcacheWalk(addr uint32) {
 	m.q(qL3DMiss)
 }
 
-// dwarm walks the data-cache hierarchy for addr during sampled
-// fast-forward: tags, LRU order, AND miss counters move exactly as
-// dcache/dcacheWalk would move them — only the cycle charges are omitted.
-// Because the warmed access stream is identical to the one the exact
-// engine would issue, the data-cache miss counters stay exact (not
-// extrapolated) across fast-forward gaps; per SMARTS, the caches and
-// branch predictor are simulated always-on and only cycle timing is
-// sampled.
-func (m *Machine) dwarm(addr uint32) {
-	if addr>>6 == m.lastDLine {
-		return
-	}
-	m.lastDLine = addr >> 6
-	if m.L1D.Access(addr) {
-		return
-	}
-	m.Counters.L1DMisses++
-	if m.L2.Access(addr) {
-		return
-	}
-	m.Counters.L2Misses++
-	if m.L3 == nil {
-		m.L3 = NewCache(15*1024*1024, 64, 16)
-	}
-	m.L3.Access(addr)
-}
-
 // icache fetches the instruction at addr.
 func (m *Machine) icache(addr uint32) {
 	line := addr >> 6
@@ -627,12 +575,11 @@ func (m *Machine) q(n uint64) { m.qacc += n }
 // FlushCycles folds accumulated quarter-cycles into the cycle counter. The
 // per-instruction base cost is not charged in the fetch loop at all: every
 // instruction costs exactly qBase, so it is reconstructed here from the
-// retired-instruction count since the previous flush. While timing is
-// suppressed (functional tier, sampled fast-forward) the flush is a
-// discard-and-rebase instead: stray quarter-cycle charges from shared
-// helpers (imul/div/fp costs) are dropped and the qBase reconstruction is
-// re-based, so functional instructions never turn into cycles (AddCycles
-// host charges are likewise dropped while noTime is set).
+// retired-instruction count since the previous flush. On the functional
+// tier the flush is a discard-and-rebase instead: stray quarter-cycle
+// charges from shared helpers (imul/div/fp costs) are dropped and the qBase
+// reconstruction is re-based, so functional instructions never turn into
+// cycles (AddCycles host charges are likewise dropped while noTime is set).
 func (m *Machine) FlushCycles() {
 	if m.noTime {
 		m.qacc = 0

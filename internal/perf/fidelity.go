@@ -1,37 +1,9 @@
 package perf
 
-// Fidelity-error measurement: per-counter relative error of an
-// approximating simulation tier (functional, sampled) against the exact
-// oracle. The architectural counters — loads, stores, branches,
-// conditional branches, instructions — are exact by construction in every
-// tier, so any divergence there is a bug, not an approximation; the
-// timing-derived counters are where sampling trades accuracy for speed and
-// what the error report quantifies.
-
-import (
-	"fmt"
-	"math"
-	"strings"
-)
-
-// TimingCounter names one timing-derived counter in a FidelityRow.
-type TimingCounter struct {
-	Name          string
-	Exact, Approx uint64
-}
-
-// Rel returns the relative error |approx-exact| / exact. A zero oracle
-// with a nonzero approximation is reported as +Inf; 0/0 is 0.
-func (t TimingCounter) Rel() float64 {
-	if t.Exact == 0 {
-		if t.Approx == 0 {
-			return 0
-		}
-		return math.Inf(1)
-	}
-	d := float64(t.Approx) - float64(t.Exact)
-	return math.Abs(d) / float64(t.Exact)
-}
+// Fidelity comparison: one workload's counters on the exact oracle and on
+// the functional tier. The architectural counters — loads, stores,
+// branches, conditional branches, instructions — are exact by construction
+// in every tier, so any divergence there is a bug, not an approximation.
 
 // FidelityRow is one workload's counter comparison.
 type FidelityRow struct {
@@ -47,70 +19,4 @@ func (r FidelityRow) ArchExact() bool {
 		r.Exact.Branches == r.Approx.Branches &&
 		r.Exact.CondBranches == r.Approx.CondBranches &&
 		r.Exact.Instructions == r.Approx.Instructions
-}
-
-// Timing returns the timing-derived counters in presentation order.
-func (r FidelityRow) Timing() []TimingCounter {
-	return []TimingCounter{
-		{"cycles", r.Exact.Cycles, r.Approx.Cycles},
-		{"L1i-misses", r.Exact.L1IMisses, r.Approx.L1IMisses},
-		{"L1d-misses", r.Exact.L1DMisses, r.Approx.L1DMisses},
-		{"L2-misses", r.Exact.L2Misses, r.Approx.L2Misses},
-		{"branch-misses", r.Exact.BranchMiss, r.Approx.BranchMiss},
-	}
-}
-
-// WorstTiming returns the timing counter with the largest relative error,
-// considering only counters whose oracle value is at least floor: relative
-// error on a near-empty population (a workload with a handful of L2 misses)
-// measures noise, not sampling quality. floor 0 considers everything.
-func (r FidelityRow) WorstTiming(floor uint64) (TimingCounter, float64) {
-	var worst TimingCounter
-	worstRel := -1.0
-	for _, t := range r.Timing() {
-		if t.Exact < floor {
-			continue
-		}
-		if rel := t.Rel(); rel > worstRel {
-			worst, worstRel = t, rel
-		}
-	}
-	if worstRel < 0 {
-		return TimingCounter{}, 0
-	}
-	return worst, worstRel
-}
-
-// FidelityReport aggregates rows across a workload suite.
-type FidelityReport struct {
-	Tier string
-	Rows []FidelityRow
-}
-
-// Worst returns the suite-wide worst timing error (floor as in
-// FidelityRow.WorstTiming) and the workload/counter it occurred on.
-func (rep *FidelityReport) Worst(floor uint64) (workload string, tc TimingCounter, rel float64) {
-	for _, r := range rep.Rows {
-		if t, e := r.WorstTiming(floor); e > rel || workload == "" {
-			workload, tc, rel = r.Workload, t, e
-		}
-	}
-	return workload, tc, rel
-}
-
-// String renders the per-workload error table.
-func (rep *FidelityReport) String() string {
-	var sb strings.Builder
-	fmt.Fprintf(&sb, "fidelity error vs. exact (%s tier)\n", rep.Tier)
-	fmt.Fprintf(&sb, "%-14s %-14s %14s %14s %9s\n", "workload", "counter", "exact", rep.Tier, "rel.err")
-	for _, r := range rep.Rows {
-		if !r.ArchExact() {
-			fmt.Fprintf(&sb, "%-14s ARCHITECTURAL COUNTER MISMATCH\n", r.Workload)
-		}
-		for _, t := range r.Timing() {
-			fmt.Fprintf(&sb, "%-14s %-14s %14d %14d %8.3f%%\n",
-				r.Workload, t.Name, t.Exact, t.Approx, t.Rel()*100)
-		}
-	}
-	return sb.String()
 }

@@ -66,10 +66,10 @@ type Request struct {
 	// contents (base64 on the wire, per encoding/json []byte convention).
 	Files map[string][]byte `json:"files,omitempty"`
 
-	// Fidelity overrides the simulation tier ("exact", "functional",
-	// "sampled"); empty keeps the engine configuration's tier. The
-	// effective tier is part of the build's content address, so tiers
-	// never share cached artifacts.
+	// Fidelity overrides the simulation tier ("exact" or "functional");
+	// empty keeps the engine configuration's tier, and any other value is
+	// a ClassBadRequest. The effective tier is part of the build's content
+	// address, so tiers never share cached artifacts.
 	Fidelity string `json:"fidelity,omitempty"`
 
 	// Limits bounds this run: a wall-clock deadline and a retired-

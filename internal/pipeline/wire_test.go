@@ -26,13 +26,13 @@ func TestRequestWireGolden(t *testing.T) {
 		Engine:   "chrome",
 		Argv:     []string{"prog", "-n"},
 		Files:    map[string][]byte{"/in.txt": []byte("hi")},
-		Fidelity: "sampled",
+		Fidelity: "functional",
 		Limits: config.Limits{
 			Timeout:  config.Duration(300 * time.Millisecond),
 			MaxInsts: 1000,
 		},
 	}
-	const golden = `{"module":"int main() { return 0; }","engine":"chrome","argv":["prog","-n"],"files":{"/in.txt":"aGk="},"fidelity":"sampled","limits":{"timeout":"300ms","max_insts":1000}}`
+	const golden = `{"module":"int main() { return 0; }","engine":"chrome","argv":["prog","-n"],"files":{"/in.txt":"aGk="},"fidelity":"functional","limits":{"timeout":"300ms","max_insts":1000}}`
 	b, err := json.Marshal(req)
 	if err != nil {
 		t.Fatal(err)

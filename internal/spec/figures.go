@@ -25,7 +25,7 @@ type SuiteResults struct {
 // -fidelity flag (or $REPRO_FIDELITY) reaches every suite the binary runs.
 func (h *Harness) applyFidelity(cfgs []*codegen.EngineConfig) []*codegen.EngineConfig {
 	for _, cfg := range cfgs {
-		cfg.ApplyFidelity(h.Fidelity, h.SampleWindows)
+		cfg.Fidelity = h.Fidelity
 	}
 	return cfgs
 }

@@ -99,13 +99,11 @@ type Harness struct {
 	// (GOMAXPROCS).
 	Workers int
 
-	// Fidelity and SampleWindows select the simulation tier for the
-	// harness-owned suites (RunSPEC, RunPolybench, RunAsmJS). The zero value
-	// is the exact tier — today's behavior. Callers that pass their own
-	// configs to RunSuite set the tier on the configs instead
-	// (codegen.EngineConfig.ApplyFidelity).
-	Fidelity      codegen.Fidelity
-	SampleWindows codegen.SampleWindows
+	// Fidelity selects the simulation tier for the harness-owned suites
+	// (RunSPEC, RunPolybench, RunAsmJS). The zero value is the exact tier.
+	// Callers that pass their own configs to RunSuite set
+	// codegen.EngineConfig.Fidelity on the configs instead.
+	Fidelity codegen.Fidelity
 
 	// Logf, when set, receives per-suite reporting (the build-cache traffic
 	// a RunSuite generated: memory hits, disk hits, compiles). Wire it to

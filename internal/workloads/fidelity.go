@@ -1,10 +1,8 @@
 package workloads
 
-// Fidelity error measurement: run a workload set twice through the full
-// pipeline — once at the exact tier (the oracle) and once at an
-// approximating tier — and report the per-counter error (perf.FidelityReport).
-// This is the harness behind the sampled-accuracy pin test and the CI
-// accuracy smoke job.
+// Fidelity comparison: run a workload set twice through the full pipeline
+// — once at the exact tier (the oracle) and once at the functional tier —
+// and pair up the whole-run counters (perf.FidelityRow).
 
 import (
 	"context"
@@ -15,31 +13,31 @@ import (
 	"repro/internal/pipeline"
 )
 
-// MeasureFidelity runs every workload in suite under base at the exact tier
-// and again at tier f (with window overrides w) and returns the counter
-// comparison. base itself is never mutated; each run uses a copy, so the
-// two tiers get distinct content-addressed cache entries.
-func MeasureFidelity(ctx context.Context, suite []*Workload, base *codegen.EngineConfig, f codegen.Fidelity, w codegen.SampleWindows) (*perf.FidelityReport, error) {
-	rep := &perf.FidelityReport{Tier: f.String()}
+// MeasureFidelity runs every workload in suite under base at the exact
+// tier and again at the functional tier and returns the counter pairs.
+// base itself is never mutated; each run uses a copy, so the two tiers get
+// distinct content-addressed cache entries.
+func MeasureFidelity(ctx context.Context, suite []*Workload, base *codegen.EngineConfig) ([]perf.FidelityRow, error) {
+	var rows []perf.FidelityRow
 	for _, wl := range suite {
-		exact, err := runCounters(ctx, wl, base, codegen.FidelityExact, codegen.SampleWindows{})
+		exact, err := runCounters(ctx, wl, base, codegen.FidelityExact)
 		if err != nil {
 			return nil, fmt.Errorf("workloads: %s exact: %w", wl.Name, err)
 		}
-		approx, err := runCounters(ctx, wl, base, f, w)
+		approx, err := runCounters(ctx, wl, base, codegen.FidelityFunctional)
 		if err != nil {
-			return nil, fmt.Errorf("workloads: %s %s: %w", wl.Name, f, err)
+			return nil, fmt.Errorf("workloads: %s functional: %w", wl.Name, err)
 		}
-		rep.Rows = append(rep.Rows, perf.FidelityRow{Workload: wl.Name, Exact: exact, Approx: approx})
+		rows = append(rows, perf.FidelityRow{Workload: wl.Name, Exact: exact, Approx: approx})
 	}
-	return rep, nil
+	return rows, nil
 }
 
 // runCounters executes one workload at one tier and returns the machine's
 // whole-run counters (kernel plus program — everything simulated).
-func runCounters(ctx context.Context, w *Workload, base *codegen.EngineConfig, f codegen.Fidelity, sw codegen.SampleWindows) (perf.Counters, error) {
+func runCounters(ctx context.Context, w *Workload, base *codegen.EngineConfig, f codegen.Fidelity) (perf.Counters, error) {
 	cfg := *base
-	cfg.ApplyFidelity(f, sw)
+	cfg.Fidelity = f
 	res, err := pipeline.Do(ctx, &pipeline.Request{
 		Module: w.Source,
 		Config: &cfg,

@@ -79,7 +79,7 @@ func MeasureWeights(ctx context.Context, suite []*Workload) (map[string]uint64, 
 	out := make(map[string]uint64, len(suite))
 	base := codegen.Native()
 	for _, w := range suite {
-		c, err := runCounters(ctx, w, base, codegen.FidelityFunctional, codegen.SampleWindows{})
+		c, err := runCounters(ctx, w, base, codegen.FidelityFunctional)
 		if err != nil {
 			return nil, fmt.Errorf("workloads: %s: %w", w.Name, err)
 		}
