@@ -504,9 +504,8 @@ int main(int argc, char **argv) {
 	}
 	cm := compile(src)
 	spawn := func() { run(cm, nil) }
-	// Warm the pools with one recycled image per P. An exiting process
-	// parks its machine image and aux buffer in its P's private sync.Pool
-	// slot, which a Get on any other P cannot see. The spawning goroutine
+	// Warm the pool with one recycled image per P. An exiting process
+	// parks its machine image in its P's private sync.Pool slot, which a Get on any other P cannot see. The spawning goroutine
 	// changes P freely (b.ResetTimer stops the world), so with a single
 	// warm image the measured spawn misses whenever it runs on another P,
 	// and B/op reads a whole fresh image. A chain of GOMAXPROCS live
@@ -587,6 +586,60 @@ func BenchmarkCompileAllocs(b *testing.B) {
 					b.Fatal(err)
 				}
 			}
+		})
+	}
+}
+
+// frontEndBenchWorkloads are the programs the front-end and artifact
+// benchmarks run: 433.milc has the largest data section in the catalogue
+// (3.5 MB, almost all of it bss) and 2mm is a typical Polybench kernel.
+func frontEndBenchWorkloads() []*workloads.Workload {
+	return workloads.ByName(append(workloads.SPECCPU(), workloads.Polybench()...), "433.milc", "2mm")
+}
+
+// BenchmarkMinicCompile measures the mini-C front end alone (lex, parse,
+// wasm generation): ns/op and allocs/op per module.
+func BenchmarkMinicCompile(b *testing.B) {
+	for _, w := range frontEndBenchWorkloads() {
+		b.Run(w.Name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := minic.Compile(w.Source, minic.ABI32); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
+// BenchmarkArtifactDecode measures the artifact store's disk-hit path:
+// decoding one encoded chrome module per iteration (ns/op), plus the
+// artifact's size (artifact-bytes), which a data image carrying its bss
+// would inflate by megabytes.
+func BenchmarkArtifactDecode(b *testing.B) {
+	cfg := codegen.Chrome()
+	for _, w := range frontEndBenchWorkloads() {
+		b.Run(w.Name, func(b *testing.B) {
+			m, err := minic.Compile(w.Source, minic.ABI32)
+			if err != nil {
+				b.Fatal(err)
+			}
+			cm, err := codegen.Compile(m, cfg)
+			if err != nil {
+				b.Fatal(err)
+			}
+			art, err := codegen.EncodeModule(cm)
+			if err != nil {
+				b.Fatal(err)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, err := codegen.DecodeModule(art, cfg); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.ReportMetric(float64(len(art)), "artifact-bytes")
 		})
 	}
 }

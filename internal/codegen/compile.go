@@ -163,8 +163,6 @@ type CompiledModule struct {
 	Table   []TableEntry
 	// GlobalInit holds initial global values (raw bits).
 	GlobalInit []uint64
-	// Data segments to copy into linear memory at instantiation.
-	Data []wasm.Data
 	// MemPages is the initial linear-memory size in pages.
 	MemPages uint32
 	MemMax   uint32
@@ -382,7 +380,6 @@ func CompileContext(ctx context.Context, m *wasm.Module, cfg *EngineConfig) (*Co
 			cm.MemMax = x86.LinearMax / wasm.PageSize
 		}
 	}
-	cm.Data = m.Data
 	cm.Rodata = mctx.rodata
 	cm.HostImports = mctx.hostNames
 

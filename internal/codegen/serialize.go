@@ -34,8 +34,9 @@ import (
 // mismatch and fall back to a recompile.
 var artifactMagic = [4]byte{'R', 'P', 'A', 'M'}
 
-// ArtifactVersion is the current artifact format version.
-const ArtifactVersion = 1
+// ArtifactVersion is the current artifact format version. Version 2 stores
+// the data segments once, inside the embedded wasm module.
+const ArtifactVersion = 2
 
 // trailerSize is the sha256 integrity trailer length.
 const trailerSize = sha256.Size
@@ -84,13 +85,6 @@ func EncodeModule(cm *CompiledModule) ([]byte, error) {
 	e.uvarint(uint64(len(cm.GlobalInit)))
 	for _, v := range cm.GlobalInit {
 		e.u64(v)
-	}
-	e.uvarint(uint64(len(cm.Data)))
-	for _, d := range cm.Data {
-		e.uvarint(uint64(d.MemIdx))
-		e.u8(uint8(d.Offset.Op))
-		e.varint(d.Offset.I64)
-		e.bytes(d.Bytes)
 	}
 	e.u32(cm.MemPages)
 	e.u32(cm.MemMax)
@@ -212,15 +206,6 @@ func DecodeModule(data []byte, cfg *EngineConfig) (*CompiledModule, error) {
 	cm.GlobalInit = make([]uint64, n)
 	for i := 0; i < n && d.err == nil; i++ {
 		cm.GlobalInit[i] = d.u64()
-	}
-	n = d.count()
-	cm.Data = make([]wasm.Data, n)
-	for i := 0; i < n && d.err == nil; i++ {
-		cm.Data[i] = wasm.Data{
-			MemIdx: uint32(d.uvarint()),
-			Offset: wasm.Instr{Op: wasm.Opcode(d.u8()), I64: d.varint()},
-			Bytes:  d.bytes(),
-		}
 	}
 	cm.MemPages = d.u32()
 	cm.MemMax = d.u32()

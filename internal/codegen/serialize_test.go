@@ -2,10 +2,12 @@ package codegen_test
 
 import (
 	"bytes"
+	"reflect"
 	"testing"
 
 	"repro/internal/codegen"
 	"repro/internal/cpu"
+	"repro/internal/minic"
 )
 
 // buildArtifactModule compiles the shared matmul module (loops, floats,
@@ -19,10 +21,21 @@ func buildArtifactModule(t *testing.T, cfg *codegen.EngineConfig) *codegen.Compi
 	return cm
 }
 
+// dataProbeSrc has initialized scalars, a string literal and a 400 KB
+// zero-initialized array: bss the artifact must not carry.
+const dataProbeSrc = `
+int small = 7;
+double scale = 2.5;
+int big[100000];
+char *greet = "hello";
+int main() { big[5] = small; print_int(big[5]); return 0; }`
+
 // TestArtifactRoundTrip checks that an encoded module decodes to something
 // that executes bit-identically to the original: same result, same retired
 // instruction and cycle counters, same disassembly, and a byte-identical
-// re-encoding.
+// re-encoding. A module with data segments carries them once, in the
+// embedded wasm module, and loads the same initial linear memory after the
+// round trip.
 func TestArtifactRoundTrip(t *testing.T) {
 	for _, cfg := range engines() {
 		t.Run(cfg.Name, func(t *testing.T) {
@@ -86,6 +99,40 @@ func TestArtifactRoundTrip(t *testing.T) {
 			if !bytes.Equal(data, re) {
 				t.Errorf("re-encoding is not byte-identical (%d vs %d bytes)", len(data), len(re))
 			}
+
+			m, err := minic.Compile(dataProbeSrc, minic.ABI32)
+			if err != nil {
+				t.Fatal(err)
+			}
+			cm, err = codegen.Compile(m, cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if data, err = codegen.EncodeModule(cm); err != nil {
+				t.Fatal(err)
+			}
+			if len(data) > 64<<10 {
+				t.Errorf("artifact is %d bytes: the 400 KB bss array is stored", len(data))
+			}
+			if dec, err = codegen.DecodeModule(data, cfg); err != nil {
+				t.Fatal(err)
+			}
+			if len(cm.Module.Data) == 0 || !reflect.DeepEqual(dec.Module.Data, cm.Module.Data) {
+				t.Errorf("data segments %v after round trip, want %v", dec.Module.Data, cm.Module.Data)
+			}
+			orig, err := cpu.Load(cm)
+			if err != nil {
+				t.Fatal(err)
+			}
+			round, err := cpu.Load(dec)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(orig.Linear, round.Linear) {
+				t.Error("decoded module loads a different initial linear memory")
+			}
+			orig.ReleaseMemory()
+			round.ReleaseMemory()
 		})
 	}
 }
@@ -128,6 +175,12 @@ func TestArtifactRejectsDamage(t *testing.T) {
 		mut[4] = 0
 		if _, err := codegen.DecodeModule(mut, cfg); err == nil {
 			t.Error("version 0 not rejected")
+		}
+		// Version 1 stored the data segments a second time, after the
+		// module-level tables.
+		mut[4] = 1
+		if _, err := codegen.DecodeModule(mut, cfg); err == nil {
+			t.Error("version 1 not rejected")
 		}
 	})
 	t.Run("bad-magic", func(t *testing.T) {

@@ -48,7 +48,7 @@ func Load(cm *codegen.CompiledModule) (*Instance, error) {
 		}
 		m.SetTableEntry(slot, int64(te.SigID), int64(cm.Entries[te.FuncIdx]))
 	}
-	for _, d := range cm.Data {
+	for _, d := range cm.Module.Data {
 		off := int(d.Offset.I64)
 		if d.Offset.Op != wasm.OpI32Const {
 			return nil, fmt.Errorf("cpu: non-constant data offset")

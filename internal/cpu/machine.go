@@ -143,10 +143,9 @@ const (
 // allocations are saved. Release keeps that true at a cost proportional to
 // what the process touched: it clears the materialized linear prefix (the
 // spare capacity past it was never written) and only the cache sets that
-// installed a line. This mirrors the kernel's aux-buffer pool: the
-// Browsix-SPEC chain spawns three processes per run, and without recycling
-// each spawn allocates tens of MB of linear memory, globals, table, and
-// stack.
+// installed a line. The Browsix-SPEC chain spawns three processes per run,
+// and without recycling each spawn allocates tens of MB of linear memory,
+// globals, table, and stack.
 type machineMem struct {
 	linear, globals, tableMem, stack []byte
 	l1i, l1d, l2, l3                 *Cache

@@ -176,17 +176,25 @@ func drainPool() *machineMem {
 	}
 }
 
-// releaseAndDrain releases machines built by mk until the pool yields an
-// image. Under the race detector sync.Pool deliberately drops a fraction of
-// Puts, so a single release is not guaranteed to be observable; repeated
-// attempts make the drop probability vanish. Skips if the pool never
-// retains (pathological scheduling).
+// releaseAndDrain releases machines built by mk until the pool yields the
+// image just released, recognized by its globals buffer (always pooled).
+// An image an earlier test released can sit in another P's private slot,
+// which Get cannot see, and resurface once the goroutine runs on that P
+// again, so the last image drained is not necessarily this one. Under the
+// race detector sync.Pool deliberately drops a fraction of Puts, so a
+// single release is not guaranteed to be observable; repeated attempts make
+// the drop probability vanish. Skips if the pool never retains
+// (pathological scheduling).
 func releaseAndDrain(t *testing.T, mk func() *Machine) *machineMem {
 	t.Helper()
 	for i := 0; i < 32; i++ {
-		mk().ReleaseMemory()
-		if mm := drainPool(); mm != nil {
-			return mm
+		m := mk()
+		globals := &m.globals[0]
+		m.ReleaseMemory()
+		for v := memPool.Get(); v != nil; v = memPool.Get() {
+			if mm := v.(*machineMem); &mm.globals[0] == globals {
+				return mm
+			}
 		}
 	}
 	t.Skip("sync.Pool retained nothing after 32 releases (race-mode drops)")

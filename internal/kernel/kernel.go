@@ -41,17 +41,6 @@ const (
 	ServiceCycles = 900
 )
 
-// auxPool recycles aux buffers across process lifetimes: the buffer is
-// pure staging (every syscall writes the region it then reads), so a
-// recycled buffer's stale contents are never observable, and reuse avoids
-// zeroing 64 MB on every spawn.
-var auxPool = sync.Pool{
-	New: func() any {
-		b := make([]byte, AuxBufferSize)
-		return &b
-	},
-}
-
 // ExitError unwinds a process on exit().
 type ExitError struct{ Code int }
 
@@ -169,6 +158,8 @@ type Process struct {
 	fdmu sync.Mutex
 	fds  []*FD
 
+	// aux is the host side of the aux buffer, grown on demand (auxView) up
+	// to AuxBufferSize.
 	aux []byte
 
 	// BrowsixCycles accumulates simulated time spent in the kernel and the
@@ -222,16 +213,31 @@ func (p *Process) chargeCopy(n int) {
 	p.chargeBrowsix(uint64(float64(n)*CopyCyclesPerByte) + uint64(chunks-1)*MsgRoundTripCycles)
 }
 
+// auxView returns the first n bytes (n <= AuxBufferSize) of the aux
+// buffer. The simulated buffer is always 64 MB — chunking and copy charges
+// follow AuxBufferSize — but the host buffer grows on demand, so a process
+// that moves a few KB through syscalls never allocates and zeroes 64 MB.
+// The buffer is pure staging (every syscall writes the region it then
+// reads), so growing it needs no copy.
+func (p *Process) auxView(n int) []byte {
+	if n > len(p.aux) {
+		p.aux = make([]byte, min(max(n, 2*len(p.aux)), AuxBufferSize))
+	}
+	return p.aux[:n]
+}
+
 // copyIn copies process-memory bytes into the aux buffer (for syscalls that
-// pass buffers to the kernel) and returns the aux view.
+// pass buffers to the kernel) and returns the aux view. n must not exceed
+// AuxBufferSize: callers chunk larger transfers.
 func (p *Process) copyIn(addr, n uint32) ([]byte, error) {
 	src, ok := p.Inst.LinearRange(addr, n)
 	if !ok {
 		return nil, errors.New("fault: bad address")
 	}
-	c := copy(p.aux, src)
-	p.chargeCopy(c)
-	return p.aux[:c], nil
+	view := p.auxView(len(src))
+	copy(view, src)
+	p.chargeCopy(len(view))
+	return view, nil
 }
 
 // copyOut copies aux-buffer bytes back into process memory.
@@ -306,7 +312,6 @@ func (k *Kernel) Spawn(parent *Process, path string, argv []string, stdio [3]*FD
 		Inst:   inst,
 		Args:   argv,
 		Path:   path,
-		aux:    *auxPool.Get().(*[]byte),
 		done:   make(chan struct{}),
 		parent: parent,
 	}
@@ -341,11 +346,6 @@ func (p *Process) run() {
 	if p.budgeted {
 		defer sched.Shared().Release(1)
 	}
-	defer func() {
-		aux := p.aux
-		p.aux = nil
-		auxPool.Put(&aux)
-	}()
 	// A process's memory image dies with it, like a real exiting process:
 	// what it touched of the machine's image is cleared and the image is
 	// recycled for future spawns.

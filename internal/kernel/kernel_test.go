@@ -60,12 +60,34 @@ func TestCopyOutMemoryRecyclesZero(t *testing.T) {
 		if full := r.Linear[:cap(r.Linear)]; bytes.Count(full, []byte{0}) != len(full) {
 			t.Fatal("recycled linear buffer is dirty")
 		}
-		q := &Process{Inst: &cpu.Instance{Machine: r}, aux: make([]byte, size)}
+		q := &Process{Inst: &cpu.Instance{Machine: r}}
 		view, err := q.copyIn(0, uint32(size))
 		if err != nil || len(view) != size || bytes.Count(view, []byte{0}) != size {
 			t.Fatalf("copyIn of recycled memory: %d bytes, err %v", len(view), err)
 		}
 		r.ReleaseMemory()
+	}
+}
+
+// TestAuxGrowsOnDemand checks the host aux buffer grows with the transfers
+// a process makes rather than starting at 64 MB, and that the copy charges
+// stay those of the simulated 64 MB buffer whatever its host size.
+func TestAuxGrowsOnDemand(t *testing.T) {
+	m := cpu.NewMachine(x86.NewProgram(), 4, 4)
+	defer m.ReleaseMemory()
+	p := &Process{Inst: &cpu.Instance{Machine: m}}
+	for _, n := range []uint32{100, 3000, 200000, 100} {
+		before := p.BrowsixCycles
+		view, err := p.copyIn(0, n)
+		if err != nil || len(view) != int(n) {
+			t.Fatalf("copyIn(%d): %d bytes, err %v", n, len(view), err)
+		}
+		if got, want := p.BrowsixCycles-before, uint64(float64(n)*CopyCyclesPerByte); got != want {
+			t.Errorf("copyIn(%d) charged %d cycles, want %d", n, got, want)
+		}
+		if len(p.aux) > 2*200000 {
+			t.Errorf("after copyIn(%d) the host aux buffer is %d bytes", n, len(p.aux))
+		}
 	}
 }
 

@@ -153,18 +153,16 @@ func sysRead(p *Process, a [4]uint32) (int32, error) {
 	buf := a[1]
 	// Chunk reads at the aux-buffer size (§2).
 	for total < n {
-		chunk := n - total
-		if chunk > len(p.aux) {
-			chunk = len(p.aux)
-		}
-		got, err := f.Read(p.aux[:chunk])
+		chunk := min(n-total, AuxBufferSize)
+		view := p.auxView(chunk)
+		got, err := f.Read(view)
 		if err != nil {
 			return -5, nil // EIO
 		}
 		if got == 0 {
 			break
 		}
-		if err := p.copyOut(buf+uint32(total), p.aux[:got]); err != nil {
+		if err := p.copyOut(buf+uint32(total), view[:got]); err != nil {
 			return -14, nil
 		}
 		total += got
@@ -184,10 +182,7 @@ func sysWrite(p *Process, a [4]uint32) (int32, error) {
 	total := 0
 	buf := a[1]
 	for total < n {
-		chunk := n - total
-		if chunk > len(p.aux) {
-			chunk = len(p.aux)
-		}
+		chunk := min(n-total, AuxBufferSize)
 		view, err := p.copyIn(buf+uint32(total), uint32(chunk))
 		if err != nil {
 			return -14, nil

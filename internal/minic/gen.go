@@ -1,9 +1,12 @@
 package minic
 
 import (
+	"bytes"
+	"cmp"
 	"encoding/binary"
 	"fmt"
 	"math"
+	"slices"
 
 	"repro/internal/wasm"
 )
@@ -58,7 +61,12 @@ type gen struct {
 	abi  ABI
 	b    *wasm.ModuleBuilder
 
-	data       []byte // image starting at dataBase
+	// The data image starting at dataBase is dataLen bytes long, of which
+	// only the runs carry bytes (in runBytes); the rest is bss, left to
+	// zero-initialized linear memory as Emscripten does.
+	dataLen    int
+	runs       []dataRun
+	runBytes   []byte
 	globalAddr map[string]int64
 	globalType map[string]*Type
 	strAddr    map[string]int64
@@ -73,6 +81,14 @@ type gen struct {
 	heapGlobal uint32
 	heapEndG   uint32
 }
+
+// dataRun is one initialized run of the data image: runBytes[lo:hi] at
+// image offset off.
+type dataRun struct{ off, lo, hi int }
+
+// maxZeroGap is the longest zero stretch merged into a segment rather than
+// splitting it: a segment header costs about as many bytes.
+const maxZeroGap = 8
 
 type funcInfo struct {
 	decl *FuncDecl
@@ -121,9 +137,8 @@ func (g *gen) run() error {
 			return fmt.Errorf("minic: line %d: bad global type", gd.Line)
 		}
 		a := gd.Type.alignof(g.abi.PtrSize)
-		off := alignUp(dataBase+len(g.data), a) - dataBase
-		sz := gd.Type.size(g.abi.PtrSize)
-		g.data = append(g.data, make([]byte, off+sz-len(g.data))...)
+		off := alignUp(dataBase+g.dataLen, a) - dataBase
+		g.dataLen = off + gd.Type.size(g.abi.PtrSize)
 		g.globalAddr[gd.Name] = int64(dataBase + off)
 		g.globalType[gd.Name] = gd.Type
 	}
@@ -153,7 +168,12 @@ func (g *gen) run() error {
 	}
 
 	// Memory layout: after data comes the shadow stack, then the heap.
-	stackBase := alignUp(dataBase+len(g.data), 16)
+	//
+	// Open fidelity decision: string literals interned later, while the
+	// functions are generated, land past stackBase, in the lowest bytes of
+	// the shadow stack. Moving them below would shift every simulated
+	// address, so the layout keeps them there (see ROADMAP).
+	stackBase := alignUp(dataBase+g.dataLen, 16)
 	stackTop := stackBase + g.abi.StackSize
 	heapBase := stackTop
 	heapEnd := heapBase + g.abi.HeapSize
@@ -200,10 +220,8 @@ func (g *gen) run() error {
 	fb.LocalGet(2)
 	g.b.Export("_start", wasm.ExternFunc, fb.Index())
 
-	// Data segment + function table.
-	if len(g.data) > 0 {
-		g.b.Data(dataBase, g.data)
-	}
+	// Data segments + function table.
+	g.emitData()
 	g.b.Table(uint32(len(g.table)))
 	var elems []uint32
 	for _, name := range g.table[1:] {
@@ -241,16 +259,47 @@ func (g *gen) valType(t *Type) wasm.ValType {
 	return wasm.I32
 }
 
-// internString places a NUL-terminated literal in the data image.
+// internString places a NUL-terminated literal at the end of the data
+// image.
 func (g *gen) internString(s string) int64 {
 	if a, ok := g.strAddr[s]; ok {
 		return a
 	}
-	addr := int64(dataBase + len(g.data))
-	g.data = append(g.data, s...)
-	g.data = append(g.data, 0)
+	addr := int64(dataBase + g.dataLen)
+	g.runs = append(g.runs, dataRun{off: g.dataLen, lo: len(g.runBytes), hi: len(g.runBytes) + len(s)})
+	g.runBytes = append(g.runBytes, s...)
+	g.dataLen += len(s) + 1
 	g.strAddr[s] = addr
 	return addr
+}
+
+// emitData turns the initialized runs into data segments: sorted by
+// offset, trimmed of zero edges, and merged across zero gaps of at most
+// maxZeroGap bytes. Runs never overlap (initGlobal keeps every write inside
+// its global), and no segment is all zero.
+func (g *gen) emitData() {
+	slices.SortFunc(g.runs, func(a, b dataRun) int { return cmp.Compare(a.off, b.off) })
+	var seg []byte
+	start := 0
+	for _, r := range g.runs {
+		b := bytes.TrimLeft(g.runBytes[r.lo:r.hi], "\x00")
+		off := r.off + (r.hi - r.lo - len(b))
+		if b = bytes.TrimRight(b, "\x00"); len(b) == 0 {
+			continue
+		}
+		if seg != nil && off-(start+len(seg)) > maxZeroGap {
+			g.b.Data(int32(dataBase+start), seg)
+			seg = nil
+		}
+		if seg == nil {
+			start = off
+		}
+		seg = append(seg, make([]byte, off-(start+len(seg)))...)
+		seg = append(seg, b...)
+	}
+	if seg != nil {
+		g.b.Data(int32(dataBase+start), seg)
+	}
 }
 
 // tableIndexOf assigns (or returns) the table slot for a function.
@@ -267,36 +316,45 @@ func (g *gen) tableIndexOf(name string) (int, error) {
 	return slot, nil
 }
 
-// initGlobal writes constant initializers into the data image.
+// initGlobal records constant initializers as runs of the data image.
 func (g *gen) initGlobal(gd *GlobalDecl) error {
-	base := g.globalAddr[gd.Name] - dataBase
-	write := func(off int64, t *Type, e *Expr) error {
+	base := int(g.globalAddr[gd.Name]) - dataBase
+	end := base + gd.Type.size(g.abi.PtrSize)
+	write := func(off int, t *Type, e *Expr) error {
 		iv, fv, isF, err := g.constEval(e)
 		if err != nil {
 			return fmt.Errorf("minic: line %d: global %s: %w", gd.Line, gd.Name, err)
 		}
+		var buf [8]byte
+		n := 4
 		switch {
 		case t.Kind == TDouble:
 			v := fv
 			if !isF {
 				v = float64(iv)
 			}
-			binary.LittleEndian.PutUint64(g.data[off:], math.Float64bits(v))
+			binary.LittleEndian.PutUint64(buf[:], math.Float64bits(v))
+			n = 8
 		case t.Kind == TFloat:
 			v := fv
 			if !isF {
 				v = float64(iv)
 			}
-			binary.LittleEndian.PutUint32(g.data[off:], math.Float32bits(float32(v)))
-		case t.is64():
-			binary.LittleEndian.PutUint64(g.data[off:], uint64(iv))
+			binary.LittleEndian.PutUint32(buf[:], math.Float32bits(float32(v)))
+		case t.is64(), t.Kind == TPtr && g.abi.PtrSize == 8:
+			binary.LittleEndian.PutUint64(buf[:], uint64(iv))
+			n = 8
 		case t.Kind == TChar:
-			g.data[off] = byte(iv)
-		case t.Kind == TPtr && g.abi.PtrSize == 8:
-			binary.LittleEndian.PutUint64(g.data[off:], uint64(iv))
+			buf[0] = byte(iv)
+			n = 1
 		default:
-			binary.LittleEndian.PutUint32(g.data[off:], uint32(iv))
+			binary.LittleEndian.PutUint32(buf[:], uint32(iv))
 		}
+		if off+n > end {
+			return fmt.Errorf("minic: line %d: global %s: initializer does not fit", gd.Line, gd.Name)
+		}
+		g.runs = append(g.runs, dataRun{off: off, lo: len(g.runBytes), hi: len(g.runBytes) + n})
+		g.runBytes = append(g.runBytes, buf[:n]...)
 		return nil
 	}
 	if gd.Init != nil {
@@ -306,9 +364,9 @@ func (g *gen) initGlobal(gd *GlobalDecl) error {
 		if gd.Type.Kind != TArray {
 			return fmt.Errorf("minic: line %d: initializer list on non-array", gd.Line)
 		}
-		esz := int64(gd.Type.Elem.size(g.abi.PtrSize))
+		esz := gd.Type.Elem.size(g.abi.PtrSize)
 		for i, e := range gd.InitList {
-			if err := write(base+int64(i)*esz, gd.Type.Elem, e); err != nil {
+			if err := write(base+i*esz, gd.Type.Elem, e); err != nil {
 				return err
 			}
 		}

@@ -12,6 +12,7 @@ package minic
 
 import (
 	"fmt"
+	"strconv"
 	"strings"
 )
 
@@ -168,26 +169,30 @@ lexed:
 	}
 
 	// Punctuation: longest match first.
-	three := []string{"<<=", ">>=", "..."}
-	two := []string{
-		"<<", ">>", "<=", ">=", "==", "!=", "&&", "||", "->",
-		"+=", "-=", "*=", "/=", "%=", "&=", "|=", "^=", "++", "--",
-	}
-	for _, p := range three {
+	for _, p := range punct3 {
 		if strings.HasPrefix(lx.src[lx.pos:], p) {
 			lx.pos += 3
 			return token{kind: tPunct, text: p, line: lx.line}, nil
 		}
 	}
-	for _, p := range two {
+	for _, p := range punct2 {
 		if strings.HasPrefix(lx.src[lx.pos:], p) {
 			lx.pos += 2
 			return token{kind: tPunct, text: p, line: lx.line}, nil
 		}
 	}
 	lx.pos++
-	return token{kind: tPunct, text: string(c), line: lx.line}, nil
+	return token{kind: tPunct, text: lx.src[lx.pos-1 : lx.pos], line: lx.line}, nil
 }
+
+// Multi-character punctuation, matched longest first.
+var (
+	punct3 = []string{"<<=", ">>=", "..."}
+	punct2 = []string{
+		"<<", ">>", "<=", ">=", "==", "!=", "&&", "||", "->",
+		"+=", "-=", "*=", "/=", "%=", "&=", "|=", "^=", "++", "--",
+	}
+)
 
 func (lx *lexer) lexNumber() (token, error) {
 	start := lx.pos
@@ -197,9 +202,8 @@ func (lx *lexer) lexNumber() (token, error) {
 		for isHex(lx.peekc()) {
 			lx.pos++
 		}
-		var v int64
-		fmt.Sscanf(lx.src[start:lx.pos], "%v", &v)
-		_, err := fmt.Sscanf(lx.src[start+2:lx.pos], "%x", &v)
+		// ParseInt, not ParseUint: literals past MaxInt64 are rejected.
+		v, err := strconv.ParseInt(lx.src[start+2:lx.pos], 16, 64)
 		if err != nil {
 			return token{}, lx.errf("bad hex literal %q", lx.src[start:lx.pos])
 		}
@@ -228,8 +232,8 @@ func (lx *lexer) lexNumber() (token, error) {
 	}
 	text := lx.src[start:lx.pos]
 	if isFloat || lx.peekc() == 'f' || lx.peekc() == 'F' {
-		var f float64
-		if _, err := fmt.Sscanf(text, "%g", &f); err != nil {
+		f, err := strconv.ParseFloat(text, 64)
+		if err != nil {
 			return token{}, lx.errf("bad float literal %q", text)
 		}
 		if lx.peekc() == 'f' || lx.peekc() == 'F' {
@@ -237,8 +241,8 @@ func (lx *lexer) lexNumber() (token, error) {
 		}
 		return token{kind: tFloat, text: text, fval: f, line: lx.line}, nil
 	}
-	var v int64
-	if _, err := fmt.Sscanf(text, "%d", &v); err != nil {
+	v, err := strconv.ParseInt(text, 10, 64)
+	if err != nil {
 		return token{}, lx.errf("bad int literal %q", text)
 	}
 	lx.skipIntSuffix()

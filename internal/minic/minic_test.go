@@ -420,6 +420,7 @@ func TestCompileErrors(t *testing.T) {
 		`int main() { if (1) }`,
 		`int f(struct S s) { return 0; } int main() { return 0; }`,
 		`int main() { break; }`,
+		`int a[2] = {1, 2, 3}; int main() { return 0; }`,
 	}
 	for _, src := range cases {
 		if _, err := minic.Compile(src, minic.ABI32); err == nil {

@@ -148,6 +148,18 @@ func TestStoreCorruptionFallsBackToRecompile(t *testing.T) {
 				t.Fatal(err)
 			}
 		}},
+		// An artifact a version-1 build left in the store (data segments
+		// stored twice) reads as a miss and is recompiled.
+		{"version-1", func(t *testing.T, p string) {
+			data, err := os.ReadFile(p)
+			if err != nil {
+				t.Fatal(err)
+			}
+			data[4] = 1
+			if err := os.WriteFile(p, data, 0o644); err != nil {
+				t.Fatal(err)
+			}
+		}},
 		{"empty", func(t *testing.T, p string) {
 			if err := os.WriteFile(p, nil, 0o644); err != nil {
 				t.Fatal(err)

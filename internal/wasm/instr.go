@@ -368,8 +368,14 @@ func OpName(op Opcode) string {
 	return fmt.Sprintf("op(0x%02x)", byte(op))
 }
 
+// knownOps indexes opNames by opcode byte, so the decoder's per-instruction
+// check is an array load rather than a map lookup.
+var knownOps = func() (t [256]bool) {
+	for op := range opNames {
+		t[op] = true
+	}
+	return t
+}()
+
 // KnownOpcode reports whether op is a supported MVP opcode.
-func KnownOpcode(op Opcode) bool {
-	_, ok := opNames[op]
-	return ok
-}
+func KnownOpcode(op Opcode) bool { return knownOps[op] }
