@@ -613,33 +613,41 @@ func BenchmarkMinicCompile(b *testing.B) {
 }
 
 // BenchmarkArtifactDecode measures the artifact store's disk-hit path:
-// decoding one encoded chrome module per iteration (ns/op), plus the
-// artifact's size (artifact-bytes), which a data image carrying its bss
-// would inflate by megabytes.
+// decoding one encoded module per iteration (ns/op), plus the artifact's
+// size (artifact-bytes), which a data image carrying its bss would inflate
+// by megabytes. <workload> decodes a chrome module (wasm32 data model);
+// <workload>-native decodes a native one, compiled with 8-byte pointers.
 func BenchmarkArtifactDecode(b *testing.B) {
-	cfg := codegen.Chrome()
+	models := []struct {
+		suffix string
+		cfg    *codegen.EngineConfig
+		abi    minic.ABI
+	}{{"", codegen.Chrome(), minic.ABI32}, {"-native", codegen.Native(), minic.ABI64}}
 	for _, w := range frontEndBenchWorkloads() {
-		b.Run(w.Name, func(b *testing.B) {
-			m, err := minic.Compile(w.Source, minic.ABI32)
-			if err != nil {
-				b.Fatal(err)
-			}
-			cm, err := codegen.Compile(m, cfg)
-			if err != nil {
-				b.Fatal(err)
-			}
-			art, err := codegen.EncodeModule(cm)
-			if err != nil {
-				b.Fatal(err)
-			}
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if _, err := codegen.DecodeModule(art, cfg); err != nil {
+		for _, dm := range models {
+			b.Run(w.Name+dm.suffix, func(b *testing.B) {
+				cfg := dm.cfg
+				m, err := minic.Compile(w.Source, dm.abi)
+				if err != nil {
 					b.Fatal(err)
 				}
-			}
-			b.ReportMetric(float64(len(art)), "artifact-bytes")
-		})
+				cm, err := codegen.Compile(m, cfg)
+				if err != nil {
+					b.Fatal(err)
+				}
+				art, err := codegen.EncodeModule(cm)
+				if err != nil {
+					b.Fatal(err)
+				}
+				b.ReportAllocs()
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					if _, err := codegen.DecodeModule(art, cfg); err != nil {
+						b.Fatal(err)
+					}
+				}
+				b.ReportMetric(float64(len(art)), "artifact-bytes")
+			})
+		}
 	}
 }

@@ -272,7 +272,8 @@ func TestDrainCompletesInFlight(t *testing.T) {
 // TestAdmissionRejects: with one slot and a zero-depth queue, a second
 // concurrent request is turned away with 429, not queued forever.
 func TestAdmissionRejects(t *testing.T) {
-	ts := httptest.NewServer(newServer(1, 0, nil).handler())
+	srv := newServer(1, 0, nil)
+	ts := httptest.NewServer(srv.handler())
 	defer ts.Close()
 
 	release := make(chan struct{})
@@ -285,9 +286,14 @@ func TestAdmissionRejects(t *testing.T) {
 		_ = res
 		_ = code
 	}()
-	// Busy-wait for the slot to be taken, then collide with it. If the
-	// first run finishes before we get our request in, the test still
-	// passes vacuously on the retry check below, so spin fast.
+	// Wait until the busy request holds the only slot: a colliding request
+	// sent earlier can win the slot itself and get the busy one refused.
+	for i := 0; srv.inflight.Load() == 0 && i < 500; i++ {
+		time.Sleep(2 * time.Millisecond)
+	}
+	// Then collide with it. If the first run finishes before we get our
+	// request in, the test still passes vacuously on the retry check
+	// below, so spin fast.
 	deadline := time.Now().Add(5 * time.Second)
 	got429 := false
 	for time.Now().Before(deadline) {

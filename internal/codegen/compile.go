@@ -154,18 +154,32 @@ type FuncStats struct {
 	NumBlocks int
 }
 
-// CompiledModule is the output of compiling a module for one engine.
+// DataSegment is one initialized region of linear memory, its constant
+// offset expression resolved at compile time.
+type DataSegment struct {
+	Offset uint32
+	Bytes  []byte
+}
+
+// CompiledModule is the output of compiling a module for one engine: the
+// machine program plus exactly what loading and invoking it read. It keeps
+// no reference to the source wasm module, so neither an artifact nor the
+// in-memory build cache carries function bodies that no run reads.
 type CompiledModule struct {
 	Engine  *EngineConfig
-	Module  *wasm.Module
 	Prog    *x86.Program
 	Entries []int // module-function index -> instruction index
-	Table   []TableEntry
+	// Sigs holds each module-defined function's signature, indexed like
+	// Entries; Invoke places arguments and reads results by it.
+	Sigs  []wasm.FuncType
+	Table []TableEntry
 	// GlobalInit holds initial global values (raw bits).
 	GlobalInit []uint64
 	// MemPages is the initial linear-memory size in pages.
 	MemPages uint32
 	MemMax   uint32
+	// Data holds the data segments cpu.Load copies into linear memory.
+	Data []DataSegment
 	// Rodata is mapped at x86.RodataBase.
 	Rodata []byte
 	// HostImports lists imported functions in index order ("env.name").
@@ -229,7 +243,7 @@ func CompileContext(ctx context.Context, m *wasm.Module, cfg *EngineConfig) (*Co
 	}
 
 	// Table.
-	cm := &CompiledModule{Engine: cfg, Module: m, Exports: map[string]int{}}
+	cm := &CompiledModule{Engine: cfg, Exports: map[string]int{}}
 	if len(m.Tables) > 0 {
 		mctx.tableSize = int(m.Tables[0].Limits.Min)
 		cm.Table = make([]TableEntry, mctx.tableSize)
@@ -352,15 +366,18 @@ func CompileContext(ctx context.Context, m *wasm.Module, cfg *EngineConfig) (*Co
 		cm.Stats[i].CodeBytes = bytes
 	}
 
-	// Entries.
+	// Entries and signatures; lowering has already indexed m.Types with
+	// every function's TypeIdx, so each is in range.
 	cm.Prog = prog
 	cm.Entries = make([]int, len(m.Funcs))
+	cm.Sigs = make([]wasm.FuncType, len(m.Funcs))
 	for i, l := range mctx.funcLabel {
 		idx, ok := prog.LabelTarget(l)
 		if !ok {
 			return nil, fmt.Errorf("codegen: function %d entry label unresolved", i)
 		}
 		cm.Entries[i] = idx
+		cm.Sigs[i] = m.Types[m.Funcs[i].TypeIdx]
 	}
 
 	// Globals.
@@ -379,6 +396,13 @@ func CompileContext(ctx context.Context, m *wasm.Module, cfg *EngineConfig) (*Co
 		if !m.Mems[0].HasMax {
 			cm.MemMax = x86.LinearMax / wasm.PageSize
 		}
+	}
+	for i, d := range m.Data {
+		off, err := constI32(d.Offset)
+		if err != nil {
+			return nil, fmt.Errorf("codegen: data segment %d: non-constant offset", i)
+		}
+		cm.Data = append(cm.Data, DataSegment{Offset: uint32(off), Bytes: d.Bytes})
 	}
 	cm.Rodata = mctx.rodata
 	cm.HostImports = mctx.hostNames

@@ -26,7 +26,10 @@ import (
 // and function entry labels are recoverable from FuncInfo, so both are
 // reconstructed on decode. The engine configuration is not stored either —
 // the content address (pipeline.Key) already covers every EngineConfig field,
-// so the decoder takes the caller's config and reattaches it.
+// so the decoder takes the caller's config and reattaches it. Nor is the
+// source wasm module: a run reads only each function's signature and the
+// data segments, which are stored as plain fields, so a disk hit never
+// decodes a function body.
 
 // artifactMagic and ArtifactVersion prefix every encoded module. Bump the
 // version whenever the payload layout, the Inst field set, or anything else
@@ -34,9 +37,10 @@ import (
 // mismatch and fall back to a recompile.
 var artifactMagic = [4]byte{'R', 'P', 'A', 'M'}
 
-// ArtifactVersion is the current artifact format version. Version 2 stores
-// the data segments once, inside the embedded wasm module.
-const ArtifactVersion = 2
+// ArtifactVersion is the current artifact format version. Version 3 stores
+// function signatures and resolved data segments in place of the embedded
+// wasm module that versions 1 and 2 carried.
+const ArtifactVersion = 3
 
 // trailerSize is the sha256 integrity trailer length.
 const trailerSize = sha256.Size
@@ -46,15 +50,12 @@ const headerSize = 8
 
 // EncodeModule serializes cm into the artifact format.
 func EncodeModule(cm *CompiledModule) ([]byte, error) {
-	if cm == nil || cm.Prog == nil || cm.Module == nil {
+	if cm == nil || cm.Prog == nil {
 		return nil, fmt.Errorf("codegen: cannot encode incomplete module")
 	}
 	e := &encBuf{}
 	e.raw(artifactMagic[:])
 	e.u32(ArtifactVersion)
-
-	// Source wasm module, through the existing binary codec.
-	e.bytes(wasm.Encode(cm.Module))
 
 	// Program.
 	p := cm.Prog
@@ -77,6 +78,11 @@ func EncodeModule(cm *CompiledModule) ([]byte, error) {
 	for _, v := range cm.Entries {
 		e.uvarint(uint64(v))
 	}
+	e.uvarint(uint64(len(cm.Sigs)))
+	for _, ft := range cm.Sigs {
+		e.valTypes(ft.Params)
+		e.valTypes(ft.Results)
+	}
 	e.uvarint(uint64(len(cm.Table)))
 	for _, te := range cm.Table {
 		e.varint(int64(te.SigID))
@@ -88,6 +94,11 @@ func EncodeModule(cm *CompiledModule) ([]byte, error) {
 	}
 	e.u32(cm.MemPages)
 	e.u32(cm.MemMax)
+	e.uvarint(uint64(len(cm.Data)))
+	for _, seg := range cm.Data {
+		e.u32(seg.Offset)
+		e.bytes(seg.Bytes)
+	}
 	e.bytes(cm.Rodata)
 	e.strs(cm.HostImports)
 
@@ -124,9 +135,21 @@ func EncodeModule(cm *CompiledModule) ([]byte, error) {
 // current format version, and the sha256 integrity trailer — without
 // decoding it into a module. The remote cache tier calls it on every
 // fetched payload (and the serving side on every published one) so corrupt
-// bytes are rejected before any decoder state is built from them; a full
-// DecodeModule still re-verifies and bounds-checks everything.
+// bytes are rejected before any decoder state is built from them.
 func VerifyArtifact(data []byte) error {
+	if err := checkHeader(data); err != nil {
+		return err
+	}
+	payload, trailer := data[:len(data)-trailerSize], data[len(data)-trailerSize:]
+	sum := sha256.Sum256(payload)
+	if subtle.ConstantTimeCompare(sum[:], trailer) != 1 {
+		return fmt.Errorf("codegen: artifact integrity check failed")
+	}
+	return nil
+}
+
+// checkHeader checks the artifact's length, magic and format version.
+func checkHeader(data []byte) error {
 	if len(data) < headerSize+trailerSize {
 		return fmt.Errorf("codegen: artifact truncated (%d bytes)", len(data))
 	}
@@ -137,11 +160,6 @@ func VerifyArtifact(data []byte) error {
 	}
 	if v := binary.LittleEndian.Uint32(data[4:8]); v != ArtifactVersion {
 		return fmt.Errorf("codegen: artifact version %d, want %d", v, ArtifactVersion)
-	}
-	payload, trailer := data[:len(data)-trailerSize], data[len(data)-trailerSize:]
-	sum := sha256.Sum256(payload)
-	if subtle.ConstantTimeCompare(sum[:], trailer) != 1 {
-		return fmt.Errorf("codegen: artifact integrity check failed")
 	}
 	return nil
 }
@@ -154,20 +172,25 @@ func DecodeModule(data []byte, cfg *EngineConfig) (*CompiledModule, error) {
 	if err := VerifyArtifact(data); err != nil {
 		return nil, err
 	}
-	payload := data[:len(data)-trailerSize]
+	return decodePayload(data, cfg)
+}
 
-	d := &decBuf{b: payload[headerSize:]}
+// DecodeVerifiedModule is DecodeModule for bytes that have already passed
+// VerifyArtifact, such as a remote cache hit: it checks the header but does
+// not hash the payload a second time. Every bounds and cross-reference check
+// still runs, so damaged input fails with an error, never a panic.
+func DecodeVerifiedModule(data []byte, cfg *EngineConfig) (*CompiledModule, error) {
+	if err := checkHeader(data); err != nil {
+		return nil, err
+	}
+	return decodePayload(data, cfg)
+}
+
+// decodePayload decodes the payload between a checked header and the
+// trailer.
+func decodePayload(data []byte, cfg *EngineConfig) (*CompiledModule, error) {
+	d := &decBuf{b: data[headerSize : len(data)-trailerSize]}
 	cm := &CompiledModule{Engine: cfg, Exports: map[string]int{}}
-
-	mb := d.bytes()
-	if d.err != nil {
-		return nil, d.err
-	}
-	m, err := wasm.Decode(mb)
-	if err != nil {
-		return nil, fmt.Errorf("codegen: embedded wasm module: %w", err)
-	}
-	cm.Module = m
 
 	p := x86.NewProgram()
 	n := d.count()
@@ -197,6 +220,7 @@ func DecodeModule(data []byte, cfg *EngineConfig) (*CompiledModule, error) {
 	for i := 0; i < n && d.err == nil; i++ {
 		cm.Entries[i] = int(d.uvarint())
 	}
+	cm.Sigs = decodeSigs(d)
 	n = d.count()
 	cm.Table = make([]TableEntry, n)
 	for i := 0; i < n && d.err == nil; i++ {
@@ -209,6 +233,12 @@ func DecodeModule(data []byte, cfg *EngineConfig) (*CompiledModule, error) {
 	}
 	cm.MemPages = d.u32()
 	cm.MemMax = d.u32()
+	n = d.count()
+	cm.Data = make([]DataSegment, n)
+	for i := 0; i < n && d.err == nil; i++ {
+		cm.Data[i].Offset = d.u32()
+		cm.Data[i].Bytes = d.bytes()
+	}
 	cm.Rodata = d.bytes()
 	cm.HostImports = d.strs()
 
@@ -264,8 +294,17 @@ func validateDecoded(cm *CompiledModule) error {
 			return fmt.Errorf("codegen: artifact entry %d out of range", i)
 		}
 	}
-	if len(cm.Entries) != len(cm.Module.Funcs) {
-		return fmt.Errorf("codegen: artifact has %d entries for %d functions", len(cm.Entries), len(cm.Module.Funcs))
+	if len(cm.Sigs) != len(cm.Entries) {
+		return fmt.Errorf("codegen: artifact has %d signatures for %d entries", len(cm.Sigs), len(cm.Entries))
+	}
+	for i, ft := range cm.Sigs {
+		for _, ts := range [2][]wasm.ValType{ft.Params, ft.Results} {
+			for _, t := range ts {
+				if !t.Valid() {
+					return fmt.Errorf("codegen: artifact function %d has unknown value type 0x%02x", i, byte(t))
+				}
+			}
+		}
 	}
 	for name, fi := range cm.Exports {
 		if fi < 0 || fi >= len(cm.Entries) {
@@ -278,6 +317,40 @@ func validateDecoded(cm *CompiledModule) error {
 		}
 	}
 	return nil
+}
+
+// decodeSigs reads the per-function signature list. A module uses few
+// distinct signatures, so functions whose encoded signatures are identical
+// share one decoded FuncType instead of allocating a copy each.
+func decodeSigs(d *decBuf) []wasm.FuncType {
+	n := d.count()
+	sigs := make([]wasm.FuncType, n)
+	seen := map[string]wasm.FuncType{}
+	for i := 0; i < n && d.err == nil; i++ {
+		start := d.off
+		params := d.take(d.count())
+		results := d.take(d.count())
+		raw := d.b[start:d.off]
+		ft, ok := seen[string(raw)]
+		if !ok {
+			ft = wasm.FuncType{Params: valTypes(params), Results: valTypes(results)}
+			seen[string(raw)] = ft
+		}
+		sigs[i] = ft
+	}
+	return sigs
+}
+
+// valTypes converts encoded value-type bytes; validateDecoded checks them.
+func valTypes(p []byte) []wasm.ValType {
+	if len(p) == 0 {
+		return nil
+	}
+	ts := make([]wasm.ValType, len(p))
+	for i, b := range p {
+		ts[i] = wasm.ValType(b)
+	}
+	return ts
 }
 
 // Inst flag bits in the encoded stream.
@@ -391,6 +464,13 @@ func (e *encBuf) bytes(p []byte) {
 func (e *encBuf) str(s string) {
 	e.uvarint(uint64(len(s)))
 	e.b = append(e.b, s...)
+}
+
+func (e *encBuf) valTypes(ts []wasm.ValType) {
+	e.uvarint(uint64(len(ts)))
+	for _, t := range ts {
+		e.u8(byte(t))
+	}
 }
 
 func (e *encBuf) strs(ss []string) {

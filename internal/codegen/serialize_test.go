@@ -2,12 +2,15 @@ package codegen_test
 
 import (
 	"bytes"
+	"math"
 	"reflect"
+	"slices"
 	"testing"
 
 	"repro/internal/codegen"
 	"repro/internal/cpu"
 	"repro/internal/minic"
+	"repro/internal/wasm"
 )
 
 // buildArtifactModule compiles the shared matmul module (loops, floats,
@@ -30,12 +33,34 @@ int big[100000];
 char *greet = "hello";
 int main() { big[5] = small; print_int(big[5]); return 0; }`
 
+// buildFloatArgModule exports mix(a f64, n i32, b f32) f64 = a*n + b, whose
+// float and integer arguments land in different register files: Invoke
+// places them by the function's signature.
+func buildFloatArgModule() *wasm.Module {
+	b := wasm.NewModuleBuilder()
+	ft := wasm.FuncType{Params: []wasm.ValType{wasm.F64, wasm.I32, wasm.F32}, Results: []wasm.ValType{wasm.F64}}
+	fb := b.Func("mix", ft)
+	fb.LocalGet(0).LocalGet(1).Op(wasm.OpF64ConvertI32S).Op(wasm.OpF64Mul)
+	fb.LocalGet(2).Op(wasm.OpF64PromoteF32).Op(wasm.OpF64Add)
+	b.Export("mix", wasm.ExternFunc, fb.Index())
+	return b.Module()
+}
+
+// sigsEqual compares signature lists, treating nil and empty value-type
+// lists alike.
+func sigsEqual(a, b []wasm.FuncType) bool {
+	return slices.EqualFunc(a, b, func(x, y wasm.FuncType) bool {
+		return slices.Equal(x.Params, y.Params) && slices.Equal(x.Results, y.Results)
+	})
+}
+
 // TestArtifactRoundTrip checks that an encoded module decodes to something
 // that executes bit-identically to the original: same result, same retired
-// instruction and cycle counters, same disassembly, and a byte-identical
-// re-encoding. A module with data segments carries them once, in the
-// embedded wasm module, and loads the same initial linear memory after the
-// round trip.
+// instruction and cycle counters, same signatures, same disassembly, and a
+// byte-identical re-encoding. A module with data segments carries them as
+// resolved segments and loads the same initial linear memory after the
+// round trip, and a decoded module places float arguments by its stored
+// signatures.
 func TestArtifactRoundTrip(t *testing.T) {
 	for _, cfg := range engines() {
 		t.Run(cfg.Name, func(t *testing.T) {
@@ -91,6 +116,9 @@ func TestArtifactRoundTrip(t *testing.T) {
 			if cm.PtrSize != dec.PtrSize || cm.TotalSpills != dec.TotalSpills {
 				t.Errorf("scalar fields diverged")
 			}
+			if len(cm.Sigs) == 0 || !sigsEqual(dec.Sigs, cm.Sigs) {
+				t.Errorf("signatures %v after round trip, want %v", dec.Sigs, cm.Sigs)
+			}
 
 			re, err := codegen.EncodeModule(dec)
 			if err != nil {
@@ -117,8 +145,11 @@ func TestArtifactRoundTrip(t *testing.T) {
 			if dec, err = codegen.DecodeModule(data, cfg); err != nil {
 				t.Fatal(err)
 			}
-			if len(cm.Module.Data) == 0 || !reflect.DeepEqual(dec.Module.Data, cm.Module.Data) {
-				t.Errorf("data segments %v after round trip, want %v", dec.Module.Data, cm.Module.Data)
+			if len(cm.Data) == 0 || !reflect.DeepEqual(dec.Data, cm.Data) {
+				t.Errorf("data segments %v after round trip, want %v", dec.Data, cm.Data)
+			}
+			if !sigsEqual(dec.Sigs, cm.Sigs) {
+				t.Errorf("signatures %v after round trip, want %v", dec.Sigs, cm.Sigs)
 			}
 			orig, err := cpu.Load(cm)
 			if err != nil {
@@ -133,8 +164,60 @@ func TestArtifactRoundTrip(t *testing.T) {
 			}
 			orig.ReleaseMemory()
 			round.ReleaseMemory()
+
+			if cm, err = codegen.Compile(buildFloatArgModule(), cfg); err != nil {
+				t.Fatal(err)
+			}
+			if data, err = codegen.EncodeModule(cm); err != nil {
+				t.Fatal(err)
+			}
+			if dec, err = codegen.DecodeModule(data, cfg); err != nil {
+				t.Fatal(err)
+			}
+			inst, err := cpu.Load(dec)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, err := inst.Invoke("mix", math.Float64bits(1.5), 6, uint64(math.Float32bits(0.25)))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if v := math.Float64frombits(got); v != 9.25 {
+				t.Errorf("decoded mix(1.5, 6, 0.25) = %v, want 9.25", v)
+			}
+			inst.ReleaseMemory()
 		})
 	}
+}
+
+// TestCompiledModuleHoldsNoWasmModule pins that a compiled module keeps only
+// what a run reads: no field, however nested, can reach a wasm.Module, so
+// neither the build cache nor an artifact carries function bodies.
+func TestCompiledModuleHoldsNoWasmModule(t *testing.T) {
+	seen := map[reflect.Type]bool{}
+	var walk func(ty reflect.Type, path string)
+	walk = func(ty reflect.Type, path string) {
+		if seen[ty] {
+			return
+		}
+		seen[ty] = true
+		if ty == reflect.TypeOf(wasm.Module{}) || ty == reflect.TypeOf(wasm.Func{}) {
+			t.Errorf("%s reaches %v", path, ty)
+			return
+		}
+		switch ty.Kind() {
+		case reflect.Pointer, reflect.Slice, reflect.Array:
+			walk(ty.Elem(), path)
+		case reflect.Map:
+			walk(ty.Key(), path)
+			walk(ty.Elem(), path)
+		case reflect.Struct:
+			for i := 0; i < ty.NumField(); i++ {
+				walk(ty.Field(i).Type, path+"."+ty.Field(i).Name)
+			}
+		}
+	}
+	walk(reflect.TypeOf(codegen.CompiledModule{}), "CompiledModule")
 }
 
 // TestArtifactRejectsDamage checks the decoder fails cleanly — an error, not
@@ -182,6 +265,44 @@ func TestArtifactRejectsDamage(t *testing.T) {
 		if _, err := codegen.DecodeModule(mut, cfg); err == nil {
 			t.Error("version 1 not rejected")
 		}
+		// Version 2 embedded the source wasm module.
+		mut[4] = 2
+		if _, err := codegen.DecodeModule(mut, cfg); err == nil {
+			t.Error("version 2 not rejected")
+		}
+	})
+	// A hash-valid artifact can still disagree with itself: the encoder
+	// does not validate, so it seals these damaged modules faithfully.
+	sealed := func(mutate func(cm *codegen.CompiledModule)) []byte {
+		bad := *cm
+		bad.Sigs = slices.Clone(cm.Sigs)
+		mutate(&bad)
+		art, err := codegen.EncodeModule(&bad)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return art
+	}
+	t.Run("signature-count", func(t *testing.T) {
+		for _, n := range []int{len(cm.Sigs) - 1, len(cm.Sigs) + 1} {
+			art := sealed(func(bad *codegen.CompiledModule) {
+				bad.Sigs = slices.Grow(bad.Sigs, 1)[:n]
+			})
+			if _, err := codegen.DecodeModule(art, cfg); err == nil {
+				t.Errorf("%d signatures for %d entries not rejected", n, len(cm.Entries))
+			}
+		}
+	})
+	t.Run("unknown-valtype", func(t *testing.T) {
+		for _, ft := range []wasm.FuncType{
+			{Params: []wasm.ValType{wasm.I32, 0x40}},
+			{Results: []wasm.ValType{0x7b}},
+		} {
+			art := sealed(func(bad *codegen.CompiledModule) { bad.Sigs[len(bad.Sigs)-1] = ft })
+			if _, err := codegen.DecodeModule(art, cfg); err == nil {
+				t.Errorf("signature %v not rejected", ft)
+			}
+		}
 	})
 	t.Run("bad-magic", func(t *testing.T) {
 		mut := append([]byte(nil), data...)
@@ -228,6 +349,22 @@ func TestVerifyArtifact(t *testing.T) {
 	for name, mut := range mutations {
 		if _, err := codegen.DecodeModule(mut, cfg); err == nil {
 			t.Errorf("%s artifact passed DecodeModule despite failing verification", name)
+		}
+	}
+
+	// DecodeVerifiedModule skips only the hash: on verified bytes it
+	// decodes what DecodeModule decodes, and it still rejects a bad header
+	// or a payload cut short.
+	dec, err := codegen.DecodeVerifiedModule(data, cfg)
+	if err != nil {
+		t.Fatalf("verified decode of a clean artifact: %v", err)
+	}
+	if re, err := codegen.EncodeModule(dec); err != nil || !bytes.Equal(re, data) {
+		t.Errorf("verified decode does not re-encode byte-identically (err %v)", err)
+	}
+	for _, name := range []string{"empty", "short", "truncated", "bad-magic", "stale-version"} {
+		if _, err := codegen.DecodeVerifiedModule(mutations[name], cfg); err == nil {
+			t.Errorf("%s artifact passed DecodeVerifiedModule", name)
 		}
 	}
 }

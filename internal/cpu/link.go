@@ -48,12 +48,9 @@ func Load(cm *codegen.CompiledModule) (*Instance, error) {
 		}
 		m.SetTableEntry(slot, int64(te.SigID), int64(cm.Entries[te.FuncIdx]))
 	}
-	for _, d := range cm.Module.Data {
-		off := int(d.Offset.I64)
-		if d.Offset.Op != wasm.OpI32Const {
-			return nil, fmt.Errorf("cpu: non-constant data offset")
-		}
-		if off < 0 || off+len(d.Bytes) > m.linearSize {
+	for _, d := range cm.Data {
+		off := int(d.Offset)
+		if off+len(d.Bytes) > m.linearSize {
 			return nil, fmt.Errorf("cpu: data segment out of bounds")
 		}
 		m.materialize(off + len(d.Bytes))
@@ -91,8 +88,7 @@ func (inst *Instance) Invoke(name string, args ...uint64) (uint64, error) {
 		return 0, fmt.Errorf("cpu: no exported function %q", name)
 	}
 	cfg := inst.CM.Engine
-	mod := inst.CM.Module
-	ft := mod.Types[mod.Funcs[fi].TypeIdx]
+	ft := inst.CM.Sigs[fi]
 	if len(args) != len(ft.Params) {
 		return 0, fmt.Errorf("cpu: %s takes %d args, got %d", name, len(ft.Params), len(args))
 	}

@@ -253,7 +253,9 @@ func build(ctx context.Context, src string, cfg *codegen.EngineConfig) (*codegen
 		// a miss; the remote tier is an accelerator, never a dependency.
 		if rc := remoteCache(); rc != nil {
 			if data, ok := rc.fetch(context.WithoutCancel(ctx), k); ok {
-				if cm, derr := codegen.DecodeModule(data, cfg); derr == nil {
+				// fetch has verified the sha256 trailer; decode without
+				// hashing the same bytes again.
+				if cm, derr := codegen.DecodeVerifiedModule(data, cfg); derr == nil {
 					countRemoteHit()
 					e.outcome.RemoteHits++
 					e.cm = cm

@@ -8,6 +8,7 @@ package pipeline
 
 import (
 	"context"
+	"crypto/sha256"
 	"errors"
 	"fmt"
 	"io/fs"
@@ -160,6 +161,23 @@ func TestStoreCorruptionFallsBackToRecompile(t *testing.T) {
 				t.Fatal(err)
 			}
 		}},
+		// An artifact a version-2 build left in the store (embedded wasm
+		// module) reads as a miss and is recompiled, even with an intact
+		// trailer: the header is rewritten and the trailer resealed, so
+		// only the version check can catch it.
+		{"version-2", func(t *testing.T, p string) {
+			data, err := os.ReadFile(p)
+			if err != nil {
+				t.Fatal(err)
+			}
+			data[4] = 2
+			n := len(data) - sha256.Size
+			sum := sha256.Sum256(data[:n])
+			copy(data[n:], sum[:])
+			if err := os.WriteFile(p, data, 0o644); err != nil {
+				t.Fatal(err)
+			}
+		}},
 		{"empty", func(t *testing.T, p string) {
 			if err := os.WriteFile(p, nil, 0o644); err != nil {
 				t.Fatal(err)
@@ -190,6 +208,9 @@ func TestStoreCorruptionFallsBackToRecompile(t *testing.T) {
 			d := Stats().Sub(before)
 			if d.Misses != 1 || d.DiskHits != 0 {
 				t.Errorf("damage must count as a miss: %v", d)
+			}
+			if d.Quarantined != 1 {
+				t.Errorf("damaged artifact not quarantined: %v", d)
 			}
 			out, insts, cycles := execCounters(t, cm)
 			if out != refOut || insts != refInsts || cycles != refCycles {

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"slices"
 
 	"repro/internal/leb128"
 )
@@ -740,8 +741,10 @@ func decodeCodeSection(d *decoder, m *Module, typeIdxs []uint32) error {
 			if len(f.Locals)+int(cnt) > 1<<20 {
 				return errors.New("wasm: too many locals")
 			}
-			for k := uint32(0); k < cnt; k++ {
-				f.Locals = append(f.Locals, t)
+			start := len(f.Locals)
+			f.Locals = slices.Grow(f.Locals, int(cnt))[:start+int(cnt)]
+			for k := start; k < len(f.Locals); k++ {
+				f.Locals[k] = t
 			}
 		}
 		for !bd.eof() {

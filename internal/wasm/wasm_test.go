@@ -3,6 +3,7 @@ package wasm
 import (
 	"math"
 	"reflect"
+	"slices"
 	"testing"
 )
 
@@ -497,7 +498,7 @@ func TestEncodeDecodeComplex(t *testing.T) {
 	b.Data(0, []byte{1, 2, 3, 4})
 	g := b.GlobalI32(7)
 	sig := FuncType{Params: []ValType{I32}, Results: []ValType{I32}}
-	f1 := b.Func("f1", sig, I32, I64, F64)
+	f1 := b.Func("f1", sig, I32, I64, I64, F64, F64, F64)
 	f1.LocalGet(0).GlobalGet(g).Op(OpI32Add)
 	b.Table(1)
 	b.Elem(0, []uint32{f1.Index()})
@@ -517,6 +518,16 @@ func TestEncodeDecodeComplex(t *testing.T) {
 	}
 	if err := Validate(m2); err != nil {
 		t.Fatalf("validate round-tripped: %v", err)
+	}
+	if !reflect.DeepEqual(m2.Funcs[0].Locals, m.Funcs[0].Locals) {
+		t.Errorf("locals %v after round trip, want %v", m2.Funcs[0].Locals, m.Funcs[0].Locals)
+	}
+	// Local runs count against one per-function limit of 1<<20.
+	huge := *m
+	huge.Funcs = slices.Clone(m.Funcs)
+	huge.Funcs[0].Locals = append(slices.Repeat([]ValType{I32}, 1<<19), slices.Repeat([]ValType{I64}, 1<<19+1)...)
+	if _, err := Decode(Encode(&huge)); err == nil {
+		t.Error("decoded a function with more than 1<<20 locals")
 	}
 	inst, err := Instantiate(m2, nil)
 	if err != nil {
