@@ -1,9 +1,13 @@
-// Command runsuite runs the differential workload suites through the run
-// pipeline from the command line — the CI fault-smoke entry point. With
-// -degraded, individual workload failures (injected via $REPRO_FAULTS,
-// watchdog kills via $REPRO_JOB_TIMEOUT / $REPRO_JOB_MAX_INSTS, or real
-// bugs) become FAIL rows and a failure summary; the process still exits
-// nonzero so CI sees the failure, but every surviving row is validated.
+// Command runsuite runs the differential workload suites from the command
+// line through the Browsix-SPEC harness (spec.Harness.RunSuite: the Figure 2
+// runspec → specinvoke → benchmark chain, cmp-validated across engines) —
+// the CI fault-smoke entry point. With -degraded, individual workload
+// failures (injected via $REPRO_FAULTS, watchdog kills via
+// $REPRO_JOB_TIMEOUT / $REPRO_JOB_MAX_INSTS, or real bugs) become FAIL rows
+// and a failure summary; the process still exits nonzero so CI sees the
+// failure, but every surviving row is validated. Every exit after the
+// suites start flushes pending remote publishes and prints the cache
+// totals.
 //
 // Usage:
 //
@@ -12,6 +16,7 @@ package main
 
 import (
 	"context"
+	"errors"
 	"flag"
 	"fmt"
 	"os"
@@ -20,6 +25,7 @@ import (
 	"repro/internal/codegen"
 	"repro/internal/config"
 	"repro/internal/pipeline"
+	"repro/internal/spec"
 	"repro/internal/workloads"
 )
 
@@ -54,7 +60,7 @@ func main() {
 		if *short {
 			ws = workloads.ShortSPEC()
 		}
-		jobs = append(jobs, job{"spec", ws, []*codegen.EngineConfig{codegen.Native(), codegen.Chrome(), codegen.Firefox()}})
+		jobs = append(jobs, job{"spec", ws, spec.EngineSet()})
 	}
 	switch *suite {
 	case "polybench":
@@ -69,24 +75,38 @@ func main() {
 		os.Exit(2)
 	}
 
+	h := spec.NewHarness()
+	h.Degraded = *degraded
 	exit := 0
 	for _, j := range jobs {
 		for _, cfg := range j.cfgs {
 			cfg.Fidelity = fid
 		}
-		rep, err := workloads.RunDifferential(context.Background(), j.ws, j.cfgs, *degraded)
-		if err != nil {
+		before := pipeline.Stats()
+		out, err := h.RunSuite(context.Background(), j.ws, j.cfgs)
+		var sf *spec.SuiteFailure
+		if err != nil && !errors.As(err, &sf) {
+			// A strict failure (or a degraded suite the scheduler aborted)
+			// has no matrix to report; stop, but still flush and report.
 			fmt.Fprintf(os.Stderr, "runsuite: %s: %v\n", j.name, err)
-			os.Exit(1)
+			exit = 1
+			break
 		}
-		ok := rep.Rows - len(rep.Failed)
+		ok, rows := 0, len(j.ws)*len(j.cfgs)
+		for _, row := range out {
+			for _, r := range row {
+				if r != nil && r.Err == nil {
+					ok++
+				}
+			}
+		}
 		fmt.Printf("suite %s: %d/%d runs ok (%d workloads × %d engines) cache: %v\n",
-			j.name, ok, rep.Rows, len(j.ws), len(j.cfgs), rep.Cache)
-		for _, f := range rep.Failed {
-			fmt.Printf("FAIL %s on %s\n", f.Workload, f.Engine)
-		}
-		if serr := rep.Err(); serr != nil {
-			fmt.Fprintf(os.Stderr, "runsuite: %v\n", serr)
+			j.name, ok, rows, len(j.ws), len(j.cfgs), pipeline.Stats().Sub(before))
+		if sf != nil {
+			for _, f := range sf.Failures {
+				fmt.Printf("FAIL %s on %s\n", f.Bench, f.Engine)
+			}
+			fmt.Fprintf(os.Stderr, "runsuite: %v\n", err)
 			exit = 1
 		}
 	}

@@ -50,7 +50,7 @@ func (e *ExitError) Error() string { return fmt.Sprintf("exit(%d)", e.Code) }
 // watchdog limit (Kernel.Deadline or Kernel.MaxInsts) is exceeded. The
 // machine flushes its cycle accounting before the interrupt error unwinds,
 // so the process's counters are an accurate partial result at the kill
-// point — pipeline.Execute repackages them into a TimeoutError.
+// point — pipeline.ExecuteWith repackages them into a TimeoutError.
 type WatchdogError struct {
 	// Wall is true when the wall-clock deadline expired, false when the
 	// retired-instruction limit was hit.

@@ -271,6 +271,19 @@ func legacyDispatch(d string) (bool, error) {
 // simulation mid-run; a tripped limit returns a TimeoutError (ClassTimeout)
 // carrying the partial counters.
 func Execute(ctx context.Context, cm *codegen.CompiledModule, req *Request) (*Result, error) {
+	return ExecuteWith(ctx, req, func(k *kernel.Kernel, argv []string) (*kernel.Process, error) {
+		k.RegisterBinary("/bin/prog", cm)
+		return k.Spawn(nil, "/bin/prog", argv, [3]*kernel.FD{})
+	})
+}
+
+// ExecuteWith is Execute's kernel policy with the spawn left to the caller:
+// it builds the kernel (dispatch loop, ctx, watchdog limits), checks the
+// exec fault site, writes req.Files, calls spawn with the kernel and the
+// resolved argv, and waits for the process spawn returns. spec.Harness.Run
+// spawns the Figure 2 chain through it. The fault-site and TimeoutError
+// label is the ctx label, else argv[0].
+func ExecuteWith(ctx context.Context, req *Request, spawn func(k *kernel.Kernel, argv []string) (*kernel.Process, error)) (*Result, error) {
 	argv := req.Argv
 	if len(argv) == 0 {
 		argv = []string{"prog"}
@@ -288,6 +301,10 @@ func Execute(ctx context.Context, cm *codegen.CompiledModule, req *Request) (*Re
 	k.Legacy = legacy
 	k.Ctx = ctx
 	if timeout > 0 {
+		// One deadline for the whole process tree: when the watchdog kills
+		// a hung child, its parent (blocked in sys_wait) unwinds with the
+		// same error, so the WaitPID below surfaces the kill no matter
+		// which process hung.
 		k.Deadline = time.Now().Add(timeout)
 	}
 	k.MaxInsts = maxInsts
@@ -303,8 +320,7 @@ func Execute(ctx context.Context, cm *codegen.CompiledModule, req *Request) (*Re
 			return nil, &classedError{ClassRuntime, fmt.Errorf("pipeline: populating %s: %w", p, err)}
 		}
 	}
-	k.RegisterBinary("/bin/prog", cm)
-	p, err := k.Spawn(nil, "/bin/prog", argv, [3]*kernel.FD{})
+	p, err := spawn(k, argv)
 	if err != nil {
 		return nil, &classedError{ClassRuntime, err}
 	}

@@ -24,8 +24,9 @@ import (
 )
 
 // TimeoutError reports a run killed by the per-job watchdog. Partial holds
-// the waited process's counters at the kill point — accurate (cycles are
-// flushed before the interrupt unwinds) but incomplete by definition.
+// the waited process's counters at the kill point (the benchmark's, on the
+// Figure 2 chain) — accurate (cycles are flushed before the interrupt
+// unwinds) but incomplete by definition.
 type TimeoutError struct {
 	// Label identifies the job (the workload name on suite paths, argv[0]
 	// otherwise).

@@ -20,7 +20,9 @@ import (
 	"time"
 
 	"repro/internal/codegen"
+	"repro/internal/config"
 	"repro/internal/fault"
+	"repro/internal/kernel"
 	"repro/internal/pipeline"
 	"repro/internal/sched"
 	"repro/internal/spec"
@@ -126,8 +128,11 @@ func TestDegradedSuiteContainsInjectedFaults(t *testing.T) {
 				if !te.Wall {
 					t.Errorf("%s/%s: watchdog kill should be wall-clock, got %+v", w.Name, cfgs[ci].Name, te)
 				}
-				if te.Partial.Instructions == 0 {
-					t.Errorf("%s/%s: TimeoutError lost its partial counters", w.Name, cfgs[ci].Name)
+				// The deadline has passed before the chain spawns, so the
+				// benchmark dies at its first poll; runspec, the waited root,
+				// retires only a few dozen instructions.
+				if te.Partial.Instructions < kernel.DefaultPollInterval {
+					t.Errorf("%s/%s: partial counters are not the benchmark's: %d insts", w.Name, cfgs[ci].Name, te.Partial.Instructions)
 				}
 			default: // surviving rows: bit-identical to the fault-free run
 				if r.Err != nil {
@@ -140,5 +145,57 @@ func TestDegradedSuiteContainsInjectedFaults(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// TestInstructionCeiling runs a workload into the retired-instruction
+// ceiling through both callers of the shared kernel policy
+// (pipeline.ExecuteWith): a single binary via pipeline.Do with per-request
+// limits, and the Figure 2 chain via spec.Harness.Run under the
+// process-wide limits. Both must report an instruction-limit TimeoutError
+// labelled with the workload and carrying the benchmark's partial counters.
+func TestInstructionCeiling(t *testing.T) {
+	// Below one poll interval, so the kill comes at the first poll.
+	const maxInsts = kernel.DefaultPollInterval / 2
+	w := &workloads.Workload{Name: "ceiling", Source: degradedSrc("ceiling", "instruction-ceiling")}
+	ctx := context.Background()
+	for _, tc := range []struct {
+		name string
+		run  func() error
+	}{
+		{"pipeline.Do", func() error {
+			_, err := pipeline.Do(ctx, &pipeline.Request{
+				Module: w.Source,
+				Config: codegen.Native(),
+				Argv:   []string{w.Name},
+				Limits: config.Limits{MaxInsts: maxInsts},
+			})
+			return err
+		}},
+		{"spec.Harness.Run", func() error {
+			defer pipeline.SetJobLimits(0, maxInsts)()
+			_, err := spec.NewHarness().Run(ctx, w, codegen.Native())
+			return err
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			err := tc.run()
+			var te *pipeline.TimeoutError
+			if !errors.As(err, &te) {
+				t.Fatalf("want TimeoutError, got %v", err)
+			}
+			if te.Wall {
+				t.Errorf("kill should be the instruction limit, got wall clock: %v", te)
+			}
+			if te.Label != w.Name {
+				t.Errorf("label %q, want %q", te.Label, w.Name)
+			}
+			if te.Partial.Instructions < maxInsts {
+				t.Errorf("partial counters retired %d insts, want >= %d", te.Partial.Instructions, maxInsts)
+			}
+			if c := pipeline.Classify(err); c != pipeline.ClassTimeout {
+				t.Errorf("Classify = %q, want %q", c, pipeline.ClassTimeout)
+			}
+		})
 	}
 }

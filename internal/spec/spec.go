@@ -14,7 +14,6 @@ import (
 	"slices"
 	"strings"
 	"sync"
-	"time"
 
 	"repro/internal/codegen"
 	"repro/internal/fault"
@@ -191,7 +190,8 @@ func (h *Harness) build(ctx context.Context, key, src string, cfg *codegen.Engin
 // specinvoke, the benchmark) polls ctx while simulating, so cancellation
 // preempts an in-flight measurement, not just queued ones. The per-job
 // watchdog (pipeline.JobLimits) rides the same polling; a tripped limit
-// returns a pipeline.TimeoutError with partial counters.
+// returns an error wrapping a pipeline.TimeoutError with the benchmark's
+// partial counters.
 func (h *Harness) Run(ctx context.Context, w *workloads.Workload, cfg *codegen.EngineConfig) (*Result, error) {
 	if fault.Enabled() && fault.LabelOf(ctx) == "" {
 		// Key the compile/exec fault sites under this run by workload name,
@@ -219,99 +219,68 @@ func (h *Harness) Run(ctx context.Context, w *workloads.Workload, cfg *codegen.E
 		return nil, err
 	}
 
-	// Filesystem image: command file plus workload inputs.
-	k := kernel.New(nil)
-	k.Ctx = ctx
-	timeout, maxInsts := pipeline.JobLimits()
-	if timeout > 0 {
-		// One deadline for the whole process chain: when the watchdog kills
-		// the hung benchmark, runspec (blocked in sys_wait) resumes and
-		// trips the same deadline at its own next poll, so the WaitPID below
-		// surfaces the kill no matter which process hung.
-		k.Deadline = time.Now().Add(timeout)
-	}
-	k.MaxInsts = maxInsts
-	// The exec fault site sits after the deadline is armed: an injected
-	// delay ("hang") burns the job's wall-clock budget, and the watchdog
-	// kills the run at its first interrupt poll — partial counters included.
-	if err := fault.Check(fault.SiteExec, w.Name); err != nil {
-		return nil, fmt.Errorf("spec: %s on %s: %w", w.Name, cfg.Name, err)
-	}
-	if err := k.FS.MkdirAll("/spec"); err != nil {
-		return nil, err
-	}
-	cmdline := "/bin/" + w.Name
-	for _, a := range w.Args {
-		cmdline += " " + a
-	}
-	if err := k.FS.WriteFile("/spec/speccmds.cmd", []byte(cmdline+"\n")); err != nil {
-		return nil, err
-	}
-	for p, data := range w.Files {
-		if err := k.FS.WriteFileAll(p, data); err != nil {
-			return nil, err
-		}
-	}
-	k.RegisterBinary("/bin/"+w.Name, benchBin)
-	k.RegisterBinary("/bin/runspec", runspecBin)
-	k.RegisterBinary("/bin/specinvoke", specinvBin)
-
-	// Perf recorder between the benchmark's perf marks (Figure 2 steps
-	// 4-6). Only the benchmark process is recorded, not runspec/specinvoke.
+	// The chain runs under pipeline.ExecuteWith's kernel policy (dispatch,
+	// watchdog, exec fault site, w.Files); this spawn adds the command file,
+	// the three binaries and the perf recorder between the benchmark's perf
+	// marks (Figure 2 steps 4-6). Only the benchmark process is recorded,
+	// not runspec/specinvoke.
 	res := &Result{Bench: w.Name, Engine: cfg.Name}
+	var bench *kernel.Process
 	var base perf.Counters
 	var browsixBase uint64
 	benchPath := "/bin/" + w.Name
-	k.Hooks = kernel.PerfHooks{
-		Begin: func(p *kernel.Process) {
-			if p.Path != benchPath {
-				return
-			}
-			p.Inst.FlushCycles()
-			base = p.Inst.Counters
-			browsixBase = p.BrowsixCycles
-		},
-		End: func(p *kernel.Process) {
-			if p.Path != benchPath {
-				return
-			}
-			p.Inst.FlushCycles()
-			res.Counters = p.Inst.Counters.Sub(&base)
-			res.Seconds = res.Counters.Seconds()
-			browsix := p.BrowsixCycles - browsixBase
-			if res.Counters.Cycles > 0 {
-				res.BrowsixShare = float64(browsix) / float64(res.Counters.Cycles)
-			}
-			res.Syscalls = p.Syscalls
-		},
-	}
-
-	proc, err := k.Spawn(nil, "/bin/runspec", []string{"runspec", "/spec/speccmds.cmd"}, [3]*kernel.FD{})
+	req := &pipeline.Request{Argv: append([]string{w.Name}, w.Args...), Files: w.Files}
+	run, err := pipeline.ExecuteWith(ctx, req, func(k *kernel.Kernel, argv []string) (*kernel.Process, error) {
+		if err := k.FS.MkdirAll("/spec"); err != nil {
+			return nil, err
+		}
+		cmdline := "/bin/" + strings.Join(argv, " ") + "\n"
+		if err := k.FS.WriteFile("/spec/speccmds.cmd", []byte(cmdline)); err != nil {
+			return nil, err
+		}
+		k.RegisterBinary(benchPath, benchBin)
+		k.RegisterBinary("/bin/runspec", runspecBin)
+		k.RegisterBinary("/bin/specinvoke", specinvBin)
+		k.Hooks = kernel.PerfHooks{
+			Begin: func(p *kernel.Process) {
+				if p.Path != benchPath {
+					return
+				}
+				bench = p
+				p.Inst.FlushCycles()
+				base = p.Inst.Counters
+				browsixBase = p.BrowsixCycles
+			},
+			End: func(p *kernel.Process) {
+				if p.Path != benchPath {
+					return
+				}
+				p.Inst.FlushCycles()
+				res.Counters = p.Inst.Counters.Sub(&base)
+				res.Seconds = res.Counters.Seconds()
+				browsix := p.BrowsixCycles - browsixBase
+				if res.Counters.Cycles > 0 {
+					res.BrowsixShare = float64(browsix) / float64(res.Counters.Cycles)
+				}
+				res.Syscalls = p.Syscalls
+			},
+		}
+		return k.Spawn(nil, "/bin/runspec", []string{"runspec", "/spec/speccmds.cmd"}, [3]*kernel.FD{})
+	})
 	if err != nil {
-		return nil, err
-	}
-	code, err := k.WaitPID(proc.PID)
-	if err != nil {
-		var we *kernel.WatchdogError
-		if errors.As(err, &we) {
-			// Partial is the waited root's counters (runspec): the killed
-			// benchmark's own counters die with its process, but the
-			// interval data up to the kill is real — flushed on the
-			// interrupt path — and enough to show how far the job got.
-			return nil, &pipeline.TimeoutError{
-				Label:    w.Name,
-				Wall:     we.Wall,
-				Timeout:  timeout,
-				MaxInsts: maxInsts,
-				Partial:  proc.Inst.Counters,
-			}
+		// A watchdog kill reports the benchmark's counters, not the waited
+		// root's (runspec retires a few dozen instructions); the root's
+		// stand in only when the benchmark never reached perf_begin.
+		var te *pipeline.TimeoutError
+		if errors.As(err, &te) && bench != nil {
+			te.Partial = bench.Inst.Counters
 		}
 		return nil, fmt.Errorf("spec: %s on %s: %w", w.Name, cfg.Name, err)
 	}
-	if code != 0 {
-		return nil, fmt.Errorf("spec: %s on %s: exit code %d (output %q)", w.Name, cfg.Name, code, string(k.Console))
+	if run.ExitCode != 0 {
+		return nil, fmt.Errorf("spec: %s on %s: exit code %d (output %q)", w.Name, cfg.Name, run.ExitCode, run.Stdout)
 	}
-	res.Output = string(k.Console)
+	res.Output = run.Stdout
 	res.CompileSeconds = benchBin.CompileTime.Seconds()
 	res.CodeBytes = benchBin.Prog.CodeBytes
 

@@ -7,6 +7,7 @@ import (
 
 	"repro/internal/codegen"
 	"repro/internal/pipeline"
+	"repro/internal/spec"
 	"repro/internal/workloads"
 )
 
@@ -20,22 +21,21 @@ func TestMain(m *testing.M) {
 }
 
 // runSuiteSharded runs every workload × engine combination through the
-// degraded-capable suite runner (workloads.RunDifferential) in strict mode:
-// the suite is one sharded job list with bounded parallelism, every failure
-// is reported (not just the first), and differential validation compares
-// the collected outputs row by row. Returns the per-suite cache traffic.
-func runSuiteSharded(t *testing.T, suite []*workloads.Workload, cfgs []*codegen.EngineConfig) pipeline.CacheStats {
+// Browsix-SPEC suite runner (spec.Harness.RunSuite) in strict mode: the
+// suite is one sharded job list with bounded parallelism, every failure is
+// reported (not just the first), and the cmp validation compares each row's
+// outputs across engines.
+func runSuiteSharded(t *testing.T, suite []*workloads.Workload, cfgs []*codegen.EngineConfig) {
 	t.Helper()
-	rep, err := workloads.RunDifferential(context.Background(), suite, cfgs, false)
-	if err != nil {
+	h := spec.NewHarness()
+	h.Logf = t.Logf
+	if _, err := h.RunSuite(context.Background(), suite, cfgs); err != nil {
 		t.Fatal(err)
 	}
-	t.Logf("suite (%d workloads × %d engines) cache: %v", len(suite), len(cfgs), rep.Cache)
-	return rep.Cache
 }
 
 // TestPolybenchDifferential runs every Polybench kernel on native and
-// Chrome through the pipeline scheduler and requires identical output (the
+// Chrome through the Figure 2 harness and requires identical output (the
 // cmp validation). Short mode runs the scaled-down subset.
 func TestPolybenchDifferential(t *testing.T) {
 	suite := workloads.Polybench()
@@ -46,14 +46,14 @@ func TestPolybenchDifferential(t *testing.T) {
 }
 
 // TestSPECDifferential runs every SPEC-shaped workload on native, Chrome,
-// and Firefox through the pipeline scheduler and requires identical output.
+// and Firefox through the Figure 2 harness and requires identical output.
 // Short mode runs the scaled-down subset.
 func TestSPECDifferential(t *testing.T) {
 	suite := workloads.SPECCPU()
 	if testing.Short() {
 		suite = workloads.ShortSPEC()
 	}
-	runSuiteSharded(t, suite, []*codegen.EngineConfig{codegen.Native(), codegen.Chrome(), codegen.Firefox()})
+	runSuiteSharded(t, suite, spec.EngineSet())
 }
 
 func TestWorkloadCounts(t *testing.T) {
