@@ -48,29 +48,21 @@ func main() {
 		cfgs []*codegen.EngineConfig
 	}
 	var jobs []job
-	addPoly := func() {
+	if *suite == "polybench" || *suite == "all" {
 		ws := workloads.Polybench()
 		if *short {
 			ws = workloads.ShortPolybench()
 		}
 		jobs = append(jobs, job{"polybench", ws, []*codegen.EngineConfig{codegen.Native(), codegen.Chrome()}})
 	}
-	addSpec := func() {
+	if *suite == "spec" || *suite == "all" {
 		ws := workloads.SPECCPU()
 		if *short {
 			ws = workloads.ShortSPEC()
 		}
 		jobs = append(jobs, job{"spec", ws, spec.EngineSet()})
 	}
-	switch *suite {
-	case "polybench":
-		addPoly()
-	case "spec":
-		addSpec()
-	case "all":
-		addPoly()
-		addSpec()
-	default:
+	if len(jobs) == 0 {
 		fmt.Fprintf(os.Stderr, "runsuite: unknown suite %q\n", *suite)
 		os.Exit(2)
 	}

@@ -110,12 +110,12 @@ type Harness struct {
 	Logf func(format string, args ...any)
 
 	// Degraded makes suite runs survive individual failures: a workload ×
-	// engine run that fails (build error, panic, watchdog timeout, output
-	// mismatch) becomes a Result with Err set, its row is still filled in
-	// the matrix (rendered as FAILED), and RunSuite returns a *SuiteFailure
-	// summarizing every failure — nonzero exit, zero lost rows. Without it,
-	// the first failure aborts the suite (the historical strict behavior
-	// tests rely on).
+	// engine run that fails (build error, panic, watchdog timeout, empty or
+	// mismatching output) becomes a Result with Err set, its row is still
+	// filled in the matrix (rendered as FAILED), and RunSuite returns a
+	// *SuiteFailure summarizing every failure — nonzero exit, zero lost
+	// rows. Without it, the first failure aborts the suite (the historical
+	// strict behavior tests rely on).
 	Degraded bool
 
 	mu      sync.Mutex
@@ -335,22 +335,18 @@ func (h *Harness) RunSuite(ctx context.Context, ws []*workloads.Workload, cfgs [
 				// Last engine in: validate the row. A row with a failed
 				// entry skips cmp validation (there is nothing to compare)
 				// but stays in the matrix so the figures render it FAILED.
-				if rowOK(row) {
-					for i := 1; i < len(row); i++ {
-						if row[i].Output != row[0].Output {
-							err := fmt.Errorf("spec: %s: output mismatch between %s and %s",
-								ws[wi].Name, row[0].Engine, row[i].Engine)
-							if !h.Degraded {
-								return err
-							}
-							failures = append(failures, FailedRun{ws[wi].Name, row[i].Engine, err})
-							// Mark the whole row: a mismatch impeaches the
-							// comparison, not one engine's measurement.
-							for j, rr := range row {
-								row[j] = &Result{Bench: rr.Bench, Engine: rr.Engine, Err: err}
-							}
-							break
-						}
+				if !rowOK(row) {
+					return nil
+				}
+				if engine, err := cmpRow(row); err != nil {
+					if !h.Degraded {
+						return err
+					}
+					failures = append(failures, FailedRun{ws[wi].Name, engine, err})
+					// Mark the whole row: a failed cmp impeaches the
+					// comparison, not one engine's measurement.
+					for j, rr := range row {
+						row[j] = &Result{Bench: rr.Bench, Engine: rr.Engine, Err: err}
 					}
 				}
 				return nil
@@ -375,6 +371,23 @@ func (h *Harness) RunSuite(ctx context.Context, ws []*workloads.Workload, cfgs [
 		return nil, err
 	}
 	return out, nil
+}
+
+// cmpRow is the cross-engine cmp check over one complete row: every engine
+// must have printed something, and the same thing. An empty output would
+// otherwise match on every engine (a workload that returns early, a broken
+// print path) and pass. It returns the engine the check failed on.
+func cmpRow(row []*Result) (string, error) {
+	for _, r := range row {
+		switch {
+		case r.Output == "":
+			return r.Engine, fmt.Errorf("spec: %s on %s: no output", r.Bench, r.Engine)
+		case r.Output != row[0].Output:
+			return r.Engine, fmt.Errorf("spec: %s: output mismatch between %s and %s",
+				r.Bench, row[0].Engine, r.Engine)
+		}
+	}
+	return "", nil
 }
 
 // runContained is Run with the same panic containment the scheduler

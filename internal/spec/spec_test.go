@@ -2,6 +2,7 @@ package spec_test
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"os"
 	"strings"
@@ -32,14 +33,49 @@ func TestRunSuiteAggregatesFailures(t *testing.T) {
 			Source: fmt.Sprintf("int main() { return %d; }", code),
 		}
 	}
-	ws := []*workloads.Workload{bad("bad-exit-a", 3), bad("bad-exit-b", 4)}
+	// A workload that exits 0 but prints nothing fails the cmp check.
+	silent := &workloads.Workload{Name: "silent", Source: "int main() { return 0; }"}
+	ws := []*workloads.Workload{bad("bad-exit-a", 3), bad("bad-exit-b", 4), silent}
 	_, err := h.RunSuite(context.Background(), ws, []*codegen.EngineConfig{codegen.Native()})
 	if err == nil {
 		t.Fatal("failing workloads must error")
 	}
-	for _, want := range []string{"bad-exit-a", "bad-exit-b"} {
+	for _, want := range []string{"bad-exit-a", "bad-exit-b", "silent on native: no output"} {
 		if !strings.Contains(err.Error(), want) {
 			t.Errorf("aggregate error missing %s: %v", want, err)
+		}
+	}
+}
+
+// TestDegradedSuiteMarksSilentRow checks the empty-output check in degraded
+// mode: a workload that prints nothing on every engine agrees with itself
+// across engines, yet its row must come back failed while the others
+// survive.
+func TestDegradedSuiteMarksSilentRow(t *testing.T) {
+	h := spec.NewHarness()
+	h.Degraded = true
+	ws := []*workloads.Workload{
+		{Name: "silent-row", Source: "int main() { return 0; }"},
+		{Name: "loud-row", Source: "int main() { print_int(7); print_nl(); return 0; }"},
+	}
+	cfgs := []*codegen.EngineConfig{codegen.Native(), codegen.Chrome()}
+	rs, err := h.RunSuite(context.Background(), ws, cfgs)
+	var sf *spec.SuiteFailure
+	if !errors.As(err, &sf) {
+		t.Fatalf("want a *SuiteFailure, got %v", err)
+	}
+	if len(sf.Failures) != 1 || sf.Failures[0].Bench != "silent-row" ||
+		!strings.Contains(sf.Failures[0].Err.Error(), "no output") {
+		t.Fatalf("failures = %v, want one no-output failure for silent-row", sf.Failures)
+	}
+	for ci, r := range rs[0] {
+		if r.Err == nil {
+			t.Errorf("silent-row on %s: row not marked failed", cfgs[ci].Name)
+		}
+	}
+	for ci, r := range rs[1] {
+		if r.Err != nil || r.Output != "7\n" {
+			t.Errorf("loud-row on %s = (%q, %v), want a clean measurement", cfgs[ci].Name, r.Output, r.Err)
 		}
 	}
 }
