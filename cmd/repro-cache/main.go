@@ -187,19 +187,14 @@ func runPull(args []string) {
 				skipped++
 				continue
 			}
-			data, err := r.Get(ctx, fp, key)
+			n, err := r.Pull(ctx, fp, key)
 			if err != nil {
 				failed++
 				fmt.Fprintf(os.Stderr, "repro-cache pull: %s/%s: %v\n", fp, key[:12], err)
 				continue
 			}
-			if err := pipeline.WriteArtifact(fp, key, data); err != nil {
-				failed++
-				fmt.Fprintf(os.Stderr, "repro-cache pull: %s/%s: %v\n", fp, key[:12], err)
-				continue
-			}
 			pulled++
-			bytes += int64(len(data))
+			bytes += int64(n)
 		}
 	}
 	fmt.Printf("pulled %d artifacts (%s), %d already present, %d failed (breaker=%s)\n",

@@ -25,15 +25,19 @@ func runGoldenFidelity(t *testing.T, f codegen.Fidelity) (uint64, *Machine) {
 	return ret, m
 }
 
-// linearImage returns m's whole logical linear memory: the materialized
-// prefix followed by the buffer's capacity up to the logical size, which
-// must read zero.
+// linearImage returns m's whole logical linear memory: the buffer up to
+// the logical size, which must read zero outside the two materialized runs
+// (the prefix and the window, which must be a view of the same buffer).
 func linearImage(t *testing.T, m *Machine) []byte {
 	t.Helper()
 	img := m.Linear[:m.LinearSize()]
+	lo, hi := int(m.hiLo), int(m.hiLo)+len(m.hi)
+	if len(m.hi) > 0 && (lo <= len(m.Linear) || &m.hi[0] != &img[lo]) {
+		t.Fatalf("window [%d, %d) is not a view of the buffer above the %d-byte prefix", lo, hi, len(m.Linear))
+	}
 	for i := len(m.Linear); i < len(img); i++ {
-		if img[i] != 0 {
-			t.Fatalf("linear memory past the materialized prefix (%d bytes) is dirty at %d", len(m.Linear), i)
+		if (i < lo || i >= hi) && img[i] != 0 {
+			t.Fatalf("linear memory outside the runs [0, %d) and [%d, %d) is dirty at %d", len(m.Linear), lo, hi, i)
 		}
 	}
 	return img

@@ -1,6 +1,7 @@
 package cpu
 
 import (
+	"encoding/binary"
 	"fmt"
 
 	"repro/internal/codegen"
@@ -35,13 +36,13 @@ func Load(cm *codegen.CompiledModule) (*Instance, error) {
 		// stack pointer) in a dedicated register.
 		m.Regs[cm.Engine.ShadowSP] = cm.GlobalInit[0]
 	}
-	// Poison every table slot (guard semantics: indirect calls through
-	// unset slots leave the code segment and trap), then fill real entries.
-	// One poisoned row is written and replicated by doubling copies.
-	m.SetTableEntry(0, -1, int64(len(cm.Prog.Code)))
-	for n := x86.TableEntrySize; n < len(m.tableMem); n *= 2 {
-		copy(m.tableMem[n:], m.tableMem[:n])
-	}
+	// Every table slot reads as poison (guard semantics: indirect calls
+	// through unset slots leave the code segment and trap) until written.
+	// Only the declared rows are poisoned here; the rest are poisoned on
+	// first touch, so release clears no more than the process reached.
+	binary.LittleEndian.PutUint64(m.tableFill[:], ^uint64(0))
+	binary.LittleEndian.PutUint64(m.tableFill[8:], uint64(len(cm.Prog.Code)))
+	m.growTable(min(len(cm.Table)*x86.TableEntrySize, cap(m.tableMem)))
 	for slot, te := range cm.Table {
 		if te.FuncIdx < 0 {
 			continue
@@ -49,12 +50,11 @@ func Load(cm *codegen.CompiledModule) (*Instance, error) {
 		m.SetTableEntry(slot, int64(te.SigID), int64(cm.Entries[te.FuncIdx]))
 	}
 	for _, d := range cm.Data {
-		off := int(d.Offset)
-		if off+len(d.Bytes) > m.linearSize {
+		dst, ok := m.LinearRange(d.Offset, uint32(len(d.Bytes)))
+		if !ok {
 			return nil, fmt.Errorf("cpu: data segment out of bounds")
 		}
-		m.materialize(off + len(d.Bytes))
-		copy(m.Linear[off:], d.Bytes)
+		copy(dst, d.Bytes)
 	}
 
 	// Builtin host handler for memory.grow wraps any user handler.

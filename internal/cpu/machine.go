@@ -65,19 +65,27 @@ type Machine struct {
 
 	// Memory regions.
 	//
-	// Linear is the materialized prefix [0, len(Linear)) of wasm linear
-	// memory at address 0; linearSize is its logical size. The backing
-	// buffer's capacity always covers the logical size, and every byte of
-	// it past the prefix is zero, so the prefix extends on first touch
-	// (slabSlow, LinearRange) by reslicing alone. Unmaterialized bytes read
-	// as zero, exactly like an eager allocation, and release clears only
-	// the prefix.
+	// Linear memory lives in one backing buffer whose capacity always
+	// covers the logical size linearSize, materialized as at most two runs:
+	// the prefix Linear = [0, len(Linear)) and a window hi = [hiLo,
+	// hiLo+len(hi)) above it, opened where the shadow stack and heap meet
+	// (see materialize). Every byte outside the runs is zero, so a run
+	// extends on first touch (slabSlow, LinearRange) by reslicing alone.
+	// Unmaterialized bytes read as zero, exactly like an eager allocation,
+	// and release clears only the runs.
 	Linear     []byte
+	hi         []byte
+	hiLo       uint32
 	linearSize int
 	MaxPages   uint32
 	globals    []byte
-	tableMem   []byte
-	rodata     []byte
+	// tableMem is the materialized prefix of the indirect-call table; its
+	// capacity is the whole table. Rows past it read as tableFill, which
+	// growTable writes into them on first touch: zero on a bare machine,
+	// the poison row once Load has set it.
+	tableMem  []byte
+	tableFill [x86.TableEntrySize]byte
+	rodata    []byte
 	// stack covers [stackLow, StackTop): it grows downward on demand so a
 	// fresh machine does not zero the full 8 MiB reservation. Lazily
 	// materialized pages read as zero, exactly like the eager allocation.
@@ -141,11 +149,11 @@ const (
 // whole capacity and the caches and predictor are reset, so a machine built
 // from a pooled image is bit-identical to a freshly allocated one — only the
 // allocations are saved. Release keeps that true at a cost proportional to
-// what the process touched: it clears the materialized linear prefix (the
-// spare capacity past it was never written) and only the cache sets that
-// installed a line. The Browsix-SPEC chain spawns three processes per run,
-// and without recycling each spawn allocates tens of MB of linear memory,
-// globals, table, and stack.
+// what the process touched: it clears the two materialized linear runs (the
+// rest of the buffer was never written), the materialized table rows, and
+// only the cache sets that installed a line. The Browsix-SPEC chain spawns
+// three processes per run, and without recycling each spawn allocates tens
+// of MB of linear memory, globals, table, and stack.
 type machineMem struct {
 	linear, globals, tableMem, stack []byte
 	l1i, l1d, l2, l3                 *Cache
@@ -174,7 +182,7 @@ func NewMachine(prog *x86.Program, pages, maxPages uint32) *Machine {
 			m.Linear = make([]byte, 0, m.linearSize)
 		}
 		m.globals = mm.globals
-		m.tableMem = mm.tableMem
+		m.tableMem = mm.tableMem[:0]
 		if mm.stack != nil {
 			m.stack = mm.stack[:64*1024]
 		} else {
@@ -185,7 +193,7 @@ func NewMachine(prog *x86.Program, pages, maxPages uint32) *Machine {
 	} else {
 		m.Linear = make([]byte, 0, m.linearSize)
 		m.globals = make([]byte, 64*1024)
-		m.tableMem = make([]byte, 256*1024)
+		m.tableMem = make([]byte, 0, 256*1024)
 		m.stack = make([]byte, 64*1024)
 		m.L1I = NewCache(32*1024, 64, 8)
 		m.L1D = NewCache(32*1024, 64, 8)
@@ -219,17 +227,19 @@ const (
 )
 
 // ReleaseMemory clears what the process touched of its memory image — the
-// materialized linear prefix, the stack window, globals, the table, and the
-// cache sets that installed lines — and returns the image to the recycle
-// pool. The machine keeps its counters (results outlive processes)
-// but loses its memory: it must not execute again. Safe to call more than
-// once. Oversized linear/stack buffers (see maxPooledLinear) are dropped
-// rather than pooled, so the pool's retained capacity stays bounded.
+// materialized linear runs, the stack window, globals, the materialized
+// table rows, and the cache sets that installed lines — and returns the
+// image to the recycle pool. The machine keeps its counters (results
+// outlive processes) but loses its memory: it must not execute again. Safe
+// to call more than once. Oversized linear/stack buffers (see
+// maxPooledLinear) are dropped rather than pooled, so the pool's retained
+// capacity stays bounded.
 func (m *Machine) ReleaseMemory() {
 	if m.globals == nil {
 		return
 	}
 	clear(m.Linear)
+	clear(m.hi)
 	clear(m.stack)
 	clear(m.globals)
 	clear(m.tableMem)
@@ -253,7 +263,7 @@ func (m *Machine) ReleaseMemory() {
 		l1i:   m.L1I, l1d: m.L1D, l2: m.L2, l3: m.L3,
 		bp: m.BP,
 	})
-	m.Linear, m.globals, m.tableMem, m.stack, m.rodata = nil, nil, nil, nil, nil
+	m.Linear, m.hi, m.globals, m.tableMem, m.stack, m.rodata = nil, nil, nil, nil, nil, nil
 	m.L1I, m.L1D, m.L2, m.L3, m.BP = nil, nil, nil, nil, nil
 	m.uops = nil
 }
@@ -297,16 +307,50 @@ func (m *Machine) LinearRange(addr, n uint32) ([]byte, bool) {
 	if end > uint64(m.linearSize) {
 		return nil, false
 	}
-	m.materialize(int(end))
+	m.materialize(int(addr), int(end))
 	return m.Linear[addr:end], true
 }
 
-// materialize extends the linear prefix to cover [0, end), rounded up to a
-// whole 64 KiB page; end must not exceed the logical size (a page
-// multiple). Spare capacity is zero, so extending needs no clear.
-func (m *Machine) materialize(end int) {
-	if n := (end + 65535) &^ 65535; n > len(m.Linear) {
-		m.Linear = m.Linear[:n]
+// materialize makes [lo, end), rounded out to whole 64 KiB pages, part of
+// one materialized run; end must not exceed the logical size (a page
+// multiple). Bytes outside the runs are zero, so growing a run needs no
+// clear. The touch goes to whichever run materializes fewer new bytes: the
+// prefix, or the window (opened at the touch if there is none). The window
+// then merges into the prefix once the gap between them holds no more than
+// the two runs do, so release never clears more than about twice what was
+// materialized, and a heap that keeps growing ends on the prefix alone.
+func (m *Machine) materialize(lo, end int) {
+	if lo >= end {
+		return
+	}
+	lo &^= 65535
+	end = (end + 65535) &^ 65535
+	p, held := len(m.Linear), len(m.hi)
+	a, b := int(m.hiLo), int(m.hiLo)+held
+	if end <= p || lo >= a && end <= b {
+		return
+	}
+	// New bytes each run would take on. A prefix that reaches the window
+	// absorbs it, so the window's own bytes are not new.
+	prefixCost := end - p
+	if held > 0 && end > a {
+		prefixCost = a - p + max(end-b, 0)
+	}
+	na, nb := lo, end
+	if held > 0 {
+		na, nb = min(a, lo), max(b, end)
+	}
+	if lo > p && nb-na-held < prefixCost {
+		m.hiLo, m.hi = uint32(na), m.Linear[na:nb]
+	} else {
+		m.Linear = m.Linear[:end]
+	}
+	// Merge once the gap holds no more than the runs do; a prefix that
+	// reached the window leaves no gap at all.
+	p, a, b = len(m.Linear), int(m.hiLo), int(m.hiLo)+len(m.hi)
+	if len(m.hi) > 0 && a-p <= p+b-a {
+		m.Linear = m.Linear[:max(p, b)]
+		m.hiLo, m.hi = 0, nil
 	}
 }
 
@@ -317,8 +361,23 @@ func (m *Machine) SetRodata(b []byte) { m.rodata = append([]byte(nil), b...) }
 // (instruction index).
 func (m *Machine) SetTableEntry(slot int, sig int64, entry int64) {
 	off := slot * x86.TableEntrySize
+	m.growTable(off + x86.TableEntrySize)
 	binary.LittleEndian.PutUint64(m.tableMem[off:], uint64(sig))
 	binary.LittleEndian.PutUint64(m.tableMem[off+8:], uint64(entry))
+}
+
+// growTable materializes the table rows up to the one holding byte end-1,
+// filling each new row with tableFill; end must not exceed the capacity.
+func (m *Machine) growTable(end int) {
+	old := len(m.tableMem)
+	if end <= old {
+		return
+	}
+	end = (end + x86.TableEntrySize - 1) &^ (x86.TableEntrySize - 1)
+	m.tableMem = m.tableMem[:end]
+	for off := old; off < end; off += x86.TableEntrySize {
+		copy(m.tableMem[off:], m.tableFill[:])
+	}
 }
 
 // SetGlobal writes the 8-byte global slot idx.
@@ -333,8 +392,8 @@ func (m *Machine) Global(idx int) uint64 {
 
 // GrowLinear adds delta pages, returning the old page count or -1. It
 // raises the logical size only: the new pages materialize on first touch.
-// When the buffer lacks capacity for the new size, a new one carries the
-// materialized prefix over.
+// When the buffer lacks capacity for the new size, a new one carries both
+// materialized runs over.
 func (m *Machine) GrowLinear(delta uint32) int32 {
 	old := uint32(m.linearSize / 65536)
 	if uint64(old)+uint64(delta) > uint64(m.MaxPages) {
@@ -344,6 +403,11 @@ func (m *Machine) GrowLinear(delta uint32) int32 {
 	if m.linearSize > cap(m.Linear) {
 		nb := make([]byte, len(m.Linear), m.linearSize)
 		copy(nb, m.Linear)
+		if len(m.hi) > 0 {
+			hi := nb[m.hiLo : int(m.hiLo)+len(m.hi)]
+			copy(hi, m.hi)
+			m.hi = hi
+		}
 		m.Linear = nb
 	}
 	m.setMisc()
@@ -360,18 +424,22 @@ func (m *Machine) AddCycles(q uint64) {
 	m.Counters.Cycles += q / 4
 }
 
-// fastSlab resolves the two hot regions — materialized linear memory and
-// the machine stack — and is small enough to inline; ok=false routes
-// everything else (globals, tables, rodata, misc, faults, unmaterialized
-// stack and linear memory) to the generic path.
+// fastSlab resolves the hot regions — the linear prefix, the machine stack
+// and the linear window, in that order — and is small enough to inline;
+// ok=false routes everything else (globals, tables, rodata, misc, faults,
+// unmaterialized stack and linear memory) to the generic path.
 func (m *Machine) fastSlab(addr uint32, size uint32) ([]byte, uint32, bool) {
 	if int(addr)+int(size) <= len(m.Linear) {
 		return m.Linear, addr, true
 	}
-	// The end-of-range compare is done in uint64: addr+size would wrap for
-	// wild guest pointers near 4 GiB and alias into the stack window.
+	// The end-of-range compares are done in uint64: addr+size would wrap for
+	// wild guest pointers near 4 GiB and alias into the stack window. Below
+	// hiLo, off wraps past any window length.
 	if addr >= m.stackLow && uint64(addr)+uint64(size) <= uint64(x86.StackTop) {
 		return m.stack, addr - m.stackLow, true
+	}
+	if off := addr - m.hiLo; uint64(off)+uint64(size) <= uint64(len(m.hi)) {
+		return m.hi, off, true
 	}
 	return nil, 0, false
 }
@@ -385,8 +453,8 @@ func (m *Machine) slab(addr uint32, size uint32) ([]byte, uint32, bool) {
 }
 
 // slabSlow resolves addresses outside the fastSlab windows (stack below the
-// window, globals, tables, rodata, misc words, and linear memory past the
-// materialized prefix, checked last so the other regions pay nothing for
+// window, globals, tables, rodata, misc words, and linear memory outside
+// the materialized runs, checked last so the other regions pay nothing for
 // it).
 func (m *Machine) slabSlow(addr uint32, size uint32) ([]byte, uint32, bool) {
 	switch {
@@ -399,15 +467,17 @@ func (m *Machine) slabSlow(addr uint32, size uint32) ([]byte, uint32, bool) {
 		return m.stack, addr - m.stackLow, true
 	case addr >= uint32(x86.GlobalsBase) && int(addr-uint32(x86.GlobalsBase))+int(size) <= len(m.globals):
 		return m.globals, addr - uint32(x86.GlobalsBase), true
-	case addr >= uint32(x86.TableBase) && int(addr-uint32(x86.TableBase))+int(size) <= len(m.tableMem):
-		return m.tableMem, addr - uint32(x86.TableBase), true
+	case addr >= uint32(x86.TableBase) && int(addr-uint32(x86.TableBase))+int(size) <= cap(m.tableMem):
+		off := addr - uint32(x86.TableBase)
+		m.growTable(int(off + size))
+		return m.tableMem, off, true
 	case addr >= uint32(x86.StackLimitAddr) && int(addr-uint32(x86.StackLimitAddr))+int(size) <= len(m.misc):
 		return m.misc[:], addr - uint32(x86.StackLimitAddr), true
 	case addr >= uint32(x86.RodataBase) && int(addr-uint32(x86.RodataBase))+int(size) <= len(m.rodata):
 		return m.rodata, addr - uint32(x86.RodataBase), true
 	case uint64(addr)+uint64(size) <= uint64(m.linearSize):
-		m.materialize(int(addr) + int(size))
-		return m.Linear, addr, true
+		m.materialize(int(addr), int(addr)+int(size))
+		return m.fastSlab(addr, size)
 	}
 	return nil, 0, false
 }

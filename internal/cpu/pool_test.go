@@ -51,7 +51,8 @@ func TestMachineMemoryRecycling(t *testing.T) {
 
 // TestRecycledMemoryIsZero dirties every pooled region — the whole logical
 // linear memory through the store path and, after growth, through
-// LinearRange (the accessor behind the kernel's syscall copies) — releases,
+// LinearRange (the accessor behind the kernel's syscall copies), then a
+// window far above the prefix through both — releases,
 // and checks the pooled image is zero over every buffer's full capacity and
 // its caches equal fresh ones. A machine built from it must read zero
 // through load at every byte up to its logical size, before and after
@@ -60,7 +61,7 @@ func TestRecycledMemoryIsZero(t *testing.T) {
 	prog := buildGoldenProgram()
 	drainPool()
 	mm := releaseAndDrain(t, func() *Machine {
-		m := NewMachine(prog, 2, 8)
+		m := NewMachine(prog, 2, 32)
 		for a := 0; a < m.LinearSize(); a += 8 {
 			if err := m.store(uint32(a), 8, 0xABABABABABABABAB); err != nil {
 				t.Fatal(err)
@@ -79,8 +80,31 @@ func TestRecycledMemoryIsZero(t *testing.T) {
 		if len(m.Linear) != m.LinearSize() {
 			t.Fatalf("dirtied prefix is %d bytes, logical size %d", len(m.Linear), m.LinearSize())
 		}
+		// Dirty a window far above the prefix: once through the store path,
+		// once through LinearRange growing it downward.
+		if old := m.GrowLinear(28); old != 4 {
+			t.Fatalf("grow returned %d", old)
+		}
+		if err := m.store(30*65536+8, 8, 0xEFEFEFEFEFEFEFEF); err != nil {
+			t.Fatal(err)
+		}
+		dst, ok = m.LinearRange(30*65536-100, 200)
+		if !ok {
+			t.Fatal("window range out of bounds")
+		}
+		for i := range dst {
+			dst[i] = 0xCD
+		}
+		if m.hiLo != 29*65536 || len(m.hi) != 2*65536 || len(m.Linear) != 4*65536 {
+			t.Fatalf("runs are [0, %d) and [%d, +%d), want a 4-page prefix and a 2-page window at page 29",
+				len(m.Linear), m.hiLo, len(m.hi))
+		}
 		m.SetGlobal(7, ^uint64(0))
 		m.SetTableEntry(3, 123, 456)
+		// A far table row, touched through the load path.
+		if _, err := m.load(uint32(x86.TableBase)+9000*x86.TableEntrySize, 8); err != nil {
+			t.Fatal(err)
+		}
 		// Dirty the stack through the store path, forcing window growth.
 		if err := m.store(uint32(x86.StackTop)-200*1024, 8, 0xDEADBEEF); err != nil {
 			t.Fatal(err)
@@ -110,7 +134,7 @@ func TestRecycledMemoryIsZero(t *testing.T) {
 	}
 
 	memPool.Put(mm)
-	r := NewMachine(prog, 1, 8)
+	r := NewMachine(prog, 1, 32)
 	checkZero := func(when string) {
 		t.Helper()
 		if i := slices.IndexFunc(r.Linear[len(r.Linear):cap(r.Linear)], func(c byte) bool { return c != 0 }); i >= 0 {
@@ -289,4 +313,154 @@ func TestLinearBoundsFollowLogicalSize(t *testing.T) {
 	if v, err := m.load(65536, 8); err != nil || v != 0 {
 		t.Fatalf("grown page reads %#x (err %v)", v, err)
 	}
+
+	// A window opened at the top of the logical size stops there too.
+	drainPool()
+	memPool.Put(releaseAndDrain(t, func() *Machine { return NewMachine(prog, 32, 32) }))
+	w := NewMachine(prog, 20, 32)
+	defer w.ReleaseMemory()
+	if cap(w.Linear) <= w.LinearSize() {
+		t.Skip("the pool did not hand back the larger image (race-mode drops)")
+	}
+	if err := w.store(0, 8, 1); err != nil {
+		t.Fatal(err)
+	}
+	if err := w.store(20*65536-8, 8, 1); err != nil {
+		t.Fatal(err)
+	}
+	if w.hiLo != 19*65536 || len(w.hi) != 65536 {
+		t.Fatalf("window is [%d, +%d), want the last logical page", w.hiLo, len(w.hi))
+	}
+	if _, err := w.load(20*65536, 1); err == nil {
+		t.Fatal("load past the logical size did not trap")
+	}
+	if _, err := w.load(20*65536-4, 8); err == nil {
+		t.Fatal("load straddling the logical size did not trap")
+	}
+	if _, ok := w.LinearRange(20*65536-1, 2); ok {
+		t.Fatal("LinearRange accepted a range past the logical size")
+	}
+	if w.hiLo != 19*65536 || len(w.hi) != 65536 {
+		t.Fatalf("a refused access moved the window to [%d, +%d)", w.hiLo, len(w.hi))
+	}
+}
+
+// TestLinearWindow walks the two-run materializer through the shadow-stack
+// and heap pattern it exists for: a prefix over the data, a window opened
+// far above it, growing down (stack) and up (heap), a LinearRange across
+// the gap, then the window merging into the prefix once the gap holds no
+// more than the runs. After every touch the runs hold no more than twice
+// the pages touched plus one, and every byte written reads back.
+func TestLinearWindow(t *testing.T) {
+	const page = 65536
+	m := NewMachine(buildGoldenProgram(), 32, 32)
+	defer m.ReleaseMemory()
+	touched := map[int]bool{}
+	want := map[uint32]uint64{}
+	check := func(step string) {
+		t.Helper()
+		if held := len(m.Linear) + len(m.hi); held > (2*len(touched)+1)*page {
+			t.Fatalf("%s: runs hold %d pages for %d touched", step, held/page, len(touched))
+		}
+		for a, v := range want {
+			if got, err := m.load(a, 8); err != nil || got != v {
+				t.Fatalf("%s: %#x reads %#x (err %v), want %#x", step, a, got, err, v)
+			}
+		}
+		linearImage(t, m)
+	}
+	store := func(a uint32) {
+		t.Helper()
+		want[a] = uint64(a)*0x9E3779B97F4A7C15 | 1
+		touched[int(a)/page] = true
+		if err := m.store(a, 8, want[a]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	runs := func(step string, prefix, lo, n int) {
+		t.Helper()
+		if len(m.Linear) != prefix*page || int(m.hiLo) != lo*page || len(m.hi) != n*page {
+			t.Fatalf("%s: runs are [0, %d) and [%d, +%d), want [0, %d) and [%d, +%d)",
+				step, len(m.Linear), m.hiLo, len(m.hi), prefix*page, lo*page, n*page)
+		}
+		check(step)
+	}
+
+	store(100)
+	runs("data", 1, 0, 0)
+	store(18*page - 8) // the top of a shadow stack 1 MiB above the data
+	runs("open", 1, 17, 1)
+	store(16*page + 4096) // the stack grows down...
+	runs("down", 1, 16, 2)
+	store(18*page + 16) // ...and the heap up
+	runs("up", 1, 16, 3)
+
+	// Ranges across the gap: from the prefix into it, and from it into
+	// the window. Each lands in one run.
+	for _, r := range []struct{ addr, n uint32 }{{page - 4, 16}, {16*page - 100, 200}} {
+		b, ok := m.LinearRange(r.addr, r.n)
+		if !ok {
+			t.Fatalf("LinearRange(%#x, %d) refused", r.addr, r.n)
+		}
+		for i := range b {
+			b[i] = byte(i + 1)
+		}
+		touched[int(r.addr)/page], touched[int(r.addr+r.n-1)/page] = true, true
+	}
+	runs("ranges", 2, 15, 4)
+	for _, r := range []struct{ addr, n uint32 }{{page - 4, 16}, {16*page - 100, 200}} {
+		b, _ := m.LinearRange(r.addr, r.n)
+		for i := range b {
+			if b[i] != byte(i+1) {
+				t.Fatalf("LinearRange(%#x, %d) byte %d reads %d", r.addr, r.n, i, b[i])
+			}
+		}
+	}
+
+	// Deepen the stack a page at a time until the gap is no larger than
+	// what the runs hold: the window then merges into the prefix.
+	for p := 14; len(m.hi) > 0; p-- {
+		store(uint32(p*page + 8))
+		check("deepen")
+	}
+	runs("merged", 19, 0, 0)
+	for p := 19; p < 26; p++ { // the heap keeps growing, on the prefix alone
+		store(uint32(p*page + 8))
+		check("heap")
+	}
+	runs("heap", 26, 0, 0)
+}
+
+// TestGrowLinearKeepsWindow grows a machine past its buffer's capacity
+// while a window is open: both runs move to the new buffer with their
+// bytes, the window stays a view of it, and the fresh pages read zero.
+func TestGrowLinearKeepsWindow(t *testing.T) {
+	m := NewMachine(buildGoldenProgram(), 20, 1<<14)
+	defer m.ReleaseMemory()
+	if err := m.store(8, 8, 11); err != nil {
+		t.Fatal(err)
+	}
+	if err := m.store(19*65536+8, 8, 22); err != nil {
+		t.Fatal(err)
+	}
+	if len(m.hi) != 65536 {
+		t.Fatalf("no window opened: runs [0, %d) and [%d, +%d)", len(m.Linear), m.hiLo, len(m.hi))
+	}
+	old := &m.hi[0]
+	grow := uint32((cap(m.Linear)-m.LinearSize())/65536 + 4)
+	if got := m.GrowLinear(grow); got != 20 {
+		t.Fatalf("grow returned %d", got)
+	}
+	if &m.hi[0] == old {
+		t.Fatal("growth past the capacity kept the old buffer")
+	}
+	if &m.hi[0] != &m.Linear[:m.LinearSize()][m.hiLo] {
+		t.Fatal("the window is not a view of the new buffer")
+	}
+	for a, want := range map[uint32]uint64{8: 11, 19*65536 + 8: 22, 20*65536 + 8: 0} {
+		if v, err := m.load(a, 8); err != nil || v != want {
+			t.Fatalf("%#x reads %#x (err %v), want %#x", a, v, err, want)
+		}
+	}
+	linearImage(t, m)
 }

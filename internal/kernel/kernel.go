@@ -252,13 +252,14 @@ func (p *Process) copyOut(addr uint32, data []byte) error {
 }
 
 // cstring reads a NUL-terminated string from process memory via the aux
-// protocol. It scans only the materialized prefix of linear memory: the
-// bytes past it are zero, so a string ends at the prefix at the latest.
+// protocol. It scans the linear buffer in place, without materializing:
+// the bytes outside the materialized runs are zero, so a string ends at
+// the end of its run at the latest.
 func (p *Process) cstring(addr uint32) (string, error) {
 	if int64(addr) >= int64(p.Inst.LinearSize()) {
 		return "", errors.New("fault: bad string address")
 	}
-	lin := p.Inst.Linear
+	lin := p.Inst.Linear[:p.Inst.LinearSize()]
 	start := min(int(addr), len(lin))
 	end := start
 	for end < len(lin) && lin[end] != 0 {

@@ -21,9 +21,11 @@ import (
 
 // untouchedSrc aims every syscall at pages past everything the program has
 // touched so far (each step uses a higher address than the steps before
-// it): a path string, a write source, a read destination, an argv array
-// and an argv string in a fresh 2 MiB heap block, then a read into pages
-// added by memory.grow.
+// it): first a path string and a read buffer on the shadow stack, which
+// sits in the second materialized run 1 MiB above the data; then a path
+// string, a write source, a read destination, an argv array and an argv
+// string in a fresh 2 MiB heap block, then a read into pages added by
+// memory.grow.
 const untouchedSrc = `
 int sum(char *p, int n) {
   int i; int s;
@@ -32,8 +34,18 @@ int sum(char *p, int n) {
   return s;
 }
 
+int onstack() {
+  char path[8]; char rbuf[3000]; int fd; int n;
+  path[0] = 47; path[1] = 100; path[2] = 97; path[3] = 116; path[4] = 97; path[5] = 0;
+  fd = sys_open(path, 0, 0);
+  n = sys_read(fd, rbuf, 3000);
+  sys_close(fd);
+  return sum(rbuf, n);
+}
+
 int main() {
   char *big; char **args; char *grown; int fd; int n; int pid; int old;
+  print_int(onstack()); print_nl();
   big = malloc(2097152);
   print_int(sys_open(big + 65536, 0, 0)); print_nl();
   fd = sys_open("/zeros", 64 | 512, 0);
@@ -151,11 +163,12 @@ func TestSyscallsOnUntouchedMemory(t *testing.T) {
 			lazyOut, lazyCode, lazyProcs := runUntouched(t, bins[0], bins[1], false)
 			fullOut, fullCode, fullProcs := runUntouched(t, bins[0], bins[1], true)
 			pages := bins[0].MemPages
-			// open("") names the root directory (EISDIR), the write sends
-			// 5000 zeros, both reads see the file, the leaves see no
-			// arguments and {"", "xy"}, and the zeros read back as zero.
+			// The stack read sees the file, open("") names the root
+			// directory (EISDIR), the write sends 5000 zeros, both heap
+			// reads see the file, the leaves see no arguments and
+			// {"", "xy"}, and the zeros read back as zero.
 			sum := dataSum(3000)
-			want := fmt.Sprintf("-21\n5000\n3000\n%d\n0\n202\n%d\n%d\n0\n", sum, pages, sum)
+			want := fmt.Sprintf("%d\n-21\n5000\n3000\n%d\n0\n202\n%d\n%d\n0\n", sum, sum, pages, sum)
 			if lazyOut != want {
 				t.Errorf("lazy output:\n%s\nwant:\n%s", lazyOut, want)
 			}

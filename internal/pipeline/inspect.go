@@ -160,7 +160,8 @@ func ReadArtifact(fp, key string) ([]byte, error) {
 }
 
 // WriteArtifact verifies and atomically publishes encoded artifact bytes
-// into generation fp; the write path cmd/repro-cache pull uses.
+// into generation fp. Bytes fetched from a remote are saved by Remote.Pull
+// instead, which relies on the fetch's own verification.
 func WriteArtifact(fp, key string, data []byte) error {
 	if err := codegen.VerifyArtifact(data); err != nil {
 		return fmt.Errorf("pipeline: artifact %s rejected: %w", key[:12], err)

@@ -566,6 +566,22 @@ func (r *Remote) Get(ctx context.Context, fp, key string) ([]byte, error) {
 	return r.t.get(ctx, fp, key)
 }
 
+// Pull fetches one artifact from namespace fp and publishes it into the
+// local store's generation fp, returning its size. Get has verified the
+// bytes, so they are saved without hashing them a second time; a damaged
+// artifact fails the fetch and never reaches the store.
+func (r *Remote) Pull(ctx context.Context, fp, key string) (int, error) {
+	data, err := r.Get(ctx, fp, key)
+	if err != nil {
+		return 0, err
+	}
+	g, err := generationStore(fp)
+	if err != nil {
+		return 0, err
+	}
+	return len(data), g.saveBytes(key, data)
+}
+
 // Put publishes one artifact to namespace fp.
 func (r *Remote) Put(ctx context.Context, fp, key string, data []byte) error {
 	return r.t.put(ctx, fp, key, data)

@@ -533,3 +533,61 @@ func TestRemotePutQueueDropsWhenFull(t *testing.T) {
 		t.Errorf("pending = %d, want <= %d", p, putQueueDepth+1)
 	}
 }
+
+// TestRemotePullNeverStoresDamagedArtifact: Remote.Pull (the `repro-cache
+// pull` path) saves what it fetched without hashing it a second time, so
+// the fetch's own verification is the only gate. A damaged remote artifact
+// must still fail the pull and never reach the local store, while an intact
+// one lands byte-identical.
+func TestRemotePullNeverStoresDamagedArtifact(t *testing.T) {
+	withTestStore(t, defaultMaxBytes)
+	root := t.TempDir()
+	ts := httptest.NewServer(ArtifactHandlerAt(root, 0))
+	defer ts.Close()
+	fp, err := compilerFingerprint()
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := codegen.Native()
+	cm, err := buildUncached(context.Background(), remoteProbeSrc, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	data, err := codegen.EncodeModule(cm)
+	if err != nil {
+		t.Fatal(err)
+	}
+	damaged := bytes.Clone(data)
+	damaged[len(damaged)/2] ^= 0xFF
+	good, bad := Key(remoteProbeSrc, cfg), Key(remoteProbeSrc+"// damaged", cfg)
+	// Plant both on the server's disk, bypassing its PUT verification (a
+	// rotted disk, not a bad client).
+	for key, b := range map[string][]byte{good: data, bad: damaged} {
+		p := filepath.Join(root, fp, key[:2], key+artifactExt)
+		if err := os.MkdirAll(filepath.Dir(p), 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(p, b, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	r := NewRemote(ts.URL)
+	if _, err := r.Pull(context.Background(), fp, bad); err == nil {
+		t.Error("pulling a damaged artifact succeeded")
+	}
+	if HasArtifact(fp, bad) {
+		t.Error("a damaged remote artifact reached the local store")
+	}
+	n, err := r.Pull(context.Background(), fp, good)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := ReadArtifact(fp, good)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n != len(data) || !bytes.Equal(got, data) {
+		t.Errorf("pulled %d bytes, stored %d; want the %d served, byte-identical", n, len(got), len(data))
+	}
+}
