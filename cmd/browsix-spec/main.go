@@ -23,7 +23,6 @@ func main() {
 	table := flag.String("table", "", "regenerate a table (1-4)")
 	fig := flag.String("fig", "", "regenerate a figure (1, 3a, 3b, 4-10)")
 	all := flag.Bool("all", false, "regenerate everything")
-	workers := flag.Int("workers", 0, "suite parallelism (0 = GOMAXPROCS)")
 	cachestats := flag.Bool("cachestats", false, "report per-suite build-cache traffic (memory/disk/miss) on stderr")
 	degraded := flag.Bool("degraded", false, "survive individual workload failures: render FAILED rows, report a failure summary, exit nonzero")
 	fidelity := flag.String("fidelity", "", "simulation tier: exact or functional (default $REPRO_FIDELITY, else exact)")
@@ -36,15 +35,11 @@ func main() {
 	}
 
 	h := spec.NewHarness()
-	h.Workers = *workers
 	h.Degraded = *degraded
 	h.Fidelity = fid
 	exitCode := 0
 	reportTotals := func() {}
 	if *cachestats {
-		h.Logf = func(format string, args ...any) {
-			fmt.Fprintf(os.Stderr, "browsix-spec: "+format+"\n", args...)
-		}
 		reportTotals = func() { fmt.Fprintf(os.Stderr, "browsix-spec: totals %v\n", pipeline.Stats()) }
 		defer reportTotals()
 	}
@@ -65,7 +60,12 @@ func main() {
 		var res *spec.SuiteResults
 		return func() *spec.SuiteResults {
 			if res == nil {
+				before := pipeline.Stats()
 				r, err := run(ctx)
+				if *cachestats && r != nil {
+					fmt.Fprintf(os.Stderr, "browsix-spec: spec suite (%d workloads × %d engines) cache: %v\n",
+						len(r.Workloads), len(r.Engines), pipeline.Stats().Sub(before))
+				}
 				if err != nil && r == nil {
 					emit("", err)
 				}

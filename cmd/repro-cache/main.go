@@ -125,9 +125,8 @@ func mustRemote(args []string, sub string) (*pipeline.Remote, []string) {
 	fs := flag.NewFlagSet(sub, flag.ExitOnError)
 	remote := fs.String("remote", "", "remote cache base URL (default $"+config.EnvRemoteCache+")")
 	fs.Parse(args)
-	base := config.String(*remote, config.EnvRemoteCache, "")
-	switch base {
-	case "", "off", "0", "none":
+	base := config.RemoteCache(*remote)
+	if base == "" {
 		fmt.Fprintf(os.Stderr, "repro-cache %s: no remote cache (set -remote or $%s)\n", sub, config.EnvRemoteCache)
 		os.Exit(1)
 	}

@@ -9,9 +9,6 @@
 // Usage:
 //
 //	repro-serve [-addr :8080] [-slots N] [-queue N] [-tenants alice=4,bob=1]
-//
-// Every flag also reads its $REPRO_SERVE_* environment knob; flags win
-// (resolution order flag > env > default, via internal/config).
 package main
 
 import (
@@ -23,7 +20,6 @@ import (
 	"net/http"
 	"os"
 	"os/signal"
-	"strconv"
 	"syscall"
 	"time"
 
@@ -33,44 +29,26 @@ import (
 )
 
 func main() {
-	addrFlag := flag.String("addr", "", "listen address (default $"+config.EnvServeAddr+", else :8080)")
-	slotsFlag := flag.String("slots", "", "concurrent run slots (default: scheduler budget capacity)")
-	queueFlag := flag.String("queue", "", "admission queue depth (default $"+config.EnvServeQueue+", else 64)")
-	tenantsFlag := flag.String("tenants", "", "tenant weights, e.g. alice=4,bob=1 (default $"+config.EnvServeTenants+")")
+	addr := flag.String("addr", ":8080", "listen address")
+	slots := flag.Int("slots", sched.Shared().Capacity(), "concurrent run slots; defaults to the scheduler budget capacity")
+	queueCap := flag.Int("queue", 64, "admission queue depth across tenants")
+	tenants := flag.String("tenants", "", "tenant weights, e.g. alice=4,bob=1 (unlisted tenants weigh 1)")
 	flag.Parse()
 
-	addr := config.String(*addrFlag, config.EnvServeAddr, ":8080")
-
-	slots := sched.Shared().Capacity()
-	if v := config.String(*slotsFlag, "", ""); v != "" {
-		n, err := strconv.Atoi(v)
-		if err != nil || n < 1 {
-			log.Fatalf("repro-serve: -slots %q: want a positive integer", v)
-		}
-		slots = n
+	if *slots < 1 {
+		log.Fatalf("repro-serve: -slots %d: want a positive integer", *slots)
+	}
+	if *queueCap < 0 {
+		log.Fatalf("repro-serve: -queue %d: want a non-negative integer", *queueCap)
+	}
+	weights, err := config.ParseTenantWeights(*tenants)
+	if err != nil {
+		log.Fatalf("repro-serve: %v", err)
 	}
 
-	queueCap := 64
-	if v := config.String(*queueFlag, config.EnvServeQueue, ""); v != "" {
-		n, err := strconv.Atoi(v)
-		if err != nil || n < 0 {
-			log.Fatalf("repro-serve: queue depth %q: want a non-negative integer", v)
-		}
-		queueCap = n
-	}
-
-	var weights map[string]int
-	if v := config.String(*tenantsFlag, config.EnvServeTenants, ""); v != "" {
-		w, err := config.ParseTenantWeights(v)
-		if err != nil {
-			log.Fatalf("repro-serve: %v", err)
-		}
-		weights = w
-	}
-
-	srv := newServer(slots, queueCap, weights)
+	srv := newServer(*slots, *queueCap, weights)
 	httpSrv := &http.Server{
-		Addr:              addr,
+		Addr:              *addr,
 		Handler:           srv.handler(),
 		ReadHeaderTimeout: 10 * time.Second,
 	}
@@ -85,7 +63,7 @@ func main() {
 	errc := make(chan error, 1)
 	go func() { errc <- httpSrv.ListenAndServe() }()
 	log.Printf("repro-serve: listening on %s (slots=%d queue=%d tenants=%s)",
-		addr, slots, queueCap, config.FormatTenantWeights(weights))
+		*addr, *slots, *queueCap, config.FormatTenantWeights(weights))
 
 	select {
 	case err := <-errc:

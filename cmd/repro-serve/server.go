@@ -14,6 +14,7 @@ package main
 // daemon adds admission and fairness, not another cache.
 
 import (
+	"context"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -115,38 +116,40 @@ func (s *server) handleRun(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, pipeline.ClassBadRequest, "decoding request: %v", err)
 		return
 	}
-	res, status := s.runOne(w, r, tenant, &req)
-	if res == nil {
-		return // admission error already written
+	res, err := s.run(r.Context(), tenant, &req)
+	if err != nil {
+		status, class := admissionStatus(err)
+		writeError(w, status, class, "%v", err)
+		return
+	}
+	// Run-level failures (compile, timeout, fault, runtime) are successful
+	// *service* responses: the Result carries the class. Only a request
+	// the pipeline rejected outright is the client's error.
+	status := http.StatusOK
+	if res.Err != nil && res.Err.Class == pipeline.ClassBadRequest {
+		status = http.StatusBadRequest
 	}
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
 	json.NewEncoder(w).Encode(res)
 }
 
-// runOne admits, runs, and converts one request to a serializable Result.
-// A nil Result means the admission failure was already written to w.
-func (s *server) runOne(w http.ResponseWriter, r *http.Request, tenant string, req *pipeline.Request) (*pipeline.Result, int) {
-	if err := s.adm.admit(r.Context(), tenant); err != nil {
-		status, class := admissionStatus(err)
-		writeError(w, status, class, "%v", err)
-		return nil, 0
+// run admits one request for tenant, runs it, and converts the outcome to
+// a serializable Result. The error is the admission refusal; a run that
+// fails comes back as a Result carrying its error class.
+func (s *server) run(ctx context.Context, tenant string, req *pipeline.Request) (*pipeline.Result, error) {
+	if err := s.adm.admit(ctx, tenant); err != nil {
+		return nil, err
 	}
 	defer s.adm.release(tenant)
 	s.inflight.Add(1)
 	defer s.inflight.Add(-1)
 	defer s.served.Add(1)
-	res, err := pipeline.Do(r.Context(), req)
+	res, err := pipeline.Do(ctx, req)
 	if err != nil {
 		res = pipeline.ResultForError(err)
-		if pipeline.Classify(err) == pipeline.ClassBadRequest {
-			return res, http.StatusBadRequest
-		}
-		// Run-level failures (compile, timeout, fault, runtime) are
-		// successful *service* responses: the Result carries the class.
-		return res, http.StatusOK
 	}
-	return res, http.StatusOK
+	return res, nil
 }
 
 // batchRow is one NDJSON line of a batch response: the array index of the
@@ -187,15 +190,7 @@ func (s *server) runBatch(w http.ResponseWriter, r *http.Request, tenant string,
 				emit(i, pipeline.ResultForError(fmt.Errorf("null request")))
 				return
 			}
-			if err := s.adm.admit(r.Context(), tenant); err != nil {
-				emit(i, pipeline.ResultForError(err))
-				return
-			}
-			defer s.adm.release(tenant)
-			s.inflight.Add(1)
-			defer s.inflight.Add(-1)
-			defer s.served.Add(1)
-			res, err := pipeline.Do(r.Context(), req)
+			res, err := s.run(r.Context(), tenant, req)
 			if err != nil {
 				res = pipeline.ResultForError(err)
 			}

@@ -49,21 +49,15 @@ func run(args []string, stdout, stderr *os.File) int {
 		return 2
 	}
 
-	seeds, err := config.ParseFuzzSeeds(config.String(*seedsFlag, config.EnvFuzzSeeds, ""))
+	seeds, err := config.ParseInt(config.EnvFuzzSeeds, config.String(*seedsFlag, config.EnvFuzzSeeds, ""), 1, defaultSeeds)
 	if err != nil {
 		fmt.Fprintln(stderr, "wasmfuzz:", err)
 		return 2
 	}
-	if seeds == 0 {
-		seeds = defaultSeeds
-	}
-	first, err := config.ParseFuzzSeed(config.String(*seedFlag, config.EnvFuzzSeed, ""))
+	first, err := config.ParseInt[uint64](config.EnvFuzzSeed, config.String(*seedFlag, config.EnvFuzzSeed, ""), 1, defaultSeed)
 	if err != nil {
 		fmt.Fprintln(stderr, "wasmfuzz:", err)
 		return 2
-	}
-	if first == 0 {
-		first = defaultSeed
 	}
 	cfg := fuzzgen.DiffConfig{Engines: parseEngines(*enginesFlag)}
 

@@ -1,22 +1,23 @@
 // Package config is the single registry for the reproduction's runtime
 // knobs. Every `$REPRO_*` environment variable is named here exactly once,
-// every parser for a knob's value lives here (except the fidelity tier's:
-// the Fidelity type is codegen's, so codegen.ParseFidelity parses it), and
-// every layer that accepts the same knob from more than one source (a CLI
-// flag, the environment, an HTTP request field) resolves it through the
-// same rule:
+// and every knob value is parsed here by one of two rules — ParseInt, an
+// integer with a lower bound, and ParseDuration, a duration with a lower
+// bound — whose errors name the knob and the value (the fidelity tier is
+// the exception: the Fidelity type is codegen's, so codegen.ParseFidelity
+// parses it). A knob that has both a flag and an env form resolves through
+// String:
 //
 //	flag > environment > default
 //
-// The packages that consume a knob (sched's token budget, pipeline's
-// artifact store and watchdog, codegen's fidelity tier, the repro-serve
-// daemon) keep their own semantics — config only owns names, parsing, and
-// precedence, so a knob spelled on the command line, exported in CI, or
-// carried in a pipeline.Request can never drift into three dialects.
+// The packages that consume a knob (pipeline's artifact store, remote tier
+// and watchdog, codegen's fidelity tier, the fuzzer) keep their own
+// semantics; config owns only names, parsing, and precedence, so a knob
+// spelled on the command line, exported in CI, or carried in a
+// pipeline.Request cannot drift into three dialects. Host tuning that
+// nothing sets is not a knob: it is a constant in the package that uses it.
 //
-// config is a leaf package (standard library only) so that every layer,
-// including internal/sched underneath the compiler, can import it without
-// cycles.
+// config is a leaf package (standard library only) so that every layer can
+// import it without cycles.
 package config
 
 import (
@@ -43,10 +44,6 @@ const (
 	EnvCacheMaxBytes = "REPRO_CACHE_MAX_BYTES"
 	EnvCacheSummary  = "REPRO_CACHE_SUMMARY"
 
-	// EnvSchedTokens overrides the process-wide scheduler budget's
-	// capacity (default GOMAXPROCS).
-	EnvSchedTokens = "REPRO_SCHED_TOKENS"
-
 	// EnvJobTimeout / EnvJobMaxInsts arm the per-job watchdog: a wall-clock
 	// deadline (a time.Duration string) and a retired-instruction ceiling.
 	EnvJobTimeout  = "REPRO_JOB_TIMEOUT"
@@ -56,23 +53,11 @@ const (
 	// site[@match]=kind[:count][:arg] grammar).
 	EnvFaults = "REPRO_FAULTS"
 
-	// EnvServeAddr / EnvServeTenants / EnvServeQueue configure the
-	// repro-serve daemon: listen address, per-tenant fairness weights
-	// ("alice=4,bob=1"), and the admission queue depth.
-	EnvServeAddr    = "REPRO_SERVE_ADDR"
-	EnvServeTenants = "REPRO_SERVE_TENANTS"
-	EnvServeQueue   = "REPRO_SERVE_QUEUE"
-
 	// EnvRemoteCache points the artifact store's remote tier at a shared
 	// cache (a repro-serve /artifact endpoint); empty or "off" disables it.
-	// EnvRemoteTimeout bounds each remote call; the breaker knobs tune the
-	// circuit breaker that contains a flaky or dead remote (consecutive
-	// failed calls before the breaker opens, and how long it stays open
-	// before admitting a half-open probe).
-	EnvRemoteCache           = "REPRO_REMOTE_CACHE"
-	EnvRemoteTimeout         = "REPRO_REMOTE_TIMEOUT"
-	EnvRemoteBreakerFails    = "REPRO_REMOTE_BREAKER_FAILS"
-	EnvRemoteBreakerCooldown = "REPRO_REMOTE_BREAKER_COOLDOWN"
+	// EnvRemoteTimeout bounds each remote call.
+	EnvRemoteCache   = "REPRO_REMOTE_CACHE"
+	EnvRemoteTimeout = "REPRO_REMOTE_TIMEOUT"
 
 	// EnvRegenWeights gates the skipped-by-default test that re-measures
 	// the workloads.expectedInsts dispatch table on the functional tier.
@@ -85,16 +70,6 @@ const (
 	EnvFuzzSeed  = "REPRO_FUZZ_SEED"
 )
 
-// Remote-tier defaults. The timeout is deliberately short: a remote hit
-// saves a compile (tens of ms to seconds), so waiting longer than ~2s for
-// the network is already a loss, and a hung remote must never stall a
-// build longer than this per attempt.
-const (
-	DefaultRemoteTimeout         = 2 * time.Second
-	DefaultRemoteBreakerFails    = 3
-	DefaultRemoteBreakerCooldown = 15 * time.Second
-)
-
 // String resolves a string knob: an explicit flag value wins, then the
 // environment, then the default.
 func String(flagVal, envName, def string) string {
@@ -105,6 +80,49 @@ func String(flagVal, envName, def string) string {
 		return v
 	}
 	return def
+}
+
+// ParseInt parses the value v of the integer knob name: empty selects def,
+// otherwise a base-10 integer no smaller than lo, which must not be
+// negative. A malformed value is an error naming the knob; the caller
+// decides whether to warn or refuse, but never silently treats a typo as
+// "use the default".
+func ParseInt[T int | int64 | uint64](name, v string, lo, def T) (T, error) {
+	if v == "" {
+		return def, nil
+	}
+	u, err := strconv.ParseUint(v, 10, 64)
+	if n := T(u); err == nil && uint64(n) == u && n >= lo {
+		return n, nil
+	}
+	return 0, fmt.Errorf("config: %s=%q is not an integer ≥ %d", name, v, lo)
+}
+
+// ParseDuration parses the value v of the duration knob name: empty
+// selects def, otherwise a time.Duration string no shorter than lo. A
+// malformed value is an error naming the knob, as for ParseInt.
+func ParseDuration(name, v string, lo, def time.Duration) (time.Duration, error) {
+	if v == "" {
+		return def, nil
+	}
+	d, err := time.ParseDuration(v)
+	if err != nil || d < lo {
+		return 0, fmt.Errorf("config: %s=%q is not a duration ≥ %v", name, v, lo)
+	}
+	return d, nil
+}
+
+// Off reports whether the value of a location knob (EnvCacheDir,
+// EnvRemoteCache) switches its layer off: "off", "0" or "none".
+func Off(v string) bool { return v == "off" || v == "0" || v == "none" }
+
+// RemoteCache resolves the remote artifact cache's base URL: flagVal, else
+// EnvRemoteCache. It returns "" when the tier is disabled: unset, or Off.
+func RemoteCache(flagVal string) string {
+	if v := String(flagVal, EnvRemoteCache, ""); !Off(v) {
+		return v
+	}
+	return ""
 }
 
 // Duration is a time.Duration that serializes as the human spelling
@@ -154,44 +172,18 @@ type Limits struct {
 // IsZero reports whether no limit is armed.
 func (l Limits) IsZero() bool { return l.Timeout == 0 && l.MaxInsts == 0 }
 
-// ParseJobTimeout parses an EnvJobTimeout value: empty disables, otherwise
-// a non-negative time.Duration string.
-func ParseJobTimeout(v string) (time.Duration, error) {
-	if v == "" {
-		return 0, nil
-	}
-	d, err := time.ParseDuration(v)
-	if err != nil || d < 0 {
-		return 0, fmt.Errorf("config: %s=%q is not a duration", EnvJobTimeout, v)
-	}
-	return d, nil
-}
-
-// ParseJobMaxInsts parses an EnvJobMaxInsts value: empty disables,
-// otherwise a non-negative instruction count.
-func ParseJobMaxInsts(v string) (uint64, error) {
-	if v == "" {
-		return 0, nil
-	}
-	n, err := strconv.ParseUint(v, 10, 64)
-	if err != nil {
-		return 0, fmt.Errorf("config: %s=%q is not an instruction count", EnvJobMaxInsts, v)
-	}
-	return n, nil
-}
-
 // LimitsFromEnv reads the watchdog knobs. Each malformed knob is reported
 // in errs and its limit left disabled, mirroring the watchdog's
 // warn-and-run-unguarded behavior (the caller decides where the warning
 // goes).
 func LimitsFromEnv() (l Limits, errs []error) {
-	d, err := ParseJobTimeout(os.Getenv(EnvJobTimeout))
+	d, err := ParseDuration(EnvJobTimeout, os.Getenv(EnvJobTimeout), 0, 0)
 	if err != nil {
 		errs = append(errs, err)
 	} else {
 		l.Timeout = Duration(d)
 	}
-	n, err := ParseJobMaxInsts(os.Getenv(EnvJobMaxInsts))
+	n, err := ParseInt[uint64](EnvJobMaxInsts, os.Getenv(EnvJobMaxInsts), 0, 0)
 	if err != nil {
 		errs = append(errs, err)
 	} else {
@@ -200,75 +192,7 @@ func LimitsFromEnv() (l Limits, errs []error) {
 	return l, errs
 }
 
-// ParseCacheMaxBytes parses an EnvCacheMaxBytes value. Empty selects the
-// default (ok with n == 0); anything that is not a positive integer is an
-// error — the caller decides whether to warn, but never silently treats a
-// typo as "use the default".
-func ParseCacheMaxBytes(v string) (n int64, err error) {
-	if v == "" {
-		return 0, nil
-	}
-	n, err = strconv.ParseInt(v, 10, 64)
-	if err != nil || n < 1 {
-		return 0, fmt.Errorf("config: %s=%q is not a positive byte count", EnvCacheMaxBytes, v)
-	}
-	return n, nil
-}
-
-// ParseSchedTokens parses an EnvSchedTokens value. Empty selects the
-// default (ok with n == 0); anything that is not a positive integer is an
-// error.
-func ParseSchedTokens(v string) (n int, err error) {
-	if v == "" {
-		return 0, nil
-	}
-	n, err = strconv.Atoi(v)
-	if err != nil || n < 1 {
-		return 0, fmt.Errorf("config: %s=%q is not a positive integer", EnvSchedTokens, v)
-	}
-	return n, nil
-}
-
-// ParseRemoteTimeout parses an EnvRemoteTimeout value: empty selects the
-// default (signaled as 0), otherwise a positive time.Duration string.
-func ParseRemoteTimeout(v string) (time.Duration, error) {
-	if v == "" {
-		return 0, nil
-	}
-	d, err := time.ParseDuration(v)
-	if err != nil || d <= 0 {
-		return 0, fmt.Errorf("config: %s=%q is not a positive duration", EnvRemoteTimeout, v)
-	}
-	return d, nil
-}
-
-// ParseBreakerFails parses an EnvRemoteBreakerFails value: empty selects
-// the default (signaled as 0), otherwise a positive failure count.
-func ParseBreakerFails(v string) (int, error) {
-	if v == "" {
-		return 0, nil
-	}
-	n, err := strconv.Atoi(v)
-	if err != nil || n < 1 {
-		return 0, fmt.Errorf("config: %s=%q is not a positive integer", EnvRemoteBreakerFails, v)
-	}
-	return n, nil
-}
-
-// ParseBreakerCooldown parses an EnvRemoteBreakerCooldown value: empty
-// selects the default (signaled as 0), otherwise a positive duration.
-func ParseBreakerCooldown(v string) (time.Duration, error) {
-	if v == "" {
-		return 0, nil
-	}
-	d, err := time.ParseDuration(v)
-	if err != nil || d <= 0 {
-		return 0, fmt.Errorf("config: %s=%q is not a positive duration", EnvRemoteBreakerCooldown, v)
-	}
-	return d, nil
-}
-
-// ParseTenantWeights parses an EnvServeTenants value: a comma-separated
+// ParseTenantWeights parses repro-serve's -tenants value: a comma-separated
 // list of name=weight pairs with positive integer weights ("alice=4,bob=1").
 // Tenants not listed default to weight 1 at the consumer. Empty input is an
 // empty (nil) map.
@@ -286,38 +210,11 @@ func ParseTenantWeights(v string) (map[string]int, error) {
 		name = strings.TrimSpace(name)
 		w, err := strconv.Atoi(strings.TrimSpace(val))
 		if !ok || name == "" || err != nil || w < 1 {
-			return nil, fmt.Errorf("config: %s entry %q is not name=positive-weight", EnvServeTenants, pair)
+			return nil, fmt.Errorf("config: -tenants entry %q is not name=positive-weight", pair)
 		}
 		out[name] = w
 	}
 	return out, nil
-}
-
-// ParseFuzzSeeds parses an EnvFuzzSeeds value: empty selects the default
-// (signaled as 0), otherwise a positive seed count.
-func ParseFuzzSeeds(v string) (int, error) {
-	if v == "" {
-		return 0, nil
-	}
-	n, err := strconv.Atoi(v)
-	if err != nil || n < 1 {
-		return 0, fmt.Errorf("config: %s=%q is not a positive seed count", EnvFuzzSeeds, v)
-	}
-	return n, nil
-}
-
-// ParseFuzzSeed parses an EnvFuzzSeed value: empty selects the default
-// (signaled as 0), otherwise a positive starting seed. Seed 0 is reserved
-// as the "unset" sentinel so flag/env/default resolution can distinguish it.
-func ParseFuzzSeed(v string) (uint64, error) {
-	if v == "" {
-		return 0, nil
-	}
-	n, err := strconv.ParseUint(v, 10, 64)
-	if err != nil || n < 1 {
-		return 0, fmt.Errorf("config: %s=%q is not a positive seed", EnvFuzzSeed, v)
-	}
-	return n, nil
 }
 
 // FormatTenantWeights renders a weight map back to the knob syntax in

@@ -2,6 +2,7 @@ package config
 
 import (
 	"encoding/json"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
@@ -78,73 +79,77 @@ func TestLimitsFromEnv(t *testing.T) {
 	}
 }
 
-// TestParsePositiveKnobs pins the shared contract of the integer knobs:
-// empty selects the default (n == 0, no error), positives are honored,
-// everything else errors.
-func TestParsePositiveKnobs(t *testing.T) {
-	cases := []struct {
-		in      string
-		want    int64
-		wantErr bool
+// intKnob and durKnob bind a parse rule to one knob's bound and default.
+func intKnob[T int | int64 | uint64](name string, lo, def T) func(string) (any, error) {
+	return func(v string) (any, error) { return ParseInt(name, v, lo, def) }
+}
+
+func durKnob(name string, lo, def time.Duration) func(string) (any, error) {
+	return func(v string) (any, error) { return ParseDuration(name, v, lo, def) }
+}
+
+// TestParseKnobs pins the two parse rules over every knob that uses them,
+// at the bound and default its consumer passes: empty selects the default,
+// a good value parses, and each malformed value is an error that names the
+// knob and the value.
+func TestParseKnobs(t *testing.T) {
+	for _, tc := range []struct {
+		name      string
+		parse     func(string) (any, error)
+		def       any
+		good      string
+		want      any
+		malformed []string
 	}{
-		{"", 0, false},
-		{"8", 8, false},
-		{"0", 0, true},
-		{"-3", 0, true},
-		{"many", 0, true},
-	}
-	for _, tc := range cases {
-		nb, err := ParseCacheMaxBytes(tc.in)
-		if (err != nil) != tc.wantErr || nb != tc.want {
-			t.Errorf("ParseCacheMaxBytes(%q) = %d, %v; want %d, err=%v", tc.in, nb, err, tc.want, tc.wantErr)
+		{EnvJobTimeout, durKnob(EnvJobTimeout, 0, 0), time.Duration(0),
+			"250ms", 250 * time.Millisecond, []string{"soon", "-1s", "10"}},
+		{EnvJobMaxInsts, intKnob[uint64](EnvJobMaxInsts, 0, 0), uint64(0),
+			"1000000", uint64(1000000), []string{"-1", "many", "1e6", " 4"}},
+		{EnvCacheMaxBytes, intKnob[int64](EnvCacheMaxBytes, 1, 512<<20), int64(512 << 20),
+			"1048576", int64(1 << 20), []string{"0", "-5", "2GB", "lots", "9223372036854775808"}},
+		{EnvRemoteTimeout, durKnob(EnvRemoteTimeout, time.Nanosecond, 2*time.Second), 2 * time.Second,
+			"750ms", 750 * time.Millisecond, []string{"0", "-1s", "fast", "10"}},
+		{EnvFuzzSeeds, intKnob[int](EnvFuzzSeeds, 1, 100), 100,
+			"300", 300, []string{"0", "-2", "lots", "4.5"}},
+		{EnvFuzzSeed, intKnob[uint64](EnvFuzzSeed, 1, 1), uint64(1),
+			"7", uint64(7), []string{"0", "-2", "lots", "18446744073709551616"}},
+	} {
+		if got, err := tc.parse(""); err != nil || got != tc.def {
+			t.Errorf("%s empty = %v, %v; want the default %v", tc.name, got, err, tc.def)
 		}
-		nt, err := ParseSchedTokens(tc.in)
-		if (err != nil) != tc.wantErr || int64(nt) != tc.want {
-			t.Errorf("ParseSchedTokens(%q) = %d, %v; want %d, err=%v", tc.in, nt, err, tc.want, tc.wantErr)
+		if got, err := tc.parse(tc.good); err != nil || got != tc.want {
+			t.Errorf("%s=%q = %v, %v; want %v", tc.name, tc.good, got, err, tc.want)
+		}
+		for _, bad := range tc.malformed {
+			_, err := tc.parse(bad)
+			if err == nil {
+				t.Errorf("%s=%q parsed; want an error", tc.name, bad)
+			} else if msg := err.Error(); !strings.Contains(msg, tc.name) || !strings.Contains(msg, strconv.Quote(bad)) {
+				t.Errorf("%s=%q: error %q does not name the knob and the value", tc.name, bad, msg)
+			}
 		}
 	}
 }
 
-// TestParseRemoteKnobs pins the remote-tier tuning contract: empty selects
-// the default (signaled as zero), positive values are honored, and
-// non-positive or malformed values are errors naming the knob — the env
-// reader warns once and falls back to the default rather than disabling
-// the tier.
-func TestParseRemoteKnobs(t *testing.T) {
-	if d, err := ParseRemoteTimeout(""); err != nil || d != 0 {
-		t.Errorf("empty timeout: %v, %v", d, err)
-	}
-	if d, err := ParseRemoteTimeout("750ms"); err != nil || d != 750*time.Millisecond {
-		t.Errorf("ParseRemoteTimeout(750ms) = %v, %v", d, err)
-	}
-	for _, bad := range []string{"0", "-1s", "fast", "10"} {
-		if _, err := ParseRemoteTimeout(bad); err == nil {
-			t.Errorf("ParseRemoteTimeout(%q) must fail", bad)
-		} else if !strings.Contains(err.Error(), EnvRemoteTimeout) {
-			t.Errorf("error must name the knob: %v", err)
+// TestRemoteCache pins the remote tier's switch: the flag beats the env,
+// and unset, "off", "0" and "none" all disable the tier.
+func TestRemoteCache(t *testing.T) {
+	const url = "http://127.0.0.1:8124"
+	for _, v := range []string{"", "off", "0", "none"} {
+		t.Setenv(EnvRemoteCache, v)
+		if got := RemoteCache(""); got != "" {
+			t.Errorf("%s=%q resolves to %q; want disabled", EnvRemoteCache, v, got)
 		}
 	}
-	if n, err := ParseBreakerFails(""); err != nil || n != 0 {
-		t.Errorf("empty fails: %v, %v", n, err)
+	if got := RemoteCache(url); got != url {
+		t.Errorf("flag resolves to %q; want %q", got, url)
 	}
-	if n, err := ParseBreakerFails("5"); err != nil || n != 5 {
-		t.Errorf("ParseBreakerFails(5) = %v, %v", n, err)
+	t.Setenv(EnvRemoteCache, url)
+	if got := RemoteCache(""); got != url {
+		t.Errorf("env resolves to %q; want %q", got, url)
 	}
-	for _, bad := range []string{"0", "-2", "lots"} {
-		if _, err := ParseBreakerFails(bad); err == nil {
-			t.Errorf("ParseBreakerFails(%q) must fail", bad)
-		}
-	}
-	if d, err := ParseBreakerCooldown(""); err != nil || d != 0 {
-		t.Errorf("empty cooldown: %v, %v", d, err)
-	}
-	if d, err := ParseBreakerCooldown("30s"); err != nil || d != 30*time.Second {
-		t.Errorf("ParseBreakerCooldown(30s) = %v, %v", d, err)
-	}
-	for _, bad := range []string{"0", "-5s", "soon"} {
-		if _, err := ParseBreakerCooldown(bad); err == nil {
-			t.Errorf("ParseBreakerCooldown(%q) must fail", bad)
-		}
+	if got := RemoteCache("off"); got != "" {
+		t.Errorf("-remote off resolves to %q; want disabled", got)
 	}
 }
 
@@ -167,38 +172,5 @@ func TestTenantWeights(t *testing.T) {
 	}
 	if w, err := ParseTenantWeights(""); err != nil || w != nil {
 		t.Errorf("empty spec must be nil map, got %v, %v", w, err)
-	}
-}
-
-// TestParseFuzzKnobs pins the fuzzer knob contract: empty selects the
-// default (signaled as zero), positive values are honored, and zero,
-// negative, or malformed values are errors naming the knob.
-func TestParseFuzzKnobs(t *testing.T) {
-	cases := []struct {
-		in      string
-		want    uint64
-		wantErr bool
-	}{
-		{"", 0, false},
-		{"300", 300, false},
-		{"1", 1, false},
-		{"0", 0, true},
-		{"-2", 0, true},
-		{"lots", 0, true},
-	}
-	for _, tc := range cases {
-		n, err := ParseFuzzSeeds(tc.in)
-		if (err != nil) != tc.wantErr || uint64(n) != tc.want {
-			t.Errorf("ParseFuzzSeeds(%q) = %d, %v; want %d, err=%v", tc.in, n, err, tc.want, tc.wantErr)
-		}
-		s, err := ParseFuzzSeed(tc.in)
-		if (err != nil) != tc.wantErr || s != tc.want {
-			t.Errorf("ParseFuzzSeed(%q) = %d, %v; want %d, err=%v", tc.in, s, err, tc.want, tc.wantErr)
-		}
-		if tc.wantErr {
-			if err == nil || !strings.Contains(err.Error(), EnvFuzzSeed) {
-				t.Errorf("ParseFuzzSeed(%q) error %v does not name the knob", tc.in, err)
-			}
-		}
 	}
 }

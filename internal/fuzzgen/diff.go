@@ -251,21 +251,6 @@ func runCandidate(ctx context.Context, wasmBytes []byte, engine, dispatch, fidel
 	return &Outcome{ExitCode: res.ExitCode, Stdout: res.Stdout, Counters: res.Counters, HasCtrs: true}
 }
 
-// archEqual compares the architectural counter subset (the functional-tier
-// contract: loads, stores, branches, conditional branches, instructions).
-func archEqual(a, b perf.Counters) bool {
-	return a.Loads == b.Loads && a.Stores == b.Stores &&
-		a.Branches == b.Branches && a.CondBranches == b.CondBranches &&
-		a.Instructions == b.Instructions
-}
-
-// timingZero reports whether every timing counter is zero (the functional
-// tier must not fabricate cycles or miss counts).
-func timingZero(c perf.Counters) bool {
-	return c.Cycles == 0 && c.L1IMisses == 0 && c.L1DMisses == 0 &&
-		c.L2Misses == 0 && c.BranchMiss == 0
-}
-
 // Diff runs one module through the reference interpreter and the full
 // candidate matrix, returning the first divergence found. The error return
 // is for oracle infrastructure problems only (an interpreter that cannot
@@ -335,10 +320,10 @@ func Diff(ctx context.Context, m *wasm.Module, cfg DiffConfig) (*Verdict, error)
 
 		// Functional vs exact: architectural counters identical, timing zero.
 		if exact.HasCtrs && functional.HasCtrs {
-			if !archEqual(exact.Counters, functional.Counters) {
+			if exact.Counters.Arch() != functional.Counters.Arch() {
 				diverge(eng+"/predecode/functional", "arch-counters",
 					fmt.Sprintf("%+v", exact.Counters), fmt.Sprintf("%+v", functional.Counters))
-			} else if !timingZero(functional.Counters) {
+			} else if !functional.Counters.TimingZero() {
 				diverge(eng+"/predecode/functional", "timing-counters",
 					"all zero", fmt.Sprintf("%+v", functional.Counters))
 			}

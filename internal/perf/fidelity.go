@@ -13,10 +13,21 @@ type FidelityRow struct {
 
 // ArchExact reports whether the architectural counter subset is
 // bit-identical — the invariant every tier must uphold.
-func (r FidelityRow) ArchExact() bool {
-	return r.Exact.Loads == r.Approx.Loads &&
-		r.Exact.Stores == r.Approx.Stores &&
-		r.Exact.Branches == r.Approx.Branches &&
-		r.Exact.CondBranches == r.Approx.CondBranches &&
-		r.Exact.Instructions == r.Approx.Instructions
+func (r FidelityRow) ArchExact() bool { return r.Exact.Arch() == r.Approx.Arch() }
+
+// Arch returns the architectural counter subset of c — loads, stores,
+// branches, conditional branches, instructions — with every timing counter
+// zero. Tiers compare on it: they must agree on it bit for bit.
+func (c Counters) Arch() Counters {
+	return Counters{
+		Loads:        c.Loads,
+		Stores:       c.Stores,
+		Branches:     c.Branches,
+		CondBranches: c.CondBranches,
+		Instructions: c.Instructions,
+	}
 }
+
+// TimingZero reports whether every timing counter of c is zero, the
+// functional tier's contract: it must not fabricate cycles or miss counts.
+func (c Counters) TimingZero() bool { return c == c.Arch() }

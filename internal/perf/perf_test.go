@@ -42,3 +42,44 @@ func TestSeconds(t *testing.T) {
 		t.Errorf("3.5G cycles = %g s, want 1", s)
 	}
 }
+
+// TestArchSubset pins the functional-tier counter contract field by field:
+// the five architectural counters are the arch subset (FidelityRow.ArchExact
+// and the fuzzer's oracle compare on it), the five timing counters are what
+// TimingZero checks.
+func TestArchSubset(t *testing.T) {
+	arch := []func(*Counters){
+		func(c *Counters) { c.Loads = 1 },
+		func(c *Counters) { c.Stores = 1 },
+		func(c *Counters) { c.Branches = 1 },
+		func(c *Counters) { c.CondBranches = 1 },
+		func(c *Counters) { c.Instructions = 1 },
+	}
+	timing := []func(*Counters){
+		func(c *Counters) { c.Cycles = 1 },
+		func(c *Counters) { c.L1IMisses = 1 },
+		func(c *Counters) { c.L1DMisses = 1 },
+		func(c *Counters) { c.L2Misses = 1 },
+		func(c *Counters) { c.BranchMiss = 1 },
+	}
+	for i, set := range arch {
+		var c Counters
+		set(&c)
+		if c.Arch() != c || !c.TimingZero() {
+			t.Errorf("arch field %d: Arch() = %+v, TimingZero = %v", i, c.Arch(), c.TimingZero())
+		}
+		if (FidelityRow{Exact: c}).ArchExact() {
+			t.Errorf("arch field %d: ArchExact misses a difference", i)
+		}
+	}
+	for i, set := range timing {
+		var c Counters
+		set(&c)
+		if c.Arch() != (Counters{}) || c.TimingZero() {
+			t.Errorf("timing field %d: Arch() = %+v, TimingZero = %v", i, c.Arch(), c.TimingZero())
+		}
+		if !(FidelityRow{Exact: c}).ArchExact() {
+			t.Errorf("timing field %d: ArchExact compares a timing counter", i)
+		}
+	}
+}

@@ -81,8 +81,9 @@ type remoteTier struct {
 	timeout time.Duration
 	client  *http.Client
 
-	// Circuit breaker. now is injectable so tests drive the cooldown
-	// without wall-clock sleeps.
+	// Circuit breaker. trip and cooldown start at breakerTrip and
+	// breakerCooldown (tests set others), and now is injectable so tests
+	// drive the cooldown without wall-clock sleeps.
 	mu       sync.Mutex
 	state    breakerState
 	fails    int
@@ -116,25 +117,27 @@ type putJob struct {
 	data []byte
 }
 
-// newRemoteTier builds a client for base with the given knobs; zero knob
-// values select the config defaults.
-func newRemoteTier(base, fp string, timeout time.Duration, trip int, cooldown time.Duration) *remoteTier {
-	if timeout <= 0 {
-		timeout = config.DefaultRemoteTimeout
-	}
-	if trip <= 0 {
-		trip = config.DefaultRemoteBreakerFails
-	}
-	if cooldown <= 0 {
-		cooldown = config.DefaultRemoteBreakerCooldown
-	}
+// Remote-tier tuning. The timeout is deliberately short: a remote hit
+// saves a compile (tens of ms to seconds), so waiting longer than ~2s for
+// the network is already a loss, and a hung remote must never stall a
+// build longer than this per attempt. breakerTrip consecutive failed calls
+// open the breaker, and it stays open for breakerCooldown before admitting
+// one half-open probe.
+const (
+	defaultRemoteTimeout = 2 * time.Second
+	breakerTrip          = 3
+	breakerCooldown      = 15 * time.Second
+)
+
+// newRemoteTier builds a client for base whose calls each get timeout.
+func newRemoteTier(base, fp string, timeout time.Duration) *remoteTier {
 	t := &remoteTier{
 		base:     strings.TrimRight(base, "/"),
 		fp:       fp,
 		timeout:  timeout,
 		client:   &http.Client{},
-		trip:     trip,
-		cooldown: cooldown,
+		trip:     breakerTrip,
+		cooldown: breakerCooldown,
 		now:      time.Now,
 		neg:      map[string]struct{}{},
 	}
@@ -171,36 +174,11 @@ func setRemote(t *remoteTier) *remoteTier {
 	return prev
 }
 
-var warnRemoteOnce sync.Once
-
-// openDefaultRemote resolves the remote tier from the environment. Bad
-// tuning knobs warn once and fall back to defaults — misconfigured tuning
-// must not silently disable the tier, and must never fail a build.
+// openDefaultRemote resolves the remote tier from the environment.
 func openDefaultRemote() *remoteTier {
-	base := os.Getenv(config.EnvRemoteCache)
-	switch base {
-	case "", "off", "0", "none":
+	base := config.RemoteCache("")
+	if base == "" {
 		return nil
-	}
-	var errs []error
-	timeout, err := config.ParseRemoteTimeout(os.Getenv(config.EnvRemoteTimeout))
-	if err != nil {
-		errs = append(errs, err)
-	}
-	trip, err := config.ParseBreakerFails(os.Getenv(config.EnvRemoteBreakerFails))
-	if err != nil {
-		errs = append(errs, err)
-	}
-	cooldown, err := config.ParseBreakerCooldown(os.Getenv(config.EnvRemoteBreakerCooldown))
-	if err != nil {
-		errs = append(errs, err)
-	}
-	if len(errs) > 0 {
-		warnRemoteOnce.Do(func() {
-			for _, e := range errs {
-				fmt.Fprintf(os.Stderr, "%v; using default\n", e)
-			}
-		})
 	}
 	fp, err := compilerFingerprint()
 	if err != nil {
@@ -208,7 +186,24 @@ func openDefaultRemote() *remoteTier {
 		// local store is disabled for the same reason.
 		return nil
 	}
-	return newRemoteTier(base, fp, timeout, trip, cooldown)
+	return newRemoteTier(base, fp, remoteTimeout())
+}
+
+var warnRemoteOnce sync.Once
+
+// remoteTimeout reads $REPRO_REMOTE_TIMEOUT for the build path's tier and
+// for NewRemote alike. A malformed value warns once and selects the
+// default: misconfigured tuning must not silently disable the tier, and
+// must never fail a build.
+func remoteTimeout() time.Duration {
+	d, err := config.ParseDuration(config.EnvRemoteTimeout, os.Getenv(config.EnvRemoteTimeout), time.Nanosecond, defaultRemoteTimeout)
+	if err != nil {
+		warnRemoteOnce.Do(func() {
+			fmt.Fprintf(os.Stderr, "%v; using default %v\n", err, defaultRemoteTimeout)
+		})
+		return defaultRemoteTimeout
+	}
+	return d
 }
 
 // ---- circuit breaker ----
@@ -550,14 +545,11 @@ type Remote struct {
 	t *remoteTier
 }
 
-// NewRemote builds a client for base, tuning timeout and breaker from the
-// environment knobs exactly like the build path. The returned client is
-// independent of the process's own remote tier.
+// NewRemote builds a client for base with the build path's timeout and
+// breaker. The returned client is independent of the process's own remote
+// tier.
 func NewRemote(base string) *Remote {
-	timeout, _ := config.ParseRemoteTimeout(os.Getenv(config.EnvRemoteTimeout))
-	trip, _ := config.ParseBreakerFails(os.Getenv(config.EnvRemoteBreakerFails))
-	cooldown, _ := config.ParseBreakerCooldown(os.Getenv(config.EnvRemoteBreakerCooldown))
-	return &Remote{t: newRemoteTier(base, "", timeout, trip, cooldown)}
+	return &Remote{t: newRemoteTier(base, "", remoteTimeout())}
 }
 
 // Get fetches and verifies one artifact from namespace fp (a compiler
@@ -651,26 +643,11 @@ type artifactHandler struct {
 }
 
 // ArtifactHandler serves GET/PUT /artifact/{fp}/{key} and GET /artifacts
-// over the environment-configured cache location ($REPRO_CACHE_DIR
-// semantics, including "off" to disable — a disabled store answers 503 so a
-// misconfigured server is loud, not silently empty).
+// over the cache location and budget the local store would use
+// (storeSettings, including "off" to disable — a disabled store answers
+// 503 so a misconfigured server is loud, not silently empty).
 func ArtifactHandler() http.Handler {
-	root := os.Getenv(cacheDirEnv)
-	switch root {
-	case "off", "0", "none":
-		return ArtifactHandlerAt("", 0)
-	case "":
-		base, err := os.UserCacheDir()
-		if err != nil {
-			return ArtifactHandlerAt("", 0)
-		}
-		root = filepath.Join(base, "repro-wasm", "artifacts")
-	}
-	budget := int64(defaultMaxBytes)
-	if n, err := parseCacheMax(os.Getenv(cacheMaxEnv)); err == nil && n > 0 {
-		budget = n
-	}
-	return ArtifactHandlerAt(root, budget)
+	return ArtifactHandlerAt(storeSettings())
 }
 
 // ArtifactHandlerAt serves the artifact routes over an explicit root

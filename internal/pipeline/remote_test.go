@@ -50,7 +50,8 @@ func withTestRemote(t *testing.T, trip int, cooldown time.Duration) (*remoteTier
 	if err != nil {
 		t.Fatal(err)
 	}
-	rt := newRemoteTier(ts.URL, fp, time.Second, trip, cooldown)
+	rt := newRemoteTier(ts.URL, fp, time.Second)
+	rt.trip, rt.cooldown = trip, cooldown
 	prev := setRemote(rt)
 	// Shutdown before restoring: the async publish worker must not outlive
 	// the test (it reads the swappable retry clock and fault registry).
@@ -515,7 +516,8 @@ func TestRemotePutQueueDropsWhenFull(t *testing.T) {
 	defer slow.Close()
 	defer close(blocked)
 	fp, _ := compilerFingerprint()
-	rt := newRemoteTier(slow.URL, fp, 50*time.Millisecond, 1000, time.Minute)
+	rt := newRemoteTier(slow.URL, fp, 50*time.Millisecond)
+	rt.trip = 1000
 	// The wedged worker must not outlive the test and race later tests'
 	// retry-clock hooks.
 	t.Cleanup(rt.shutdown)

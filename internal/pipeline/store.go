@@ -35,18 +35,7 @@ import (
 // place, so readers only ever observe complete files, and concurrent writers
 // of one key (identical content by construction) just race renames.
 
-// Environment knobs (canonical names in internal/config).
 const (
-	// cacheDirEnv overrides the store location. The values "off", "0", and
-	// "none" disable the disk layer.
-	cacheDirEnv = config.EnvCacheDir
-	// cacheMaxEnv overrides the store size budget in bytes.
-	cacheMaxEnv = config.EnvCacheMaxBytes
-	// summaryEnv names a file that ReportTotals appends to, so CI can
-	// surface per-process summaries that `go test` elides for passing
-	// packages.
-	summaryEnv = config.EnvCacheSummary
-
 	// defaultMaxBytes bounds the store at 512 MB; the LRU sweep evicts
 	// oldest-read artifacts once the total exceeds it.
 	defaultMaxBytes = 512 << 20
@@ -65,7 +54,7 @@ func ReportTotals(label string) {
 		line = fmt.Sprintf("[pipeline] %s cache totals: %v breaker=%s\n", label, Stats(), info.Breaker)
 	}
 	fmt.Print(line)
-	if p := os.Getenv(summaryEnv); p != "" {
+	if p := os.Getenv(config.EnvCacheSummary); p != "" {
 		if f, err := os.OpenFile(p, os.O_APPEND|os.O_CREATE|os.O_WRONLY, 0o644); err == nil {
 			f.WriteString(line)
 			f.Close()
@@ -122,35 +111,16 @@ func setStore(s *diskStore) *diskStore {
 	return prev
 }
 
-// openDefaultStore resolves the store location from the environment. The
-// actual store root is a compiler-fingerprint subdirectory of the
-// configured location: pipeline.Key covers the inputs (source × config)
-// but not the compiler, so without the fingerprint a store populated
-// before a minic/codegen change would keep serving stale modules — a
+// openDefaultStore opens the store storeSettings resolves. The actual
+// store root is a compiler-fingerprint subdirectory of the configured
+// location: pipeline.Key covers the inputs (source × config) but not the
+// compiler, so without the fingerprint a store populated before a
+// minic/codegen change would keep serving stale modules — a
 // miscompilation fix would "pass" the suites without ever running.
 func openDefaultStore() *diskStore {
-	dir := os.Getenv(cacheDirEnv)
-	switch dir {
-	case "off", "0", "none":
+	dir, maxBytes := storeSettings()
+	if dir == "" {
 		return nil
-	case "":
-		base, err := os.UserCacheDir()
-		if err != nil {
-			return nil
-		}
-		dir = filepath.Join(base, "repro-wasm", "artifacts")
-	}
-	maxBytes := int64(defaultMaxBytes)
-	if n, err := parseCacheMax(os.Getenv(cacheMaxEnv)); err != nil {
-		// An unparsable budget falls back to the default rather than
-		// silently disabling the layer (REPRO_CACHE_DIR=off is the one
-		// disable switch) — but loudly: a user who set the knob and mistyped
-		// it would otherwise run at 512 MB and never know.
-		warnCacheMaxOnce.Do(func() {
-			fmt.Fprintf(os.Stderr, "%v; using default %d\n", err, int64(defaultMaxBytes))
-		})
-	} else if n > 0 {
-		maxBytes = n
 	}
 	fp, err := compilerFingerprint()
 	if err != nil {
@@ -167,12 +137,34 @@ func openDefaultStore() *diskStore {
 
 var warnCacheMaxOnce sync.Once
 
-// parseCacheMax parses a $REPRO_CACHE_MAX_BYTES value (the shared contract
-// lives in internal/config). Empty selects the default (ok with n == 0);
-// anything that is not a positive integer is an error — the caller decides
-// whether to warn, but never silently treats a typo as "use the default".
-func parseCacheMax(v string) (n int64, err error) {
-	return config.ParseCacheMaxBytes(v)
+// storeSettings resolves the store location ($REPRO_CACHE_DIR) and size
+// budget ($REPRO_CACHE_MAX_BYTES) for both the local store and the
+// server's ArtifactHandler. An empty root means the disk layer is
+// disabled: the knob is off, or there is no user cache directory. An
+// unparsable budget falls back to the default rather than disabling the
+// layer ($REPRO_CACHE_DIR=off is the one disable switch) — but loudly: a
+// user who set the knob and mistyped it would otherwise run at 512 MB and
+// never know.
+func storeSettings() (root string, maxBytes int64) {
+	root = os.Getenv(config.EnvCacheDir)
+	switch {
+	case config.Off(root):
+		return "", 0
+	case root == "":
+		base, err := os.UserCacheDir()
+		if err != nil {
+			return "", 0
+		}
+		root = filepath.Join(base, "repro-wasm", "artifacts")
+	}
+	maxBytes, err := config.ParseInt(config.EnvCacheMaxBytes, os.Getenv(config.EnvCacheMaxBytes), 1, int64(defaultMaxBytes))
+	if err != nil {
+		warnCacheMaxOnce.Do(func() {
+			fmt.Fprintf(os.Stderr, "%v; using default %d\n", err, int64(defaultMaxBytes))
+		})
+		maxBytes = defaultMaxBytes
+	}
+	return root, maxBytes
 }
 
 // compilerFingerprint identifies the code that produced an artifact: a hash

@@ -7,19 +7,24 @@ package pipeline
 // recompiled module must be bit-identical in execution to an uncached build.
 
 import (
+	"bytes"
 	"context"
 	"crypto/sha256"
 	"errors"
 	"fmt"
 	"io/fs"
 	"os"
+	"os/exec"
 	"path/filepath"
+	"regexp"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
 	"time"
 
 	"repro/internal/codegen"
+	"repro/internal/config"
 )
 
 const storeProbeSrc = `
@@ -825,30 +830,67 @@ func TestRetryIOCtxPerAttemptDeadline(t *testing.T) {
 	}
 }
 
-// TestParseCacheMax pins the $REPRO_CACHE_MAX_BYTES parse contract: empty
-// selects the default, a positive integer is honored, and anything else is
-// an error (which the env reader reports once and ignores).
-func TestParseCacheMax(t *testing.T) {
-	cases := []struct {
-		in      string
-		want    int64
-		wantErr bool
-	}{
-		{"", 0, false}, // empty means "use the default", signaled as n == 0
-		{"1048576", 1 << 20, false},
-		{"0", 0, true},
-		{"-5", 0, true},
-		{"2GB", 0, true},
-		{"lots", 0, true},
-	}
-	for _, tc := range cases {
-		n, err := parseCacheMax(tc.in)
-		if (err != nil) != tc.wantErr {
-			t.Errorf("parseCacheMax(%q) err = %v, wantErr %v", tc.in, err, tc.wantErr)
-			continue
+// resolveSideEnv switches a re-executed test binary into reporting what one
+// side — "store" (openDefaultStore) or "handler" (ArtifactHandler) —
+// resolved from the environment. A child per side gives each its own
+// process, so each side's warn-once fires on its own.
+const resolveSideEnv = "PIPELINE_TEST_RESOLVE_SIDE"
+
+// TestStoreAndHandlerResolveAlike pins that the local store and the
+// server's artifact handler resolve $REPRO_CACHE_DIR and
+// $REPRO_CACHE_MAX_BYTES to the same root and budget, and that both warn
+// about a malformed budget.
+func TestStoreAndHandlerResolveAlike(t *testing.T) {
+	if side := os.Getenv(resolveSideEnv); side != "" {
+		var root string
+		var budget int64
+		switch side {
+		case "store":
+			if s := openDefaultStore(); s != nil {
+				root, budget = filepath.Dir(s.dir), s.maxBytes
+			}
+		case "handler":
+			if h := ArtifactHandler().(*artifactHandler); h.root != "" {
+				root, budget = h.root, h.budget
+			}
 		}
-		if !tc.wantErr && n != tc.want {
-			t.Errorf("parseCacheMax(%q) = %d, want %d", tc.in, n, tc.want)
+		fmt.Printf("resolved root=%q budget=%d\n", root, budget)
+		return
+	}
+	userCache := t.TempDir()
+	explicit := t.TempDir()
+	resolved := regexp.MustCompile(`resolved root=(".*") budget=(\d+)`)
+	for _, tc := range []struct {
+		name, dir, max string
+		wantRoot       string
+		wantBudget     int64
+		warn           bool
+	}{
+		{"unset", "", "", filepath.Join(userCache, "repro-wasm", "artifacts"), defaultMaxBytes, false},
+		{"off", "off", "", "", 0, false},
+		{"explicit", explicit, "1048576", explicit, 1 << 20, false},
+		{"malformed-budget", explicit, "2GB", explicit, defaultMaxBytes, true},
+	} {
+		for _, side := range []string{"store", "handler"} {
+			cmd := exec.Command(os.Args[0], "-test.run=^TestStoreAndHandlerResolveAlike$")
+			cmd.Env = append(os.Environ(), resolveSideEnv+"="+side,
+				"XDG_CACHE_HOME="+userCache, "HOME="+userCache,
+				config.EnvCacheDir+"="+tc.dir, config.EnvCacheMaxBytes+"="+tc.max)
+			var stdout, stderr bytes.Buffer
+			cmd.Stdout, cmd.Stderr = &stdout, &stderr
+			if err := cmd.Run(); err != nil {
+				t.Fatalf("%s/%s: %v\n%s%s", tc.name, side, err, stdout.String(), stderr.String())
+			}
+			m := resolved.FindStringSubmatch(stdout.String())
+			if m == nil {
+				t.Fatalf("%s/%s: no resolution reported:\n%s", tc.name, side, stdout.String())
+			}
+			if root, _ := strconv.Unquote(m[1]); root != tc.wantRoot || m[2] != strconv.FormatInt(tc.wantBudget, 10) {
+				t.Errorf("%s/%s resolved root %s budget %s; want %q and %d", tc.name, side, m[1], m[2], tc.wantRoot, tc.wantBudget)
+			}
+			if warned := strings.Contains(stderr.String(), config.EnvCacheMaxBytes); warned != tc.warn {
+				t.Errorf("%s/%s: warned=%v, want %v; stderr:\n%s", tc.name, side, warned, tc.warn, stderr.String())
+			}
 		}
 	}
 }

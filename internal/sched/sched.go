@@ -3,9 +3,8 @@
 // module compilation in internal/codegen. It owns two things — a bounded
 // job runner (RunJobs) and a weighted token Budget that caps how many extra
 // worker goroutines exist across *all* concurrent fan-outs at once, at any
-// nesting depth. It is a leaf package (importing only internal/config, the
-// std-only knob registry) so the compiler can draw from the same budget the
-// pipeline layers on top of it.
+// nesting depth. It is a leaf package (standard library only) so the
+// compiler can draw from the same budget the pipeline layers on top of it.
 //
 // The token protocol: a goroutine that calls RunJobs always works through
 // the job list itself (its slot is "free" — it exists whether or not the
@@ -15,21 +14,18 @@
 // inline progress is always possible, nested fan-outs (a suite job whose
 // compile fans out per function) cannot deadlock, and the process-wide
 // count of scheduler-spawned goroutines never exceeds the budget capacity
-// (default GOMAXPROCS; $REPRO_SCHED_TOKENS overrides).
+// (GOMAXPROCS, which $GOMAXPROCS sets).
 package sched
 
 import (
 	"context"
 	"errors"
 	"fmt"
-	"os"
 	"runtime"
 	"runtime/debug"
 	"sort"
 	"sync"
 	"sync/atomic"
-
-	"repro/internal/config"
 )
 
 // Job is one unit of work. Jobs receive the scheduler's context and should
@@ -78,10 +74,6 @@ func CapturePanic(job string, v any) *JobPanicError {
 // DefaultWorkers is the scheduler's default parallelism: the machine's
 // GOMAXPROCS, instead of a hardcoded width.
 func DefaultWorkers() int { return runtime.GOMAXPROCS(0) }
-
-// TokensEnv overrides the shared budget's capacity (a positive integer;
-// anything else is ignored). The default is DefaultWorkers.
-const TokensEnv = config.EnvSchedTokens
 
 // Budget is a weighted token pool bounding worker parallelism. Tokens are
 // borrowed with TryAcquire — never a blocking wait, which is what makes the
@@ -174,31 +166,8 @@ func (b *Budget) ResetPeak() {
 	b.peak = b.inUse
 }
 
-// sharedBudget is the process-wide budget, sized once at init from
-// $REPRO_SCHED_TOKENS or GOMAXPROCS.
-var sharedBudget = NewBudget(capacityFromEnv())
-
-// parseTokens parses a $REPRO_SCHED_TOKENS value (the shared contract lives
-// in internal/config). An empty value selects the default (ok with n == 0);
-// anything that is not a positive integer is an error — the caller decides
-// whether to warn, but never silently treats a typo as "use the default".
-func parseTokens(v string) (n int, err error) {
-	return config.ParseSchedTokens(v)
-}
-
-func capacityFromEnv() int {
-	n, err := parseTokens(os.Getenv(TokensEnv))
-	if err != nil {
-		// Warn instead of silently defaulting: a user who set the knob and
-		// mistyped it would otherwise run at GOMAXPROCS and never know.
-		// (Once per process by construction — this runs at init.)
-		fmt.Fprintf(os.Stderr, "%v; using default %d\n", err, DefaultWorkers())
-	}
-	if n < 1 {
-		return DefaultWorkers()
-	}
-	return n
-}
+// sharedBudget is the process-wide budget, sized at init to GOMAXPROCS.
+var sharedBudget = NewBudget(DefaultWorkers())
 
 // Shared returns the process-wide budget that RunJobs and
 // codegen.Compile borrow workers from.

@@ -347,35 +347,6 @@ func TestCapturePanicNil(t *testing.T) {
 	}
 }
 
-func TestParseTokens(t *testing.T) {
-	cases := []struct {
-		in      string
-		want    int
-		wantErr bool
-	}{
-		{in: "", want: 0},
-		{in: "4", want: 4},
-		{in: "1", want: 1},
-		{in: "0", wantErr: true},
-		{in: "-2", wantErr: true},
-		{in: "four", wantErr: true},
-		{in: "4.5", wantErr: true},
-		{in: " 4", wantErr: true},
-	}
-	for _, tc := range cases {
-		n, err := parseTokens(tc.in)
-		if tc.wantErr {
-			if err == nil {
-				t.Errorf("parseTokens(%q): no error, want one", tc.in)
-			}
-			continue
-		}
-		if err != nil || n != tc.want {
-			t.Errorf("parseTokens(%q) = %d, %v; want %d, nil", tc.in, n, err, tc.want)
-		}
-	}
-}
-
 // TestRunJobsWeightedDispatchOrder pins longest-job-first claiming: with a
 // single worker, jobs start strictly in descending weight order regardless
 // of slice order. Errors still aggregate in slice order.

@@ -94,20 +94,11 @@ type Result struct {
 // harness state: they come from the process-wide content-addressed cache in
 // internal/pipeline, so concurrent harnesses share compiles.
 type Harness struct {
-	// Workers bounds suite parallelism; 0 selects the scheduler default
-	// (GOMAXPROCS).
-	Workers int
-
 	// Fidelity selects the simulation tier for the harness-owned suites
 	// (RunSPEC, RunPolybench, RunAsmJS). The zero value is the exact tier.
 	// Callers that pass their own configs to RunSuite set
 	// codegen.EngineConfig.Fidelity on the configs instead.
 	Fidelity codegen.Fidelity
-
-	// Logf, when set, receives per-suite reporting (the build-cache traffic
-	// a RunSuite generated: memory hits, disk hits, compiles). Wire it to
-	// t.Logf / b.Logf in tests and benchmarks.
-	Logf func(format string, args ...any)
 
 	// Degraded makes suite runs survive individual failures: a workload ×
 	// engine run that fails (build error, panic, watchdog timeout, empty or
@@ -293,14 +284,13 @@ func (h *Harness) Run(ctx context.Context, w *workloads.Workload, cfg *codegen.E
 // RunSuite runs every workload in ws under every engine in cfgs, validating
 // outputs across engines with the cmp check, and returns results indexed
 // [workload][engine]. Executions run in parallel on the shared scheduler
-// (each is fully isolated in its own kernel), bounded by h.Workers;
-// cancelling ctx stops the suite early, and every failing workload/engine
+// (each is fully isolated in its own kernel), bounded by the shared
+// budget; cancelling ctx stops the suite early, and every failing workload/engine
 // pair is reported in the returned error, not just the first. A degraded
 // run returns the full matrix alongside the *SuiteFailure: surviving rows
 // are real measurements, failed rows carry Err-marked entries, and the
 // caller decides whether to render despite the error.
 func (h *Harness) RunSuite(ctx context.Context, ws []*workloads.Workload, cfgs []*codegen.EngineConfig) ([][]*Result, error) {
-	before := pipeline.Stats()
 	out := make([][]*Result, len(ws))
 	for wi := range out {
 		out[wi] = make([]*Result, len(cfgs))
@@ -356,14 +346,7 @@ func (h *Harness) RunSuite(ctx context.Context, ws []*workloads.Workload, cfgs [
 	// Weighted dispatch: heavy workloads (by expected simulated
 	// instructions) are claimed first, so one long SPEC program overlaps
 	// the cheap Polybench kernels instead of starting after them.
-	err := sched.RunJobsWeighted(ctx, h.Workers, jobs)
-	if h.Logf != nil {
-		h.Logf("spec suite (%d workloads × %d engines) cache: %v",
-			len(ws), len(cfgs), pipeline.Stats().Sub(before))
-		if len(failures) > 0 {
-			h.Logf("spec suite: %d of %d runs failed (degraded)", len(failures), len(jobs))
-		}
-	}
+	err := sched.RunJobsWeighted(ctx, 0, jobs)
 	if len(failures) > 0 {
 		return out, errors.Join(err, &SuiteFailure{Failures: failures, Total: len(jobs)})
 	}

@@ -127,7 +127,6 @@ func TestHarnessSingleBenchmark(t *testing.T) {
 // geomean slowdown > 1 for both browsers on a compute-bound subset.
 func TestWasmSlowerThanNativeOnSPEC(t *testing.T) {
 	h := spec.NewHarness()
-	h.Logf = t.Logf // per-suite cache reporting
 	names := map[string]bool{"444.namd": true, "453.povray": true, "473.astar": true}
 	if testing.Short() {
 		names = map[string]bool{"473.astar": true}

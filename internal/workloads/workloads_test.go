@@ -27,11 +27,11 @@ func TestMain(m *testing.M) {
 // outputs across engines.
 func runSuiteSharded(t *testing.T, suite []*workloads.Workload, cfgs []*codegen.EngineConfig) {
 	t.Helper()
-	h := spec.NewHarness()
-	h.Logf = t.Logf
-	if _, err := h.RunSuite(context.Background(), suite, cfgs); err != nil {
+	before := pipeline.Stats()
+	if _, err := spec.NewHarness().RunSuite(context.Background(), suite, cfgs); err != nil {
 		t.Fatal(err)
 	}
+	t.Logf("suite cache: %v", pipeline.Stats().Sub(before))
 }
 
 // TestPolybenchDifferential runs every Polybench kernel on native and
