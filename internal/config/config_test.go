@@ -88,32 +88,23 @@ func durKnob(name string, lo, def time.Duration) func(string) (any, error) {
 	return func(v string) (any, error) { return ParseDuration(name, v, lo, def) }
 }
 
-// TestParseKnobs pins the two parse rules over every knob that uses them,
-// at the bound and default its consumer passes: empty selects the default,
-// a good value parses, and each malformed value is an error that names the
-// knob and the value.
-func TestParseKnobs(t *testing.T) {
-	for _, tc := range []struct {
-		name      string
-		parse     func(string) (any, error)
-		def       any
-		good      string
-		want      any
-		malformed []string
-	}{
-		{EnvJobTimeout, durKnob(EnvJobTimeout, 0, 0), time.Duration(0),
-			"250ms", 250 * time.Millisecond, []string{"soon", "-1s", "10"}},
-		{EnvJobMaxInsts, intKnob[uint64](EnvJobMaxInsts, 0, 0), uint64(0),
-			"1000000", uint64(1000000), []string{"-1", "many", "1e6", " 4"}},
-		{EnvCacheMaxBytes, intKnob[int64](EnvCacheMaxBytes, 1, 512<<20), int64(512 << 20),
-			"1048576", int64(1 << 20), []string{"0", "-5", "2GB", "lots", "9223372036854775808"}},
-		{EnvRemoteTimeout, durKnob(EnvRemoteTimeout, time.Nanosecond, 2*time.Second), 2 * time.Second,
-			"750ms", 750 * time.Millisecond, []string{"0", "-1s", "fast", "10"}},
-		{EnvFuzzSeeds, intKnob[int](EnvFuzzSeeds, 1, 100), 100,
-			"300", 300, []string{"0", "-2", "lots", "4.5"}},
-		{EnvFuzzSeed, intKnob[uint64](EnvFuzzSeed, 1, 1), uint64(1),
-			"7", uint64(7), []string{"0", "-2", "lots", "18446744073709551616"}},
-	} {
+// knobCase is one knob's parse contract at the bound and default its
+// consumer passes: empty selects def, good parses to want, and each
+// malformed value is an error.
+type knobCase struct {
+	name      string
+	parse     func(string) (any, error)
+	def       any
+	good      string
+	want      any
+	malformed []string
+}
+
+// checkKnobs pins each case's contract, including that every error names
+// the knob and the value.
+func checkKnobs(t *testing.T, cases ...knobCase) {
+	t.Helper()
+	for _, tc := range cases {
 		if got, err := tc.parse(""); err != nil || got != tc.def {
 			t.Errorf("%s empty = %v, %v; want the default %v", tc.name, got, err, tc.def)
 		}
@@ -129,6 +120,48 @@ func TestParseKnobs(t *testing.T) {
 			}
 		}
 	}
+}
+
+// TestParseKnobs pins the watchdog knobs, whose zero default disarms the
+// limit.
+func TestParseKnobs(t *testing.T) {
+	checkKnobs(t,
+		knobCase{EnvJobTimeout, durKnob(EnvJobTimeout, 0, 0), time.Duration(0),
+			"250ms", 250 * time.Millisecond, []string{"soon", "-1s", "10"}},
+		knobCase{EnvJobMaxInsts, intKnob[uint64](EnvJobMaxInsts, 0, 0), uint64(0),
+			"1000000", uint64(1000000), []string{"-1", "many", "1e6", " 4"}},
+	)
+}
+
+// TestParsePositiveKnobs pins the cache budget: positives are honored,
+// everything else (zero, negative, suffixed, overflowing) errors.
+func TestParsePositiveKnobs(t *testing.T) {
+	checkKnobs(t,
+		knobCase{EnvCacheMaxBytes, intKnob[int64](EnvCacheMaxBytes, 1, 512<<20), int64(512 << 20),
+			"1048576", int64(1 << 20), []string{"0", "-5", "2GB", "lots", "9223372036854775808"}},
+	)
+}
+
+// TestParseRemoteKnobs pins the remote-tier timeout: non-positive or
+// unit-less values are errors naming the knob — the env reader warns once
+// and falls back to the default rather than disabling the tier.
+func TestParseRemoteKnobs(t *testing.T) {
+	checkKnobs(t,
+		knobCase{EnvRemoteTimeout, durKnob(EnvRemoteTimeout, time.Nanosecond, 2*time.Second), 2 * time.Second,
+			"750ms", 750 * time.Millisecond, []string{"0", "-1s", "fast", "10"}},
+	)
+}
+
+// TestParseFuzzKnobs pins the fuzzer knobs: seed count and first seed are
+// positive integers, and zero, negative, fractional or overflowing values
+// are errors naming the knob.
+func TestParseFuzzKnobs(t *testing.T) {
+	checkKnobs(t,
+		knobCase{EnvFuzzSeeds, intKnob[int](EnvFuzzSeeds, 1, 100), 100,
+			"300", 300, []string{"0", "-2", "lots", "4.5"}},
+		knobCase{EnvFuzzSeed, intKnob[uint64](EnvFuzzSeed, 1, 1), uint64(1),
+			"7", uint64(7), []string{"0", "-2", "lots", "18446744073709551616"}},
+	)
 }
 
 // TestRemoteCache pins the remote tier's switch: the flag beats the env,

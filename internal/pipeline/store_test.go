@@ -830,6 +830,30 @@ func TestRetryIOCtxPerAttemptDeadline(t *testing.T) {
 	}
 }
 
+// TestParseCacheMax pins how storeSettings reads $REPRO_CACHE_MAX_BYTES:
+// empty selects the default, a positive integer is honored, and anything
+// else is reported once and falls back to the default.
+func TestParseCacheMax(t *testing.T) {
+	dir := t.TempDir()
+	t.Setenv(config.EnvCacheDir, dir)
+	for _, tc := range []struct {
+		in   string
+		want int64
+	}{
+		{"", defaultMaxBytes},
+		{"1048576", 1 << 20},
+		{"0", defaultMaxBytes},
+		{"-5", defaultMaxBytes},
+		{"2GB", defaultMaxBytes},
+		{"lots", defaultMaxBytes},
+	} {
+		t.Setenv(config.EnvCacheMaxBytes, tc.in)
+		if root, n := storeSettings(); root != dir || n != tc.want {
+			t.Errorf("%s=%q: storeSettings() = %q, %d; want %q, %d", config.EnvCacheMaxBytes, tc.in, root, n, dir, tc.want)
+		}
+	}
+}
+
 // resolveSideEnv switches a re-executed test binary into reporting what one
 // side — "store" (openDefaultStore) or "handler" (ArtifactHandler) —
 // resolved from the environment. A child per side gives each its own
