@@ -30,6 +30,7 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"path/filepath"
 	"sort"
 	"time"
 
@@ -68,18 +69,19 @@ func usage() {
 	flag.PrintDefaults()
 }
 
-func mustStore() string {
+// mustStore returns the active generation's directory and fingerprint.
+func mustStore() (dir, fp string) {
 	dir, ok := pipeline.StoreDir()
 	if !ok {
 		fmt.Fprintln(os.Stderr, "repro-cache: artifact store disabled (REPRO_CACHE_DIR=off or no writable cache dir)")
 		os.Exit(1)
 	}
-	return dir
+	return dir, filepath.Base(dir)
 }
 
 func runTotals() {
-	dir := mustStore()
-	arts, err := pipeline.ListArtifacts()
+	dir, fp := mustStore()
+	arts, err := pipeline.ListArtifacts(fp)
 	if err != nil {
 		fatal(err)
 	}
@@ -94,8 +96,8 @@ func runTotals() {
 }
 
 func runList() {
-	mustStore()
-	arts, err := pipeline.ListArtifacts()
+	_, fp := mustStore()
+	arts, err := pipeline.ListArtifacts(fp)
 	if err != nil {
 		fatal(err)
 	}
@@ -144,7 +146,7 @@ func runPush(args []string) {
 	var pushed, failed int
 	var bytes int64
 	for _, fp := range gens {
-		arts, err := pipeline.ListArtifactsFP(fp)
+		arts, err := pipeline.ListArtifacts(fp)
 		if err != nil {
 			fatal(err)
 		}

@@ -16,12 +16,14 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"os"
+	"path/filepath"
 	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
 
+	"repro/internal/fault"
 	"repro/internal/pipeline"
 )
 
@@ -98,12 +100,15 @@ func TestWarmPath(t *testing.T) {
 }
 
 // TestArtifactRoutesMounted pins that the daemon serves the shared remote
-// cache next to /run: the artifact endpoints are routed (inventory answers
-// JSON, a bad address answers 400, a miss 404) on the same mux.
+// cache next to /run, over its own store: the inventory lists what the
+// daemon's builds published, a bad address answers 400, a miss 404, all on
+// the same mux.
 func TestArtifactRoutesMounted(t *testing.T) {
-	t.Setenv("REPRO_CACHE_DIR", t.TempDir())
 	ts := httptest.NewServer(newServer(2, 8, nil).handler())
 	defer ts.Close()
+	if res, code := post(t, ts, "", &pipeline.Request{Module: uniqueSrc(4102), Engine: "native"}); code != http.StatusOK || res.Err != nil {
+		t.Fatalf("build: status %d err %v", code, res.Err)
+	}
 
 	resp, err := ts.Client().Get(ts.URL + "/artifacts")
 	if err != nil {
@@ -117,8 +122,17 @@ func TestArtifactRoutesMounted(t *testing.T) {
 	if err := json.NewDecoder(resp.Body).Decode(&inv); err != nil {
 		t.Fatalf("inventory is not JSON: %v", err)
 	}
-	if inv.Count != 0 {
-		t.Errorf("fresh store inventory = %+v, want empty", inv)
+	dir, ok := pipeline.StoreDir()
+	if !ok {
+		t.Fatal("the daemon has no artifact store")
+	}
+	fp := filepath.Base(dir)
+	arts, err := pipeline.ListArtifacts(fp)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := inv.Fingerprints[fp].Count; got == 0 || got != len(arts) {
+		t.Errorf("inventory shows %d artifacts in the daemon's generation %s, its store holds %d", got, fp, len(arts))
 	}
 
 	if resp, err := ts.Client().Get(ts.URL + "/artifact/garbage/alsogarbage"); err != nil {
@@ -345,6 +359,33 @@ func TestBadRequest(t *testing.T) {
 		if res.Err == nil || res.Err.Class != pipeline.ClassBadRequest {
 			t.Errorf("%s error: %+v", name, res.Err)
 		}
+	}
+}
+
+// TestStatzReportsEveryFaultSite: while rules are armed, /statz lists every
+// site that was checked, including ones inside the compiler.
+func TestStatzReportsEveryFaultSite(t *testing.T) {
+	disarm, err := fault.ArmSpec(fault.SiteCodegenFunc + "@no-such-function=error")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer disarm()
+	ts := httptest.NewServer(newServer(2, 8, nil).handler())
+	defer ts.Close()
+	if res, code := post(t, ts, "", &pipeline.Request{Module: uniqueSrc(4506), Engine: "chrome"}); code != http.StatusOK || res.Cache.Misses != 1 {
+		t.Fatalf("build: status %d, cache %+v, err %v", code, res.Cache, res.Err)
+	}
+	resp, err := ts.Client().Get(ts.URL + "/statz")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var st statz
+	if err := json.NewDecoder(resp.Body).Decode(&st); err != nil {
+		t.Fatal(err)
+	}
+	if got := st.Faults[fault.SiteCodegenFunc]; got.Hits == 0 || got.Fired != 0 {
+		t.Errorf("/statz faults[%s] = %+v, want hits and no fires (faults: %+v)", fault.SiteCodegenFunc, got, st.Faults)
 	}
 }
 

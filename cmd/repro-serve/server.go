@@ -210,22 +210,17 @@ func (s *server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 
 // statz is the /statz response shape.
 type statz struct {
-	Cache  pipeline.CacheStats  `json:"cache"`
-	Budget budgetStat           `json:"budget"`
-	Faults map[string]faultStat `json:"faults,omitempty"`
-	Serve  serveStat            `json:"serve"`
-	Remote *pipeline.RemoteInfo `json:"remote,omitempty"`
+	Cache  pipeline.CacheStats       `json:"cache"`
+	Budget budgetStat                `json:"budget"`
+	Faults map[string]fault.SiteStat `json:"faults,omitempty"`
+	Serve  serveStat                 `json:"serve"`
+	Remote *pipeline.RemoteInfo      `json:"remote,omitempty"`
 }
 
 type budgetStat struct {
 	Capacity int `json:"capacity"`
 	InUse    int `json:"in_use"`
 	Peak     int `json:"peak"`
-}
-
-type faultStat struct {
-	Hits  uint64 `json:"hits"`
-	Fired uint64 `json:"fired"`
 }
 
 type serveStat struct {
@@ -247,16 +242,7 @@ func (s *server) handleStatz(w http.ResponseWriter, r *http.Request) {
 		},
 	}
 	if fault.Enabled() {
-		st.Faults = map[string]faultStat{}
-		for _, site := range []string{
-			fault.SiteCompile, fault.SiteExec, fault.SiteSyscall,
-			fault.SiteStoreRead, fault.SiteStoreWrite,
-			fault.SiteRemoteGet, fault.SiteRemotePut, fault.SiteRemoteVerify,
-		} {
-			if h, f := fault.Hits(site), fault.Fired(site); h > 0 || f > 0 {
-				st.Faults[site] = faultStat{Hits: h, Fired: f}
-			}
-		}
+		st.Faults = fault.Snapshot()
 	}
 	if info, ok := pipeline.RemoteState(); ok {
 		st.Remote = &info

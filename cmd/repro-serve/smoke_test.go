@@ -11,6 +11,7 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"net"
 	"net/http"
 	"os"
@@ -32,7 +33,17 @@ func TestMain(m *testing.M) {
 		main()
 		os.Exit(0) // main returns once it has drained
 	}
-	os.Exit(m.Run())
+	// The in-process daemons share one artifact store, opened on first use;
+	// a fresh root keeps their builds and inventories to this run.
+	dir, err := os.MkdirTemp("", "repro-serve-test-")
+	if err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		os.Exit(1)
+	}
+	os.Setenv(config.EnvCacheDir, dir)
+	code := m.Run()
+	os.RemoveAll(dir)
+	os.Exit(code)
 }
 
 // call sends one request to the daemon and decodes its JSON answer into
@@ -138,7 +149,7 @@ func TestServeSmoke(t *testing.T) {
 
 	// Graceful drain: SIGTERM once the long run is in flight, then require
 	// both the run's result and a clean exit.
-	const long = `{"module":"int main() { int i; int acc; acc = 0; for (i = 0; i < 100000000; i++) { acc += i; } print_int(7); print_nl(); return 0; }","engine":"native"}`
+	long := fmt.Sprintf(`{"module":"int main() { int i; int acc; acc = 0; for (i = 0; i < %d; i++) { acc += i; } print_int(7); print_nl(); return 0; }","engine":"native"}`, longRunIters)
 	var drained pipeline.Result
 	inflight := make(chan error, 1)
 	go func() { inflight <- call(ctx, http.MethodPost, base+"/run", long, &drained) }()

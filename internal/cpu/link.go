@@ -117,6 +117,3 @@ func (inst *Instance) Invoke(name string, args ...uint64) (uint64, error) {
 	}
 	return ret, nil
 }
-
-// ArgRegs returns the engine's integer argument registers (for host shims).
-func (inst *Instance) ArgRegs() []x86.Reg { return inst.CM.Engine.ArgGP }

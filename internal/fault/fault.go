@@ -35,6 +35,7 @@ package fault
 import (
 	"context"
 	"fmt"
+	"maps"
 	"os"
 	"strconv"
 	"strings"
@@ -147,8 +148,7 @@ var (
 	armed   atomic.Int32 // number of armed rules; Check's fast-path gate
 	mu      sync.Mutex
 	rules   []*Rule
-	hits    = map[string]uint64{} // site -> checks observed while armed
-	fired   = map[string]uint64{} // site -> faults injected
+	sites   = map[string]SiteStat{} // site -> counters while armed
 	envOnce sync.Once
 )
 
@@ -304,7 +304,8 @@ func CheckCtx(ctx context.Context, site, key string) error {
 		return nil
 	}
 	mu.Lock()
-	hits[site]++
+	st := sites[site]
+	st.Hits++
 	var match *Rule
 	for _, r := range rules {
 		if r.Site != site || (r.Match != "" && !strings.Contains(key, r.Match)) {
@@ -318,8 +319,9 @@ func CheckCtx(ctx context.Context, site, key string) error {
 		break
 	}
 	if match != nil {
-		fired[site]++
+		st.Fired++
 	}
+	sites[site] = st
 	mu.Unlock()
 	if match == nil {
 		return nil
@@ -345,19 +347,19 @@ func CheckCtx(ctx context.Context, site, key string) error {
 	}
 }
 
-// Hits reports how many Check calls site has observed while rules were
-// armed.
-func Hits(site string) uint64 {
-	mu.Lock()
-	defer mu.Unlock()
-	return hits[site]
+// SiteStat is one site's counters: the checks it observed while rules were
+// armed, and the faults it injected.
+type SiteStat struct {
+	Hits  uint64 `json:"hits"`
+	Fired uint64 `json:"fired"`
 }
 
-// Fired reports how many faults have been injected at site.
-func Fired(site string) uint64 {
+// Snapshot returns the counters of every site checked while rules were
+// armed, keyed by site name.
+func Snapshot() map[string]SiteStat {
 	mu.Lock()
 	defer mu.Unlock()
-	return fired[site]
+	return maps.Clone(sites)
 }
 
 // labelKey carries a human-meaningful label (usually a workload name)

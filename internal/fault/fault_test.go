@@ -101,11 +101,8 @@ func TestErrorFaultFiresCountTimes(t *testing.T) {
 	if err := Check("site.x", "keyed-one"); err != nil {
 		t.Fatalf("exhausted rule still fired: %v", err)
 	}
-	if got := Fired("site.x"); got != 2 {
-		t.Errorf("Fired = %d, want 2", got)
-	}
-	if got := Hits("site.x"); got < 4 {
-		t.Errorf("Hits = %d, want >= 4", got)
+	if got := Snapshot()["site.x"]; got.Fired != 2 || got.Hits < 4 {
+		t.Errorf("site.x = %+v, want Fired 2 and Hits >= 4", got)
 	}
 }
 
@@ -149,7 +146,7 @@ func TestCheckCtxDelayCutShortByDeadline(t *testing.T) {
 	if d := time.Since(start); d > 5*time.Second {
 		t.Errorf("delay ignored the deadline: slept %v", d)
 	}
-	if got := Fired("slow.ctx"); got != 1 {
+	if got := Snapshot()["slow.ctx"].Fired; got != 1 {
 		t.Errorf("cut-short delay must still count as fired: %d", got)
 	}
 }
@@ -192,13 +189,13 @@ func TestCheckFastPathWhenDisarmed(t *testing.T) {
 	}
 	// Not a benchmark assertion, just the contract: disarmed checks are
 	// error-free and never count hits.
-	before := Hits("cold.site")
+	before := Snapshot()["cold.site"].Hits
 	for i := 0; i < 100; i++ {
 		if err := Check("cold.site", "k"); err != nil {
 			t.Fatalf("disarmed check injected: %v", err)
 		}
 	}
-	if got := Hits("cold.site"); got != before {
+	if got := Snapshot()["cold.site"].Hits; got != before {
 		t.Errorf("disarmed checks counted hits: %d -> %d", before, got)
 	}
 }

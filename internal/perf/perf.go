@@ -9,7 +9,6 @@ package perf
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 )
 
@@ -149,63 +148,4 @@ func (c *Counters) String() string {
 		parts = append(parts, fmt.Sprintf("%s=%d", r.k, r.v))
 	}
 	return strings.Join(parts, " ")
-}
-
-// Recorder mimics attaching `perf record` to a process: it snapshots the
-// counters at start/stop marks (the XHR begin/end in Figure 2) and reports
-// the delta.
-type Recorder struct {
-	src     func() Counters
-	started bool
-	base    Counters
-	result  Counters
-}
-
-// NewRecorder wraps a counter source.
-func NewRecorder(src func() Counters) *Recorder { return &Recorder{src: src} }
-
-// Start snapshots the baseline (step 4 in Figure 2).
-func (r *Recorder) Start() {
-	r.base = r.src()
-	r.started = true
-}
-
-// Stop records the interval (step 6 in Figure 2).
-func (r *Recorder) Stop() {
-	if !r.started {
-		return
-	}
-	cur := r.src()
-	r.result = cur.Sub(&r.base)
-	r.started = false
-}
-
-// Result returns the recorded interval counters.
-func (r *Recorder) Result() Counters { return r.result }
-
-// Ratio computes per-event ratios of a over b, for the Figure 9/10 plots.
-func Ratio(a, b *Counters) map[Event]float64 {
-	events := []Event{
-		AllLoadsRetired, AllStoresRetired, BranchesRetired, ConditionalBranches,
-		InstructionsRetired, CPUCycles, L1ICacheLoadMisses,
-	}
-	out := map[Event]float64{}
-	for _, ev := range events {
-		bv := b.Get(ev)
-		if bv == 0 {
-			bv = 1
-		}
-		out[ev] = float64(a.Get(ev)) / float64(bv)
-	}
-	return out
-}
-
-// SortedEvents returns the Figure 9/10 event list in presentation order.
-func SortedEvents() []Event {
-	evs := []Event{
-		AllLoadsRetired, AllStoresRetired, BranchesRetired, ConditionalBranches,
-		InstructionsRetired, CPUCycles, L1ICacheLoadMisses,
-	}
-	sort.Slice(evs, func(i, j int) bool { return evs[i] < evs[j] })
-	return evs
 }

@@ -14,19 +14,6 @@ func TestCountersSubAndGet(t *testing.T) {
 	}
 }
 
-func TestRecorder(t *testing.T) {
-	cur := Counters{}
-	r := NewRecorder(func() Counters { return cur })
-	r.Start()
-	cur.Instructions = 500
-	cur.Cycles = 900
-	r.Stop()
-	got := r.Result()
-	if got.Instructions != 500 || got.Cycles != 900 {
-		t.Errorf("recorder delta: %+v", got)
-	}
-}
-
 func TestRawPMU(t *testing.T) {
 	if RawPMU(AllLoadsRetired) != "r81d0" || RawPMU(InstructionsRetired) != "r1c0" {
 		t.Error("raw descriptors wrong")

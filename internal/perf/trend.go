@@ -11,6 +11,8 @@ import (
 	"math"
 	"sort"
 	"strings"
+
+	"repro/internal/stats"
 )
 
 // BenchSchema is the artifact format identifier; ParseBenchReport rejects
@@ -134,23 +136,11 @@ func MedianBaseline(reports []*BenchReport) *BenchReport {
 		a := idx[name]
 		m := make(map[string]float64, len(a.metrics))
 		for u, vs := range a.metrics {
-			m[u] = median(vs)
+			m[u] = stats.Median(vs)
 		}
 		out.Benchmarks = append(out.Benchmarks, Benchmark{Name: name, Iterations: a.iters, Metrics: m})
 	}
 	return out
-}
-
-// median returns the middle value of vs (mean of the middle two for even
-// counts). vs must be non-empty; it is not modified.
-func median(vs []float64) float64 {
-	s := append([]float64(nil), vs...)
-	sort.Float64s(s)
-	if n := len(s); n%2 == 1 {
-		return s[n/2]
-	} else {
-		return (s[n/2-1] + s[n/2]) / 2
-	}
 }
 
 // trendEps absorbs float rounding at the threshold boundary, so a change of

@@ -1,21 +1,19 @@
 package pipeline
 
 import (
+	"errors"
 	"fmt"
 	"io/fs"
 	"os"
-	"path/filepath"
-	"sort"
-	"strings"
 	"time"
 
 	"repro/internal/codegen"
 )
 
-// Store inspection and explicit GC, the API under cmd/repro-cache. All
-// functions operate on the process's active store (the same one Compile
-// uses): REPRO_CACHE_DIR resolution, the compiler-fingerprint subdirectory,
-// and the size budget all apply.
+// Store inspection and explicit GC, the API under cmd/repro-cache. Every
+// function works on the process's store root (the one Compile uses), so
+// REPRO_CACHE_DIR resolution and the size budget apply; those without a
+// fingerprint argument act on the active generation.
 
 // ArtifactInfo describes one stored artifact.
 type ArtifactInfo struct {
@@ -50,32 +48,9 @@ func StoreBudget() int64 {
 	return s.maxBytes
 }
 
-// ListArtifacts enumerates the active store's artifacts sorted
-// least-recently-used first (the order an eviction sweep removes them).
-// A disabled disk layer returns an error.
-func ListArtifacts() ([]ArtifactInfo, error) {
-	s := artifactStore()
-	if s == nil {
-		return nil, fmt.Errorf("pipeline: artifact store disabled")
-	}
-	s.evictMu.Lock()
-	files, err := s.scan(time.Now())
-	s.evictMu.Unlock()
-	if err != nil {
-		return nil, fmt.Errorf("pipeline: scanning artifact store: %w", err)
-	}
-	sort.Slice(files, func(i, j int) bool { return files[i].mtime.Before(files[j].mtime) })
-	out := make([]ArtifactInfo, len(files))
-	for i, f := range files {
-		out[i] = ArtifactInfo{
-			Key:     strings.TrimSuffix(filepath.Base(f.path), artifactExt),
-			Size:    f.size,
-			ModTime: f.mtime,
-			Path:    f.path,
-		}
-	}
-	return out, nil
-}
+// errStoreDisabled answers every inspection call when the disk layer is
+// off.
+var errStoreDisabled = errors.New("pipeline: artifact store disabled")
 
 // Generations lists every compiler-fingerprint generation directory under
 // the store root (the parent of the active store). cmd/repro-cache's
@@ -83,66 +58,40 @@ func ListArtifacts() ([]ArtifactInfo, error) {
 // own binary and is empty (the tool never compiles), so syncing only the
 // active store would sync nothing.
 func Generations() ([]string, error) {
-	s := artifactStore()
-	if s == nil {
-		return nil, fmt.Errorf("pipeline: artifact store disabled")
+	r := defaultRoot()
+	if r == nil {
+		return nil, errStoreDisabled
 	}
-	root := filepath.Dir(s.dir)
-	ents, err := os.ReadDir(root)
+	gens, err := r.generations()
 	if err != nil {
 		return nil, fmt.Errorf("pipeline: reading store root: %w", err)
 	}
-	var out []string
-	for _, ent := range ents {
-		if ent.IsDir() && fpRe.MatchString(ent.Name()) {
-			out = append(out, ent.Name())
-		}
-	}
-	sort.Strings(out)
-	return out, nil
+	return gens, nil
 }
 
-// generationStore opens generation fp's store under the active store's
-// root, with the active store's budget.
+// generationStore returns generation fp's store from the process root —
+// for the active generation, the very store builds publish into.
 func generationStore(fp string) (*diskStore, error) {
-	s := artifactStore()
-	if s == nil {
-		return nil, fmt.Errorf("pipeline: artifact store disabled")
+	r := defaultRoot()
+	if r == nil {
+		return nil, errStoreDisabled
 	}
-	if !fpRe.MatchString(fp) {
-		return nil, fmt.Errorf("pipeline: %q is not a compiler fingerprint", fp)
-	}
-	g := openStore(filepath.Join(filepath.Dir(s.dir), fp), s.maxBytes)
-	if g == nil {
-		return nil, fmt.Errorf("pipeline: cannot open generation %s", fp)
-	}
-	return g, nil
+	return r.gen(fp)
 }
 
-// ListArtifactsFP enumerates one fingerprint generation's artifacts,
-// least-recently-used first.
-func ListArtifactsFP(fp string) ([]ArtifactInfo, error) {
+// ListArtifacts enumerates generation fp's artifacts sorted
+// least-recently-used first (the order an eviction sweep removes them).
+// StoreDir's base name is the active generation.
+func ListArtifacts(fp string) ([]ArtifactInfo, error) {
 	g, err := generationStore(fp)
 	if err != nil {
 		return nil, err
 	}
-	g.evictMu.Lock()
-	files, err := g.scan(time.Now())
-	g.evictMu.Unlock()
+	arts, err := g.list()
 	if err != nil {
 		return nil, fmt.Errorf("pipeline: scanning generation %s: %w", fp, err)
 	}
-	sort.Slice(files, func(i, j int) bool { return files[i].mtime.Before(files[j].mtime) })
-	out := make([]ArtifactInfo, len(files))
-	for i, f := range files {
-		out[i] = ArtifactInfo{
-			Key:     strings.TrimSuffix(filepath.Base(f.path), artifactExt),
-			Size:    f.size,
-			ModTime: f.mtime,
-			Path:    f.path,
-		}
-	}
-	return out, nil
+	return arts, nil
 }
 
 // ReadArtifact reads the raw encoded bytes of one artifact in generation
@@ -195,7 +144,7 @@ func HasArtifact(fp, key string) bool {
 func GCStore(maxBytes int64) (removed int, freed int64, err error) {
 	s := artifactStore()
 	if s == nil {
-		return 0, 0, fmt.Errorf("pipeline: artifact store disabled")
+		return 0, 0, errStoreDisabled
 	}
 	if maxBytes <= 0 {
 		maxBytes = s.maxBytes

@@ -127,9 +127,6 @@ func (s CacheStats) Sub(prev CacheStats) CacheStats {
 	}
 }
 
-// Compiles returns the number of compiler runs (misses).
-func (s CacheStats) Compiles() uint64 { return s.Misses }
-
 func (s CacheStats) String() string {
 	out := fmt.Sprintf("mem=%d disk=%d miss=%d", s.MemHits, s.DiskHits, s.Misses)
 	if s.Corrupt != 0 || s.Quarantined != 0 {

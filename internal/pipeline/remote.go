@@ -31,7 +31,6 @@ import (
 	"io/fs"
 	"net/http"
 	"os"
-	"path/filepath"
 	"regexp"
 	"strings"
 	"sync"
@@ -630,35 +629,38 @@ var (
 	keyRe = regexp.MustCompile(`^[0-9a-f]{64}$`)
 )
 
-// artifactHandler serves the shared cache: per-fingerprint diskStores under
-// one root, reusing the local store's atomic publication, retry loop, and
-// LRU eviction — the server is just a disk store with an HTTP front.
+// artifactHandler serves the shared cache: the generations of one store
+// root, reusing the local store's atomic publication, retry loop, and LRU
+// eviction — the server is just a disk store with an HTTP front.
 type artifactHandler struct {
-	root   string // "" = disabled; every route answers 503
-	budget int64  // per-generation store size budget
-
-	mu     sync.Mutex
-	stores map[string]*diskStore
-	mux    *http.ServeMux
+	root *storeRoot // nil = disabled; every route answers 503
+	mux  *http.ServeMux
 }
 
 // ArtifactHandler serves GET/PUT /artifact/{fp}/{key} and GET /artifacts
-// over the cache location and budget the local store would use
-// (storeSettings, including "off" to disable — a disabled store answers
-// 503 so a misconfigured server is loud, not silently empty).
+// over the process's own store root (storeSettings, including "off" to
+// disable — a disabled store answers 503 so a misconfigured server is loud,
+// not silently empty), so a daemon's builds and its server share each
+// generation's store.
 func ArtifactHandler() http.Handler {
-	return ArtifactHandlerAt(storeSettings())
+	return newArtifactHandler(defaultRoot())
 }
 
 // ArtifactHandlerAt serves the artifact routes over an explicit root
 // (tests, embedders). An empty root disables the store: every route answers
 // 503. A zero budget selects the default store budget.
 func ArtifactHandlerAt(root string, budget int64) http.Handler {
+	if root == "" {
+		return newArtifactHandler(nil)
+	}
 	if budget <= 0 {
 		budget = defaultMaxBytes
 	}
-	h := &artifactHandler{root: root, budget: budget, stores: map[string]*diskStore{}}
-	h.mux = http.NewServeMux()
+	return newArtifactHandler(newStoreRoot(root, budget))
+}
+
+func newArtifactHandler(root *storeRoot) *artifactHandler {
+	h := &artifactHandler{root: root, mux: http.NewServeMux()}
 	h.mux.HandleFunc("GET /artifact/{fp}/{key}", h.get)
 	h.mux.HandleFunc("PUT /artifact/{fp}/{key}", h.put)
 	h.mux.HandleFunc("GET /artifacts", h.list)
@@ -669,43 +671,29 @@ func (h *artifactHandler) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	h.mux.ServeHTTP(w, r)
 }
 
-// storeFor opens (once) the diskStore for one fingerprint generation.
-func (h *artifactHandler) storeFor(fp string) *diskStore {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	if s, ok := h.stores[fp]; ok {
-		return s
-	}
-	s := openStore(filepath.Join(h.root, fp), h.budget)
-	if s != nil {
-		h.stores[fp] = s
-	}
-	return s
-}
-
-// params validates the {fp}/{key} path segments; a false return has already
-// written the error response.
-func (h *artifactHandler) params(w http.ResponseWriter, r *http.Request) (fp, key string, ok bool) {
-	if h.root == "" {
+// params validates the {fp}/{key} path segments and opens the addressed
+// generation; a false return has already written the error response.
+func (h *artifactHandler) params(w http.ResponseWriter, r *http.Request) (s *diskStore, key string, ok bool) {
+	if h.root == nil {
 		http.Error(w, "artifact store disabled", http.StatusServiceUnavailable)
-		return "", "", false
+		return nil, "", false
 	}
-	fp, key = r.PathValue("fp"), r.PathValue("key")
+	fp, key := r.PathValue("fp"), r.PathValue("key")
 	if !fpRe.MatchString(fp) || !keyRe.MatchString(key) {
 		http.Error(w, "bad artifact address", http.StatusBadRequest)
-		return "", "", false
+		return nil, "", false
 	}
-	return fp, key, true
+	s, err := h.root.gen(fp)
+	if err != nil {
+		http.Error(w, "artifact store unavailable", http.StatusServiceUnavailable)
+		return nil, "", false
+	}
+	return s, key, true
 }
 
 func (h *artifactHandler) get(w http.ResponseWriter, r *http.Request) {
-	fp, key, ok := h.params(w, r)
+	s, key, ok := h.params(w, r)
 	if !ok {
-		return
-	}
-	s := h.storeFor(fp)
-	if s == nil {
-		http.Error(w, "artifact store unavailable", http.StatusServiceUnavailable)
 		return
 	}
 	data, ok := s.loadBytes(key)
@@ -718,7 +706,7 @@ func (h *artifactHandler) get(w http.ResponseWriter, r *http.Request) {
 }
 
 func (h *artifactHandler) put(w http.ResponseWriter, r *http.Request) {
-	fp, key, ok := h.params(w, r)
+	s, key, ok := h.params(w, r)
 	if !ok {
 		return
 	}
@@ -734,11 +722,6 @@ func (h *artifactHandler) put(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, fmt.Sprintf("artifact rejected: %v", err), http.StatusBadRequest)
 		return
 	}
-	s := h.storeFor(fp)
-	if s == nil {
-		http.Error(w, "artifact store unavailable", http.StatusServiceUnavailable)
-		return
-	}
 	if err := s.saveBytes(key, data); err != nil {
 		http.Error(w, "artifact store write failed", http.StatusInternalServerError)
 		return
@@ -747,40 +730,32 @@ func (h *artifactHandler) put(w http.ResponseWriter, r *http.Request) {
 }
 
 func (h *artifactHandler) list(w http.ResponseWriter, r *http.Request) {
-	if h.root == "" {
+	if h.root == nil {
 		http.Error(w, "artifact store disabled", http.StatusServiceUnavailable)
 		return
 	}
 	withKeys := r.URL.Query().Get("keys") != ""
 	out := RemoteTotals{Fingerprints: map[string]RemoteFPInfo{}}
-	gens, err := os.ReadDir(h.root)
-	if err == nil {
-		for _, gen := range gens {
-			if !gen.IsDir() || !fpRe.MatchString(gen.Name()) {
-				continue
-			}
-			s := h.storeFor(gen.Name())
-			if s == nil {
-				continue
-			}
-			s.evictMu.Lock()
-			files, serr := s.scan(time.Now())
-			s.evictMu.Unlock()
-			if serr != nil {
-				continue
-			}
-			var info RemoteFPInfo
-			for _, f := range files {
-				info.Count++
-				info.Bytes += f.size
-				if withKeys {
-					info.Keys = append(info.Keys, strings.TrimSuffix(filepath.Base(f.path), artifactExt))
-				}
-			}
-			out.Fingerprints[gen.Name()] = info
-			out.Count += info.Count
-			out.Bytes += info.Bytes
+	gens, _ := h.root.generations()
+	for _, fp := range gens {
+		s, err := h.root.gen(fp)
+		if err != nil {
+			continue
 		}
+		arts, err := s.list()
+		if err != nil {
+			continue
+		}
+		info := RemoteFPInfo{Count: len(arts)}
+		for _, a := range arts {
+			info.Bytes += a.Size
+			if withKeys {
+				info.Keys = append(info.Keys, a.Key)
+			}
+		}
+		out.Fingerprints[fp] = info
+		out.Count += info.Count
+		out.Bytes += info.Bytes
 	}
 	w.Header().Set("Content-Type", "application/json")
 	json.NewEncoder(w).Encode(out)

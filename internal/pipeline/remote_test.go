@@ -282,7 +282,7 @@ func TestRemoteHangContainedByDeadline(t *testing.T) {
 	if elapsed > 10*time.Second {
 		t.Errorf("hang was not contained by the deadline: build took %v", elapsed)
 	}
-	if d, _ := fault.Fired(fault.SiteRemoteGet), fault.Hits(fault.SiteRemoteGet); d == 0 {
+	if fault.Snapshot()[fault.SiteRemoteGet].Fired == 0 {
 		t.Error("hang fault never fired; test exercised nothing")
 	}
 }

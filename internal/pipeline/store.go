@@ -81,70 +81,140 @@ type diskStore struct {
 	sized    bool
 }
 
+// storeRoot owns the store's on-disk layout,
+// <dir>/<fingerprint>/<kk>/<key>.rpa. Every path to a generation — the
+// builds' active store, the inspection API under cmd/repro-cache, and the
+// artifact server — takes its diskStore from a root, which opens each
+// generation once per process, so a generation's running size total counts
+// every publish into it whichever path made it.
+type storeRoot struct {
+	dir      string
+	maxBytes int64 // per-generation budget
+	// active is the running binary's generation, the one builds use; nil
+	// when it has no fingerprint or its directory cannot be opened.
+	active *diskStore
+
+	mu   sync.Mutex
+	gens map[string]*diskStore
+}
+
+func newStoreRoot(dir string, maxBytes int64) *storeRoot {
+	return &storeRoot{dir: dir, maxBytes: maxBytes, gens: map[string]*diskStore{}}
+}
+
 var (
 	storeMu  sync.Mutex
-	theStore *diskStore
+	theRoot  *storeRoot
 	storeSet bool
 )
 
-// artifactStore returns the process-wide disk store, opening it on first
-// use. A nil return means the disk layer is disabled (explicitly, or because
-// no writable location exists).
-func artifactStore() *diskStore {
+// defaultRoot returns the process-wide store root, opening it on first use.
+// A nil return means the disk layer is disabled (explicitly, or because no
+// cache location exists).
+func defaultRoot() *storeRoot {
 	storeMu.Lock()
 	defer storeMu.Unlock()
 	if !storeSet {
-		theStore = openDefaultStore()
+		theRoot = openDefaultRoot()
 		storeSet = true
 	}
-	return theStore
+	return theRoot
 }
 
-// setStore replaces the process store (tests). Passing nil disables the
-// layer; the previous store is returned for restoration.
-func setStore(s *diskStore) *diskStore {
+// artifactStore returns the process's active store, or nil when builds
+// have no disk layer.
+func artifactStore() *diskStore {
+	if r := defaultRoot(); r != nil {
+		return r.active
+	}
+	return nil
+}
+
+// setRoot replaces the process store root (tests). Passing nil disables the
+// layer; the previous root is returned for restoration.
+func setRoot(r *storeRoot) *storeRoot {
 	storeMu.Lock()
 	defer storeMu.Unlock()
-	prev := theStore
-	theStore = s
+	prev := theRoot
+	theRoot = r
 	storeSet = true
 	return prev
 }
 
-// openDefaultStore opens the store storeSettings resolves. The actual
-// store root is a compiler-fingerprint subdirectory of the configured
-// location: pipeline.Key covers the inputs (source × config) but not the
-// compiler, so without the fingerprint a store populated before a
-// minic/codegen change would keep serving stale modules — a
-// miscompilation fix would "pass" the suites without ever running.
-func openDefaultStore() *diskStore {
+// openDefaultRoot opens the root storeSettings resolves, with the running
+// binary's generation active. Builds use a compiler-fingerprint generation
+// rather than the root itself: pipeline.Key covers the inputs (source ×
+// config) but not the compiler, so without the fingerprint a store
+// populated before a minic/codegen change would keep serving stale modules
+// — a miscompilation fix would "pass" the suites without ever running.
+func openDefaultRoot() *storeRoot {
 	dir, maxBytes := storeSettings()
 	if dir == "" {
 		return nil
 	}
-	fp, err := compilerFingerprint()
+	r := newStoreRoot(dir, maxBytes)
+	// Without a fingerprint stale-compiler artifacts are indistinguishable
+	// from fresh ones; correctness beats warmth, so builds get no store.
+	if fp, err := compilerFingerprint(); err == nil {
+		r.activate(fp)
+	}
+	return r
+}
+
+// activate makes generation fp the root's active store and prunes the
+// oldest other generations.
+func (r *storeRoot) activate(fp string) {
+	s, err := r.gen(fp)
 	if err != nil {
-		// Without a fingerprint stale-compiler artifacts are
-		// indistinguishable from fresh ones; correctness beats warmth.
-		return nil
+		return
 	}
-	s := openStore(filepath.Join(dir, fp), maxBytes)
-	if s != nil {
-		pruneFingerprints(dir, fp)
+	r.active = s
+	r.pruneFingerprints(fp)
+}
+
+// gen returns generation fp's store, opening it on first use.
+func (r *storeRoot) gen(fp string) (*diskStore, error) {
+	if !fpRe.MatchString(fp) {
+		return nil, fmt.Errorf("pipeline: %q is not a compiler fingerprint", fp)
 	}
-	return s
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	if s := r.gens[fp]; s != nil {
+		return s, nil
+	}
+	s := openStore(filepath.Join(r.dir, fp), r.maxBytes)
+	if s == nil {
+		return nil, fmt.Errorf("pipeline: cannot open generation %s", fp)
+	}
+	r.gens[fp] = s
+	return s, nil
+}
+
+// generations lists the root's generation directories in name order.
+func (r *storeRoot) generations() ([]string, error) {
+	ents, err := os.ReadDir(r.dir)
+	if err != nil {
+		return nil, err
+	}
+	var out []string
+	for _, ent := range ents {
+		if ent.IsDir() && fpRe.MatchString(ent.Name()) {
+			out = append(out, ent.Name())
+		}
+	}
+	return out, nil
 }
 
 var warnCacheMaxOnce sync.Once
 
-// storeSettings resolves the store location ($REPRO_CACHE_DIR) and size
-// budget ($REPRO_CACHE_MAX_BYTES) for both the local store and the
-// server's ArtifactHandler. An empty root means the disk layer is
-// disabled: the knob is off, or there is no user cache directory. An
-// unparsable budget falls back to the default rather than disabling the
-// layer ($REPRO_CACHE_DIR=off is the one disable switch) — but loudly: a
-// user who set the knob and mistyped it would otherwise run at 512 MB and
-// never know.
+// storeSettings resolves the process store root's location
+// ($REPRO_CACHE_DIR) and size budget ($REPRO_CACHE_MAX_BYTES), which the
+// builds and the server's ArtifactHandler share. An empty root means the
+// disk layer is disabled: the knob is off, or there is no user cache
+// directory. An unparsable budget falls back to the default rather than
+// disabling the layer ($REPRO_CACHE_DIR=off is the one disable switch) —
+// but loudly: a user who set the knob and mistyped it would otherwise run
+// at 512 MB and never know.
 func storeSettings() (root string, maxBytes int64) {
 	root = os.Getenv(config.EnvCacheDir)
 	switch {
@@ -196,15 +266,15 @@ func compilerFingerprint() (string, error) {
 // packages).
 const keepFingerprints = 8
 
-// pruneFingerprints removes the oldest compiler-generation directories
-// under root, keeping the active one (touched so it reads as newest) and
-// the keepFingerprints-1 most recently used others. This is the only
-// cleanup old generations get — per-generation LRU eviction never crosses
+// pruneFingerprints removes the oldest generation directories under the
+// root, keeping the active one (touched so it reads as newest) and the
+// keepFingerprints-1 most recently used others. This is the only cleanup
+// old generations get — per-generation LRU eviction never crosses
 // fingerprint boundaries.
-func pruneFingerprints(root, active string) {
+func (r *storeRoot) pruneFingerprints(active string) {
 	now := time.Now()
-	os.Chtimes(filepath.Join(root, active), now, now)
-	ents, err := os.ReadDir(root)
+	os.Chtimes(filepath.Join(r.dir, active), now, now)
+	names, err := r.generations()
 	if err != nil {
 		return
 	}
@@ -213,22 +283,20 @@ func pruneFingerprints(root, active string) {
 		mtime time.Time
 	}
 	var gens []gen
-	for _, ent := range ents {
-		if !ent.IsDir() || !strings.HasPrefix(ent.Name(), "c-") || ent.Name() == active {
+	for _, name := range names {
+		if name == active {
 			continue
 		}
-		info, err := ent.Info()
-		if err != nil {
-			continue
+		if info, err := os.Stat(filepath.Join(r.dir, name)); err == nil {
+			gens = append(gens, gen{name, info.ModTime()})
 		}
-		gens = append(gens, gen{ent.Name(), info.ModTime()})
 	}
 	if len(gens) <= keepFingerprints-1 {
 		return
 	}
 	sort.Slice(gens, func(i, j int) bool { return gens[i].mtime.After(gens[j].mtime) })
 	for _, g := range gens[keepFingerprints-1:] {
-		os.RemoveAll(filepath.Join(root, g.name))
+		os.RemoveAll(filepath.Join(r.dir, g.name))
 	}
 }
 
@@ -640,4 +708,26 @@ func (s *diskStore) sweepTo(target int64) (removed int, freed int64) {
 	s.curBytes = total
 	s.sized = true
 	return removed, freed
+}
+
+// list enumerates the store's artifacts least-recently-used first (the
+// order an eviction sweep removes them).
+func (s *diskStore) list() ([]ArtifactInfo, error) {
+	s.evictMu.Lock()
+	files, err := s.scan(time.Now())
+	s.evictMu.Unlock()
+	if err != nil {
+		return nil, err
+	}
+	sort.Slice(files, func(i, j int) bool { return files[i].mtime.Before(files[j].mtime) })
+	out := make([]ArtifactInfo, len(files))
+	for i, f := range files {
+		out[i] = ArtifactInfo{
+			Key:     strings.TrimSuffix(filepath.Base(f.path), artifactExt),
+			Size:    f.size,
+			ModTime: f.mtime,
+			Path:    f.path,
+		}
+	}
+	return out, nil
 }

@@ -13,6 +13,7 @@ import (
 	"errors"
 	"fmt"
 	"io/fs"
+	"net/http/httptest"
 	"os"
 	"os/exec"
 	"path/filepath"
@@ -37,18 +38,23 @@ int main() {
   return 0;
 }`
 
-// withTestStore points the process at a fresh store in a temp dir and wipes
-// the in-memory cache entries for the probe keys, so every Compile in the
-// test exercises the disk path. State is restored on cleanup.
+// withTestStore points the process at a fresh store root in a temp dir and
+// returns its active generation, the store every Compile in the test
+// publishes to. State is restored on cleanup.
 func withTestStore(t *testing.T, maxBytes int64) *diskStore {
 	t.Helper()
-	s := openStore(filepath.Join(t.TempDir(), "artifacts"), maxBytes)
-	if s == nil {
-		t.Fatal("openStore failed in temp dir")
+	fp, err := compilerFingerprint()
+	if err != nil {
+		t.Fatal(err)
 	}
-	prev := setStore(s)
-	t.Cleanup(func() { setStore(prev) })
-	return s
+	r := newStoreRoot(t.TempDir(), maxBytes)
+	r.activate(fp)
+	if r.active == nil {
+		t.Fatal("cannot open the active generation in a temp dir")
+	}
+	prev := setRoot(r)
+	t.Cleanup(func() { setRoot(prev) })
+	return r.active
 }
 
 // dropMemEntry evicts one key from the in-memory layer so the next Compile
@@ -116,8 +122,8 @@ func TestStoreCorruptionFallsBackToRecompile(t *testing.T) {
 	key := Key(storeProbeSrc, cfg)
 
 	// Reference counters from a store-less build.
-	prev := setStore(nil)
-	t.Cleanup(func() { setStore(prev) })
+	prev := setRoot(nil)
+	t.Cleanup(func() { setRoot(prev) })
 	ref, err := buildUncached(context.Background(), storeProbeSrc, cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -301,7 +307,7 @@ func TestFingerprintPruning(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	pruneFingerprints(root, active)
+	newStoreRoot(root, defaultMaxBytes).pruneFingerprints(active)
 	ents, err := os.ReadDir(root)
 	if err != nil {
 		t.Fatal(err)
@@ -392,7 +398,8 @@ func TestStoreEvictionBoundsSize(t *testing.T) {
 // reports every stored artifact LRU-first, and GCStore removes exactly the
 // oldest entries needed to reach the target.
 func TestStoreInspectAndGC(t *testing.T) {
-	withTestStore(t, 1<<30)
+	s := withTestStore(t, 1<<30)
+	fp := filepath.Base(s.dir)
 
 	var keys []string
 	var sizes = map[string]int64{}
@@ -405,7 +412,7 @@ func TestStoreInspectAndGC(t *testing.T) {
 		k := Key(src, cfg)
 		keys = append(keys, k)
 		// Spread mtimes so LRU order is unambiguous, oldest = keys[0].
-		p := theStore.path(k)
+		p := s.path(k)
 		info, err := os.Stat(p)
 		if err != nil {
 			t.Fatalf("artifact %d not on disk: %v", i, err)
@@ -415,7 +422,7 @@ func TestStoreInspectAndGC(t *testing.T) {
 		os.Chtimes(p, mt, mt)
 	}
 
-	arts, err := ListArtifacts()
+	arts, err := ListArtifacts(fp)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -430,8 +437,8 @@ func TestStoreInspectAndGC(t *testing.T) {
 			t.Errorf("entry %d: size %d, want %d", i, a.Size, sizes[keys[i]])
 		}
 	}
-	if dir, ok := StoreDir(); !ok || dir != theStore.dir {
-		t.Errorf("StoreDir = %q, %v; want %q, true", dir, ok, theStore.dir)
+	if dir, ok := StoreDir(); !ok || dir != s.dir {
+		t.Errorf("StoreDir = %q, %v; want %q, true", dir, ok, s.dir)
 	}
 
 	// GC down to the two newest artifacts' total.
@@ -444,7 +451,7 @@ func TestStoreInspectAndGC(t *testing.T) {
 	if removed != 2 || freed != wantFreed {
 		t.Fatalf("GCStore removed %d/%d bytes, want 2/%d", removed, freed, wantFreed)
 	}
-	arts, err = ListArtifacts()
+	arts, err = ListArtifacts(fp)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -459,8 +466,95 @@ func TestStoreInspectAndGC(t *testing.T) {
 	if _, err := Compile(context.Background(), &Request{Module: src0, Config: codegen.Chrome()}); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := os.Stat(theStore.path(keys[0])); err != nil {
+	if _, err := os.Stat(s.path(keys[0])); err != nil {
 		t.Errorf("evicted artifact not republished after rebuild: %v", err)
+	}
+}
+
+// TestGenerationStoreIsShared pins that every path into a generation gets
+// the one diskStore its root opened: a build's publish and a WriteArtifact
+// into the active generation land in one size account, and repeated
+// WriteArtifact and Remote.Pull calls into another generation reuse its
+// store (a fresh, unsized store would walk the whole generation on every
+// publish).
+func TestGenerationStoreIsShared(t *testing.T) {
+	s := withTestStore(t, defaultMaxBytes)
+	active, err := compilerFingerprint()
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+	cfg := codegen.Native()
+	src := uniqueRemoteSrc(31)
+	if _, err := Compile(ctx, &Request{Module: src, Config: cfg}); err != nil {
+		t.Fatal(err)
+	}
+	data, err := os.ReadFile(s.path(Key(src, cfg)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	size := int64(len(data))
+	account := func(g *diskStore) int64 {
+		g.evictMu.Lock()
+		defer g.evictMu.Unlock()
+		if !g.sized {
+			return -1
+		}
+		return g.curBytes
+	}
+
+	if err := WriteArtifact(active, Key(src+"// written", cfg), data); err != nil {
+		t.Fatal(err)
+	}
+	if g, err := generationStore(active); err != nil || g != s {
+		t.Fatalf("generationStore(active) = %p, %v; want the build's store %p", g, err, s)
+	}
+	if got := account(s); got != 2*size {
+		t.Errorf("active generation accounts %d bytes, want %d (the build's publish and the write)", got, 2*size)
+	}
+
+	const other = "c-00000000000000b2"
+	ts := httptest.NewServer(ArtifactHandlerAt(t.TempDir(), 0))
+	defer ts.Close()
+	r := NewRemote(ts.URL)
+	pulled := Key(src+"// pulled", cfg)
+	if err := r.Put(ctx, other, pulled, data); err != nil {
+		t.Fatal(err)
+	}
+	first, err := generationStore(other)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 2; i++ {
+		if err := WriteArtifact(other, Key(fmt.Sprintf("%s// write %d", src, i), cfg), data); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, err := r.Pull(ctx, other, pulled); err != nil {
+		t.Fatal(err)
+	}
+	if g, err := generationStore(other); err != nil || g != first {
+		t.Fatalf("generation %s reopened: %p, %v; want %p", other, g, err, first)
+	}
+	if got := account(first); got != 3*size {
+		t.Errorf("generation %s accounts %d bytes, want %d (two writes and a pull)", other, got, 3*size)
+	}
+
+	// Concurrent first opens of one generation agree on one store.
+	stores := make([]*diskStore, 8)
+	var wg sync.WaitGroup
+	for i := range stores {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			stores[i], _ = generationStore("c-00000000000000c3")
+		}()
+	}
+	wg.Wait()
+	for i, g := range stores {
+		if g == nil || g != stores[0] {
+			t.Fatalf("concurrent open %d returned %p, open 0 %p", i, g, stores[0])
+		}
 	}
 }
 
@@ -855,7 +949,7 @@ func TestParseCacheMax(t *testing.T) {
 }
 
 // resolveSideEnv switches a re-executed test binary into reporting what one
-// side — "store" (openDefaultStore) or "handler" (ArtifactHandler) —
+// side — "store" (openDefaultRoot) or "handler" (ArtifactHandler) —
 // resolved from the environment. A child per side gives each its own
 // process, so each side's warn-once fires on its own.
 const resolveSideEnv = "PIPELINE_TEST_RESOLVE_SIDE"
@@ -870,12 +964,12 @@ func TestStoreAndHandlerResolveAlike(t *testing.T) {
 		var budget int64
 		switch side {
 		case "store":
-			if s := openDefaultStore(); s != nil {
-				root, budget = filepath.Dir(s.dir), s.maxBytes
+			if r := openDefaultRoot(); r != nil {
+				root, budget = r.dir, r.maxBytes
 			}
 		case "handler":
-			if h := ArtifactHandler().(*artifactHandler); h.root != "" {
-				root, budget = h.root, h.budget
+			if h := ArtifactHandler().(*artifactHandler); h.root != nil {
+				root, budget = h.root.dir, h.root.maxBytes
 			}
 		}
 		fmt.Printf("resolved root=%q budget=%d\n", root, budget)

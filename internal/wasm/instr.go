@@ -280,9 +280,6 @@ func (op Opcode) IsMemAccess() bool {
 // IsLoad reports whether op is a memory load.
 func (op Opcode) IsLoad() bool { return op >= OpI32Load && op <= OpI64Load32U }
 
-// IsStore reports whether op is a memory store.
-func (op Opcode) IsStore() bool { return op >= OpI32Store && op <= OpI64Store32 }
-
 // MemAccessBytes returns the number of bytes touched in linear memory by a
 // load or store opcode, or 0 if op does not access memory.
 func (op Opcode) MemAccessBytes() uint32 {

@@ -228,11 +228,6 @@ func (inst *Instance) Invoke(name string, args ...uint64) ([]uint64, error) {
 	return inst.call(idx, args, 0)
 }
 
-// CallFunc calls the function at index idx in the import-space.
-func (inst *Instance) CallFunc(idx uint32, args ...uint64) ([]uint64, error) {
-	return inst.call(idx, args, 0)
-}
-
 // sidetable maps structured-control pcs to jump targets.
 type sidetable struct {
 	// matchEnd[pc] = pc of the matching end for block/loop/if at pc.

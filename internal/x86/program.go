@@ -117,12 +117,6 @@ func (p *Program) ResolveTargets() error {
 	return nil
 }
 
-// FuncEntry returns the instruction index of the function's entry.
-func (p *Program) FuncEntry(fn int) int {
-	idx, _ := p.labels[p.Funcs[fn].Label]
-	return idx
-}
-
 // Disasm renders the instructions of function fn as an assembly listing with
 // local labels, in the style of the paper's Figure 7.
 func (p *Program) Disasm(fn int) string {
@@ -166,20 +160,4 @@ func (p *Program) funcBytes(fn int) uint32 {
 		n += uint32(p.Code[i].Size)
 	}
 	return n
-}
-
-// FuncInstCount returns the instruction count of function fn (including nops).
-func (p *Program) FuncInstCount(fn int) int {
-	f := p.Funcs[fn]
-	return f.End - f.Start
-}
-
-// FindFunc returns the function number with the given name.
-func (p *Program) FindFunc(name string) (int, bool) {
-	for i, f := range p.Funcs {
-		if f.Name == name {
-			return i, true
-		}
-	}
-	return 0, false
 }
