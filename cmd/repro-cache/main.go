@@ -1,14 +1,17 @@
 // Command repro-cache inspects and garbage-collects the disk-backed
 // artifact store (internal/pipeline) that every build path shares. The
 // store honours the usual environment: REPRO_CACHE_DIR locates it (or
-// disables it with "off"), REPRO_CACHE_MAX_BYTES sets the budget; the tool
-// sees the same compiler-fingerprint subdirectory the running binary's
-// builds would use.
+// disables it with "off"), REPRO_CACHE_MAX_BYTES sets the budget. The tool
+// acts on the whole store root — every compiler-fingerprint generation under
+// it, the same set the root's one budget and LRU sweep cover — not just
+// this binary's own generation, which is empty (the tool never compiles).
 //
 // Usage:
 //
-//	repro-cache totals           # store location, entry count, size, budget
-//	repro-cache list             # entries oldest-first: size, age, key
+//	repro-cache totals           # store root, entry count and size per
+//	                             # generation, budget
+//	repro-cache list             # entries oldest-first: generation, size,
+//	                             # age, key
 //	repro-cache gc [-max bytes]  # explicit eviction pass down to the budget
 //	                             # (or -max) and stale temp-file reclamation
 //	repro-cache push [-remote URL]           # publish local artifacts to a
@@ -20,9 +23,7 @@
 // The remote subcommands talk to a repro-serve /artifact endpoint through
 // the same client the build path uses — per-call deadlines, retries,
 // sha256 verification of fetched bytes, and the circuit breaker all apply.
-// -remote defaults to $REPRO_REMOTE_CACHE. Push and pull sync every
-// compiler-fingerprint generation under the store root, not just this
-// binary's (the tool never compiles, so its own generation is empty).
+// -remote defaults to $REPRO_REMOTE_CACHE.
 package main
 
 import (
@@ -69,42 +70,39 @@ func usage() {
 	flag.PrintDefaults()
 }
 
-// mustStore returns the active generation's directory and fingerprint.
-func mustStore() (dir, fp string) {
+// mustStore returns the store root's directory: the parent of this
+// binary's generation.
+func mustStore() string {
 	dir, ok := pipeline.StoreDir()
 	if !ok {
 		fmt.Fprintln(os.Stderr, "repro-cache: artifact store disabled (REPRO_CACHE_DIR=off or no writable cache dir)")
 		os.Exit(1)
 	}
-	return dir, filepath.Base(dir)
+	return filepath.Dir(dir)
 }
 
-func runTotals() {
-	dir, fp := mustStore()
-	arts, err := pipeline.ListArtifacts(fp)
+// mustList returns every artifact under the store root, oldest-read first.
+func mustList() []pipeline.ArtifactInfo {
+	mustStore()
+	arts, err := pipeline.ListArtifacts()
 	if err != nil {
 		fatal(err)
 	}
-	var total int64
-	for _, a := range arts {
-		total += a.Size
-	}
-	fmt.Printf("store:     %s\n", dir)
-	fmt.Printf("artifacts: %d\n", len(arts))
-	fmt.Printf("size:      %s\n", human(total))
+	return arts
+}
+
+func runTotals() {
+	fmt.Printf("store:     %s\n", mustStore())
+	printInventory(pipeline.Inventory(mustList(), false))
 	fmt.Printf("budget:    %s\n", human(pipeline.StoreBudget()))
 }
 
 func runList() {
-	_, fp := mustStore()
-	arts, err := pipeline.ListArtifacts(fp)
-	if err != nil {
-		fatal(err)
-	}
+	arts := mustList()
 	now := time.Now()
-	fmt.Printf("%-10s %-12s %s\n", "size", "last-used", "key")
+	fmt.Printf("%-18s %-10s %-12s %s\n", "generation", "size", "last-used", "key")
 	for _, a := range arts {
-		fmt.Printf("%-10s %-12s %s\n", human(a.Size), age(now.Sub(a.ModTime)), a.Key)
+		fmt.Printf("%-18s %-10s %-12s %s\n", a.Generation, human(a.Size), age(now.Sub(a.ModTime)), a.Key)
 	}
 	fmt.Printf("(%d artifacts, oldest first — the order an eviction sweep removes them)\n", len(arts))
 }
@@ -137,33 +135,24 @@ func mustRemote(args []string, sub string) (*pipeline.Remote, []string) {
 
 func runPush(args []string) {
 	r, _ := mustRemote(args, "push")
-	mustStore()
-	gens, err := pipeline.Generations()
-	if err != nil {
-		fatal(err)
-	}
+	arts := mustList()
 	ctx := context.Background()
 	var pushed, failed int
 	var bytes int64
-	for _, fp := range gens {
-		arts, err := pipeline.ListArtifacts(fp)
+	gens := map[string]bool{}
+	for _, a := range arts {
+		gens[a.Generation] = true
+		data, err := pipeline.ReadArtifact(a.Generation, a.Key)
+		if err == nil {
+			err = r.Put(ctx, a.Generation, a.Key, data)
+		}
 		if err != nil {
-			fatal(err)
+			failed++
+			fmt.Fprintf(os.Stderr, "repro-cache push: %s/%s: %v\n", a.Generation, a.Key, err)
+			continue
 		}
-		for _, a := range arts {
-			data, err := pipeline.ReadArtifact(fp, a.Key)
-			if err != nil {
-				failed++
-				continue
-			}
-			if err := r.Put(ctx, fp, a.Key, data); err != nil {
-				failed++
-				fmt.Fprintf(os.Stderr, "repro-cache push: %s/%s: %v\n", fp, a.Key[:12], err)
-				continue
-			}
-			pushed++
-			bytes += a.Size
-		}
+		pushed++
+		bytes += a.Size
 	}
 	fmt.Printf("pushed %d artifacts (%s) across %d generations, %d failed (breaker=%s)\n",
 		pushed, human(bytes), len(gens), failed, r.Breaker())
@@ -191,7 +180,7 @@ func runPull(args []string) {
 			n, err := r.Pull(ctx, fp, key)
 			if err != nil {
 				failed++
-				fmt.Fprintf(os.Stderr, "repro-cache pull: %s/%s: %v\n", fp, key[:12], err)
+				fmt.Fprintf(os.Stderr, "repro-cache pull: %q/%q: %v\n", fp, key, err)
 				continue
 			}
 			pulled++
@@ -211,6 +200,11 @@ func runRemoteTotals(args []string) {
 	if err != nil {
 		fatal(err)
 	}
+	printInventory(inv)
+}
+
+// printInventory prints an inventory's totals and its share per generation.
+func printInventory(inv pipeline.RemoteTotals) {
 	fmt.Printf("artifacts: %d\n", inv.Count)
 	fmt.Printf("size:      %s\n", human(inv.Bytes))
 	fps := make([]string, 0, len(inv.Fingerprints))

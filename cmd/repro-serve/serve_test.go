@@ -127,12 +127,18 @@ func TestArtifactRoutesMounted(t *testing.T) {
 		t.Fatal("the daemon has no artifact store")
 	}
 	fp := filepath.Base(dir)
-	arts, err := pipeline.ListArtifacts(fp)
+	arts, err := pipeline.ListArtifacts()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := inv.Fingerprints[fp].Count; got == 0 || got != len(arts) {
-		t.Errorf("inventory shows %d artifacts in the daemon's generation %s, its store holds %d", got, fp, len(arts))
+	held := 0
+	for _, a := range arts {
+		if a.Generation == fp {
+			held++
+		}
+	}
+	if got := inv.Fingerprints[fp].Count; got == 0 || got != held {
+		t.Errorf("inventory shows %d artifacts in the daemon's generation %s, its store holds %d", got, fp, held)
 	}
 
 	if resp, err := ts.Client().Get(ts.URL + "/artifact/garbage/alsogarbage"); err != nil {

@@ -38,8 +38,9 @@ const (
 	EnvFidelity = "REPRO_FIDELITY"
 
 	// EnvCacheDir locates the disk artifact store ("off", "0", "none"
-	// disable it); EnvCacheMaxBytes bounds its size; EnvCacheSummary names
-	// a file per-process cache totals are appended to for CI.
+	// disable it); EnvCacheMaxBytes bounds the size of the whole store
+	// root, across every compiler generation under it; EnvCacheSummary
+	// names a file per-process cache totals are appended to for CI.
 	EnvCacheDir      = "REPRO_CACHE_DIR"
 	EnvCacheMaxBytes = "REPRO_CACHE_MAX_BYTES"
 	EnvCacheSummary  = "REPRO_CACHE_SUMMARY"

@@ -146,51 +146,10 @@ func Stats() CacheStats {
 	return stats
 }
 
-func countDiskHit() {
+// count adds one to the build-cache counter c, a field of stats.
+func count(c *uint64) {
 	buildMu.Lock()
-	stats.DiskHits++
-	buildMu.Unlock()
-}
-
-func countMiss() {
-	buildMu.Lock()
-	stats.Misses++
-	buildMu.Unlock()
-}
-
-func countCorrupt() {
-	buildMu.Lock()
-	stats.Corrupt++
-	buildMu.Unlock()
-}
-
-func countQuarantined() {
-	buildMu.Lock()
-	stats.Quarantined++
-	buildMu.Unlock()
-}
-
-func countRemoteHit() {
-	buildMu.Lock()
-	stats.RemoteHits++
-	buildMu.Unlock()
-}
-
-func countRemotePut() {
-	buildMu.Lock()
-	stats.RemotePuts++
-	buildMu.Unlock()
-}
-
-func countRemoteError() {
-	buildMu.Lock()
-	stats.RemoteErrors++
-	buildMu.Unlock()
-}
-
-func countRemoteReject() {
-	buildMu.Lock()
-	stats.RemoteRejects++
+	*c++
 	buildMu.Unlock()
 }
 
@@ -237,7 +196,7 @@ func build(ctx context.Context, src string, cfg *codegen.EngineConfig) (*codegen
 		s := artifactStore()
 		if s != nil {
 			if cm, ok := s.load(k, cfg); ok {
-				countDiskHit()
+				count(&stats.DiskHits)
 				e.outcome.DiskHits++
 				e.cm = cm
 				return
@@ -253,7 +212,7 @@ func build(ctx context.Context, src string, cfg *codegen.EngineConfig) (*codegen
 				// fetch has verified the sha256 trailer; decode without
 				// hashing the same bytes again.
 				if cm, derr := codegen.DecodeVerifiedModule(data, cfg); derr == nil {
-					countRemoteHit()
+					count(&stats.RemoteHits)
 					e.outcome.RemoteHits++
 					e.cm = cm
 					if s != nil {
@@ -270,7 +229,7 @@ func build(ctx context.Context, src string, cfg *codegen.EngineConfig) (*codegen
 				rc.reject(k)
 			}
 		}
-		countMiss()
+		count(&stats.Misses)
 		e.outcome.Misses++
 		e.cm, e.err = buildUncached(context.WithoutCancel(ctx), src, cfg)
 		if e.err == nil && (s != nil || remoteCache() != nil) {

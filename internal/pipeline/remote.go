@@ -285,7 +285,7 @@ func (t *remoteTier) negCached(fp, key string) bool {
 func (t *remoteTier) reject(key string) { t.rejectFP(t.fp, key) }
 
 func (t *remoteTier) rejectFP(fp, key string) {
-	countRemoteReject()
+	count(&stats.RemoteRejects)
 	t.negMu.Lock()
 	t.neg[negKey(fp, key)] = struct{}{}
 	t.negMu.Unlock()
@@ -372,7 +372,7 @@ func (t *remoteTier) get(ctx context.Context, fp, key string) ([]byte, error) {
 	}
 	if err != nil {
 		t.failure()
-		countRemoteError()
+		count(&stats.RemoteErrors)
 		return nil, err
 	}
 	t.success()
@@ -398,11 +398,11 @@ func (t *remoteTier) put(ctx context.Context, fp, key string, data []byte) error
 	})
 	if err != nil {
 		t.failure()
-		countRemoteError()
+		count(&stats.RemoteErrors)
 		return err
 	}
 	t.success()
-	countRemotePut()
+	count(&stats.RemotePuts)
 	return nil
 }
 
@@ -554,6 +554,9 @@ func NewRemote(base string) *Remote {
 // Get fetches and verifies one artifact from namespace fp (a compiler
 // fingerprint). Misses return fs.ErrNotExist.
 func (r *Remote) Get(ctx context.Context, fp, key string) ([]byte, error) {
+	if err := checkAddress(fp, key); err != nil {
+		return nil, err
+	}
 	return r.t.get(ctx, fp, key)
 }
 
@@ -566,7 +569,7 @@ func (r *Remote) Pull(ctx context.Context, fp, key string) (int, error) {
 	if err != nil {
 		return 0, err
 	}
-	g, err := generationStore(fp)
+	g, err := generationStore(fp, key)
 	if err != nil {
 		return 0, err
 	}
@@ -575,6 +578,9 @@ func (r *Remote) Pull(ctx context.Context, fp, key string) (int, error) {
 
 // Put publishes one artifact to namespace fp.
 func (r *Remote) Put(ctx context.Context, fp, key string, data []byte) error {
+	if err := checkAddress(fp, key); err != nil {
+		return err
+	}
 	return r.t.put(ctx, fp, key, data)
 }
 
@@ -595,6 +601,24 @@ type RemoteFPInfo struct {
 	Count int      `json:"count"`
 	Bytes int64    `json:"bytes"`
 	Keys  []string `json:"keys,omitempty"`
+}
+
+// Inventory tallies a store listing per generation, as GET /artifacts
+// reports it; withKeys also lists each generation's keys, LRU-first.
+func Inventory(arts []ArtifactInfo, withKeys bool) RemoteTotals {
+	out := RemoteTotals{Fingerprints: map[string]RemoteFPInfo{}}
+	for _, a := range arts {
+		info := out.Fingerprints[a.Generation]
+		info.Count++
+		info.Bytes += a.Size
+		if withKeys {
+			info.Keys = append(info.Keys, a.Key)
+		}
+		out.Fingerprints[a.Generation] = info
+		out.Count++
+		out.Bytes += a.Size
+	}
+	return out
 }
 
 // Totals fetches the server's artifact inventory; withKeys asks for the
@@ -630,8 +654,9 @@ var (
 )
 
 // artifactHandler serves the shared cache: the generations of one store
-// root, reusing the local store's atomic publication, retry loop, and LRU
-// eviction — the server is just a disk store with an HTTP front.
+// root, reusing the local store's atomic publication, retry loop, and
+// root-wide LRU eviction — the server is just a disk store with an HTTP
+// front, and one budget bounds every generation clients PUT.
 type artifactHandler struct {
 	root *storeRoot // nil = disabled; every route answers 503
 	mux  *http.ServeMux
@@ -640,8 +665,8 @@ type artifactHandler struct {
 // ArtifactHandler serves GET/PUT /artifact/{fp}/{key} and GET /artifacts
 // over the process's own store root (storeSettings, including "off" to
 // disable — a disabled store answers 503 so a misconfigured server is loud,
-// not silently empty), so a daemon's builds and its server share each
-// generation's store.
+// not silently empty), so a daemon's builds and its server share one size
+// account.
 func ArtifactHandler() http.Handler {
 	return newArtifactHandler(defaultRoot())
 }
@@ -671,7 +696,7 @@ func (h *artifactHandler) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	h.mux.ServeHTTP(w, r)
 }
 
-// params validates the {fp}/{key} path segments and opens the addressed
+// params validates the {fp}/{key} path segments and returns the addressed
 // generation; a false return has already written the error response.
 func (h *artifactHandler) params(w http.ResponseWriter, r *http.Request) (s *diskStore, key string, ok bool) {
 	if h.root == nil {
@@ -679,16 +704,11 @@ func (h *artifactHandler) params(w http.ResponseWriter, r *http.Request) (s *dis
 		return nil, "", false
 	}
 	fp, key := r.PathValue("fp"), r.PathValue("key")
-	if !fpRe.MatchString(fp) || !keyRe.MatchString(key) {
+	if checkAddress(fp, key) != nil {
 		http.Error(w, "bad artifact address", http.StatusBadRequest)
 		return nil, "", false
 	}
-	s, err := h.root.gen(fp)
-	if err != nil {
-		http.Error(w, "artifact store unavailable", http.StatusServiceUnavailable)
-		return nil, "", false
-	}
-	return s, key, true
+	return h.root.gen(fp), key, true
 }
 
 func (h *artifactHandler) get(w http.ResponseWriter, r *http.Request) {
@@ -734,29 +754,9 @@ func (h *artifactHandler) list(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, "artifact store disabled", http.StatusServiceUnavailable)
 		return
 	}
-	withKeys := r.URL.Query().Get("keys") != ""
-	out := RemoteTotals{Fingerprints: map[string]RemoteFPInfo{}}
-	gens, _ := h.root.generations()
-	for _, fp := range gens {
-		s, err := h.root.gen(fp)
-		if err != nil {
-			continue
-		}
-		arts, err := s.list()
-		if err != nil {
-			continue
-		}
-		info := RemoteFPInfo{Count: len(arts)}
-		for _, a := range arts {
-			info.Bytes += a.Size
-			if withKeys {
-				info.Keys = append(info.Keys, a.Key)
-			}
-		}
-		out.Fingerprints[fp] = info
-		out.Count += info.Count
-		out.Bytes += info.Bytes
-	}
+	// An unreadable root lists as empty: a server that has taken no PUT
+	// yet has no directory.
+	arts, _ := h.root.list()
 	w.Header().Set("Content-Type", "application/json")
-	json.NewEncoder(w).Encode(out)
+	json.NewEncoder(w).Encode(Inventory(arts, r.URL.Query().Get("keys") != ""))
 }

@@ -10,7 +10,9 @@ package pipeline
 import (
 	"bytes"
 	"context"
+	"errors"
 	"fmt"
+	"io/fs"
 	"net/http"
 	"net/http/httptest"
 	"os"
@@ -591,5 +593,65 @@ func TestRemotePullNeverStoresDamagedArtifact(t *testing.T) {
 	}
 	if n != len(data) || !bytes.Equal(got, data) {
 		t.Errorf("pulled %d bytes, stored %d; want the %d served, byte-identical", n, len(got), len(data))
+	}
+}
+
+// TestExportedCallsRejectBadAddresses pins the address check at every
+// exported entry that names a stored artifact: a short key, keys and
+// fingerprints that climb out of the store, and an empty fingerprint are
+// refused before the file system or the network sees them, even with a
+// valid artifact in hand and a server that answers every request with one.
+func TestExportedCallsRejectBadAddresses(t *testing.T) {
+	s := withTestStore(t, defaultMaxBytes)
+	cm, err := buildUncached(context.Background(), remoteProbeSrc, codegen.Native())
+	if err != nil {
+		t.Fatal(err)
+	}
+	data, err := codegen.EncodeModule(cm)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var hits atomic.Int64
+	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		hits.Add(1)
+		w.Write(data)
+	}))
+	defer ts.Close()
+	r := NewRemote(ts.URL)
+	ctx := context.Background()
+	fp, key := filepath.Base(s.dir), Key(remoteProbeSrc, codegen.Native())
+	for _, bad := range []struct{ fp, key string }{
+		{fp, "abc"},
+		{fp, "../escaped"},
+		{"../" + fp[3:], key},
+		{"", key},
+	} {
+		if err := WriteArtifact(bad.fp, bad.key, data); err == nil {
+			t.Errorf("WriteArtifact(%q, %q) succeeded", bad.fp, bad.key)
+		}
+		if _, err := ReadArtifact(bad.fp, bad.key); err == nil || errors.Is(err, fs.ErrNotExist) {
+			t.Errorf("ReadArtifact(%q, %q) = %v, want an address error", bad.fp, bad.key, err)
+		}
+		if HasArtifact(bad.fp, bad.key) {
+			t.Errorf("HasArtifact(%q, %q) = true", bad.fp, bad.key)
+		}
+		if _, err := r.Get(ctx, bad.fp, bad.key); err == nil {
+			t.Errorf("Remote.Get(%q, %q) succeeded", bad.fp, bad.key)
+		}
+		if _, err := r.Pull(ctx, bad.fp, bad.key); err == nil {
+			t.Errorf("Remote.Pull(%q, %q) succeeded", bad.fp, bad.key)
+		}
+		if err := r.Put(ctx, bad.fp, bad.key, data); err == nil {
+			t.Errorf("Remote.Put(%q, %q) succeeded", bad.fp, bad.key)
+		}
+	}
+	if n := hits.Load(); n != 0 {
+		t.Errorf("the remote saw %d requests for bad addresses", n)
+	}
+	if arts, err := ListArtifacts(); err != nil || len(arts) != 0 {
+		t.Errorf("store root holds %d artifacts (%v) after bad writes, want 0", len(arts), err)
+	}
+	if ents, _ := os.ReadDir(filepath.Dir(s.root.dir)); len(ents) != 1 {
+		t.Errorf("%d entries beside the store root, want only the root", len(ents))
 	}
 }

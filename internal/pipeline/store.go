@@ -49,10 +49,11 @@ const (
 // also appended there — CI jobs cat it at the end to get the per-job
 // memory/disk hit-miss summary regardless of verbosity.
 func ReportTotals(label string) {
-	line := fmt.Sprintf("[pipeline] %s cache totals: %v\n", label, Stats())
+	line := fmt.Sprintf("[pipeline] %s cache totals: %v", label, Stats())
 	if info, ok := RemoteState(); ok {
-		line = fmt.Sprintf("[pipeline] %s cache totals: %v breaker=%s\n", label, Stats(), info.Breaker)
+		line += " breaker=" + info.Breaker
 	}
+	line += "\n"
 	fmt.Print(line)
 	if p := os.Getenv(config.EnvCacheSummary); p != "" {
 		if f, err := os.OpenFile(p, os.O_APPEND|os.O_CREATE|os.O_WRONLY, 0o644); err == nil {
@@ -62,44 +63,49 @@ func ReportTotals(label string) {
 	}
 }
 
-// diskStore is one artifact store rooted at dir.
-type diskStore struct {
+// storeRoot owns the store's on-disk layout,
+// <dir>/<fingerprint>/<kk>/<key>.rpa, and its one size account: the budget
+// bounds the whole root, across every compiler generation, and one LRU
+// sweep evicts the least-recently-read artifacts wherever they live. Every
+// path into the store — the builds' active generation, the inspection API
+// under cmd/repro-cache, and the artifact server — goes through a root, so
+// the running total counts every publish whichever path made it.
+type storeRoot struct {
 	dir      string
 	maxBytes int64
+	// active is the running binary's generation, the one builds use; nil
+	// when it has no fingerprint.
+	active *diskStore
 
-	// evictMu serializes eviction sweeps within the process and guards
+	// evictMu serializes sweeps within the process and guards
 	// curBytes/sized. Across processes the sweep sentinel (tryLockSweep)
 	// elects a single sweeper; a concurrent sweep would still be safe
 	// (removal of a file another process just read is benign — the reader
 	// has its bytes), the sentinel only removes the wasted double scan.
 	evictMu sync.Mutex
-	// curBytes approximates the store's total size so publishes far under
-	// budget skip the full directory sweep; it is seeded by one scan and
-	// re-trued by every real sweep. Overwrites of an existing key
-	// over-count, which only makes a sweep happen sooner, never later.
+	// curBytes approximates the root's total size so publishes far under
+	// budget skip the full walk; it is seeded by one scan and re-trued by
+	// every real sweep. Overwrites of an existing key over-count, which
+	// only makes a sweep happen sooner, never later.
 	curBytes int64
 	sized    bool
 }
 
-// storeRoot owns the store's on-disk layout,
-// <dir>/<fingerprint>/<kk>/<key>.rpa. Every path to a generation — the
-// builds' active store, the inspection API under cmd/repro-cache, and the
-// artifact server — takes its diskStore from a root, which opens each
-// generation once per process, so a generation's running size total counts
-// every publish into it whichever path made it.
-type storeRoot struct {
-	dir      string
-	maxBytes int64 // per-generation budget
-	// active is the running binary's generation, the one builds use; nil
-	// when it has no fingerprint or its directory cannot be opened.
-	active *diskStore
-
-	mu   sync.Mutex
-	gens map[string]*diskStore
+// diskStore is one compiler generation of a store root: the directory its
+// artifacts fan out under. All size accounting is the root's.
+type diskStore struct {
+	dir  string
+	root *storeRoot
 }
 
 func newStoreRoot(dir string, maxBytes int64) *storeRoot {
-	return &storeRoot{dir: dir, maxBytes: maxBytes, gens: map[string]*diskStore{}}
+	return &storeRoot{dir: dir, maxBytes: maxBytes}
+}
+
+// gen returns generation fp of the root. fp must already match fpRe: it is
+// either this binary's fingerprint or an address checkAddress accepted.
+func (r *storeRoot) gen(fp string) *diskStore {
+	return &diskStore{dir: filepath.Join(r.dir, fp), root: r}
 }
 
 var (
@@ -110,7 +116,7 @@ var (
 
 // defaultRoot returns the process-wide store root, opening it on first use.
 // A nil return means the disk layer is disabled (explicitly, or because no
-// cache location exists).
+// usable cache location exists).
 func defaultRoot() *storeRoot {
 	storeMu.Lock()
 	defer storeMu.Unlock()
@@ -149,60 +155,16 @@ func setRoot(r *storeRoot) *storeRoot {
 // — a miscompilation fix would "pass" the suites without ever running.
 func openDefaultRoot() *storeRoot {
 	dir, maxBytes := storeSettings()
-	if dir == "" {
+	if dir == "" || os.MkdirAll(dir, 0o755) != nil {
 		return nil
 	}
 	r := newStoreRoot(dir, maxBytes)
 	// Without a fingerprint stale-compiler artifacts are indistinguishable
 	// from fresh ones; correctness beats warmth, so builds get no store.
 	if fp, err := compilerFingerprint(); err == nil {
-		r.activate(fp)
+		r.active = r.gen(fp)
 	}
 	return r
-}
-
-// activate makes generation fp the root's active store and prunes the
-// oldest other generations.
-func (r *storeRoot) activate(fp string) {
-	s, err := r.gen(fp)
-	if err != nil {
-		return
-	}
-	r.active = s
-	r.pruneFingerprints(fp)
-}
-
-// gen returns generation fp's store, opening it on first use.
-func (r *storeRoot) gen(fp string) (*diskStore, error) {
-	if !fpRe.MatchString(fp) {
-		return nil, fmt.Errorf("pipeline: %q is not a compiler fingerprint", fp)
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if s := r.gens[fp]; s != nil {
-		return s, nil
-	}
-	s := openStore(filepath.Join(r.dir, fp), r.maxBytes)
-	if s == nil {
-		return nil, fmt.Errorf("pipeline: cannot open generation %s", fp)
-	}
-	r.gens[fp] = s
-	return s, nil
-}
-
-// generations lists the root's generation directories in name order.
-func (r *storeRoot) generations() ([]string, error) {
-	ents, err := os.ReadDir(r.dir)
-	if err != nil {
-		return nil, err
-	}
-	var out []string
-	for _, ent := range ents {
-		if ent.IsDir() && fpRe.MatchString(ent.Name()) {
-			out = append(out, ent.Name())
-		}
-	}
-	return out, nil
 }
 
 var warnCacheMaxOnce sync.Once
@@ -260,61 +222,11 @@ func compilerFingerprint() (string, error) {
 	return "c-" + hex.EncodeToString(h.Sum(nil))[:16], nil
 }
 
-// keepFingerprints bounds how many compiler generations the store retains
-// (the active one plus the most recently used others — useful when
-// switching between branches or between test binaries of different
-// packages).
-const keepFingerprints = 8
-
-// pruneFingerprints removes the oldest generation directories under the
-// root, keeping the active one (touched so it reads as newest) and the
-// keepFingerprints-1 most recently used others. This is the only cleanup
-// old generations get — per-generation LRU eviction never crosses
-// fingerprint boundaries.
-func (r *storeRoot) pruneFingerprints(active string) {
-	now := time.Now()
-	os.Chtimes(filepath.Join(r.dir, active), now, now)
-	names, err := r.generations()
-	if err != nil {
-		return
-	}
-	type gen struct {
-		name  string
-		mtime time.Time
-	}
-	var gens []gen
-	for _, name := range names {
-		if name == active {
-			continue
-		}
-		if info, err := os.Stat(filepath.Join(r.dir, name)); err == nil {
-			gens = append(gens, gen{name, info.ModTime()})
-		}
-	}
-	if len(gens) <= keepFingerprints-1 {
-		return
-	}
-	sort.Slice(gens, func(i, j int) bool { return gens[i].mtime.After(gens[j].mtime) })
-	for _, g := range gens[keepFingerprints-1:] {
-		os.RemoveAll(filepath.Join(r.dir, g.name))
-	}
-}
-
-// openStore opens (creating if needed) a store rooted at dir, returning nil
-// when the location is unusable.
-func openStore(dir string, maxBytes int64) *diskStore {
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return nil
-	}
-	return &diskStore{dir: dir, maxBytes: maxBytes}
-}
-
 // path returns the artifact file for key, fanned out by the first key byte
-// so one directory never accumulates the whole store.
+// so one directory never accumulates the whole store. key must match keyRe
+// (checkAddress guards every address from outside the process), so the
+// path never leaves the generation.
 func (s *diskStore) path(key string) string {
-	if len(key) < 2 {
-		key = "zz" + key
-	}
 	return filepath.Join(s.dir, key[:2], key+artifactExt)
 }
 
@@ -436,7 +348,7 @@ func (s *diskStore) load(key string, cfg *codegen.EngineConfig) (*codegen.Compil
 }
 
 // saveBytes atomically publishes already-encoded artifact bytes under key,
-// then sweeps the store back under its size budget. Publication is retried
+// then charges them to the root's size budget. Publication is retried
 // like reads; persistent failure leaves the store without the artifact,
 // which only costs a future recompile. The caller is responsible for the
 // bytes being a valid artifact for key (build encodes its own output; the
@@ -453,7 +365,7 @@ func (s *diskStore) saveBytes(key string, data []byte) error {
 	if err != nil {
 		return err
 	}
-	s.evict(int64(len(data)))
+	s.root.evict(int64(len(data)))
 	return nil
 }
 
@@ -499,7 +411,7 @@ const (
 // to removal when the move fails — a corrupt artifact must never be
 // re-served either way.
 func (s *diskStore) quarantine(p string) {
-	countCorrupt()
+	count(&stats.Corrupt)
 	qdir := filepath.Join(s.dir, quarantineDirName)
 	if err := os.MkdirAll(qdir, 0o755); err != nil {
 		os.Remove(p)
@@ -509,32 +421,31 @@ func (s *diskStore) quarantine(p string) {
 		os.Remove(p)
 		return
 	}
-	countQuarantined()
+	count(&stats.Quarantined)
 }
 
 // reclaimQuarantine removes quarantined artifacts old enough that nobody is
 // coming back to inspect them. Called from scan, so reclamation rides the
 // same sweeps that bound the store's size.
 func (s *diskStore) reclaimQuarantine(now time.Time) {
-	ents, err := os.ReadDir(filepath.Join(s.dir, quarantineDirName))
+	qdir := filepath.Join(s.dir, quarantineDirName)
+	ents, err := os.ReadDir(qdir)
 	if err != nil {
 		return
 	}
 	for _, ent := range ents {
-		if !strings.HasSuffix(ent.Name(), quarantinedExt) {
-			continue
-		}
-		if info, err := ent.Info(); err == nil && now.Sub(info.ModTime()) > staleQuarantineAge {
-			os.Remove(filepath.Join(s.dir, quarantineDirName, ent.Name()))
+		if strings.HasSuffix(ent.Name(), quarantinedExt) {
+			removeStale(filepath.Join(qdir, ent.Name()), ent, now, staleQuarantineAge)
 		}
 	}
 }
 
-// storedFile is one artifact during an eviction sweep.
-type storedFile struct {
-	path  string
-	size  int64
-	mtime time.Time
+// removeStale removes the file p, whose directory entry is ent, once it is
+// older than age.
+func removeStale(p string, ent fs.DirEntry, now time.Time, age time.Duration) {
+	if info, err := ent.Info(); err == nil && now.Sub(info.ModTime()) > age {
+		os.Remove(p)
+	}
 }
 
 // sweepLockName is the cross-process sweep sentinel at the store root.
@@ -555,8 +466,8 @@ const staleSweepLockAge = 10 * time.Minute
 // tryLockSweep claims the sweep sentinel. It never blocks: a fresh sentinel
 // means another process is sweeping and the caller should skip; a stale one
 // (crashed sweeper) is removed and the claim retried once.
-func (s *diskStore) tryLockSweep(now time.Time) bool {
-	p := filepath.Join(s.dir, sweepLockName)
+func (r *storeRoot) tryLockSweep(now time.Time) bool {
+	p := filepath.Join(r.dir, sweepLockName)
 	for attempt := 0; attempt < 2; attempt++ {
 		f, err := os.OpenFile(p, os.O_CREATE|os.O_EXCL|os.O_WRONLY, 0o644)
 		if err == nil {
@@ -592,8 +503,8 @@ func (s *diskStore) tryLockSweep(now time.Time) bool {
 }
 
 // unlockSweep releases the sweep sentinel.
-func (s *diskStore) unlockSweep() {
-	os.Remove(filepath.Join(s.dir, sweepLockName))
+func (r *storeRoot) unlockSweep() {
+	os.Remove(filepath.Join(r.dir, sweepLockName))
 }
 
 // staleTempAge is how old an unpublished .tmp-* file must be before a sweep
@@ -602,132 +513,131 @@ func (s *diskStore) unlockSweep() {
 // space across runs.
 const staleTempAge = time.Hour
 
-// evict charges justWrote bytes against the running size total and, once
-// the budget is exceeded, sweeps the store back under it. mtime is the LRU
-// clock: load refreshes it on every hit. The running total makes the common
-// under-budget publish O(1) — only sweeps walk the directory, and only one
-// process at a time does (the sweep sentinel): a loser keeps its
+// evict charges justWrote bytes against the root's running size total and,
+// once the budget is exceeded, sweeps the root back under it. mtime is the
+// LRU clock: load refreshes it on every hit. The running total makes the
+// common under-budget publish O(1) — only sweeps walk the directory, and
+// only one process at a time does (the sweep sentinel): a loser keeps its
 // over-budget accounting and retries at its next publish.
-func (s *diskStore) evict(justWrote int64) {
-	s.evictMu.Lock()
-	defer s.evictMu.Unlock()
-	if s.sized {
-		s.curBytes += justWrote
-		if s.curBytes <= s.maxBytes {
+func (r *storeRoot) evict(justWrote int64) {
+	r.evictMu.Lock()
+	defer r.evictMu.Unlock()
+	if r.sized {
+		r.curBytes += justWrote
+		if r.curBytes <= r.maxBytes {
 			return
 		}
 	}
-	if !s.tryLockSweep(time.Now()) {
+	if !r.tryLockSweep(time.Now()) {
 		return
 	}
-	defer s.unlockSweep()
+	defer r.unlockSweep()
 	// Sweep to 90% of the budget, not the budget itself: a store hovering
 	// at its cap would otherwise pay a full directory walk on every
 	// publish. The slack amortizes one walk over many publishes. (Explicit
 	// GCStore still targets the exact budget — the user asked for it.)
-	s.sweepTo(s.maxBytes - s.maxBytes/10)
+	r.sweepTo(r.maxBytes - r.maxBytes/10)
 }
 
-// scan walks the store, reclaiming stale temp files from interrupted
-// writers along the way, and returns every artifact on disk. An unreadable
-// store root is an error, so callers can tell "empty" from "unknown" and
-// leave the size accounting alone. Callers hold evictMu.
-func (s *diskStore) scan(now time.Time) ([]storedFile, error) {
-	var files []storedFile
-	subdirs, err := os.ReadDir(s.dir)
+// scan walks every generation of the root, reclaiming what dead processes
+// left behind along the way — stale temp files, orphaned stolen sweep
+// sentinels and old quarantined artifacts — and returns every artifact
+// least-recently-used first: the order a sweep evicts them and every
+// listing reports them. An unreadable root is an error, so callers can tell
+// "empty" from "unknown" and leave the size accounting alone. Callers hold
+// evictMu.
+func (r *storeRoot) scan(now time.Time) ([]ArtifactInfo, error) {
+	ents, err := os.ReadDir(r.dir)
 	if err != nil {
 		return nil, err
 	}
+	var arts []ArtifactInfo
+	for _, ent := range ents {
+		switch {
+		case ent.IsDir() && fpRe.MatchString(ent.Name()):
+			arts = r.gen(ent.Name()).scan(arts, now)
+		case strings.HasPrefix(ent.Name(), sweepLockName+".stale-"):
+			// A stolen sentinel whose thief died between the rename-aside
+			// and the remove; reclaim it once the thief is certainly gone.
+			removeStale(filepath.Join(r.dir, ent.Name()), ent, now, staleSweepLockAge)
+		}
+	}
+	sort.Slice(arts, func(i, j int) bool { return arts[i].ModTime.Before(arts[j].ModTime) })
+	return arts, nil
+}
+
+// scan appends the generation's artifacts to arts, reclaiming its stale
+// temp files and old quarantined artifacts.
+func (s *diskStore) scan(arts []ArtifactInfo, now time.Time) []ArtifactInfo {
+	subdirs, _ := os.ReadDir(s.dir)
 	for _, sub := range subdirs {
 		if sub.Name() == quarantineDirName {
 			s.reclaimQuarantine(now)
 			continue
 		}
 		if !sub.IsDir() {
-			// A .sweep-lock.stale-<pid> orphan is a stolen sentinel whose
-			// thief died between the rename-aside and the remove; reclaim
-			// it once it is old enough that the thief is certainly gone.
-			if strings.HasPrefix(sub.Name(), sweepLockName+".stale-") {
-				if info, err := sub.Info(); err == nil && now.Sub(info.ModTime()) > staleSweepLockAge {
-					os.Remove(filepath.Join(s.dir, sub.Name()))
-				}
-			}
 			continue
 		}
-		ents, err := os.ReadDir(filepath.Join(s.dir, sub.Name()))
-		if err != nil {
-			continue
-		}
+		dir := filepath.Join(s.dir, sub.Name())
+		ents, _ := os.ReadDir(dir)
 		for _, ent := range ents {
-			p := filepath.Join(s.dir, sub.Name(), ent.Name())
-			info, err := ent.Info()
-			if err != nil {
-				continue
-			}
-			if filepath.Ext(ent.Name()) != artifactExt {
+			name := ent.Name()
+			if filepath.Ext(name) != artifactExt {
 				// Orphaned temp file from a writer that died between
 				// CreateTemp and Rename.
-				if strings.HasPrefix(ent.Name(), ".tmp-") && now.Sub(info.ModTime()) > staleTempAge {
-					os.Remove(p)
+				if strings.HasPrefix(name, ".tmp-") {
+					removeStale(filepath.Join(dir, name), ent, now, staleTempAge)
 				}
 				continue
 			}
-			files = append(files, storedFile{path: p, size: info.Size(), mtime: info.ModTime()})
+			if info, err := ent.Info(); err == nil {
+				arts = append(arts, ArtifactInfo{
+					Generation: filepath.Base(s.dir),
+					Key:        strings.TrimSuffix(name, artifactExt),
+					Size:       info.Size(),
+					ModTime:    info.ModTime(),
+					Path:       filepath.Join(dir, name),
+				})
+			}
 		}
 	}
-	return files, nil
+	return arts
 }
 
-// sweepTo walks the store and removes least-recently-used artifacts until
-// the total fits under target bytes, re-truing the running size total.
-// Callers hold evictMu. It reports how many artifacts were removed and the
-// bytes they freed. A failed scan leaves the size accounting untouched
-// (the next sweep retries) rather than re-truing it to zero.
-func (s *diskStore) sweepTo(target int64) (removed int, freed int64) {
-	files, err := s.scan(time.Now())
+// sweepTo walks the root and removes least-recently-used artifacts, across
+// all generations, until the total fits under target bytes, re-truing the
+// running size total. Callers hold evictMu. It reports how many artifacts
+// were removed and the bytes they freed. A failed scan leaves the size
+// accounting untouched (the next sweep retries) rather than re-truing it
+// to zero.
+func (r *storeRoot) sweepTo(target int64) (removed int, freed int64) {
+	arts, err := r.scan(time.Now())
 	if err != nil {
 		return 0, 0
 	}
 	var total int64
-	for _, f := range files {
-		total += f.size
+	for _, a := range arts {
+		total += a.Size
 	}
-	if total > target {
-		sort.Slice(files, func(i, j int) bool { return files[i].mtime.Before(files[j].mtime) })
-		for _, f := range files {
-			if total <= target {
-				break
-			}
-			if os.Remove(f.path) == nil {
-				total -= f.size
-				removed++
-				freed += f.size
-			}
+	for _, a := range arts {
+		if total <= target {
+			break
+		}
+		if os.Remove(a.Path) == nil {
+			total -= a.Size
+			removed++
+			freed += a.Size
 		}
 	}
-	s.curBytes = total
-	s.sized = true
+	r.curBytes = total
+	r.sized = true
 	return removed, freed
 }
 
-// list enumerates the store's artifacts least-recently-used first (the
-// order an eviction sweep removes them).
-func (s *diskStore) list() ([]ArtifactInfo, error) {
-	s.evictMu.Lock()
-	files, err := s.scan(time.Now())
-	s.evictMu.Unlock()
-	if err != nil {
-		return nil, err
-	}
-	sort.Slice(files, func(i, j int) bool { return files[i].mtime.Before(files[j].mtime) })
-	out := make([]ArtifactInfo, len(files))
-	for i, f := range files {
-		out[i] = ArtifactInfo{
-			Key:     strings.TrimSuffix(filepath.Base(f.path), artifactExt),
-			Size:    f.size,
-			ModTime: f.mtime,
-			Path:    f.path,
-		}
-	}
-	return out, nil
+// list enumerates the root's artifacts, every generation's,
+// least-recently-used first (the order an eviction sweep removes them).
+func (r *storeRoot) list() ([]ArtifactInfo, error) {
+	r.evictMu.Lock()
+	defer r.evictMu.Unlock()
+	return r.scan(time.Now())
 }

@@ -40,18 +40,20 @@ int main() {
 
 // withTestStore points the process at a fresh store root in a temp dir and
 // returns its active generation, the store every Compile in the test
-// publishes to. State is restored on cleanup.
+// publishes to. The memory layer starts cold too, so a build an earlier
+// test (or an earlier -count repetition) made still publishes into this
+// store. State is restored on cleanup.
 func withTestStore(t *testing.T, maxBytes int64) *diskStore {
 	t.Helper()
+	buildMu.Lock()
+	clear(buildCache)
+	buildMu.Unlock()
 	fp, err := compilerFingerprint()
 	if err != nil {
 		t.Fatal(err)
 	}
 	r := newStoreRoot(t.TempDir(), maxBytes)
-	r.activate(fp)
-	if r.active == nil {
-		t.Fatal("cannot open the active generation in a temp dir")
-	}
+	r.active = r.gen(fp)
 	prev := setRoot(r)
 	t.Cleanup(func() { setRoot(prev) })
 	return r.active
@@ -286,46 +288,69 @@ func TestStoreConcurrentWriters(t *testing.T) {
 	}
 }
 
-// TestFingerprintPruning checks old compiler-generation directories are
-// pruned oldest-first while the active generation and the most recent
-// others survive.
-func TestFingerprintPruning(t *testing.T) {
-	root := t.TempDir()
-	const active = "c-deadbeefdeadbeef"
-	if err := os.MkdirAll(filepath.Join(root, active), 0o755); err != nil {
+// TestRootBudgetEvictsAcrossGenerations pins that one budget bounds a
+// whole store root: an artifact server taking PUTs from several client
+// generations stays under its budget, and its sweep evicts the
+// least-recently-read artifacts first whichever generation holds them — the
+// oldest generation's unread artifacts go, a recently read one survives.
+func TestRootBudgetEvictsAcrossGenerations(t *testing.T) {
+	cm, err := buildUncached(context.Background(), remoteProbeSrc, codegen.Native())
+	if err != nil {
 		t.Fatal(err)
 	}
-	for i := 0; i < keepFingerprints+3; i++ {
-		name := fmt.Sprintf("c-%016x", i)
-		p := filepath.Join(root, name)
-		if err := os.MkdirAll(p, 0o755); err != nil {
+	data, err := codegen.EncodeModule(cm)
+	if err != nil {
+		t.Fatal(err)
+	}
+	size := int64(len(data))
+	// Room for four artifacts, and a sweep to 90% keeps four.
+	budget := 4*size + size/2
+	root := t.TempDir()
+	ts := httptest.NewServer(ArtifactHandlerAt(root, budget))
+	defer ts.Close()
+	ctx := context.Background()
+	r := NewRemote(ts.URL)
+	put := func(fp string, n int) string {
+		t.Helper()
+		key := Key(fmt.Sprintf("%s// %s %d", remoteProbeSrc, fp, n), codegen.Native())
+		if err := r.Put(ctx, fp, key, data); err != nil {
 			t.Fatal(err)
 		}
-		// Monotonic mtimes: generation i is older than i+1.
-		mt := time.Now().Add(-time.Duration(keepFingerprints+4-i) * time.Hour)
+		return key
+	}
+	path := func(fp, key string) string { return filepath.Join(root, fp, key[:2], key+artifactExt) }
+
+	// Two generations fill the budget; their artifacts age an hour apart,
+	// oldest first, and then the oldest one is read again.
+	const genA, genB, genC = "c-00000000000000a1", "c-00000000000000b2", "c-00000000000000c3"
+	a0, a1, b0, b1 := put(genA, 0), put(genA, 1), put(genB, 0), put(genB, 1)
+	for i, p := range []string{path(genA, a0), path(genA, a1), path(genB, b0), path(genB, b1)} {
+		mt := time.Now().Add(time.Duration(i-4) * time.Hour)
 		if err := os.Chtimes(p, mt, mt); err != nil {
 			t.Fatal(err)
 		}
 	}
-	newStoreRoot(root, defaultMaxBytes).pruneFingerprints(active)
-	ents, err := os.ReadDir(root)
+	if _, err := r.Get(ctx, genA, a0); err != nil {
+		t.Fatal(err)
+	}
+	// A third generation's PUTs push the root over budget twice.
+	c0, c1 := put(genC, 0), put(genC, 1)
+
+	inv, err := r.Totals(ctx, false)
 	if err != nil {
 		t.Fatal(err)
 	}
-	var names []string
-	for _, e := range ents {
-		names = append(names, e.Name())
+	if inv.Bytes > budget || inv.Count != 4 {
+		t.Errorf("root holds %d artifacts, %d bytes; want 4 within the %d-byte budget", inv.Count, inv.Bytes, budget)
 	}
-	if len(names) != keepFingerprints {
-		t.Fatalf("kept %d generations %v, want %d", len(names), names, keepFingerprints)
+	for _, gone := range []struct{ fp, key string }{{genA, a1}, {genB, b0}} {
+		if _, err := os.Stat(path(gone.fp, gone.key)); !os.IsNotExist(err) {
+			t.Errorf("least-recently-read %s/%s survived the sweep", gone.fp, gone.key[:12])
+		}
 	}
-	keep := map[string]bool{active: true}
-	for i := keepFingerprints + 3 - (keepFingerprints - 1); i < keepFingerprints+3; i++ {
-		keep[fmt.Sprintf("c-%016x", i)] = true
-	}
-	for _, n := range names {
-		if !keep[n] {
-			t.Errorf("generation %s should have been pruned (survivors %v)", n, names)
+	for _, kept := range []struct{ fp, key string }{{genA, a0}, {genB, b1}, {genC, c0}, {genC, c1}} {
+		if _, err := os.Stat(path(kept.fp, kept.key)); err != nil {
+			t.Errorf("%s/%s was evicted before older artifacts: %v", kept.fp, kept.key[:12], err)
 		}
 	}
 }
@@ -422,7 +447,7 @@ func TestStoreInspectAndGC(t *testing.T) {
 		os.Chtimes(p, mt, mt)
 	}
 
-	arts, err := ListArtifacts(fp)
+	arts, err := ListArtifacts()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -430,6 +455,9 @@ func TestStoreInspectAndGC(t *testing.T) {
 		t.Fatalf("ListArtifacts found %d artifacts, want %d", len(arts), len(keys))
 	}
 	for i, a := range arts {
+		if a.Generation != fp {
+			t.Errorf("entry %d: generation %s, want %s", i, a.Generation, fp)
+		}
 		if a.Key != keys[i] {
 			t.Errorf("entry %d: key %s, want %s (LRU-first order)", i, a.Key, keys[i])
 		}
@@ -451,7 +479,7 @@ func TestStoreInspectAndGC(t *testing.T) {
 	if removed != 2 || freed != wantFreed {
 		t.Fatalf("GCStore removed %d/%d bytes, want 2/%d", removed, freed, wantFreed)
 	}
-	arts, err = ListArtifacts(fp)
+	arts, err = ListArtifacts()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -471,89 +499,69 @@ func TestStoreInspectAndGC(t *testing.T) {
 	}
 }
 
-// TestGenerationStoreIsShared pins that every path into a generation gets
-// the one diskStore its root opened: a build's publish and a WriteArtifact
-// into the active generation land in one size account, and repeated
-// WriteArtifact and Remote.Pull calls into another generation reuse its
-// store (a fresh, unsized store would walk the whole generation on every
-// publish).
+// TestGenerationStoreIsShared pins that every path into a store root lands
+// in its one size account: a build's publish into the active generation, a
+// WriteArtifact and a Remote.Pull into other generations, and a PUT to the
+// process's own artifact handler all count, and all four appear in the
+// root's listing under their generations.
 func TestGenerationStoreIsShared(t *testing.T) {
 	s := withTestStore(t, defaultMaxBytes)
-	active, err := compilerFingerprint()
-	if err != nil {
-		t.Fatal(err)
-	}
+	active := filepath.Base(s.dir)
 	ctx := context.Background()
 	cfg := codegen.Native()
 	src := uniqueRemoteSrc(31)
+	built := Key(src, cfg)
 	if _, err := Compile(ctx, &Request{Module: src, Config: cfg}); err != nil {
 		t.Fatal(err)
 	}
-	data, err := os.ReadFile(s.path(Key(src, cfg)))
+	data, err := os.ReadFile(s.path(built))
 	if err != nil {
 		t.Fatal(err)
 	}
-	size := int64(len(data))
-	account := func(g *diskStore) int64 {
-		g.evictMu.Lock()
-		defer g.evictMu.Unlock()
-		if !g.sized {
-			return -1
-		}
-		return g.curBytes
-	}
 
-	if err := WriteArtifact(active, Key(src+"// written", cfg), data); err != nil {
+	const written, pulled, served = "c-00000000000000a1", "c-00000000000000b2", "c-00000000000000c3"
+	writtenKey := Key(src+"// written", cfg)
+	if err := WriteArtifact(written, writtenKey, data); err != nil {
 		t.Fatal(err)
 	}
-	if g, err := generationStore(active); err != nil || g != s {
-		t.Fatalf("generationStore(active) = %p, %v; want the build's store %p", g, err, s)
-	}
-	if got := account(s); got != 2*size {
-		t.Errorf("active generation accounts %d bytes, want %d (the build's publish and the write)", got, 2*size)
-	}
-
-	const other = "c-00000000000000b2"
-	ts := httptest.NewServer(ArtifactHandlerAt(t.TempDir(), 0))
-	defer ts.Close()
-	r := NewRemote(ts.URL)
-	pulled := Key(src+"// pulled", cfg)
-	if err := r.Put(ctx, other, pulled, data); err != nil {
+	remote := httptest.NewServer(ArtifactHandlerAt(t.TempDir(), 0))
+	defer remote.Close()
+	r := NewRemote(remote.URL)
+	pulledKey := Key(src+"// pulled", cfg)
+	if err := r.Put(ctx, pulled, pulledKey, data); err != nil {
 		t.Fatal(err)
 	}
-	first, err := generationStore(other)
+	if _, err := r.Pull(ctx, pulled, pulledKey); err != nil {
+		t.Fatal(err)
+	}
+	own := httptest.NewServer(ArtifactHandler())
+	defer own.Close()
+	servedKey := Key(src+"// served", cfg)
+	if err := NewRemote(own.URL).Put(ctx, served, servedKey, data); err != nil {
+		t.Fatal(err)
+	}
+
+	s.root.evictMu.Lock()
+	sized, account := s.root.sized, s.root.curBytes
+	s.root.evictMu.Unlock()
+	if want := 4 * int64(len(data)); !sized || account != want {
+		t.Errorf("root accounts %d bytes (sized %v), want %d: the build, the write, the pull and the PUT", account, sized, want)
+	}
+	arts, err := ListArtifacts()
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i := 0; i < 2; i++ {
-		if err := WriteArtifact(other, Key(fmt.Sprintf("%s// write %d", src, i), cfg), data); err != nil {
-			t.Fatal(err)
-		}
+	got := map[string]string{}
+	for _, a := range arts {
+		got[a.Key] = a.Generation
 	}
-	if _, err := r.Pull(ctx, other, pulled); err != nil {
-		t.Fatal(err)
+	want := map[string]string{built: active, writtenKey: written, pulledKey: pulled, servedKey: served}
+	if len(got) != len(want) {
+		t.Errorf("root lists %d artifacts, want %d", len(got), len(want))
 	}
-	if g, err := generationStore(other); err != nil || g != first {
-		t.Fatalf("generation %s reopened: %p, %v; want %p", other, g, err, first)
-	}
-	if got := account(first); got != 3*size {
-		t.Errorf("generation %s accounts %d bytes, want %d (two writes and a pull)", other, got, 3*size)
-	}
-
-	// Concurrent first opens of one generation agree on one store.
-	stores := make([]*diskStore, 8)
-	var wg sync.WaitGroup
-	for i := range stores {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			stores[i], _ = generationStore("c-00000000000000c3")
-		}()
-	}
-	wg.Wait()
-	for i, g := range stores {
-		if g == nil || g != stores[0] {
-			t.Fatalf("concurrent open %d returned %p, open 0 %p", i, g, stores[0])
+	for key, fp := range want {
+		if got[key] != fp {
+			t.Errorf("artifact %s listed under generation %q, want %s", key[:12], got[key], fp)
 		}
 	}
 }
@@ -598,7 +606,7 @@ func TestSweepLockElectsOneSweeper(t *testing.T) {
 
 	// Simulate a concurrent process mid-sweep: a fresh sentinel at the
 	// store root.
-	lock := filepath.Join(s.dir, sweepLockName)
+	lock := filepath.Join(s.root.dir, sweepLockName)
 	if err := os.WriteFile(lock, []byte("424242\n"), 0o644); err != nil {
 		t.Fatal(err)
 	}
@@ -613,11 +621,11 @@ func TestSweepLockElectsOneSweeper(t *testing.T) {
 		}
 	}
 	count := func() (n int) {
-		files, err := s.scan(time.Now())
+		arts, err := ListArtifacts()
 		if err != nil {
 			t.Fatal(err)
 		}
-		return len(files)
+		return len(arts)
 	}
 	if got := count(); got != len(srcs) {
 		t.Fatalf("%d artifacts on disk with sweep locked elsewhere, want %d (sweep must be skipped)", got, len(srcs))
@@ -645,7 +653,7 @@ func TestSweepLockElectsOneSweeper(t *testing.T) {
 func TestSweepLockStaleSentinelIsStolen(t *testing.T) {
 	s := withTestStore(t, 1)
 
-	lock := filepath.Join(s.dir, sweepLockName)
+	lock := filepath.Join(s.root.dir, sweepLockName)
 	if err := os.WriteFile(lock, []byte("424242\n"), 0o644); err != nil {
 		t.Fatal(err)
 	}
@@ -657,12 +665,12 @@ func TestSweepLockStaleSentinelIsStolen(t *testing.T) {
 	if _, err := Compile(context.Background(), &Request{Module: "int main() { print_int(444); print_nl(); return 0; }", Config: codegen.Native()}); err != nil {
 		t.Fatal(err)
 	}
-	files, err := s.scan(time.Now())
+	arts, err := ListArtifacts()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(files) != 0 {
-		t.Errorf("%d artifacts survived: stale sentinel was not stolen", len(files))
+	if len(arts) != 0 {
+		t.Errorf("%d artifacts survived: stale sentinel was not stolen", len(arts))
 	}
 	if _, err := os.Stat(lock); !os.IsNotExist(err) {
 		t.Error("stolen sentinel not released after the sweep")
@@ -672,19 +680,19 @@ func TestSweepLockStaleSentinelIsStolen(t *testing.T) {
 // TestTryLockSweepMutualExclusion pins the sentinel protocol itself: one
 // winner among concurrent claimants, release enables the next claim.
 func TestTryLockSweepMutualExclusion(t *testing.T) {
-	s := withTestStore(t, 1<<30)
+	r := withTestStore(t, 1<<30).root
 	now := time.Now()
-	if !s.tryLockSweep(now) {
+	if !r.tryLockSweep(now) {
 		t.Fatal("first claim failed")
 	}
-	if s.tryLockSweep(now) {
+	if r.tryLockSweep(now) {
 		t.Fatal("second claim succeeded while held")
 	}
-	s.unlockSweep()
-	if !s.tryLockSweep(now) {
+	r.unlockSweep()
+	if !r.tryLockSweep(now) {
 		t.Fatal("claim after release failed")
 	}
-	s.unlockSweep()
+	r.unlockSweep()
 }
 
 // TestScanReclaimsOrphanedStolenSentinel pins the crash-leak cleanup: a
@@ -692,9 +700,9 @@ func TestTryLockSweepMutualExclusion(t *testing.T) {
 // remove is reclaimed by the next old-enough scan, while a fresh one (a
 // steal in progress) survives.
 func TestScanReclaimsOrphanedStolenSentinel(t *testing.T) {
-	s := withTestStore(t, 1<<30)
-	orphan := filepath.Join(s.dir, sweepLockName+".stale-4242")
-	fresh := filepath.Join(s.dir, sweepLockName+".stale-4243")
+	r := withTestStore(t, 1<<30).root
+	orphan := filepath.Join(r.dir, sweepLockName+".stale-4242")
+	fresh := filepath.Join(r.dir, sweepLockName+".stale-4243")
 	for _, p := range []string{orphan, fresh} {
 		if err := os.WriteFile(p, []byte("4242\n"), 0o644); err != nil {
 			t.Fatal(err)
@@ -704,10 +712,7 @@ func TestScanReclaimsOrphanedStolenSentinel(t *testing.T) {
 	if err := os.Chtimes(orphan, old, old); err != nil {
 		t.Fatal(err)
 	}
-	s.evictMu.Lock()
-	_, err := s.scan(time.Now())
-	s.evictMu.Unlock()
-	if err != nil {
+	if _, err := r.list(); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := os.Stat(orphan); !os.IsNotExist(err) {
@@ -764,13 +769,13 @@ func TestQuarantineKeepsCorruptArtifact(t *testing.T) {
 
 	// The recompile republished a clean artifact; a scan must see only that
 	// artifact (the quarantined copy is invisible to eviction accounting).
-	files, err := s.scan(time.Now())
+	arts, err := ListArtifacts()
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, f := range files {
-		if strings.Contains(f.path, quarantineDirName) {
-			t.Errorf("scan counted quarantined file %s as an artifact", f.path)
+	for _, a := range arts {
+		if strings.Contains(a.Path, quarantineDirName) {
+			t.Errorf("scan counted quarantined file %s as an artifact", a.Path)
 		}
 	}
 
