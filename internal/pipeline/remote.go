@@ -561,15 +561,15 @@ func (r *Remote) Get(ctx context.Context, fp, key string) ([]byte, error) {
 }
 
 // Pull fetches one artifact from namespace fp and publishes it into the
-// local store's generation fp, returning its size. Get has verified the
-// bytes, so they are saved without hashing them a second time; a damaged
-// artifact fails the fetch and never reaches the store.
+// local store's generation fp, returning its size. The fetch has verified
+// the bytes, so they are saved without hashing them a second time; a
+// damaged artifact fails the fetch and never reaches the store.
 func (r *Remote) Pull(ctx context.Context, fp, key string) (int, error) {
-	data, err := r.Get(ctx, fp, key)
+	g, err := generationStore(fp, key)
 	if err != nil {
 		return 0, err
 	}
-	g, err := generationStore(fp, key)
+	data, err := r.t.get(ctx, fp, key)
 	if err != nil {
 		return 0, err
 	}
@@ -672,10 +672,10 @@ func ArtifactHandler() http.Handler {
 }
 
 // ArtifactHandlerAt serves the artifact routes over an explicit root
-// (tests, embedders). An empty root disables the store: every route answers
-// 503. A zero budget selects the default store budget.
+// (tests, embedders). An empty or unusable root disables the store: every
+// route answers 503. A zero budget selects the default store budget.
 func ArtifactHandlerAt(root string, budget int64) http.Handler {
-	if root == "" {
+	if root == "" || os.MkdirAll(root, 0o755) != nil {
 		return newArtifactHandler(nil)
 	}
 	if budget <= 0 {
@@ -754,8 +754,8 @@ func (h *artifactHandler) list(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, "artifact store disabled", http.StatusServiceUnavailable)
 		return
 	}
-	// An unreadable root lists as empty: a server that has taken no PUT
-	// yet has no directory.
+	// An unreadable root lists as empty, as a store answers a read it
+	// cannot serve with a miss.
 	arts, _ := h.root.list()
 	w.Header().Set("Content-Type", "application/json")
 	json.NewEncoder(w).Encode(Inventory(arts, r.URL.Query().Get("keys") != ""))
