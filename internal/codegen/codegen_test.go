@@ -229,6 +229,15 @@ func TestCompileDivRem(t *testing.T) {
 }
 
 func TestCompileBrTable(t *testing.T) {
+	m := buildBrTableModule()
+	for _, v := range []uint64{0, 1, 2, 3, 99} {
+		runBoth(t, m, "sel", v)
+	}
+}
+
+// buildBrTableModule exports sel(i) = 10, 20, 30 for i = 0, 1 and any
+// other value, dispatched through one br_table.
+func buildBrTableModule() *wasm.Module {
 	b := wasm.NewModuleBuilder()
 	fb := b.Func("sel", wasm.FuncType{Params: []wasm.ValType{wasm.I32}, Results: []wasm.ValType{wasm.I32}})
 	fb.Block(wasm.BlockVoid)
@@ -243,10 +252,7 @@ func TestCompileBrTable(t *testing.T) {
 	fb.End()
 	fb.I32Const(30)
 	b.Export("sel", wasm.ExternFunc, fb.Index())
-	m := b.Module()
-	for _, v := range []uint64{0, 1, 2, 3, 99} {
-		runBoth(t, m, "sel", v)
-	}
+	return b.Module()
 }
 
 func TestCompileGlobals(t *testing.T) {

@@ -424,17 +424,21 @@ func CompileContext(ctx context.Context, m *wasm.Module, cfg *EngineConfig) (*Co
 // mergeFragments concatenates the per-function fragment programs in
 // function order into one module program, resolving fragment-local
 // (negative) labels and function entry labels to global instruction
-// indices. This replaces the serial path's incremental Bind/ResolveTargets:
+// indices, and rebasing each fragment's jump tables and listing notes. This replaces the serial path's incremental Bind/ResolveTargets:
 // the merged program binds exactly the function entry labels, matching what
 // DecodeModule reconstructs.
 func mergeFragments(ctx *moduleCtx, frags []*compileScratch) (*x86.Program, error) {
-	total := 0
+	total, notes, tables := 0, 0, 0
 	for _, sc := range frags {
 		total += len(sc.frag.Code)
+		notes += len(sc.frag.Notes)
+		tables += len(sc.frag.Tables)
 	}
 	prog := x86.NewProgram()
 	prog.HostNames = ctx.hostNames
 	prog.Code = make([]x86.Inst, 0, total)
+	prog.Notes = make([]x86.Note, 0, notes)
+	prog.Tables = make([][]int, 0, tables)
 
 	fragStart := make([]int, len(frags))
 	entryIdx := make([]int, len(frags))
@@ -465,7 +469,7 @@ func mergeFragments(ctx *moduleCtx, frags []*compileScratch) (*x86.Program, erro
 			}
 			return entryIdx[fi], nil
 		}
-		base := len(prog.Code)
+		base, tableBase := len(prog.Code), len(prog.Tables)
 		prog.Code = append(prog.Code, sc.frag.Code...)
 		var err error
 		for j := base; j < len(prog.Code); j++ {
@@ -476,12 +480,20 @@ func mergeFragments(ctx *moduleCtx, frags []*compileScratch) (*x86.Program, erro
 					return nil, err
 				}
 			case x86.OJmpTable:
-				for k, t := range in.TableTargets {
-					if in.TableTargets[k], err = resolve(t); err != nil {
-						return nil, err
-					}
+				in.Target += tableBase
+			}
+		}
+		for _, table := range sc.frag.Tables {
+			for k, t := range table {
+				if table[k], err = resolve(t); err != nil {
+					return nil, err
 				}
 			}
+			prog.Tables = append(prog.Tables, table)
+		}
+		for _, n := range sc.frag.Notes {
+			n.Idx += base
+			prog.Notes = append(prog.Notes, n)
 		}
 		for _, fn := range sc.frag.Funcs {
 			fn.Start += fragStart[i]

@@ -82,6 +82,9 @@ func (e *emitter) newLabel() int {
 
 func (e *emitter) emit(in x86.Inst) { e.prog.Append(in) }
 
+// emitNote emits in with a listing note (Fig 7 style).
+func (e *emitter) emitNote(in x86.Inst, note string) { e.prog.AppendNote(in, note) }
+
 func (e *emitter) s0() x86.Reg { return e.cfg.Scratch[0] }
 func (e *emitter) s1() x86.Reg { return e.cfg.Scratch[1] }
 func (e *emitter) sf() x86.Reg { return e.cfg.ScratchF }
@@ -229,8 +232,8 @@ func (e *emitter) emitFunc() error {
 			// The bind above is the back-edge target; move it: rebind a
 			// fresh label as the block label target... The block label is
 			// already bound here; emit the entry jump inside instead.
-			e.emit(x86.Inst{Op: x86.OJmp, Target: after, Comment: "loop entry"})
-			e.emit(x86.Inst{Op: x86.ONop, Comment: "reload point"})
+			e.emitNote(x86.Inst{Op: x86.OJmp, Target: after}, "loop entry")
+			e.emitNote(x86.Inst{Op: x86.ONop}, "reload point")
 			e.prog.Bind(after)
 			_ = after
 		}
@@ -273,13 +276,12 @@ func (e *emitter) prologue() {
 	// Stack-overflow check (§6.2.2): every wasm function entry compares
 	// rsp against the engine's stack limit.
 	if e.cfg.StackCheck {
-		e.emit(x86.Inst{
+		e.emitNote(x86.Inst{
 			Op: x86.OCmp, W: 8,
-			Dst:     x86.R(x86.RSP),
-			Src:     absMem(x86.StackLimitAddr),
-			Comment: "stack check",
-		})
-		e.emit(x86.Inst{Op: x86.OJcc, CC: x86.CCBE, Target: e.trapL, Comment: "stack overflow"})
+			Dst: x86.R(x86.RSP),
+			Src: absMem(x86.StackLimitAddr),
+		}, "stack check")
+		e.emitNote(x86.Inst{Op: x86.OJcc, CC: x86.CCBE, Target: e.trapL}, "stack overflow")
 	}
 	e.emit(x86.Inst{Op: x86.OPush, W: 8, Dst: x86.R(x86.RBP)})
 	e.emit(x86.Inst{Op: x86.OMov, W: 8, Dst: x86.R(x86.RBP), Src: x86.R(x86.RSP)})
@@ -288,7 +290,7 @@ func (e *emitter) prologue() {
 		e.emit(x86.Inst{Op: x86.OSub, W: 8, Dst: x86.R(x86.RSP), Src: x86.Imm(int64(fs) * 8)})
 	}
 	for i, r := range e.ra.UsedCallee {
-		e.emit(x86.Inst{Op: x86.OMov, W: 8, Dst: e.spillMem(e.csSlot(i)), Src: x86.R(r), Comment: "save callee-saved"})
+		e.emitNote(x86.Inst{Op: x86.OMov, W: 8, Dst: e.spillMem(e.csSlot(i)), Src: x86.R(r)}, "save callee-saved")
 	}
 
 	// Move parameters from argument registers / caller stack into their

@@ -17,7 +17,7 @@ func (e *emitter) emitCall(in *ir.Ins) {
 		}
 		if e.cfg.IndirectCheck {
 			// Table bounds check (§6.2.3).
-			e.emit(x86.Inst{Op: x86.OCmp, W: 4, Dst: x86.R(e.s1()), Src: x86.Imm(int64(e.ctx.tableSize)), Comment: "table bounds"})
+			e.emitNote(x86.Inst{Op: x86.OCmp, W: 4, Dst: x86.R(e.s1()), Src: x86.Imm(int64(e.ctx.tableSize))}, "table bounds")
 			e.emit(x86.Inst{Op: x86.OJcc, CC: x86.CCAE, Target: e.trapL})
 		}
 		e.emit(x86.Inst{Op: x86.OShl, W: 8, Dst: x86.R(e.s1()), Src: x86.Imm(4)}) // *16
@@ -29,14 +29,14 @@ func (e *emitter) emitCall(in *ir.Ins) {
 	case ir.Call:
 		e.emit(x86.Inst{Op: x86.OCall, Target: e.ctx.funcLabel[in.Callee]})
 	case ir.CallHost:
-		e.emit(x86.Inst{Op: x86.OCallHost, Host: in.Callee, Comment: e.ctx.hostName(in.Callee)})
+		e.emitNote(x86.Inst{Op: x86.OCallHost, Host: int32(in.Callee)}, e.ctx.hostName(in.Callee))
 	case ir.CallInd:
 		tbase := uint32(x86.TableBase)
 		tb := x86.Mem{Base: x86.NoReg, Index: e.s1(), Scale: 1, Disp: int32(tbase)}
 		if e.cfg.IndirectCheck {
 			// Signature check: table entry holds [sig, entry].
 			e.emit(x86.Inst{Op: x86.OMov, W: 8, Dst: x86.R(e.s0()), Src: x86.M(tb)})
-			e.emit(x86.Inst{Op: x86.OCmp, W: 8, Dst: x86.R(e.s0()), Src: x86.Imm(int64(in.SigID)), Comment: "sig check"})
+			e.emitNote(x86.Inst{Op: x86.OCmp, W: 8, Dst: x86.R(e.s0()), Src: x86.Imm(int64(in.SigID))}, "sig check")
 			e.emit(x86.Inst{Op: x86.OJcc, CC: x86.CCNE, Target: e.trapL})
 		}
 		entry := tb

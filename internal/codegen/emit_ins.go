@@ -246,8 +246,8 @@ func (e *emitter) emitIns(b *ir.Block, idx int, bi int) error {
 		d, flush := e.dstFP(in.Dst)
 		s := e.readGPOperand(in.A, e.s1())
 		w := uint8(in.Imm) // source int width
-		e.emit(x86.Inst{Op: x86.OCvtsi2sd, W: w, Dst: x86.R(d), Src: s, Uns: in.Unsigned,
-			Comment: fmt.Sprintf("-> f%d", in.W*8)})
+		e.emitNote(x86.Inst{Op: x86.OCvtsi2sd, W: w, Dst: x86.R(d), Src: s, Uns: in.Unsigned},
+			fmt.Sprintf("-> f%d", in.W*8))
 		if in.W == 4 {
 			e.emit(x86.Inst{Op: x86.OCvtsd2ss, W: 8, Dst: x86.R(d), Src: x86.R(d)})
 		}
@@ -256,8 +256,8 @@ func (e *emitter) emitIns(b *ir.Block, idx int, bi int) error {
 	case ir.F2I:
 		d, flush := e.dstGP(in.Dst)
 		s := e.readFPOperand(in.A, uint8(in.Imm))
-		e.emit(x86.Inst{Op: x86.OCvttsd2si, W: in.W, Dst: x86.R(d), Src: s, Uns: in.Unsigned,
-			Comment: fmt.Sprintf("from f%d", in.Imm*8)})
+		e.emitNote(x86.Inst{Op: x86.OCvttsd2si, W: in.W, Dst: x86.R(d), Src: s, Uns: in.Unsigned},
+			fmt.Sprintf("from f%d", in.Imm*8))
 		flush()
 
 	case ir.F2F:
@@ -294,7 +294,7 @@ func (e *emitter) emitIns(b *ir.Block, idx int, bi int) error {
 		}
 		if in.Imm == 0 && e.cfg.ShadowSP != x86.NoReg {
 			d, flush := e.dstGP(in.Dst)
-			e.emit(x86.Inst{Op: x86.OMov, W: 8, Dst: x86.R(d), Src: x86.R(e.cfg.ShadowSP), Comment: "shadow sp"})
+			e.emitNote(x86.Inst{Op: x86.OMov, W: 8, Dst: x86.R(d), Src: x86.R(e.cfg.ShadowSP)}, "shadow sp")
 			flush()
 			return nil
 		}
@@ -312,7 +312,7 @@ func (e *emitter) emitIns(b *ir.Block, idx int, bi int) error {
 	case ir.GlobalSt:
 		if in.Imm == 0 && e.cfg.ShadowSP != x86.NoReg {
 			s := e.readGP(in.A, e.s0(), 8)
-			e.emit(x86.Inst{Op: x86.OMov, W: 8, Dst: x86.R(e.cfg.ShadowSP), Src: x86.R(s), Comment: "shadow sp"})
+			e.emitNote(x86.Inst{Op: x86.OMov, W: 8, Dst: x86.R(e.cfg.ShadowSP), Src: x86.R(s)}, "shadow sp")
 			return nil
 		}
 		addr := uint32(x86.GlobalsBase) + uint32(in.Imm)*8
@@ -335,7 +335,7 @@ func (e *emitter) emitIns(b *ir.Block, idx int, bi int) error {
 		if s != e.cfg.ArgGP[0] {
 			e.emit(x86.Inst{Op: x86.OMov, W: 8, Dst: x86.R(e.cfg.ArgGP[0]), Src: x86.R(s)})
 		}
-		e.emit(x86.Inst{Op: x86.OCallHost, Host: -1, Comment: "memory.grow"})
+		e.emitNote(x86.Inst{Op: x86.OCallHost, Host: -1}, "memory.grow")
 		e.storeCallResult(in.Dst, false)
 
 	case ir.Call, ir.CallHost, ir.CallInd:
@@ -354,9 +354,9 @@ func (e *emitter) emitIns(b *ir.Block, idx int, bi int) error {
 			cc := e.emitFloatCompare(in.A, in.B, in.CC, in.W)
 			// eq/ne need a parity guard for the unordered (NaN) case.
 			if in.CC == ir.CCEq {
-				e.emit(x86.Inst{Op: x86.OJcc, CC: x86.CCP, Target: e.blockLabel[in.Targets[1]], Comment: "unordered"})
+				e.emitNote(x86.Inst{Op: x86.OJcc, CC: x86.CCP, Target: e.blockLabel[in.Targets[1]]}, "unordered")
 			} else if in.CC == ir.CCNe {
-				e.emit(x86.Inst{Op: x86.OJcc, CC: x86.CCP, Target: e.blockLabel[in.Targets[0]], Comment: "unordered"})
+				e.emitNote(x86.Inst{Op: x86.OJcc, CC: x86.CCP, Target: e.blockLabel[in.Targets[0]]}, "unordered")
 			}
 			e.condJump(cc, in.Targets[0], in.Targets[1], bi)
 			return nil
@@ -385,7 +385,7 @@ func (e *emitter) emitIns(b *ir.Block, idx int, bi int) error {
 		for i := 0; i < n; i++ {
 			tt[i] = e.blockLabel[in.Targets[i]]
 		}
-		e.emit(x86.Inst{Op: x86.OJmpTable, Dst: x86.R(a), TableTargets: tt})
+		e.prog.AppendTable(x86.Inst{Op: x86.OJmpTable, Dst: x86.R(a)}, tt)
 
 	case ir.Ret:
 		if in.A != ir.NoV {
@@ -512,13 +512,13 @@ func (e *emitter) emitShift(in *ir.Ins) {
 	bl := e.loc(in.B)
 	bInRCX := bl.Kind == regalloc.LocReg && bl.Reg == x86.RCX
 	if !bInRCX {
-		e.emit(x86.Inst{Op: x86.OMov, W: 8, Dst: e.spillMem(e.divSlot(0)), Src: x86.R(x86.RCX), Comment: "save rcx"})
+		e.emitNote(x86.Inst{Op: x86.OMov, W: 8, Dst: e.spillMem(e.divSlot(0)), Src: x86.R(x86.RCX)}, "save rcx")
 		bsrc := e.readGPOperand(in.B, e.s1())
 		e.emit(x86.Inst{Op: x86.OMov, W: 8, Dst: x86.R(x86.RCX), Src: bsrc})
 	}
 	e.emit(x86.Inst{Op: op, W: in.W, Dst: x86.R(val), Src: x86.R(x86.RCX)}) // count in CL
 	if !bInRCX {
-		e.emit(x86.Inst{Op: x86.OMov, W: 8, Dst: x86.R(x86.RCX), Src: e.spillMem(e.divSlot(0)), Comment: "restore rcx"})
+		e.emitNote(x86.Inst{Op: x86.OMov, W: 8, Dst: x86.R(x86.RCX), Src: e.spillMem(e.divSlot(0))}, "restore rcx")
 	}
 	if d != val {
 		e.emit(x86.Inst{Op: x86.OMov, W: 8, Dst: x86.R(d), Src: x86.R(val)})
@@ -532,8 +532,8 @@ func (e *emitter) emitDiv(in *ir.Ins) {
 	wantRem := in.Op == ir.RemS || in.Op == ir.RemU
 
 	// Save rax/rdx unconditionally (they may hold other live values).
-	e.emit(x86.Inst{Op: x86.OMov, W: 8, Dst: e.spillMem(e.divSlot(0)), Src: x86.R(x86.RAX), Comment: "save rax"})
-	e.emit(x86.Inst{Op: x86.OMov, W: 8, Dst: e.spillMem(e.divSlot(1)), Src: x86.R(x86.RDX), Comment: "save rdx"})
+	e.emitNote(x86.Inst{Op: x86.OMov, W: 8, Dst: e.spillMem(e.divSlot(0)), Src: x86.R(x86.RAX)}, "save rax")
+	e.emitNote(x86.Inst{Op: x86.OMov, W: 8, Dst: e.spillMem(e.divSlot(1)), Src: x86.R(x86.RDX)}, "save rdx")
 
 	// wasm defines INT_MIN rem -1 as 0, but idiv faults on it, so a signed
 	// rem guards the divisor — unless it is a compile-time constant that
@@ -564,7 +564,7 @@ func (e *emitter) emitDiv(in *ir.Ins) {
 		// (always 0), so rewriting -1 → 1 fixes the faulting case without
 		// branching.
 		e.emit(x86.Inst{Op: x86.OMov, W: 8, Dst: x86.R(e.s0()), Src: x86.Imm(1)})
-		e.emit(x86.Inst{Op: x86.OCmp, W: in.W, Dst: x86.R(div), Src: x86.Imm(-1), Comment: "rem -1 guard"})
+		e.emitNote(x86.Inst{Op: x86.OCmp, W: in.W, Dst: x86.R(div), Src: x86.Imm(-1)}, "rem -1 guard")
 		e.emit(x86.Inst{Op: x86.OCmov, CC: x86.CCE, W: 8, Dst: x86.R(div), Src: x86.R(e.s0())})
 	}
 
@@ -587,8 +587,8 @@ func (e *emitter) emitDiv(in *ir.Ins) {
 		// Results of 32-bit division are zero-extended.
 		e.emit(x86.Inst{Op: x86.OMov, W: 4, Dst: x86.R(e.s0()), Src: x86.R(e.s0())})
 	}
-	e.emit(x86.Inst{Op: x86.OMov, W: 8, Dst: x86.R(x86.RAX), Src: e.spillMem(e.divSlot(0)), Comment: "restore rax"})
-	e.emit(x86.Inst{Op: x86.OMov, W: 8, Dst: x86.R(x86.RDX), Src: e.spillMem(e.divSlot(1)), Comment: "restore rdx"})
+	e.emitNote(x86.Inst{Op: x86.OMov, W: 8, Dst: x86.R(x86.RAX), Src: e.spillMem(e.divSlot(0))}, "restore rax")
+	e.emitNote(x86.Inst{Op: x86.OMov, W: 8, Dst: x86.R(x86.RDX), Src: e.spillMem(e.divSlot(1))}, "restore rdx")
 
 	if e.loc(in.Dst).Kind == regalloc.LocNone {
 		return

@@ -22,7 +22,7 @@ func (e *emitter) memOperandFor(b *ir.Block, idx int, addr ir.VReg, off int32) x
 	if e.cfg.HeapMask {
 		// asm.js heap masking: scratch = addr & mask.
 		e.emit(x86.Inst{Op: x86.OMov, W: 4, Dst: x86.R(e.s0()), Src: x86.R(areg)})
-		e.emit(x86.Inst{Op: x86.OAnd, W: 4, Dst: x86.R(e.s0()), Src: x86.Imm(x86.LinearMax - 1), Comment: "heap mask"})
+		e.emitNote(x86.Inst{Op: x86.OAnd, W: 4, Dst: x86.R(e.s0()), Src: x86.Imm(x86.LinearMax - 1)}, "heap mask")
 		areg = e.s0()
 	}
 	if e.cfg.MemBase != x86.NoReg {
@@ -264,7 +264,7 @@ func (e *emitter) emitStore(b *ir.Block, idx int) {
 		} else {
 			src = x86.Imm(info.imm)
 		}
-		e.emit(x86.Inst{Op: binX[info.op], W: info.w, Dst: x86.M(mem), Src: src, Comment: "rmw"})
+		e.emitNote(x86.Inst{Op: binX[info.op], W: info.w, Dst: x86.M(mem), Src: src}, "rmw")
 		return
 	}
 

@@ -32,8 +32,8 @@ import (
 // decodes a function body.
 
 // artifactMagic and ArtifactVersion prefix every encoded module. Bump the
-// version whenever the payload layout, the Inst field set, or anything else
-// that changes decode semantics moves; stale artifacts then read as a version
+// version whenever the payload layout, the encoded instruction fields, or
+// anything else that changes decode semantics moves; stale artifacts then read as a version
 // mismatch and fall back to a recompile.
 var artifactMagic = [4]byte{'R', 'P', 'A', 'M'}
 
@@ -60,8 +60,13 @@ func EncodeModule(cm *CompiledModule) ([]byte, error) {
 	// Program.
 	p := cm.Prog
 	e.uvarint(uint64(len(p.Code)))
+	notes := p.Notes
 	for i := range p.Code {
-		encodeInst(e, &p.Code[i])
+		var note string
+		if len(notes) > 0 && notes[0].Idx == i {
+			note, notes = notes[0].Text, notes[1:]
+		}
+		encodeInst(e, p, &p.Code[i], note)
 	}
 	e.uvarint(uint64(len(p.Funcs)))
 	for _, f := range p.Funcs {
@@ -196,7 +201,7 @@ func decodePayload(data []byte, cfg *EngineConfig) (*CompiledModule, error) {
 	n := d.count()
 	p.Code = make([]x86.Inst, n)
 	for i := 0; i < n && d.err == nil; i++ {
-		decodeInstBin(d, &p.Code[i])
+		decodeInstBin(d, p, i)
 	}
 	n = d.count()
 	p.Funcs = make([]x86.FuncInfo, n)
@@ -353,14 +358,18 @@ func valTypes(p []byte) []wasm.ValType {
 	return ts
 }
 
-// Inst flag bits in the encoded stream.
+// Inst flag bits in the encoded stream. An instruction's listing note and
+// jump table are stored inline after its fields, under these flags, though
+// in memory both live in the Program's side tables.
 const (
 	instFlagUns = 1 << iota
 	instFlagComment
 	instFlagTableTargets
 )
 
-func encodeInst(e *encBuf, in *x86.Inst) {
+// encodeInst writes p.Code entry in, with note as its listing note. An
+// OJmpTable is written with Target 0, followed by its table's entries.
+func encodeInst(e *encBuf, p *x86.Program, in *x86.Inst, note string) {
 	e.u8(uint8(in.Op))
 	e.u8(in.W)
 	e.u8(uint8(in.CC))
@@ -368,29 +377,36 @@ func encodeInst(e *encBuf, in *x86.Inst) {
 	if in.Uns {
 		flags |= instFlagUns
 	}
-	if in.Comment != "" {
+	if note != "" {
 		flags |= instFlagComment
 	}
-	if len(in.TableTargets) > 0 {
+	target, table := in.Target, []int(nil)
+	if in.Op == x86.OJmpTable {
+		target, table = 0, p.Tables[in.Target]
+	}
+	if len(table) > 0 {
 		flags |= instFlagTableTargets
 	}
 	e.u8(flags)
 	encodeOperand(e, &in.Dst)
 	encodeOperand(e, &in.Src)
-	e.varint(int64(in.Target))
+	e.varint(int64(target))
 	e.varint(int64(in.Host))
 	if flags&instFlagTableTargets != 0 {
-		e.uvarint(uint64(len(in.TableTargets)))
-		for _, t := range in.TableTargets {
+		e.uvarint(uint64(len(table)))
+		for _, t := range table {
 			e.varint(int64(t))
 		}
 	}
 	if flags&instFlagComment != 0 {
-		e.str(in.Comment)
+		e.str(note)
 	}
 }
 
-func decodeInstBin(d *decBuf, in *x86.Inst) {
+// decodeInstBin reads p.Code[i], appending its note and, for an
+// OJmpTable, its jump table to p's side tables.
+func decodeInstBin(d *decBuf, p *x86.Program, i int) {
+	in := &p.Code[i]
 	in.Op = x86.Op(d.u8())
 	in.W = d.u8()
 	in.CC = x86.CC(d.u8())
@@ -399,16 +415,27 @@ func decodeInstBin(d *decBuf, in *x86.Inst) {
 	decodeOperand(d, &in.Dst)
 	decodeOperand(d, &in.Src)
 	in.Target = int(d.varint())
-	in.Host = int(d.varint())
+	host := d.varint()
+	if host < math.MinInt32 || host > math.MaxInt32 {
+		d.fail("host index out of range")
+	}
+	in.Host = int32(host)
+	var table []int
 	if flags&instFlagTableTargets != 0 {
-		n := d.count()
-		in.TableTargets = make([]int, n)
-		for i := 0; i < n && d.err == nil; i++ {
-			in.TableTargets[i] = int(d.varint())
+		if in.Op != x86.OJmpTable {
+			d.fail("jump table on a non-table instruction")
+		}
+		table = make([]int, d.count())
+		for k := 0; k < len(table) && d.err == nil; k++ {
+			table[k] = int(d.varint())
 		}
 	}
+	if in.Op == x86.OJmpTable {
+		in.Target = len(p.Tables)
+		p.Tables = append(p.Tables, table)
+	}
 	if flags&instFlagComment != 0 {
-		in.Comment = d.str()
+		p.Notes = append(p.Notes, x86.Note{Idx: i, Text: d.str()})
 	}
 }
 

@@ -165,6 +165,53 @@ func TestArtifactRoundTrip(t *testing.T) {
 			orig.ReleaseMemory()
 			round.ReleaseMemory()
 
+			// A br_table module: its jump table must survive the round
+			// trip with the same results, counters and listing.
+			if cm, err = codegen.Compile(buildBrTableModule(), cfg); err != nil {
+				t.Fatal(err)
+			}
+			if !hasJumpTable(cm.Prog) {
+				t.Fatal("br_table module compiled without an OJmpTable")
+			}
+			if data, err = codegen.EncodeModule(cm); err != nil {
+				t.Fatal(err)
+			}
+			if dec, err = codegen.DecodeModule(data, cfg); err != nil {
+				t.Fatal(err)
+			}
+			sel := func(m *codegen.CompiledModule) (res []uint64, insts, cycles uint64) {
+				inst, err := cpu.Load(m)
+				if err != nil {
+					t.Fatal(err)
+				}
+				defer inst.ReleaseMemory()
+				for _, v := range []uint64{0, 1, 2, 3, 99} {
+					got, err := inst.Invoke("sel", v)
+					if err != nil {
+						t.Fatal(err)
+					}
+					res = append(res, got)
+				}
+				inst.FlushCycles()
+				return res, inst.Counters.Instructions, inst.Counters.Cycles
+			}
+			r1, i1, c1 := sel(cm)
+			r2, i2, c2 := sel(dec)
+			if !slices.Equal(r1, r2) || !slices.Equal(r1, []uint64{10, 20, 30, 30, 30}) {
+				t.Errorf("sel results %v after round trip, original %v", r2, r1)
+			}
+			if i1 != i2 || c1 != c2 {
+				t.Errorf("br_table counters diverged: insts %d/%d cycles %d/%d", i1, i2, c1, c2)
+			}
+			d1, ok1 = cm.DisasmFunc("sel")
+			d2, ok2 = dec.DisasmFunc("sel")
+			if !ok1 || !ok2 || d1 != d2 {
+				t.Errorf("br_table listing diverged after round trip:\n%s\n---\n%s", d1, d2)
+			}
+			if re, err = codegen.EncodeModule(dec); err != nil || !bytes.Equal(data, re) {
+				t.Errorf("br_table re-encoding is not byte-identical (%v)", err)
+			}
+
 			if cm, err = codegen.Compile(buildFloatArgModule(), cfg); err != nil {
 				t.Fatal(err)
 			}

@@ -185,7 +185,7 @@ type uop struct {
 	uns   bool   // unsigned conversion variant
 	line  uint32 // precomputed icache line (addr >> 6)
 	disp  int32
-	tgt   int32  // branch target index / host-function id
+	tgt   int32  // branch target index / jump-table index / host-function id
 	imm   uint64 // immediate / branch address for uJcc
 }
 
@@ -449,6 +449,7 @@ func decodeInst(in *x86.Inst, u *uop) {
 		u.kind = uJcc
 		u.imm = uint64(in.Addr) // branch-predictor index
 	case x86.OJmpTable:
+		// u.tgt, taken from Target, indexes Program.Tables.
 		if isGP(dst) {
 			u.kind, u.dst = uJmpTable, uint8(dst.Reg)
 		}

@@ -474,7 +474,7 @@ func run[T tier](m *Machine) error {
 				}
 
 			case uJmpTable:
-				targets := m.Prog.Code[rip].TableTargets
+				targets := m.Prog.Tables[u.tgt]
 				idx := int(uint32(m.Regs[u.dst]))
 				if idx < 0 || idx >= len(targets) {
 					err = &TrapError{Msg: "jump table index out of range", PC: rip}

@@ -303,13 +303,14 @@ func (m *Machine) exec(in *x86.Inst) error {
 		m.branchTo(in.Target, true, m.cc(in.CC), in.Addr)
 
 	case x86.OJmpTable:
+		targets := m.Prog.Tables[in.Target]
 		idx := int(uint32(m.Regs[in.Dst.Reg]))
-		if idx < 0 || idx >= len(in.TableTargets) {
+		if idx < 0 || idx >= len(targets) {
 			return &TrapError{Msg: "jump table index out of range", PC: m.rip}
 		}
 		m.Counters.Loads++ // table entry fetch
 		m.q(qLoad)
-		m.branchTo(in.TableTargets[idx], false, true, in.Addr)
+		m.branchTo(targets[idx], false, true, in.Addr)
 
 	case x86.OCall:
 		m.Regs[x86.RSP] -= 8
@@ -374,7 +375,7 @@ func (m *Machine) exec(in *x86.Inst) error {
 		}
 		m.Counters.Branches++
 		m.q(qCallHost)
-		if err := m.Host(m, in.Host); err != nil {
+		if err := m.Host(m, int(in.Host)); err != nil {
 			return err
 		}
 		m.rip++

@@ -89,8 +89,7 @@ func buildGoldenProgram() *x86.Program {
 	ap(x86.Inst{Op: x86.OMovImm, W: 8, Dst: x86.R(x86.RDX), Src: x86.Imm(0)})
 	ap(x86.Inst{Op: x86.OMovImm, W: 8, Dst: x86.R(x86.R8), Src: x86.Imm(3)})
 	ap(x86.Inst{Op: x86.ODiv, W: 8, Dst: x86.R(x86.R8)})
-	ap(x86.Inst{Op: x86.OJmpTable, Dst: x86.R(x86.RDX),
-		TableTargets: []int{lCase0, lCase1, lCase2}})
+	p.AppendTable(x86.Inst{Op: x86.OJmpTable, Dst: x86.R(x86.RDX)}, []int{lCase0, lCase1, lCase2})
 	p.Bind(lCase0)
 	ap(x86.Inst{Op: x86.OAdd, W: 8, Dst: x86.R(x86.RSI), Src: x86.Imm(100)})
 	ap(x86.Inst{Op: x86.OJmp, Target: lDone})

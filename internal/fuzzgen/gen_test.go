@@ -60,7 +60,7 @@ func TestGenerateCoverage(t *testing.T) {
 		}
 	}
 	for _, op := range []wasm.Opcode{
-		wasm.OpBlock, wasm.OpLoop, wasm.OpBrIf, wasm.OpIf, wasm.OpSelect,
+		wasm.OpBlock, wasm.OpLoop, wasm.OpBrIf, wasm.OpBrTable, wasm.OpIf, wasm.OpSelect,
 		wasm.OpCall, wasm.OpCallIndirect, wasm.OpGlobalGet, wasm.OpGlobalSet,
 		wasm.OpI32Load, wasm.OpI32Store, wasm.OpI64Load, wasm.OpI64Store,
 		wasm.OpI32DivS, wasm.OpI64DivS, wasm.OpF64Add, wasm.OpMemorySize,

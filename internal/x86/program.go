@@ -2,6 +2,7 @@ package x86
 
 import (
 	"fmt"
+	"sort"
 	"strings"
 )
 
@@ -14,12 +15,26 @@ type FuncInfo struct {
 	SigID      int // signature id for indirect-call checks
 }
 
+// Note annotates the instruction at Code[Idx] in listings (Fig 7 style).
+type Note struct {
+	Idx  int
+	Text string
+}
+
 // Program is a laid-out machine program: a flat instruction stream, label
 // definitions, and per-function metadata.
 type Program struct {
 	Code   []Inst
 	Funcs  []FuncInfo
 	labels map[int]int // label id -> instruction index
+
+	// Notes annotate listings: sorted by Idx, at most one per instruction
+	// (AppendNote).
+	Notes []Note
+	// Tables holds one target list per OJmpTable, indexed by its Target
+	// (AppendTable): label ids until targets are resolved, instruction
+	// indices after.
+	Tables [][]int
 
 	// FuncByLabel maps entry label ids to function numbers.
 	FuncByLabel map[int]int
@@ -50,6 +65,8 @@ func NewProgram() *Program {
 func (p *Program) Reset() {
 	p.Code = p.Code[:0]
 	p.Funcs = p.Funcs[:0]
+	p.Notes = p.Notes[:0]
+	p.Tables = p.Tables[:0]
 	clear(p.labels)
 	clear(p.FuncByLabel)
 	p.CodeBytes = 0
@@ -61,6 +78,24 @@ func (p *Program) Reset() {
 func (p *Program) Append(in Inst) int {
 	p.Code = append(p.Code, in)
 	return len(p.Code) - 1
+}
+
+// AppendNote adds an instruction annotated with text and returns its index.
+// An empty text adds no note.
+func (p *Program) AppendNote(in Inst, text string) int {
+	i := p.Append(in)
+	if text != "" {
+		p.Notes = append(p.Notes, Note{Idx: i, Text: text})
+	}
+	return i
+}
+
+// AppendTable adds an OJmpTable that jumps through targets, setting its
+// Target to the new table's index, and returns the instruction's index.
+func (p *Program) AppendTable(in Inst, targets []int) int {
+	in.Target = len(p.Tables)
+	p.Tables = append(p.Tables, targets)
+	return p.Append(in)
 }
 
 // Bind associates label id with the next instruction index.
@@ -93,7 +128,8 @@ func (p *Program) Layout() {
 }
 
 // ResolveTargets converts label-id targets into instruction indices, storing
-// them back into Target. It must run after all labels are bound.
+// them back into Target and the jump tables. It must run after all labels
+// are bound.
 func (p *Program) ResolveTargets() error {
 	for i := range p.Code {
 		in := &p.Code[i]
@@ -104,14 +140,15 @@ func (p *Program) ResolveTargets() error {
 				return fmt.Errorf("x86: undefined label L%d at %d", in.Target, i)
 			}
 			in.Target = idx
-		case OJmpTable:
-			for k, t := range in.TableTargets {
-				idx, ok := p.labels[t]
-				if !ok {
-					return fmt.Errorf("x86: undefined jump-table label L%d at %d", t, i)
-				}
-				in.TableTargets[k] = idx
+		}
+	}
+	for n, table := range p.Tables {
+		for k, t := range table {
+			idx, ok := p.labels[t]
+			if !ok {
+				return fmt.Errorf("x86: undefined label L%d in jump table %d", t, n)
 			}
+			table[k] = idx
 		}
 	}
 	return nil
@@ -135,6 +172,7 @@ func (p *Program) Disasm(fn int) string {
 			}
 		}
 	}
+	notes := p.Notes[sort.Search(len(p.Notes), func(k int) bool { return p.Notes[k].Idx >= f.Start }):]
 	var sb strings.Builder
 	fmt.Fprintf(&sb, "%s:  # %d instructions, %d bytes\n", f.Name, f.End-f.Start, p.funcBytes(fn))
 	for i := f.Start; i < f.End; i++ {
@@ -147,6 +185,10 @@ func (p *Program) Disasm(fn int) string {
 			if l, ok := targets[in.Target]; ok {
 				s = strings.Replace(s, fmt.Sprintf("L%d", in.Target), fmt.Sprintf("L%d", l), 1)
 			}
+		}
+		if len(notes) > 0 && notes[0].Idx == i {
+			s += " # " + notes[0].Text
+			notes = notes[1:]
 		}
 		fmt.Fprintf(&sb, "    %s\n", s)
 	}

@@ -217,7 +217,7 @@ const (
 	OAndpd // bitwise float ops (abs/neg via masks)
 	OXorpd
 	ORound    // roundsd with mode in Imm: 0=nearest 1=floor 2=ceil 3=trunc
-	OJmpTable // indirect jump through an inline jump table (TableTargets)
+	OJmpTable // indirect jump through jump table Program.Tables[Target]
 )
 
 var opNames = map[Op]string{
@@ -320,29 +320,29 @@ func (o Operand) String() string {
 // Inst is one machine instruction. Dst is the first (destination) operand in
 // Intel syntax; Src the second. Jump/call targets are symbolic label ids
 // resolved by Program layout.
+//
+// Inst holds no pointers and its fields are ordered to pack into 72 bytes:
+// a module's []Inst is most of its resident heap, and a pointer-free slice
+// is allocated noscan, so the GC never walks it. Listing notes and jump
+// tables, which few instructions carry, live beside the code in
+// Program.Notes and Program.Tables.
 type Inst struct {
 	Op  Op
 	W   uint8 // operation width in bytes: 1, 2, 4, or 8
 	CC  CC
-	Dst Operand
-	Src Operand
-
-	// Target is a label id for OJmp/OJcc/OCall.
-	Target int
-	// TableTargets holds OJmpTable label ids (resolved like Target).
-	TableTargets []int
+	Uns bool // unsigned conversion variants (cvt with unsigned fixup)
+	// Size and Addr are filled in by layout.
+	Size uint8
+	Addr uint32
 	// Host is the host-function index for OCallHost. Negative values are
 	// engine builtins (see cpu package).
-	Host int
-	// Uns marks unsigned conversion variants (cvt with unsigned fixup).
-	Uns bool
+	Host int32
+	Dst  Operand
+	Src  Operand
 
-	// Comment annotates listings (Fig 7 style).
-	Comment string
-
-	// Addr and Size are filled in by layout.
-	Addr uint32
-	Size uint8
+	// Target is a label id for OJmp/OJcc/OCall, and the index into
+	// Program.Tables for OJmpTable.
+	Target int
 }
 
 func (in Inst) String() string {
@@ -376,9 +376,6 @@ func (in Inst) String() string {
 		if in.Src.Kind != KNone {
 			s += ", " + in.operandStr(in.Src)
 		}
-	}
-	if in.Comment != "" {
-		s += " # " + in.Comment
 	}
 	return s
 }
