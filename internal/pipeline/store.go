@@ -356,9 +356,6 @@ func (s *diskStore) load(key string, cfg *codegen.EngineConfig) (*codegen.Compil
 func (s *diskStore) saveBytes(key string, data []byte) error {
 	p := s.path(key)
 	dir := filepath.Dir(p)
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return err
-	}
 	err := retryIO(fault.SiteStoreWrite, key, func() error {
 		return s.publish(dir, p, data)
 	})
@@ -369,11 +366,21 @@ func (s *diskStore) saveBytes(key string, data []byte) error {
 	return nil
 }
 
-// publish writes data to a temp file in dir and renames it over p. Atomic
-// publication: concurrent writers of one key rename complete files over each
-// other; readers never see a partial artifact.
+// publish creates dir, writes data to a temp file in it and renames it over
+// p. Atomic publication: concurrent writers of one key rename complete files
+// over each other; readers never see a partial artifact. A sweep removes
+// directories it empties, so one may vanish between MkdirAll and
+// CreateTemp; that is reported as a transient failure, not a miss, and the
+// retry re-creates the directory. Once the temp file exists, the directory
+// is not empty and no sweep removes it.
 func (s *diskStore) publish(dir, p string, data []byte) error {
+	if err := os.MkdirAll(dir, 0o755); err != nil {
+		return err
+	}
 	tmp, err := os.CreateTemp(dir, ".tmp-*")
+	if errors.Is(err, fs.ErrNotExist) {
+		return fmt.Errorf("pipeline: store directory %s removed during publish", dir)
+	}
 	if err != nil {
 		return err
 	}
@@ -606,10 +613,14 @@ func (s *diskStore) scan(arts []ArtifactInfo, now time.Time) []ArtifactInfo {
 
 // sweepTo walks the root and removes least-recently-used artifacts, across
 // all generations, until the total fits under target bytes, re-truing the
-// running size total. Callers hold evictMu. It reports how many artifacts
-// were removed and the bytes they freed. A failed scan leaves the size
-// accounting untouched (the next sweep retries) rather than re-truing it
-// to zero.
+// running size total. It then removes each fan-out directory it emptied
+// and each generation directory left empty, so a generation whose
+// artifacts were all evicted leaves nothing behind; os.Remove refuses a
+// directory that is not empty, so one still holding artifacts, a
+// publisher's temp file or a quarantine stays. Callers hold evictMu. It
+// reports how many artifacts were removed and the bytes they freed. A
+// failed scan leaves the size accounting untouched (the next sweep
+// retries) rather than re-truing it to zero.
 func (r *storeRoot) sweepTo(target int64) (removed int, freed int64) {
 	arts, err := r.scan(time.Now())
 	if err != nil {
@@ -619,6 +630,7 @@ func (r *storeRoot) sweepTo(target int64) (removed int, freed int64) {
 	for _, a := range arts {
 		total += a.Size
 	}
+	dirs := map[string]bool{}
 	for _, a := range arts {
 		if total <= target {
 			break
@@ -627,7 +639,17 @@ func (r *storeRoot) sweepTo(target int64) (removed int, freed int64) {
 			total -= a.Size
 			removed++
 			freed += a.Size
+			dirs[filepath.Dir(a.Path)] = true
 		}
+	}
+	gens := map[string]bool{}
+	for dir := range dirs {
+		if os.Remove(dir) == nil {
+			gens[filepath.Dir(dir)] = true
+		}
+	}
+	for dir := range gens {
+		os.Remove(dir)
 	}
 	r.curBytes = total
 	r.sized = true

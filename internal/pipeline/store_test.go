@@ -497,6 +497,33 @@ func TestStoreInspectAndGC(t *testing.T) {
 	if _, err := os.Stat(s.path(keys[0])); err != nil {
 		t.Errorf("evicted artifact not republished after rebuild: %v", err)
 	}
+
+	// A GC down to nothing leaves no directory behind: neither the
+	// fan-out directories nor the generation's own. A later write into
+	// the generation re-creates them, lands and lists.
+	data, err := ReadArtifact(fp, keys[3])
+	if err != nil {
+		t.Fatal(err)
+	}
+	if removed, _, err := GCStore(1); err != nil || removed != 3 {
+		t.Fatalf("GCStore(1) removed %d artifacts (%v), want 3", removed, err)
+	}
+	root := filepath.Dir(s.dir)
+	ents, err := os.ReadDir(root)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, ent := range ents {
+		if ent.IsDir() {
+			t.Errorf("GC to 0 bytes left directory %s under the root", ent.Name())
+		}
+	}
+	if err := WriteArtifact(fp, keys[3], data); err != nil {
+		t.Fatalf("WriteArtifact into an emptied generation: %v", err)
+	}
+	if arts, err = ListArtifacts(); err != nil || len(arts) != 1 || arts[0].Key != keys[3] || arts[0].Generation != fp {
+		t.Fatalf("after re-write: listing %v (%v), want only %s in %s", arts, err, keys[3][:12], fp)
+	}
 }
 
 // TestGenerationStoreIsShared pins that every path into a store root lands
