@@ -363,8 +363,8 @@ func valTypes(p []byte) []wasm.ValType {
 // in memory both live in the Program's side tables.
 const (
 	instFlagUns = 1 << iota
-	instFlagComment
-	instFlagTableTargets
+	instFlagNote
+	instFlagTable
 )
 
 // encodeInst writes p.Code entry in, with note as its listing note. An
@@ -378,27 +378,27 @@ func encodeInst(e *encBuf, p *x86.Program, in *x86.Inst, note string) {
 		flags |= instFlagUns
 	}
 	if note != "" {
-		flags |= instFlagComment
+		flags |= instFlagNote
 	}
 	target, table := in.Target, []int(nil)
 	if in.Op == x86.OJmpTable {
 		target, table = 0, p.Tables[in.Target]
 	}
 	if len(table) > 0 {
-		flags |= instFlagTableTargets
+		flags |= instFlagTable
 	}
 	e.u8(flags)
 	encodeOperand(e, &in.Dst)
 	encodeOperand(e, &in.Src)
 	e.varint(int64(target))
 	e.varint(int64(in.Host))
-	if flags&instFlagTableTargets != 0 {
+	if flags&instFlagTable != 0 {
 		e.uvarint(uint64(len(table)))
 		for _, t := range table {
 			e.varint(int64(t))
 		}
 	}
-	if flags&instFlagComment != 0 {
+	if flags&instFlagNote != 0 {
 		e.str(note)
 	}
 }
@@ -421,7 +421,7 @@ func decodeInstBin(d *decBuf, p *x86.Program, i int) {
 	}
 	in.Host = int32(host)
 	var table []int
-	if flags&instFlagTableTargets != 0 {
+	if flags&instFlagTable != 0 {
 		if in.Op != x86.OJmpTable {
 			d.fail("jump table on a non-table instruction")
 		}
@@ -434,7 +434,7 @@ func decodeInstBin(d *decBuf, p *x86.Program, i int) {
 		in.Target = len(p.Tables)
 		p.Tables = append(p.Tables, table)
 	}
-	if flags&instFlagComment != 0 {
+	if flags&instFlagNote != 0 {
 		p.Notes = append(p.Notes, x86.Note{Idx: i, Text: d.str()})
 	}
 }

@@ -2,15 +2,19 @@ package codegen_test
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"encoding/binary"
 	"math"
 	"reflect"
 	"slices"
+	"strings"
 	"testing"
 
 	"repro/internal/codegen"
 	"repro/internal/cpu"
 	"repro/internal/minic"
 	"repro/internal/wasm"
+	"repro/internal/x86"
 )
 
 // buildArtifactModule compiles the shared matmul module (loops, floats,
@@ -356,6 +360,41 @@ func TestArtifactRejectsDamage(t *testing.T) {
 		mut[0] = 'X'
 		if _, err := codegen.DecodeModule(mut, cfg); err == nil {
 			t.Error("bad magic not rejected")
+		}
+	})
+	// Fields the encoder cannot produce: the first instruction is rewritten
+	// in the encoded stream (op, w, cc, flags, two empty operands, target,
+	// host, then its table) and the trailer resealed.
+	t.Run("instruction-fields", func(t *testing.T) {
+		first := func(in x86.Inst, tables [][]int) []byte {
+			p := *cm.Prog
+			p.Code = slices.Clone(p.Code)
+			p.Code[0] = in
+			p.Tables, p.Notes = tables, nil
+			return sealed(func(bad *codegen.CompiledModule) { bad.Prog = &p })
+		}
+		off := 8 + len(binary.AppendUvarint(nil, uint64(len(cm.Prog.Code))))
+		reseal := func(art []byte) []byte {
+			sum := sha256.Sum256(art[:len(art)-sha256.Size])
+			return append(art[:len(art)-sha256.Size], sum[:]...)
+		}
+
+		art := first(x86.Inst{Op: x86.OCallHost, Host: 5}, nil)
+		hostAt := off + 7
+		mut := append(slices.Clone(art[:hostAt]), binary.AppendVarint(nil, 1<<40)...)
+		mut = reseal(append(mut, art[hostAt+1:]...))
+		if _, err := codegen.DecodeModule(mut, cfg); err == nil || !strings.Contains(err.Error(), "host index") {
+			t.Errorf("host index outside int32 not rejected: %v", err)
+		}
+
+		art = first(x86.Inst{Op: x86.OJmpTable}, [][]int{{0}})
+		if _, err := codegen.DecodeModule(art, cfg); err != nil {
+			t.Fatalf("jump table not decoded: %v", err)
+		}
+		mut = slices.Clone(art)
+		mut[off] = byte(x86.ONop)
+		if _, err := codegen.DecodeModule(reseal(mut), cfg); err == nil || !strings.Contains(err.Error(), "non-table") {
+			t.Errorf("jump table on a non-table instruction not rejected: %v", err)
 		}
 	})
 }

@@ -379,7 +379,9 @@ func (s *diskStore) publish(dir, p string, data []byte) error {
 	}
 	tmp, err := os.CreateTemp(dir, ".tmp-*")
 	if errors.Is(err, fs.ErrNotExist) {
-		return fmt.Errorf("pipeline: store directory %s removed during publish", dir)
+		// %v, not %w: a wrapped fs.ErrNotExist reads as a miss and ends
+		// the retry.
+		return fmt.Errorf("pipeline: store directory removed during publish: %v", err)
 	}
 	if err != nil {
 		return err
