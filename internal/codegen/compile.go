@@ -424,21 +424,18 @@ func CompileContext(ctx context.Context, m *wasm.Module, cfg *EngineConfig) (*Co
 // mergeFragments concatenates the per-function fragment programs in
 // function order into one module program, resolving fragment-local
 // (negative) labels and function entry labels to global instruction
-// indices, and rebasing each fragment's jump tables and listing notes. This replaces the serial path's incremental Bind/ResolveTargets:
-// the merged program binds exactly the function entry labels, matching what
+// indices and rebasing each fragment's jump tables and listing notes. This
+// replaces the serial path's incremental Bind/ResolveTargets: the merged
+// program binds exactly the function entry labels, matching what
 // DecodeModule reconstructs.
 func mergeFragments(ctx *moduleCtx, frags []*compileScratch) (*x86.Program, error) {
-	total, notes, tables := 0, 0, 0
+	total := 0
 	for _, sc := range frags {
 		total += len(sc.frag.Code)
-		notes += len(sc.frag.Notes)
-		tables += len(sc.frag.Tables)
 	}
 	prog := x86.NewProgram()
 	prog.HostNames = ctx.hostNames
 	prog.Code = make([]x86.Inst, 0, total)
-	prog.Notes = make([]x86.Note, 0, notes)
-	prog.Tables = make([][]int, 0, tables)
 
 	fragStart := make([]int, len(frags))
 	entryIdx := make([]int, len(frags))

@@ -33,8 +33,8 @@ import (
 
 // artifactMagic and ArtifactVersion prefix every encoded module. Bump the
 // version whenever the payload layout, the encoded instruction fields, or
-// anything else that changes decode semantics moves; stale artifacts then read as a version
-// mismatch and fall back to a recompile.
+// anything else that changes decode semantics moves; stale artifacts then
+// read as a version mismatch and fall back to a recompile.
 var artifactMagic = [4]byte{'R', 'P', 'A', 'M'}
 
 // ArtifactVersion is the current artifact format version. Version 3 stores

@@ -368,11 +368,9 @@ func (s *diskStore) saveBytes(key string, data []byte) error {
 
 // publish creates dir, writes data to a temp file in it and renames it over
 // p. Atomic publication: concurrent writers of one key rename complete files
-// over each other; readers never see a partial artifact. A sweep removes
-// directories it empties, so one may vanish between MkdirAll and
-// CreateTemp; that is reported as a transient failure, not a miss, and the
-// retry re-creates the directory. Once the temp file exists, the directory
-// is not empty and no sweep removes it.
+// over each other; readers never see a partial artifact. A sweep may remove
+// dir between MkdirAll and CreateTemp (never after: the temp file keeps it
+// non-empty); that fails as a transient error, so the retry re-creates it.
 func (s *diskStore) publish(dir, p string, data []byte) error {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return err
@@ -615,11 +613,9 @@ func (s *diskStore) scan(arts []ArtifactInfo, now time.Time) []ArtifactInfo {
 
 // sweepTo walks the root and removes least-recently-used artifacts, across
 // all generations, until the total fits under target bytes, re-truing the
-// running size total. It then removes each fan-out directory it emptied
-// and each generation directory left empty, so a generation whose
-// artifacts were all evicted leaves nothing behind; os.Remove refuses a
-// directory that is not empty, so one still holding artifacts, a
-// publisher's temp file or a quarantine stays. Callers hold evictMu. It
+// running size total, then removes the fan-out and generation directories
+// it emptied (os.Remove refuses any still holding a file or a quarantine,
+// so an evicted generation leaves nothing behind). Callers hold evictMu. It
 // reports how many artifacts were removed and the bytes they freed. A
 // failed scan leaves the size accounting untouched (the next sweep
 // retries) rather than re-truing it to zero.
@@ -644,14 +640,10 @@ func (r *storeRoot) sweepTo(target int64) (removed int, freed int64) {
 			dirs[filepath.Dir(a.Path)] = true
 		}
 	}
-	gens := map[string]bool{}
 	for dir := range dirs {
 		if os.Remove(dir) == nil {
-			gens[filepath.Dir(dir)] = true
+			os.Remove(filepath.Dir(dir))
 		}
-	}
-	for dir := range gens {
-		os.Remove(dir)
 	}
 	r.curBytes = total
 	r.sized = true
