@@ -345,7 +345,7 @@ func CompileContext(ctx context.Context, m *wasm.Module, cfg *EngineConfig) (*Co
 	}
 
 	// Phase 4 (serial): merge fragments in function order.
-	prog, err := mergeFragments(mctx, frags)
+	prog, entries, err := mergeFragments(mctx, frags)
 	if err != nil {
 		releaseAll()
 		return nil, err
@@ -369,14 +369,9 @@ func CompileContext(ctx context.Context, m *wasm.Module, cfg *EngineConfig) (*Co
 	// Entries and signatures; lowering has already indexed m.Types with
 	// every function's TypeIdx, so each is in range.
 	cm.Prog = prog
-	cm.Entries = make([]int, len(m.Funcs))
+	cm.Entries = entries
 	cm.Sigs = make([]wasm.FuncType, len(m.Funcs))
-	for i, l := range mctx.funcLabel {
-		idx, ok := prog.LabelTarget(l)
-		if !ok {
-			return nil, fmt.Errorf("codegen: function %d entry label unresolved", i)
-		}
-		cm.Entries[i] = idx
+	for i := range m.Funcs {
 		cm.Sigs[i] = m.Types[m.Funcs[i].TypeIdx]
 	}
 
@@ -425,17 +420,15 @@ func CompileContext(ctx context.Context, m *wasm.Module, cfg *EngineConfig) (*Co
 // function order into one module program, resolving fragment-local
 // (negative) labels and function entry labels to global instruction
 // indices and rebasing each fragment's jump tables and listing notes. This
-// replaces the serial path's incremental Bind/ResolveTargets: the merged
-// program binds exactly the function entry labels, matching what
-// DecodeModule reconstructs.
-func mergeFragments(ctx *moduleCtx, frags []*compileScratch) (*x86.Program, error) {
+// replaces the serial path's incremental Bind/ResolveTargets, so the merged
+// program binds no labels, like a decoded one. It also returns each
+// function's entry index.
+func mergeFragments(ctx *moduleCtx, frags []*compileScratch) (*x86.Program, []int, error) {
 	total := 0
 	for _, sc := range frags {
 		total += len(sc.frag.Code)
 	}
-	prog := x86.NewProgram()
-	prog.HostNames = ctx.hostNames
-	prog.Code = make([]x86.Inst, 0, total)
+	prog := &x86.Program{HostNames: ctx.hostNames, Code: make([]x86.Inst, 0, total)}
 
 	fragStart := make([]int, len(frags))
 	entryIdx := make([]int, len(frags))
@@ -444,7 +437,7 @@ func mergeFragments(ctx *moduleCtx, frags []*compileScratch) (*x86.Program, erro
 		fragStart[i] = off
 		li, ok := sc.frag.LabelTarget(ctx.funcLabel[i])
 		if !ok {
-			return nil, fmt.Errorf("codegen: function %d entry label unbound in fragment", i)
+			return nil, nil, fmt.Errorf("codegen: function %d entry label unbound in fragment", i)
 		}
 		entryIdx[i] = off + li
 		off += len(sc.frag.Code)
@@ -474,7 +467,7 @@ func mergeFragments(ctx *moduleCtx, frags []*compileScratch) (*x86.Program, erro
 			switch in.Op {
 			case x86.OJmp, x86.OJcc, x86.OCall:
 				if in.Target, err = resolve(in.Target); err != nil {
-					return nil, err
+					return nil, nil, err
 				}
 			case x86.OJmpTable:
 				in.Target += tableBase
@@ -483,7 +476,7 @@ func mergeFragments(ctx *moduleCtx, frags []*compileScratch) (*x86.Program, erro
 		for _, table := range sc.frag.Tables {
 			for k, t := range table {
 				if table[k], err = resolve(t); err != nil {
-					return nil, err
+					return nil, nil, err
 				}
 			}
 			prog.Tables = append(prog.Tables, table)
@@ -496,11 +489,9 @@ func mergeFragments(ctx *moduleCtx, frags []*compileScratch) (*x86.Program, erro
 			fn.Start += fragStart[i]
 			fn.End += fragStart[i]
 			prog.Funcs = append(prog.Funcs, fn)
-			prog.FuncByLabel[fn.Label] = len(prog.Funcs) - 1
 		}
-		prog.BindAt(ctx.funcLabel[i], entryIdx[i])
 	}
-	return prog, nil
+	return prog, entryIdx, nil
 }
 
 func constI32(in wasm.Instr) (int32, error) {

@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"math"
 	"sort"
+	"strings"
 	"time"
 
 	"repro/internal/wasm"
@@ -21,12 +22,14 @@ import (
 // artifacts fail cleanly with an error instead of a panic or an over-sized
 // allocation.
 //
-// Layout-derived fields (Inst.Addr/Size, Program.CodeBytes) and the label
-// table are not stored: Layout() is deterministic over the instruction stream
-// and function entry labels are recoverable from FuncInfo, so both are
-// reconstructed on decode. The engine configuration is not stored either —
-// the content address (pipeline.Key) already covers every EngineConfig field,
-// so the decoder takes the caller's config and reattaches it. Nor is the
+// Layout-derived fields (Inst.Addr/Size, Program.CodeBytes) are not stored:
+// Layout() is deterministic over the instruction stream, so decode
+// re-derives them. Nor are labels: every branch target is already an
+// instruction index and FuncInfo keeps each entry label, so a decoded
+// program, like a merged one, binds none. The engine configuration is not
+// stored either — the content address (pipeline.Key) already covers every
+// EngineConfig field, so the decoder takes the caller's config and
+// reattaches it. Nor is the
 // source wasm module: a run reads only each function's signature and the
 // data segments, which are stored as plain fields, so a disk hit never
 // decodes a function body.
@@ -192,18 +195,17 @@ func DecodeVerifiedModule(data []byte, cfg *EngineConfig) (*CompiledModule, erro
 }
 
 // decodePayload decodes the payload between a checked header and the
-// trailer.
+// trailer. Besides bounds, it rejects every field the encoder cannot write
+// (unknown flag bits, an empty note or jump table, a non-minimal varint,
+// exports out of order), so a decoded module re-encodes to exactly the
+// bytes it came from.
 func decodePayload(data []byte, cfg *EngineConfig) (*CompiledModule, error) {
 	d := &decBuf{b: data[headerSize : len(data)-trailerSize]}
 	cm := &CompiledModule{Engine: cfg, Exports: map[string]int{}}
 
-	p := x86.NewProgram()
+	p := &x86.Program{}
+	decodeCode(d, p)
 	n := d.count()
-	p.Code = make([]x86.Inst, n)
-	for i := 0; i < n && d.err == nil; i++ {
-		decodeInstBin(d, p, i)
-	}
-	n = d.count()
 	p.Funcs = make([]x86.FuncInfo, n)
 	for i := 0; i < n && d.err == nil; i++ {
 		f := &p.Funcs[i]
@@ -212,10 +214,6 @@ func decodePayload(data []byte, cfg *EngineConfig) (*CompiledModule, error) {
 		f.Start = int(d.uvarint())
 		f.End = int(d.uvarint())
 		f.SigID = int(d.varint())
-		// Branch targets were resolved to instruction indices before
-		// encoding; only function entry labels survive, via FuncInfo.
-		p.BindAt(f.Label, f.Start)
-		p.FuncByLabel[f.Label] = i
 	}
 	p.HostNames = d.strs()
 	cm.Prog = p
@@ -248,8 +246,13 @@ func decodePayload(data []byte, cfg *EngineConfig) (*CompiledModule, error) {
 	cm.HostImports = d.strs()
 
 	n = d.count()
+	prev := ""
 	for i := 0; i < n && d.err == nil; i++ {
 		name := d.str()
+		if i > 0 && name <= prev {
+			d.fail("exports out of order")
+		}
+		prev = name
 		cm.Exports[name] = int(d.uvarint())
 	}
 
@@ -257,9 +260,19 @@ func decodePayload(data []byte, cfg *EngineConfig) (*CompiledModule, error) {
 	cm.Stats = make([]FuncStats, n)
 	for i := 0; i < n && d.err == nil; i++ {
 		s := &cm.Stats[i]
-		s.Name = d.str()
+		// Function i's stats carry its name: share the program's string.
+		name := d.take(d.count())
+		if i < len(p.Funcs) && string(name) == p.Funcs[i].Name {
+			s.Name = p.Funcs[i].Name
+		} else {
+			s.Name = string(name)
+		}
 		s.Insts = int(d.varint())
-		s.CodeBytes = uint32(d.uvarint())
+		codeBytes := d.uvarint()
+		if codeBytes > math.MaxUint32 {
+			d.fail("function code size out of range")
+		}
+		s.CodeBytes = uint32(codeBytes)
 		s.Spills = int(d.varint())
 		s.UsedRegs = int(d.varint())
 		s.IRLen = int(d.varint())
@@ -403,40 +416,121 @@ func encodeInst(e *encBuf, p *x86.Program, in *x86.Inst, note string) {
 	}
 }
 
-// decodeInstBin reads p.Code[i], appending its note and, for an
-// OJmpTable, its jump table to p's side tables.
-func decodeInstBin(d *decBuf, p *x86.Program, i int) {
-	in := &p.Code[i]
-	in.Op = x86.Op(d.u8())
-	in.W = d.u8()
-	in.CC = x86.CC(d.u8())
-	flags := d.u8()
+// maxInstBytes bounds the encoding of an instruction's fixed fields, all
+// but its jump table and note: 4 header bytes, two operands of at most
+// 4+10 bytes (a memory operand's kind, base, index and scale, and its
+// displacement, read as a full varint before its int32 range check), and
+// the target and host varints.
+const maxInstBytes = 4 + 2*(4+binary.MaxVarintLen64) + 2*binary.MaxVarintLen64
+
+// decodeCode reads the instruction stream into p.Code, and the listing
+// notes and jump tables stored inline in it into p's side tables.
+//
+// Each instruction's fixed fields are read by decodeInst with a local
+// cursor from a window of maxInstBytes, so an instruction costs one bounds
+// check, not one per byte: the window is the input itself while that many
+// bytes remain, and near its end a zero-padded copy of the tail, where an
+// instruction that used more bytes than were left is truncated. Notes are
+// gathered as spans of the input and copied into one string at the end,
+// which every Note.Text slices: one allocation for all of them.
+func decodeCode(d *decBuf, p *x86.Program) {
+	n := d.count()
+	if d.err != nil {
+		return
+	}
+	p.Code = make([]x86.Inst, n)
+	var pad [maxInstBytes]byte
+	type span struct{ idx, start, end int }
+	var notes []span
+	noteBytes := 0
+	for i := range p.Code {
+		in := &p.Code[i]
+		flags, k, msg := decodeInst(d.window(pad[:]), in)
+		if k > len(d.b)-d.off {
+			msg = "truncated"
+		}
+		if msg != "" {
+			d.fail(msg)
+			return
+		}
+		d.off += k
+		var table []int
+		if flags&instFlagTable != 0 {
+			if in.Op != x86.OJmpTable {
+				d.fail("jump table on a non-table instruction")
+				return
+			}
+			if table = make([]int, d.count()); len(table) == 0 {
+				d.fail("empty jump table")
+			}
+			for k := 0; k < len(table) && d.err == nil; k++ {
+				table[k] = int(d.varint())
+			}
+		}
+		if in.Op == x86.OJmpTable {
+			if in.Target != 0 {
+				d.fail("jump table instruction with a target")
+			}
+			in.Target = len(p.Tables)
+			p.Tables = append(p.Tables, table)
+		}
+		if flags&instFlagNote != 0 {
+			text := d.take(d.count())
+			if len(text) == 0 {
+				d.fail("empty note")
+			}
+			notes = append(notes, span{i, d.off - len(text), d.off})
+			noteBytes += len(text)
+		}
+		if d.err != nil {
+			return
+		}
+	}
+	if len(notes) == 0 {
+		return
+	}
+	var sb strings.Builder
+	sb.Grow(noteBytes)
+	for _, s := range notes {
+		sb.Write(d.b[s.start:s.end])
+	}
+	all := sb.String()
+	p.Notes = make([]x86.Note, len(notes))
+	for j, s := range notes {
+		p.Notes[j] = x86.Note{Idx: s.idx, Text: all[:s.end-s.start]}
+		all = all[s.end-s.start:]
+	}
+}
+
+// decodeInst reads the fixed fields of one instruction into in from w,
+// which holds at least maxInstBytes, and returns its flags and the bytes it
+// used, or why the fields are not ones the encoder writes.
+func decodeInst(w []byte, in *x86.Inst) (flags uint8, k int, msg string) {
+	w = w[:maxInstBytes]
+	in.Op, in.W, in.CC, flags = x86.Op(w[0]), w[1], x86.CC(w[2]), w[3]
+	if flags&^(instFlagUns|instFlagNote|instFlagTable) != 0 {
+		return 0, 4, "unknown instruction flags"
+	}
 	in.Uns = flags&instFlagUns != 0
-	decodeOperand(d, &in.Dst)
-	decodeOperand(d, &in.Src)
-	in.Target = int(d.varint())
-	host := d.varint()
-	if host < math.MinInt32 || host > math.MaxInt32 {
-		d.fail("host index out of range")
+	if k, msg = decodeOperand(w, 4, &in.Dst); msg != "" {
+		return 0, k, msg
 	}
-	in.Host = int32(host)
-	var table []int
-	if flags&instFlagTable != 0 {
-		if in.Op != x86.OJmpTable {
-			d.fail("jump table on a non-table instruction")
-		}
-		table = make([]int, d.count())
-		for k := 0; k < len(table) && d.err == nil; k++ {
-			table[k] = int(d.varint())
-		}
+	if k, msg = decodeOperand(w, k, &in.Src); msg != "" {
+		return 0, k, msg
 	}
-	if in.Op == x86.OJmpTable {
-		in.Target = len(p.Tables)
-		p.Tables = append(p.Tables, table)
+	target, k, ok := uvarintAt(w, k)
+	if !ok {
+		return 0, k, "bad varint"
 	}
-	if flags&instFlagNote != 0 {
-		p.Notes = append(p.Notes, x86.Note{Idx: i, Text: d.str()})
+	host, k, ok := uvarintAt(w, k)
+	if !ok {
+		return 0, k, "bad varint"
 	}
+	if h := unzigzag(host); h < math.MinInt32 || h > math.MaxInt32 {
+		return 0, k, "host index out of range"
+	}
+	in.Target, in.Host = int(unzigzag(target)), int32(unzigzag(host))
+	return flags, k, ""
 }
 
 func encodeOperand(e *encBuf, o *x86.Operand) {
@@ -454,23 +548,57 @@ func encodeOperand(e *encBuf, o *x86.Operand) {
 	}
 }
 
-func decodeOperand(d *decBuf, o *x86.Operand) {
-	o.Kind = x86.OperandKind(d.u8())
+// decodeOperand reads the operand at w[k:] into o and returns the index
+// after it; w must hold 4+binary.MaxVarintLen64 bytes from k.
+func decodeOperand(w []byte, k int, o *x86.Operand) (int, string) {
+	o.Kind = x86.OperandKind(w[k])
+	k++
 	switch o.Kind {
 	case x86.KNone:
 	case x86.KReg:
-		o.Reg = x86.Reg(d.u8())
+		o.Reg = x86.Reg(w[k])
+		k++
 	case x86.KImm:
-		o.Imm = d.varint()
+		v, next, ok := uvarintAt(w, k)
+		if !ok {
+			return next, "bad varint"
+		}
+		o.Imm, k = unzigzag(v), next
 	case x86.KMem:
-		o.Mem.Base = x86.Reg(d.u8())
-		o.Mem.Index = x86.Reg(d.u8())
-		o.Mem.Scale = d.u8()
-		o.Mem.Disp = int32(d.varint())
+		o.Mem.Base, o.Mem.Index, o.Mem.Scale = x86.Reg(w[k]), x86.Reg(w[k+1]), w[k+2]
+		v, next, ok := uvarintAt(w, k+3)
+		if !ok {
+			return next, "bad varint"
+		}
+		disp := unzigzag(v)
+		if disp < math.MinInt32 || disp > math.MaxInt32 {
+			return next, "displacement out of range"
+		}
+		o.Mem.Disp, k = int32(disp), next
 	default:
-		d.fail("bad operand kind")
+		return k, "bad operand kind"
 	}
+	return k, ""
 }
+
+// uvarintAt decodes the uvarint at w[k:], which must hold
+// binary.MaxVarintLen64 bytes, and returns it with the index after it. ok
+// is false for an encoding binary.AppendUvarint never writes: one that
+// overflows 64 bits or is not minimal (ends in a zero continuation byte).
+func uvarintAt(w []byte, k int) (v uint64, next int, ok bool) {
+	for s := uint(0); s < 64; s += 7 {
+		b := w[k]
+		k++
+		v |= uint64(b&0x7f) << s
+		if b < 0x80 {
+			return v, k, (b != 0 || s == 0) && (s < 63 || b < 2)
+		}
+	}
+	return 0, k, false
+}
+
+// unzigzag maps binary.AppendVarint's zigzag encoding back to int64.
+func unzigzag(ux uint64) int64 { return int64(ux>>1) ^ -int64(ux&1) }
 
 // encBuf is a little-endian append-only encoder.
 type encBuf struct{ b []byte }
@@ -559,31 +687,38 @@ func (d *decBuf) u64() uint64 {
 	return binary.LittleEndian.Uint64(p)
 }
 
+// window returns the input from the cursor on if at least len(pad) bytes
+// remain, else the remaining bytes copied into pad and zero-padded. A
+// reader of the window that ends past the real input read padding: it is
+// truncated.
+func (d *decBuf) window(pad []byte) []byte {
+	rest := d.b[d.off:]
+	if len(rest) >= len(pad) {
+		return rest
+	}
+	clear(pad[copy(pad, rest):])
+	return pad
+}
+
 func (d *decBuf) uvarint() uint64 {
 	if d.err != nil {
 		return 0
 	}
-	v, n := binary.Uvarint(d.b[d.off:])
-	if n <= 0 {
-		d.fail("bad uvarint")
+	var pad [binary.MaxVarintLen64]byte
+	v, k, ok := uvarintAt(d.window(pad[:]), 0)
+	if k > len(d.b)-d.off {
+		d.fail("truncated")
 		return 0
 	}
-	d.off += n
-	return v
-}
-
-func (d *decBuf) varint() int64 {
-	if d.err != nil {
-		return 0
-	}
-	v, n := binary.Varint(d.b[d.off:])
-	if n <= 0 {
+	if !ok {
 		d.fail("bad varint")
 		return 0
 	}
-	d.off += n
+	d.off += k
 	return v
 }
+
+func (d *decBuf) varint() int64 { return unzigzag(d.uvarint()) }
 
 // count reads an element count and sanity-checks it against the remaining
 // input (every element takes at least one byte), so a corrupt length prefix

@@ -21,12 +21,15 @@ type Note struct {
 	Text string
 }
 
-// Program is a laid-out machine program: a flat instruction stream, label
-// definitions, and per-function metadata.
+// Program is a laid-out machine program: a flat instruction stream, its
+// side tables, and per-function metadata.
 type Program struct {
-	Code   []Inst
-	Funcs  []FuncInfo
-	labels map[int]int // label id -> instruction index
+	Code  []Inst
+	Funcs []FuncInfo
+	// labels maps label ids to instruction indices while a program is
+	// being built (Bind, ResolveTargets). A merged or decoded program has
+	// resolved every target and carries none.
+	labels map[int]int
 
 	// Notes annotate listings: sorted by Idx, at most one per instruction
 	// (AppendNote).
@@ -35,9 +38,6 @@ type Program struct {
 	// (AppendTable): label ids until targets are resolved, instruction
 	// indices after.
 	Tables [][]int
-
-	// FuncByLabel maps entry label ids to function numbers.
-	FuncByLabel map[int]int
 
 	// CodeBytes is the total encoded size after layout.
 	CodeBytes uint32
@@ -54,9 +54,9 @@ type Program struct {
 	Predecoded any
 }
 
-// NewProgram returns an empty program.
+// NewProgram returns an empty program ready to bind labels.
 func NewProgram() *Program {
-	return &Program{labels: map[int]int{}, FuncByLabel: map[int]int{}}
+	return &Program{labels: map[int]int{}}
 }
 
 // Reset clears the program for reuse, keeping the instruction slice and
@@ -68,7 +68,6 @@ func (p *Program) Reset() {
 	p.Notes = p.Notes[:0]
 	p.Tables = p.Tables[:0]
 	clear(p.labels)
-	clear(p.FuncByLabel)
 	p.CodeBytes = 0
 	p.HostNames = nil
 	p.Predecoded = nil
@@ -101,12 +100,6 @@ func (p *Program) AppendTable(in Inst, targets []int) int {
 // Bind associates label id with the next instruction index.
 func (p *Program) Bind(label int) {
 	p.labels[label] = len(p.Code)
-}
-
-// BindAt associates label id with an explicit instruction index. Decoders
-// rebuilding a laid-out program use it to restore function entry labels.
-func (p *Program) BindAt(label, idx int) {
-	p.labels[label] = idx
 }
 
 // LabelTarget resolves a label to an instruction index.
