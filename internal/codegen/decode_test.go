@@ -7,19 +7,13 @@ import (
 	"testing"
 
 	"repro/internal/codegen"
-	"repro/internal/minic"
-	"repro/internal/pipeline"
 	"repro/internal/workloads"
 )
 
 // encodeSource compiles mini-C src for cfg and returns its artifact.
 func encodeSource(t testing.TB, src string, cfg *codegen.EngineConfig) []byte {
 	t.Helper()
-	m, err := minic.Compile(src, pipeline.ABIFor(cfg))
-	if err != nil {
-		t.Fatalf("%s: %v", cfg.Name, err)
-	}
-	cm, err := codegen.Compile(m, cfg)
+	cm, err := codegen.Compile(buildModule(t, src, cfg), cfg)
 	if err != nil {
 		t.Fatalf("%s: %v", cfg.Name, err)
 	}
