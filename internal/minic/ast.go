@@ -2,7 +2,7 @@ package minic
 
 // Expr is an expression node.
 type Expr struct {
-	Op   string // node kind: "num","fnum","str","var","call","bin","un","assign","cond","index","member","cast","sizeof","post","fnref","calli"
+	Op   string // node kind: "num","fnum","str","var","call","bin","un","assign","cond","index","member","cast","sizeof","post"
 	Line int
 
 	// Literals.
@@ -22,7 +22,10 @@ type Expr struct {
 	// Cast / sizeof type.
 	T *Type
 
-	// Resolved by the code generator.
+	// The object type, set once by fgen.resolve: an array, struct or
+	// function name keeps its own type, which sizeof and & read; value()
+	// gives the type it evaluates to (the address of the aggregate, a
+	// pointer to the function). Other nodes' value type is typ itself.
 	typ *Type
 }
 

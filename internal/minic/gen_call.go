@@ -4,371 +4,69 @@ import (
 	"repro/internal/wasm"
 )
 
-// intrinsics map directly to wasm instructions.
+var (
+	sigDouble = &FuncSig{Params: []*Type{tyDouble}, Ret: tyDouble}
+	sigFloat  = &FuncSig{Params: []*Type{tyFloat}, Ret: tyFloat}
+	sigMinMax = &FuncSig{Params: []*Type{tyDouble, tyDouble}, Ret: tyDouble}
+	sigInt    = &FuncSig{Ret: tyInt}
+)
+
+// intrinsics map directly to wasm instructions. heap_base and heap_end read
+// the heap globals.
 var intrinsics = map[string]struct {
 	op  wasm.Opcode
-	arg *Type
-	ret *Type
+	sig *FuncSig
 }{
-	"sqrt":  {wasm.OpF64Sqrt, tyDouble, tyDouble},
-	"fabs":  {wasm.OpF64Abs, tyDouble, tyDouble},
-	"floor": {wasm.OpF64Floor, tyDouble, tyDouble},
-	"ceil":  {wasm.OpF64Ceil, tyDouble, tyDouble},
-	"trunc": {wasm.OpF64Trunc, tyDouble, tyDouble},
-	"sqrtf": {wasm.OpF32Sqrt, tyFloat, tyFloat},
-	"fabsf": {wasm.OpF32Abs, tyFloat, tyFloat},
+	"sqrt":        {wasm.OpF64Sqrt, sigDouble},
+	"fabs":        {wasm.OpF64Abs, sigDouble},
+	"floor":       {wasm.OpF64Floor, sigDouble},
+	"ceil":        {wasm.OpF64Ceil, sigDouble},
+	"trunc":       {wasm.OpF64Trunc, sigDouble},
+	"sqrtf":       {wasm.OpF32Sqrt, sigFloat},
+	"fabsf":       {wasm.OpF32Abs, sigFloat},
+	"fmin":        {wasm.OpF64Min, sigMinMax},
+	"fmax":        {wasm.OpF64Max, sigMinMax},
+	"mem_pages":   {wasm.OpMemorySize, sigInt},
+	"grow_memory": {wasm.OpMemoryGrow, &FuncSig{Params: []*Type{tyInt}, Ret: tyInt}},
+	"heap_base":   {wasm.OpGlobalGet, sigInt},
+	"heap_end":    {wasm.OpGlobalGet, sigInt},
 }
 
 // call generates function calls: intrinsics, syscalls, direct calls, and
 // indirect calls through function pointers.
-func (fg *fgen) call(e *Expr) (*Type, error) {
+func (fg *fgen) call(e *Expr) error {
 	fb := fg.fb
-
-	if e.X.Op == "var" {
-		name := e.X.Name
-
-		// Wasm intrinsics.
-		if in, ok := intrinsics[name]; ok {
-			if len(e.Args) != 1 {
-				return nil, fg.errf(e.Line, "%s takes 1 argument", name)
-			}
-			t, err := fg.expr(e.Args[0])
-			if err != nil {
-				return nil, err
-			}
-			if err := fg.convert(decay(t), in.arg, e.Line); err != nil {
-				return nil, err
-			}
-			fb.Op(in.op)
-			return in.ret, nil
-		}
-		if name == "fmin" || name == "fmax" {
-			if len(e.Args) != 2 {
-				return nil, fg.errf(e.Line, "%s takes 2 arguments", name)
-			}
-			for _, a := range e.Args {
-				t, err := fg.expr(a)
-				if err != nil {
-					return nil, err
-				}
-				if err := fg.convert(decay(t), tyDouble, e.Line); err != nil {
-					return nil, err
-				}
-			}
-			if name == "fmin" {
-				fb.Op(wasm.OpF64Min)
-			} else {
-				fb.Op(wasm.OpF64Max)
-			}
-			return tyDouble, nil
-		}
-		if name == "mem_pages" {
-			fb.Op(wasm.OpMemorySize)
-			return tyInt, nil
-		}
-		if name == "heap_base" {
-			fb.GlobalGet(fg.g.heapGlobal)
-			return tyInt, nil
-		}
-		if name == "heap_end" {
-			fb.GlobalGet(fg.g.heapEndG)
-			return tyInt, nil
-		}
-		if name == "grow_memory" {
-			if len(e.Args) != 1 {
-				return nil, fg.errf(e.Line, "grow_memory takes 1 argument")
-			}
-			t, err := fg.expr(e.Args[0])
-			if err != nil {
-				return nil, err
-			}
-			if err := fg.convert(decay(t), tyInt, e.Line); err != nil {
-				return nil, err
-			}
-			fb.Op(wasm.OpMemoryGrow)
-			return tyInt, nil
-		}
-
-		// Syscall imports.
-		for _, im := range syscallImports {
-			if im.name == name {
-				if err := fg.pushArgs(e, im.sig); err != nil {
-					return nil, err
-				}
-				fb.Call(fg.g.imports[name])
-				return im.sig.Ret, nil
-			}
-		}
-
-		// Direct call.
-		if fi, ok := fg.g.funcs[name]; ok {
-			if err := fg.pushArgs(e, fi.sig); err != nil {
-				return nil, err
-			}
-			fb.Call(fi.idx)
-			if fi.sig.Ret == nil {
-				return tyVoid, nil
-			}
-			return fi.sig.Ret, nil
-		}
-	}
-
-	// Indirect call through a function-pointer value.
-	ft, err := fg.typeOf(e.X)
-	if err != nil {
-		return nil, err
-	}
-	if ft.Kind != TPtr || ft.Fn == nil {
-		return nil, fg.errf(e.Line, "call of non-function %s", ft)
-	}
-	sig := ft.Fn
-	if len(e.Args) != len(sig.Params) {
-		return nil, fg.errf(e.Line, "wrong argument count: got %d, want %d", len(e.Args), len(sig.Params))
+	sig, direct := fg.g.directCall(e)
+	if !direct {
+		sig = e.X.value().Fn
 	}
 	for i, a := range e.Args {
-		t, err := fg.expr(a)
-		if err != nil {
-			return nil, err
-		}
-		if err := fg.convert(decay(t), sig.Params[i], a.Line); err != nil {
-			return nil, err
-		}
-	}
-	if _, err := fg.expr(e.X); err != nil {
-		return nil, err
-	}
-	fb.CallIndirect(fg.g.wasmSig(sig))
-	if sig.Ret == nil {
-		return tyVoid, nil
-	}
-	return sig.Ret, nil
-}
-
-// pushArgs evaluates call arguments converted to the signature.
-func (fg *fgen) pushArgs(e *Expr, sig *FuncSig) error {
-	if len(e.Args) != len(sig.Params) {
-		return fg.errf(e.Line, "wrong argument count: got %d, want %d", len(e.Args), len(sig.Params))
-	}
-	for i, a := range e.Args {
-		t, err := fg.expr(a)
-		if err != nil {
+		if err := fg.exprTo(a, sig.Params[i], a.Line); err != nil {
 			return err
 		}
-		if err := fg.convert(decay(t), sig.Params[i], a.Line); err != nil {
+	}
+	if !direct {
+		if err := fg.expr(e.X); err != nil {
 			return err
 		}
+		fb.CallIndirect(fg.g.wasmSig(sig))
+		return nil
+	}
+	name := e.X.Name
+	in, ok := intrinsics[name]
+	switch {
+	case !ok:
+		if idx, ok := fg.g.imports[name]; ok {
+			fb.Call(idx)
+		} else {
+			fb.Call(fg.g.funcs[name].idx)
+		}
+	case in.op != wasm.OpGlobalGet:
+		fb.Op(in.op)
+	case name == "heap_base":
+		fb.GlobalGet(fg.g.heapGlobal)
+	default:
+		fb.GlobalGet(fg.g.heapEndG)
 	}
 	return nil
-}
-
-// typeOf computes an expression's type without emitting code.
-func (fg *fgen) typeOf(e *Expr) (*Type, error) {
-	switch e.Op {
-	case "num":
-		if e.Ival > 0x7fffffff || e.Ival < -0x80000000 {
-			return tyLong, nil
-		}
-		return tyInt, nil
-	case "fnum":
-		return tyDouble, nil
-	case "str":
-		return ptrTo(tyChar), nil
-	case "sizeof":
-		return tyInt, nil
-	case "var":
-		if li, ok := fg.lookup(e.Name); ok {
-			if li.t.Kind == TArray || li.t.Kind == TStruct {
-				return decayAggregate(li.t), nil
-			}
-			return li.t, nil
-		}
-		if t, ok := fg.g.globalType[e.Name]; ok {
-			if t.Kind == TArray || t.Kind == TStruct {
-				return decayAggregate(t), nil
-			}
-			return t, nil
-		}
-		if fi, ok := fg.g.funcs[e.Name]; ok {
-			return &Type{Kind: TPtr, Fn: fi.sig}, nil
-		}
-		return nil, fg.errf(e.Line, "undefined identifier %q", e.Name)
-	case "call":
-		if e.X.Op == "var" {
-			name := e.X.Name
-			if in, ok := intrinsics[name]; ok {
-				return in.ret, nil
-			}
-			if name == "fmin" || name == "fmax" {
-				return tyDouble, nil
-			}
-			if name == "mem_pages" || name == "grow_memory" || name == "heap_base" || name == "heap_end" {
-				return tyInt, nil
-			}
-			for _, im := range syscallImports {
-				if im.name == name {
-					return im.sig.Ret, nil
-				}
-			}
-			if fi, ok := fg.g.funcs[name]; ok {
-				if fi.sig.Ret == nil {
-					return tyVoid, nil
-				}
-				return fi.sig.Ret, nil
-			}
-		}
-		ft, err := fg.typeOf(e.X)
-		if err != nil {
-			return nil, err
-		}
-		if ft.Kind == TPtr && ft.Fn != nil {
-			if ft.Fn.Ret == nil {
-				return tyVoid, nil
-			}
-			return ft.Fn.Ret, nil
-		}
-		return nil, fg.errf(e.Line, "call of non-function")
-	case "bin":
-		switch e.Tok {
-		case ",", "":
-			return fg.typeOf(e.Y)
-		case "&&", "||", "==", "!=", "<", ">", "<=", ">=":
-			return tyInt, nil
-		}
-		at, err := fg.typeOf(e.X)
-		if err != nil {
-			return nil, err
-		}
-		bt, err := fg.typeOf(e.Y)
-		if err != nil {
-			return nil, err
-		}
-		at, bt = decay(at), decay(bt)
-		if e.Tok == "+" || e.Tok == "-" {
-			if at.Kind == TPtr && bt.Kind == TPtr {
-				return tyInt, nil
-			}
-			if at.Kind == TPtr {
-				return at, nil
-			}
-			if bt.Kind == TPtr {
-				return bt, nil
-			}
-		}
-		return commonType(at, bt), nil
-	case "un":
-		switch e.Tok {
-		case "!":
-			return tyInt, nil
-		case "-", "~":
-			t, err := fg.typeOf(e.X)
-			if err != nil {
-				return nil, err
-			}
-			t = decay(t)
-			if t.isFloat() {
-				return t, nil
-			}
-			if t.is64() {
-				return t, nil
-			}
-			return tyInt, nil
-		case "*":
-			t, err := fg.typeOf(e.X)
-			if err != nil {
-				return nil, err
-			}
-			t = decay(t)
-			if t.Kind != TPtr || t.Elem == nil {
-				return nil, fg.errf(e.Line, "dereference of non-pointer")
-			}
-			if t.Elem.Kind == TArray || t.Elem.Kind == TStruct {
-				return decayAggregate(t.Elem), nil
-			}
-			return t.Elem, nil
-		case "&":
-			t, err := fg.typeOf(e.X)
-			if err != nil {
-				return nil, err
-			}
-			return ptrTo(t), nil
-		}
-	case "assign":
-		return fg.lvalueTypeOf(e.X)
-	case "post":
-		return fg.lvalueTypeOf(e.X)
-	case "cond":
-		at, err := fg.typeOf(e.Y)
-		if err != nil {
-			return nil, err
-		}
-		bt, err := fg.typeOf(e.Z)
-		if err != nil {
-			return nil, err
-		}
-		if sameType(decay(at), decay(bt)) {
-			return decay(at), nil
-		}
-		return commonType(decay(at), decay(bt)), nil
-	case "index":
-		t, err := fg.typeOf(e.X)
-		if err != nil {
-			return nil, err
-		}
-		t = decay(t)
-		if t.Kind != TPtr || t.Elem == nil {
-			return nil, fg.errf(e.Line, "indexing non-pointer")
-		}
-		if t.Elem.Kind == TArray || t.Elem.Kind == TStruct {
-			return decayAggregate(t.Elem), nil
-		}
-		return t.Elem, nil
-	case "member":
-		var st *Type
-		t, err := fg.typeOf(e.X)
-		if err != nil {
-			return nil, err
-		}
-		if e.Tok == "->" {
-			t = decay(t)
-			if t.Kind != TPtr || t.Elem == nil || t.Elem.Kind != TStruct {
-				return nil, fg.errf(e.Line, "-> on non-struct-pointer")
-			}
-			st = t.Elem
-		} else {
-			// "." on a struct lvalue; typeOf sees its decayed pointer.
-			if t.Kind == TPtr && t.Elem != nil && t.Elem.Kind == TStruct {
-				st = t.Elem
-			} else if t.Kind == TStruct {
-				st = t
-			} else {
-				return nil, fg.errf(e.Line, ". on non-struct")
-			}
-		}
-		_, ft, ok := st.S.fieldOffset(e.Name, fg.g.abi.PtrSize)
-		if !ok {
-			return nil, fg.errf(e.Line, "no field %q", e.Name)
-		}
-		if ft.Kind == TArray || ft.Kind == TStruct {
-			return decayAggregate(ft), nil
-		}
-		return ft, nil
-	case "cast":
-		return e.T, nil
-	}
-	return nil, fg.errf(e.Line, "cannot type expression %q", e.Op)
-}
-
-// lvalueTypeOf types an lvalue expression without emitting.
-func (fg *fgen) lvalueTypeOf(e *Expr) (*Type, error) {
-	switch e.Op {
-	case "var":
-		if li, ok := fg.lookup(e.Name); ok {
-			return li.t, nil
-		}
-		if t, ok := fg.g.globalType[e.Name]; ok {
-			return t, nil
-		}
-		return nil, fg.errf(e.Line, "undefined identifier %q", e.Name)
-	}
-	return fg.typeOf(e)
 }

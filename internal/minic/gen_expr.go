@@ -9,7 +9,6 @@ import (
 type lval struct {
 	isLocal bool
 	local   uint32
-	t       *Type
 }
 
 // loadScalar emits the load for type t from [addr+off] (addr on stack).
@@ -205,7 +204,8 @@ func binOpcode(tok string, t *Type) (wasm.Opcode, bool) {
 	}
 	uns := t.isUnsigned() || t.Kind == TPtr
 	pick4 := func(a, b, c, d wasm.Opcode) (wasm.Opcode, bool) {
-		return [4]wasm.Opcode{a, b, c, d}[cls], true
+		op := [4]wasm.Opcode{a, b, c, d}[cls]
+		return op, op != wasm.OpUnreachable // 0: no instruction at this class
 	}
 	switch tok {
 	case "+":
@@ -223,9 +223,6 @@ func binOpcode(tok string, t *Type) (wasm.Opcode, bool) {
 		}
 		return pick4(wasm.OpI32DivS, wasm.OpI64DivS, 0, 0)
 	case "%":
-		if cls >= 2 {
-			return 0, false
-		}
 		if uns {
 			return pick4(wasm.OpI32RemU, wasm.OpI64RemU, 0, 0)
 		}
@@ -339,85 +336,48 @@ func cmpOpcode(tok string, t *Type) (wasm.Opcode, bool) {
 	return 0, false
 }
 
-// decay converts array values to element pointers.
-func decay(t *Type) *Type {
-	if t.Kind == TArray {
-		return ptrTo(t.Elem)
-	}
-	return t
-}
-
-// expr generates code pushing the expression value, returning its type.
-func (fg *fgen) expr(e *Expr) (*Type, error) {
+// expr generates code pushing the value of the resolved expression e.
+func (fg *fgen) expr(e *Expr) error {
 	fb := fg.fb
 	switch e.Op {
 	case "num":
-		if e.Ival > 0x7fffffff || e.Ival < -0x80000000 {
+		if e.typ.is64() {
 			fb.I64Const(e.Ival)
-			return tyLong, nil
+		} else {
+			fb.I32Const(int32(e.Ival))
 		}
-		fb.I32Const(int32(e.Ival))
-		return tyInt, nil
 
 	case "fnum":
 		fb.F64Const(e.Fval)
-		return tyDouble, nil
 
 	case "str":
-		addr := fg.g.internString(e.Sval)
-		fb.I32Const(int32(addr))
-		return ptrTo(tyChar), nil
+		fb.I32Const(int32(fg.g.internString(e.Sval)))
 
 	case "sizeof":
 		t := e.T
 		if t == nil {
-			var err error
-			t, err = fg.typeOf(e.X)
-			if err != nil {
-				return nil, err
-			}
+			t = e.X.typ
 		}
 		fb.I32Const(int32(t.size(fg.g.abi.PtrSize)))
-		return tyInt, nil
 
 	case "var":
-		// Local or global variable, or function reference.
-		if li, ok := fg.lookup(e.Name); ok {
-			if li.isMem {
-				if li.t.Kind == TArray || li.t.Kind == TStruct {
-					// Aggregates evaluate to their address.
-					fb.LocalGet(fg.spLocal)
-					if li.off != 0 {
-						fb.I32Const(int32(li.off)).Op(wasm.OpI32Add)
-					}
-					return decayAggregate(li.t), nil
-				}
-				fb.LocalGet(fg.spLocal)
-				fg.loadScalar(li.t, uint32(li.off))
-				return li.t, nil
-			}
-			fb.LocalGet(li.local)
-			return li.t, nil
-		}
-		if addr, ok := fg.g.globalAddr[e.Name]; ok {
-			t := fg.g.globalType[e.Name]
-			if t.Kind == TArray || t.Kind == TStruct {
-				fb.I32Const(int32(addr))
-				return decayAggregate(t), nil
-			}
-			fb.I32Const(int32(addr))
-			fg.loadScalar(t, 0)
-			return t, nil
-		}
-		if fi, ok := fg.g.funcs[e.Name]; ok {
+		if e.typ.Kind == TFunc {
 			slot, err := fg.g.tableIndexOf(e.Name)
 			if err != nil {
-				return nil, err
+				return err
 			}
 			fb.I32Const(int32(slot))
-			return &Type{Kind: TPtr, Fn: fi.sig}, nil
+			return nil
 		}
-		return nil, fg.errf(e.Line, "undefined identifier %q", e.Name)
+		switch li, local := fg.lookup(e.Name); {
+		case local && !li.isMem:
+			fb.LocalGet(li.local)
+		case local && !li.t.isAggregate():
+			fb.LocalGet(fg.spLocal)
+			fg.loadScalar(li.t, uint32(li.off))
+		default:
+			return fg.load(e)
+		}
 
 	case "call":
 		return fg.call(e)
@@ -436,170 +396,121 @@ func (fg *fgen) expr(e *Expr) (*Type, error) {
 
 	case "cond":
 		if err := fg.cond(e.X); err != nil {
-			return nil, err
+			return err
 		}
-		// Determine the common result type by dry-typing both arms.
-		at, err := fg.typeOf(e.Y)
-		if err != nil {
-			return nil, err
-		}
-		bt, err := fg.typeOf(e.Z)
-		if err != nil {
-			return nil, err
-		}
-		rt := decay(at)
-		if !sameType(decay(at), decay(bt)) {
-			rt = commonType(decay(at), decay(bt))
-		}
-		fb.If(wasm.BlockOf(fg.g.valType(rt)))
-		t1, err := fg.expr(e.Y)
-		if err != nil {
-			return nil, err
-		}
-		if err := fg.convert(decay(t1), rt, e.Line); err != nil {
-			return nil, err
+		fb.If(wasm.BlockOf(fg.g.valType(e.typ)))
+		if err := fg.exprTo(e.Y, e.typ, e.Line); err != nil {
+			return err
 		}
 		fb.Else()
-		t2, err := fg.expr(e.Z)
-		if err != nil {
-			return nil, err
-		}
-		if err := fg.convert(decay(t2), rt, e.Line); err != nil {
-			return nil, err
+		if err := fg.exprTo(e.Z, e.typ, e.Line); err != nil {
+			return err
 		}
 		fb.End()
-		return rt, nil
 
 	case "index", "member":
-		lv, err := fg.lvalue(e)
-		if err != nil {
-			return nil, err
-		}
-		if lv.t.Kind == TArray || lv.t.Kind == TStruct {
-			// Address already on stack.
-			return decayAggregate(lv.t), nil
-		}
-		fg.loadScalar(lv.t, 0)
-		return lv.t, nil
+		return fg.load(e)
 
 	case "cast":
-		t, err := fg.expr(e.X)
-		if err != nil {
-			return nil, err
-		}
-		if err := fg.convert(decay(t), e.T, e.Line); err != nil {
-			return nil, err
-		}
-		return e.T, nil
+		return fg.exprTo(e.X, e.T, e.Line)
 	}
-	return nil, fg.errf(e.Line, "unhandled expression %q", e.Op)
+	return nil
 }
 
-// decayAggregate returns the value type of an aggregate used as a value.
-func decayAggregate(t *Type) *Type {
-	if t.Kind == TArray {
-		return ptrTo(t.Elem)
+// exprTo generates x converted to type t.
+func (fg *fgen) exprTo(x *Expr, t *Type, line int) error {
+	if err := fg.expr(x); err != nil {
+		return err
 	}
-	return ptrTo(t) // struct lvalue used as value: its address
+	return fg.convert(x.value(), t, line)
 }
 
-// lvalue generates an lvalue. For memory lvalues the address is pushed.
+// discard generates e for its side effects only.
+func (fg *fgen) discard(e *Expr) error {
+	if err := fg.expr(e); err != nil {
+		return err
+	}
+	if e.typ.Kind != TVoid {
+		fg.fb.Op(wasm.OpDrop)
+	}
+	return nil
+}
+
+// load pushes the value of the memory object e designates: the address of
+// an aggregate, the loaded value of a scalar.
+func (fg *fgen) load(e *Expr) error {
+	if _, err := fg.lvalue(e); err != nil {
+		return err
+	}
+	if !e.typ.isAggregate() {
+		fg.loadScalar(e.typ, 0)
+	}
+	return nil
+}
+
+// lvalue generates the location of the object e designates: a register
+// local is returned, any other object's address is pushed.
 func (fg *fgen) lvalue(e *Expr) (lval, error) {
 	fb := fg.fb
 	switch e.Op {
 	case "var":
 		if li, ok := fg.lookup(e.Name); ok {
-			if li.isMem {
-				fb.LocalGet(fg.spLocal)
-				if li.off != 0 {
-					fb.I32Const(int32(li.off)).Op(wasm.OpI32Add)
-				}
-				return lval{t: li.t}, nil
+			if !li.isMem {
+				return lval{isLocal: true, local: li.local}, nil
 			}
-			return lval{isLocal: true, local: li.local, t: li.t}, nil
+			fb.LocalGet(fg.spLocal)
+			if li.off != 0 {
+				fb.I32Const(int32(li.off)).Op(wasm.OpI32Add)
+			}
+			return lval{}, nil
 		}
-		if addr, ok := fg.g.globalAddr[e.Name]; ok {
-			fb.I32Const(int32(addr))
-			return lval{t: fg.g.globalType[e.Name]}, nil
-		}
-		return lval{}, fg.errf(e.Line, "undefined identifier %q", e.Name)
+		fb.I32Const(int32(fg.g.globalAddr[e.Name]))
+		return lval{}, nil
 
-	case "un":
-		if e.Tok == "*" {
-			t, err := fg.expr(e.X)
-			if err != nil {
-				return lval{}, err
-			}
-			t = decay(t)
-			if t.Kind != TPtr || t.Elem == nil {
-				return lval{}, fg.errf(e.Line, "dereference of non-pointer %s", t)
-			}
-			return lval{t: t.Elem}, nil
-		}
+	case "un": // *p
+		return lval{}, fg.expr(e.X)
 
 	case "index":
-		bt, err := fg.expr(e.X)
-		if err != nil {
+		if err := fg.expr(e.X); err != nil {
 			return lval{}, err
 		}
-		bt = decay(bt)
-		if bt.Kind != TPtr || bt.Elem == nil {
-			return lval{}, fg.errf(e.Line, "indexing non-pointer %s", bt)
-		}
-		it, err := fg.expr(e.Y)
-		if err != nil {
+		if err := fg.scaledIndex(e.Y, e.typ); err != nil {
 			return lval{}, err
 		}
-		if !it.isInt() {
-			return lval{}, fg.errf(e.Line, "non-integer index")
-		}
-		if it.is64() {
-			fb.Op(wasm.OpI32WrapI64)
-		}
-		fg.scaleIndex(bt.Elem)
 		fb.Op(wasm.OpI32Add)
-		return lval{t: bt.Elem}, nil
-
-	case "member":
-		var st *Type
-		if e.Tok == "->" {
-			t, err := fg.expr(e.X)
-			if err != nil {
-				return lval{}, err
-			}
-			t = decay(t)
-			if t.Kind != TPtr || t.Elem == nil || t.Elem.Kind != TStruct {
-				return lval{}, fg.errf(e.Line, "-> on non-struct-pointer %s", t)
-			}
-			st = t.Elem
-		} else {
-			lv, err := fg.lvalue(e.X)
-			if err != nil {
-				return lval{}, err
-			}
-			if lv.isLocal || lv.t.Kind != TStruct {
-				// Struct values always live in memory; a "." on a pointer-
-				// valued expression is invalid.
-				if lv.t.Kind == TPtr && lv.t.Elem != nil && lv.t.Elem.Kind == TStruct {
-					// Allow p.x as sugar? No: require ->.
-					return lval{}, fg.errf(e.Line, ". on pointer; use ->")
-				}
-				if lv.t.Kind != TStruct {
-					return lval{}, fg.errf(e.Line, ". on non-struct %s", lv.t)
-				}
-			}
-			st = lv.t
-		}
-		off, ft, ok := st.S.fieldOffset(e.Name, fg.g.abi.PtrSize)
-		if !ok {
-			return lval{}, fg.errf(e.Line, "no field %q in struct %s", e.Name, st.S.Name)
-		}
-		if off != 0 {
-			fb.I32Const(int32(off)).Op(wasm.OpI32Add)
-		}
-		return lval{t: ft}, nil
+		return lval{}, nil
 	}
-	return lval{}, fg.errf(e.Line, "not an lvalue")
+
+	// Member: the struct's address, then the field offset.
+	var st *Type
+	if e.Tok == "->" {
+		if err := fg.expr(e.X); err != nil {
+			return lval{}, err
+		}
+		st = e.X.value().Elem
+	} else {
+		// A struct object always lives in memory.
+		if _, err := fg.lvalue(e.X); err != nil {
+			return lval{}, err
+		}
+		st = e.X.typ
+	}
+	if off, _, _ := st.S.fieldOffset(e.Name, fg.g.abi.PtrSize); off != 0 {
+		fb.I32Const(int32(off)).Op(wasm.OpI32Add)
+	}
+	return lval{}, nil
+}
+
+// scaledIndex pushes integer x times the size of elem, as an i32.
+func (fg *fgen) scaledIndex(x *Expr, elem *Type) error {
+	if err := fg.expr(x); err != nil {
+		return err
+	}
+	if x.typ.is64() {
+		fg.fb.Op(wasm.OpI32WrapI64)
+	}
+	fg.scaleIndex(elem)
+	return nil
 }
 
 // scaleIndex multiplies the i32 on the stack by the element size.

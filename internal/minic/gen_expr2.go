@@ -5,27 +5,23 @@ import (
 )
 
 // binary generates binary operators.
-func (fg *fgen) binary(e *Expr) (*Type, error) {
+func (fg *fgen) binary(e *Expr) error {
 	fb := fg.fb
 	switch e.Tok {
 	case ",":
-		t, err := fg.expr(e.X)
-		if err != nil {
-			return nil, err
-		}
-		if t.Kind != TVoid {
-			fb.Op(wasm.OpDrop)
+		if err := fg.discard(e.X); err != nil {
+			return err
 		}
 		return fg.expr(e.Y)
 
 	case "&&", "||":
 		if err := fg.cond(e.X); err != nil {
-			return nil, err
+			return err
 		}
 		fb.If(wasm.BlockOf(wasm.I32))
 		if e.Tok == "&&" {
 			if err := fg.cond(e.Y); err != nil {
-				return nil, err
+				return err
 			}
 			fb.I32Const(0).Op(wasm.OpI32Ne)
 			fb.Else()
@@ -34,409 +30,244 @@ func (fg *fgen) binary(e *Expr) (*Type, error) {
 			fb.I32Const(1)
 			fb.Else()
 			if err := fg.cond(e.Y); err != nil {
-				return nil, err
+				return err
 			}
 			fb.I32Const(0).Op(wasm.OpI32Ne)
 		}
 		fb.End()
-		return tyInt, nil
+		return nil
 
 	case "==", "!=", "<", ">", "<=", ">=":
-		at, err := fg.typeOf(e.X)
-		if err != nil {
-			return nil, err
-		}
-		bt, err := fg.typeOf(e.Y)
-		if err != nil {
-			return nil, err
-		}
-		at, bt = decay(at), decay(bt)
-		var ct *Type
-		if at.Kind == TPtr || bt.Kind == TPtr {
-			ct = tyUint // pointer comparison is unsigned 32-bit
-		} else {
+		at, bt := e.X.value(), e.Y.value()
+		ct := tyUint // pointer comparison is unsigned 32-bit
+		if at.Kind != TPtr && bt.Kind != TPtr {
 			ct = commonType(at, bt)
 		}
-		xt, err := fg.expr(e.X)
-		if err != nil {
-			return nil, err
+		if err := fg.exprTo(e.X, ct, e.Line); err != nil {
+			return err
 		}
-		if err := fg.convert(decay(xt), ct, e.Line); err != nil {
-			return nil, err
-		}
-		yt, err := fg.expr(e.Y)
-		if err != nil {
-			return nil, err
-		}
-		if err := fg.convert(decay(yt), ct, e.Line); err != nil {
-			return nil, err
+		if err := fg.exprTo(e.Y, ct, e.Line); err != nil {
+			return err
 		}
 		op, ok := cmpOpcode(e.Tok, ct)
 		if !ok {
-			return nil, fg.errf(e.Line, "bad comparison %q on %s", e.Tok, ct)
+			return fg.errf(e.Line, "bad comparison %q on %s", e.Tok, ct)
 		}
 		fb.Op(op)
-		return tyInt, nil
+		return nil
 	}
 
-	// Arithmetic (with pointer cases).
-	at, err := fg.typeOf(e.X)
-	if err != nil {
-		return nil, err
-	}
-	bt, err := fg.typeOf(e.Y)
-	if err != nil {
-		return nil, err
-	}
-	at, bt = decay(at), decay(bt)
-
-	// ptr +/- int, int + ptr, ptr - ptr.
-	if e.Tok == "+" || e.Tok == "-" {
-		switch {
-		case at.Kind == TPtr && bt.isInt():
-			if _, err := fg.expr(e.X); err != nil {
-				return nil, err
-			}
-			it, err := fg.expr(e.Y)
-			if err != nil {
-				return nil, err
-			}
-			if it.is64() {
-				fb.Op(wasm.OpI32WrapI64)
-			}
-			fg.scaleIndex(at.Elem)
-			if e.Tok == "+" {
-				fb.Op(wasm.OpI32Add)
-			} else {
-				fb.Op(wasm.OpI32Sub)
-			}
-			return at, nil
-		case at.isInt() && bt.Kind == TPtr && e.Tok == "+":
-			it, err := fg.expr(e.X)
-			if err != nil {
-				return nil, err
-			}
-			if it.is64() {
-				fb.Op(wasm.OpI32WrapI64)
-			}
-			fg.scaleIndex(bt.Elem)
-			if _, err := fg.expr(e.Y); err != nil {
-				return nil, err
-			}
-			fb.Op(wasm.OpI32Add)
-			return bt, nil
-		case at.Kind == TPtr && bt.Kind == TPtr && e.Tok == "-":
-			if _, err := fg.expr(e.X); err != nil {
-				return nil, err
-			}
-			if _, err := fg.expr(e.Y); err != nil {
-				return nil, err
-			}
-			fb.Op(wasm.OpI32Sub)
-			sz := at.Elem.size(fg.g.abi.PtrSize)
-			if sz > 1 {
-				fb.I32Const(int32(sz)).Op(wasm.OpI32DivS)
-			}
-			return tyInt, nil
+	// Pointer arithmetic: ptr +/- int, int + ptr, ptr - ptr.
+	at := e.X.value()
+	switch {
+	case e.typ.Kind == TPtr && at.Kind == TPtr:
+		if err := fg.expr(e.X); err != nil {
+			return err
 		}
+		if err := fg.scaledIndex(e.Y, e.typ.Elem); err != nil {
+			return err
+		}
+		fg.addSub(e.typ, e.Tok == "+")
+		return nil
+	case e.typ.Kind == TPtr:
+		if err := fg.scaledIndex(e.X, e.typ.Elem); err != nil {
+			return err
+		}
+		if err := fg.expr(e.Y); err != nil {
+			return err
+		}
+		fb.Op(wasm.OpI32Add)
+		return nil
+	case at.Kind == TPtr && e.Tok == "-" && e.Y.value().Kind == TPtr:
+		if err := fg.expr(e.X); err != nil {
+			return err
+		}
+		if err := fg.expr(e.Y); err != nil {
+			return err
+		}
+		fb.Op(wasm.OpI32Sub)
+		if sz := at.Elem.size(fg.g.abi.PtrSize); sz > 1 {
+			fb.I32Const(int32(sz)).Op(wasm.OpI32DivS)
+		}
+		return nil
 	}
 
-	ct := commonType(at, bt)
-	xt, err := fg.expr(e.X)
-	if err != nil {
-		return nil, err
+	if err := fg.exprTo(e.X, e.typ, e.Line); err != nil {
+		return err
 	}
-	if err := fg.convert(decay(xt), ct, e.Line); err != nil {
-		return nil, err
+	if err := fg.exprTo(e.Y, e.typ, e.Line); err != nil {
+		return err
 	}
-	yt, err := fg.expr(e.Y)
-	if err != nil {
-		return nil, err
-	}
-	// Shift counts keep the left operand's width.
-	if e.Tok == "<<" || e.Tok == ">>" {
-		if err := fg.convert(decay(yt), ct, e.Line); err != nil {
-			return nil, err
-		}
-	} else if err := fg.convert(decay(yt), ct, e.Line); err != nil {
-		return nil, err
-	}
-	op, ok := binOpcode(e.Tok, ct)
+	op, ok := binOpcode(e.Tok, e.typ)
 	if !ok {
-		return nil, fg.errf(e.Line, "bad operator %q on %s", e.Tok, ct)
+		return fg.errf(e.Line, "bad operator %q on %s", e.Tok, e.typ)
 	}
 	fb.Op(op)
-	return ct, nil
+	return nil
 }
 
 // unary generates unary operators.
-func (fg *fgen) unary(e *Expr) (*Type, error) {
+func (fg *fgen) unary(e *Expr) error {
 	fb := fg.fb
 	switch e.Tok {
 	case "-":
-		t, err := fg.typeOf(e.X)
-		if err != nil {
-			return nil, err
-		}
-		t = decay(t)
-		switch {
+		switch t := e.typ; {
 		case t.Kind == TDouble:
-			if _, err := fg.expr(e.X); err != nil {
-				return nil, err
+			if err := fg.expr(e.X); err != nil {
+				return err
 			}
 			fb.Op(wasm.OpF64Neg)
-			return tyDouble, nil
 		case t.Kind == TFloat:
-			if _, err := fg.expr(e.X); err != nil {
-				return nil, err
+			if err := fg.expr(e.X); err != nil {
+				return err
 			}
 			fb.Op(wasm.OpF32Neg)
-			return tyFloat, nil
 		case t.is64():
 			fb.I64Const(0)
-			if _, err := fg.expr(e.X); err != nil {
-				return nil, err
+			if err := fg.expr(e.X); err != nil {
+				return err
 			}
 			fb.Op(wasm.OpI64Sub)
-			return t, nil
 		default:
 			fb.I32Const(0)
-			xt, err := fg.expr(e.X)
-			if err != nil {
-				return nil, err
-			}
-			if err := fg.convert(decay(xt), tyInt, e.Line); err != nil {
-				return nil, err
+			if err := fg.exprTo(e.X, tyInt, e.Line); err != nil {
+				return err
 			}
 			fb.Op(wasm.OpI32Sub)
-			return tyInt, nil
 		}
 	case "!":
-		t, err := fg.expr(e.X)
-		if err != nil {
-			return nil, err
-		}
-		if err := fg.truthify(t, e.Line); err != nil {
-			return nil, err
+		if err := fg.cond(e.X); err != nil {
+			return err
 		}
 		fb.Op(wasm.OpI32Eqz)
-		return tyInt, nil
 	case "~":
-		t, err := fg.expr(e.X)
-		if err != nil {
-			return nil, err
+		if err := fg.expr(e.X); err != nil {
+			return err
 		}
-		if t.is64() {
+		if e.typ.is64() {
 			fb.I64Const(-1).Op(wasm.OpI64Xor)
-			return t, nil
+		} else {
+			fb.I32Const(-1).Op(wasm.OpI32Xor)
 		}
-		fb.I32Const(-1).Op(wasm.OpI32Xor)
-		return tyInt, nil
 	case "*":
-		lv, err := fg.lvalue(e)
-		if err != nil {
-			return nil, err
-		}
-		if lv.t.Kind == TArray || lv.t.Kind == TStruct {
-			return decayAggregate(lv.t), nil
-		}
-		fg.loadScalar(lv.t, 0)
-		return lv.t, nil
+		return fg.load(e)
 	case "&":
 		lv, err := fg.lvalue(e.X)
 		if err != nil {
-			return nil, err
+			return err
 		}
 		if lv.isLocal {
-			return nil, fg.errf(e.Line, "internal: address of register local %v", e.X.Name)
+			return fg.errf(e.Line, "internal: address of register local %v", e.X.Name)
 		}
-		return ptrTo(lv.t), nil
 	}
-	return nil, fg.errf(e.Line, "unhandled unary %q", e.Tok)
+	return nil
 }
 
 // assign handles = and compound assignment, yielding the stored value.
-func (fg *fgen) assign(e *Expr) (*Type, error) {
+func (fg *fgen) assign(e *Expr) error {
 	fb := fg.fb
 	lv, err := fg.lvalue(e.X)
 	if err != nil {
-		return nil, err
+		return err
 	}
-	simple := e.Tok == "="
-
+	lt := e.X.typ
+	var aS uint32 // a memory lvalue's address, kept for the store
+	if e.Tok != "=" {
+		// x op= y  =>  x = x op y: push the old value.
+		if lv.isLocal {
+			fb.LocalGet(lv.local)
+		} else {
+			aS = fg.getScratch(wasm.I32)
+			fb.LocalSet(aS).LocalGet(aS).LocalGet(aS)
+			fg.loadScalar(lt, 0)
+		}
+	}
+	if err := fg.assignedValue(e, lt); err != nil {
+		return err
+	}
 	if lv.isLocal {
-		if simple {
-			rt, err := fg.expr(e.Y)
-			if err != nil {
-				return nil, err
-			}
-			if err := fg.convert(decay(rt), lv.t, e.Line); err != nil {
-				return nil, err
-			}
-			fb.LocalTee(lv.local)
-			return lv.t, nil
-		}
-		// x op= y  =>  x = x op y, with pointer scaling for += / -=.
-		op := e.Tok[:len(e.Tok)-1]
-		fb.LocalGet(lv.local)
-		if lv.t.Kind == TPtr && (op == "+" || op == "-") {
-			it, err := fg.expr(e.Y)
-			if err != nil {
-				return nil, err
-			}
-			if it.is64() {
-				fb.Op(wasm.OpI32WrapI64)
-			}
-			fg.scaleIndex(lv.t.Elem)
-			if op == "+" {
-				fb.Op(wasm.OpI32Add)
-			} else {
-				fb.Op(wasm.OpI32Sub)
-			}
-			fb.LocalTee(lv.local)
-			return lv.t, nil
-		}
-		rt0, err := fg.typeOf(e.Y)
-		if err != nil {
-			return nil, err
-		}
-		ct := commonType(lv.t, decay(rt0))
-		if err := fg.convert(lv.t, ct, e.Line); err != nil {
-			return nil, err
-		}
-		rt, err := fg.expr(e.Y)
-		if err != nil {
-			return nil, err
-		}
-		if err := fg.convert(decay(rt), ct, e.Line); err != nil {
-			return nil, err
-		}
-		opc, ok := binOpcode(op, ct)
-		if !ok {
-			return nil, fg.errf(e.Line, "bad operator %q on %s", op, ct)
-		}
-		fb.Op(opc)
-		if err := fg.convert(ct, lv.t, e.Line); err != nil {
-			return nil, err
-		}
 		fb.LocalTee(lv.local)
-		return lv.t, nil
+		return nil
 	}
+	vt := fg.g.valType(lt)
+	vS := fg.getScratch(vt)
+	fb.LocalTee(vS)
+	fg.storeScalar(lt, 0)
+	fb.LocalGet(vS)
+	fg.putScratch(vt, vS)
+	if e.Tok != "=" {
+		fg.putScratch(wasm.I32, aS)
+	}
+	return nil
+}
 
-	// Memory lvalue: the address is on the stack.
-	vt := fg.g.valType(lv.t)
-	if simple {
-		rt, err := fg.expr(e.Y)
-		if err != nil {
-			return nil, err
-		}
-		if err := fg.convert(decay(rt), lv.t, e.Line); err != nil {
-			return nil, err
-		}
-		vS := fg.getScratch(vt)
-		fb.LocalTee(vS)
-		fg.storeScalar(lv.t, 0)
-		fb.LocalGet(vS)
-		fg.putScratch(vt, vS)
-		return lv.t, nil
+// assignedValue pushes the value assignment e stores into an lvalue of
+// type lt; a compound assignment finds the old value already pushed.
+func (fg *fgen) assignedValue(e *Expr, lt *Type) error {
+	if e.Tok == "=" {
+		return fg.exprTo(e.Y, lt, e.Line)
 	}
 	op := e.Tok[:len(e.Tok)-1]
-	aS := fg.getScratch(wasm.I32)
-	fb.LocalSet(aS) // address
-	fb.LocalGet(aS) // for the store
-	fb.LocalGet(aS)
-	fg.loadScalar(lv.t, 0)
-	if lv.t.Kind == TPtr && (op == "+" || op == "-") {
-		it, err := fg.expr(e.Y)
-		if err != nil {
-			return nil, err
+	if lt.Kind == TPtr && (op == "+" || op == "-") {
+		if err := fg.scaledIndex(e.Y, lt.Elem); err != nil {
+			return err
 		}
-		if it.is64() {
-			fb.Op(wasm.OpI32WrapI64)
-		}
-		fg.scaleIndex(lv.t.Elem)
-		if op == "+" {
-			fb.Op(wasm.OpI32Add)
-		} else {
-			fb.Op(wasm.OpI32Sub)
-		}
-		vS := fg.getScratch(wasm.I32)
-		fb.LocalTee(vS)
-		fg.storeScalar(lv.t, 0)
-		fb.LocalGet(vS)
-		fg.putScratch(wasm.I32, vS)
-		fg.putScratch(wasm.I32, aS)
-		return lv.t, nil
+		fg.addSub(lt, op == "+")
+		return nil
 	}
-	rt0, err := fg.typeOf(e.Y)
-	if err != nil {
-		return nil, err
+	ct := commonType(lt, e.Y.value())
+	if err := fg.convert(lt, ct, e.Line); err != nil {
+		return err
 	}
-	ct := commonType(lv.t, decay(rt0))
-	if err := fg.convert(lv.t, ct, e.Line); err != nil {
-		return nil, err
-	}
-	rt, err := fg.expr(e.Y)
-	if err != nil {
-		return nil, err
-	}
-	if err := fg.convert(decay(rt), ct, e.Line); err != nil {
-		return nil, err
+	if err := fg.exprTo(e.Y, ct, e.Line); err != nil {
+		return err
 	}
 	opc, ok := binOpcode(op, ct)
 	if !ok {
-		return nil, fg.errf(e.Line, "bad operator %q on %s", op, ct)
+		return fg.errf(e.Line, "bad operator %q on %s", op, ct)
 	}
-	fb.Op(opc)
-	if err := fg.convert(ct, lv.t, e.Line); err != nil {
-		return nil, err
-	}
-	vS := fg.getScratch(vt)
-	fb.LocalTee(vS)
-	fg.storeScalar(lv.t, 0)
-	fb.LocalGet(vS)
-	fg.putScratch(vt, vS)
-	fg.putScratch(wasm.I32, aS)
-	return lv.t, nil
+	fg.fb.Op(opc)
+	return fg.convert(ct, lt, e.Line)
 }
 
 // postIncDec handles x++ / x-- yielding the old value.
-func (fg *fgen) postIncDec(e *Expr) (*Type, error) {
+func (fg *fgen) postIncDec(e *Expr) error {
 	fb := fg.fb
 	lv, err := fg.lvalue(e.X)
 	if err != nil {
-		return nil, err
+		return err
 	}
+	lt := e.typ
 	step := int64(1)
-	if lv.t.Kind == TPtr {
-		step = int64(lv.t.Elem.size(fg.g.abi.PtrSize))
+	if lt.Kind == TPtr {
+		step = int64(lt.Elem.size(fg.g.abi.PtrSize))
 	}
 	add := e.Tok == "++"
 
 	if lv.isLocal {
 		fb.LocalGet(lv.local) // old value (result)
 		fb.LocalGet(lv.local)
-		fg.pushStep(lv.t, step)
-		fg.addSub(lv.t, add)
+		fg.pushStep(lt, step)
+		fg.addSub(lt, add)
 		fb.LocalSet(lv.local)
-		return lv.t, nil
+		return nil
 	}
 	aS := fg.getScratch(wasm.I32)
 	fb.LocalSet(aS)
-	vt := fg.g.valType(lv.t)
+	vt := fg.g.valType(lt)
 	oldS := fg.getScratch(vt)
 	fb.LocalGet(aS)
-	fg.loadScalar(lv.t, 0)
+	fg.loadScalar(lt, 0)
 	fb.LocalSet(oldS)
 	fb.LocalGet(aS)
 	fb.LocalGet(oldS)
-	fg.pushStep(lv.t, step)
-	fg.addSub(lv.t, add)
-	fg.storeScalar(lv.t, 0)
+	fg.pushStep(lt, step)
+	fg.addSub(lt, add)
+	fg.storeScalar(lt, 0)
 	fb.LocalGet(oldS)
 	fg.putScratch(vt, oldS)
 	fg.putScratch(wasm.I32, aS)
-	return lv.t, nil
+	return nil
 }
 
 func (fg *fgen) pushStep(t *Type, step int64) {

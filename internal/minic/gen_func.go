@@ -28,7 +28,9 @@ type fgen struct {
 	fd *FuncDecl
 	fb *wasm.FuncBuilder
 
-	scopes    []map[string]localInfo
+	locals    []binding      // declarations in scope, in order
+	names     map[string]int // index in locals of each name's innermost binding
+	scopes    []int          // len(locals) where each open scope began
 	addressed map[string]bool
 	frameSize int
 	hasFrame  bool
@@ -46,6 +48,7 @@ func (g *gen) genFunc(fd *FuncDecl) error {
 	fi := g.funcs[fd.Name]
 	fg := &fgen{
 		g: g, fd: fd,
+		names:     map[string]int{},
 		addressed: map[string]bool{},
 		scratch:   map[wasm.ValType][]uint32{},
 	}
@@ -62,9 +65,9 @@ func (g *gen) genFunc(fd *FuncDecl) error {
 		if fg.addressed[p.Name] {
 			// Spill the parameter into the frame.
 			off := fg.allocFrame(p.Type)
-			fg.scopes[0][p.Name] = localInfo{isMem: true, off: off, t: p.Type}
+			fg.declare(p.Name, localInfo{isMem: true, off: off, t: p.Type})
 		} else {
-			fg.scopes[0][p.Name] = localInfo{local: uint32(i), t: p.Type}
+			fg.declare(p.Name, localInfo{local: uint32(i), t: p.Type})
 		}
 	}
 
@@ -82,7 +85,7 @@ func (g *gen) genFunc(fd *FuncDecl) error {
 		fg.fb.LocalTee(fg.spLocal).GlobalSet(g.spGlobal)
 		// Copy addressed params into their slots.
 		for i, p := range fd.Params {
-			li := fg.scopes[0][p.Name]
+			li := fg.locals[i].li
 			if !li.isMem {
 				continue
 			}
@@ -155,7 +158,7 @@ func (fg *fgen) prescanFrame(s *Stmt) {
 	}
 	if s.Op == "decl" {
 		t := s.DeclType
-		if t.Kind == TArray || t.Kind == TStruct || fg.addressed[s.DeclName] {
+		if t.isAggregate() || fg.addressed[s.DeclName] {
 			fg.allocFrame(t)
 		}
 	}
@@ -181,14 +184,40 @@ func (fg *fgen) allocFrame(t *Type) int {
 	return off
 }
 
-func (fg *fgen) pushScope() { fg.scopes = append(fg.scopes, map[string]localInfo{}) }
-func (fg *fgen) popScope()  { fg.scopes = fg.scopes[:len(fg.scopes)-1] }
+// binding is one declared name.
+type binding struct {
+	name   string
+	li     localInfo
+	shadow int // index in locals of the binding it hides, or -1
+}
+
+func (fg *fgen) pushScope() { fg.scopes = append(fg.scopes, len(fg.locals)) }
+
+func (fg *fgen) popScope() {
+	start := fg.scopes[len(fg.scopes)-1]
+	for i := len(fg.locals) - 1; i >= start; i-- {
+		if b := fg.locals[i]; b.shadow < 0 {
+			delete(fg.names, b.name)
+		} else {
+			fg.names[b.name] = b.shadow
+		}
+	}
+	fg.locals = fg.locals[:start]
+	fg.scopes = fg.scopes[:len(fg.scopes)-1]
+}
+
+func (fg *fgen) declare(name string, li localInfo) {
+	shadow, ok := fg.names[name]
+	if !ok {
+		shadow = -1
+	}
+	fg.names[name] = len(fg.locals)
+	fg.locals = append(fg.locals, binding{name, li, shadow})
+}
 
 func (fg *fgen) lookup(name string) (localInfo, bool) {
-	for i := len(fg.scopes) - 1; i >= 0; i-- {
-		if li, ok := fg.scopes[i][name]; ok {
-			return li, true
-		}
+	if i, ok := fg.names[name]; ok {
+		return fg.locals[i].li, true
 	}
 	return localInfo{}, false
 }
@@ -261,16 +290,15 @@ func (fg *fgen) stmt(s *Stmt) error {
 		return fg.declStmt(s)
 
 	case "expr":
-		t, err := fg.expr(s.E)
-		if err != nil {
+		if err := fg.resolve(s.E); err != nil {
 			return err
 		}
-		if t.Kind != TVoid {
-			fg.fb.Op(wasm.OpDrop)
-		}
-		return nil
+		return fg.discard(s.E)
 
 	case "if":
+		if err := fg.resolve(s.Cond); err != nil {
+			return err
+		}
 		if err := fg.cond(s.Cond); err != nil {
 			return err
 		}
@@ -306,11 +334,10 @@ func (fg *fgen) stmt(s *Stmt) error {
 
 	case "return":
 		if s.E != nil {
-			t, err := fg.expr(s.E)
-			if err != nil {
+			if err := fg.resolve(s.E); err != nil {
 				return err
 			}
-			if err := fg.convert(t, fg.fd.Ret, s.Line); err != nil {
+			if err := fg.exprTo(s.E, fg.fd.Ret, s.Line); err != nil {
 				return err
 			}
 		} else if fg.fd.Ret.Kind != TVoid {
@@ -347,50 +374,40 @@ func (fg *fgen) stmt(s *Stmt) error {
 
 func (fg *fgen) declStmt(s *Stmt) error {
 	t := s.DeclType
-	scope := fg.scopes[len(fg.scopes)-1]
-	if t.Kind == TArray || t.Kind == TStruct || fg.addressed[s.DeclName] {
-		off := fg.genFrameOff
-		// Recompute the offset with the same policy as the prescan.
-		a := t.alignof(fg.g.abi.PtrSize)
-		off = alignUp(off, a)
-		fg.genFrameOff = off + t.size(fg.g.abi.PtrSize)
-		scope[s.DeclName] = localInfo{isMem: true, off: off, t: t}
-		if s.DeclInit != nil {
-			if !t.isScalar() {
-				return fg.errf(s.Line, "initializer on aggregate local")
-			}
-			fg.fb.LocalGet(fg.spLocal)
-			it, err := fg.expr(s.DeclInit)
-			if err != nil {
-				return err
-			}
-			if err := fg.convert(it, t, s.Line); err != nil {
-				return err
-			}
-			fg.storeScalar(t, uint32(off))
-		}
+	li := localInfo{t: t}
+	if t.isAggregate() || fg.addressed[s.DeclName] {
+		// Allocate with the same policy as the prescan.
+		li.isMem = true
+		li.off = alignUp(fg.genFrameOff, t.alignof(fg.g.abi.PtrSize))
+		fg.genFrameOff = li.off + t.size(fg.g.abi.PtrSize)
+	} else if !t.isScalar() {
+		return fg.errf(s.Line, "bad local type %s", t)
+	} else {
+		li.local = fg.fb.AddLocal(fg.g.valType(t))
+	}
+	fg.declare(s.DeclName, li)
+	if s.DeclInit == nil {
 		return nil
 	}
 	if !t.isScalar() {
-		return fg.errf(s.Line, "bad local type %s", t)
+		return fg.errf(s.Line, "initializer on aggregate local")
 	}
-	l := fg.fb.AddLocal(fg.g.valType(t))
-	scope[s.DeclName] = localInfo{local: l, t: t}
-	if s.DeclInit != nil {
-		it, err := fg.expr(s.DeclInit)
-		if err != nil {
-			return err
-		}
-		if err := fg.convert(it, t, s.Line); err != nil {
-			return err
-		}
-		fg.fb.LocalSet(l)
+	if err := fg.resolve(s.DeclInit); err != nil {
+		return err
+	}
+	if li.isMem {
+		fg.fb.LocalGet(fg.spLocal)
+	}
+	if err := fg.exprTo(s.DeclInit, t, s.Line); err != nil {
+		return err
+	}
+	if li.isMem {
+		fg.storeScalar(t, uint32(li.off))
+	} else {
+		fg.fb.LocalSet(li.local)
 	}
 	return nil
 }
-
-// genFrameOff tracks frame allocation during generation (mirrors prescan).
-// It lives on fgen via this field accessor pattern.
 
 func (fg *fgen) loop(init *Stmt, cond *Expr, post *Expr, body *Stmt, isDoWhile bool) error {
 	fb := fg.fb
@@ -398,6 +415,14 @@ func (fg *fgen) loop(init *Stmt, cond *Expr, post *Expr, body *Stmt, isDoWhile b
 	breakDepth := fb.Depth()
 	fb.Loop(wasm.BlockVoid) // $top
 
+	for _, e := range []*Expr{cond, post} {
+		if e == nil {
+			continue
+		}
+		if err := fg.resolve(e); err != nil {
+			return err
+		}
+	}
 	if !isDoWhile && cond != nil {
 		// Emscripten shape: test at top, exit via br_if, back-jump at
 		// bottom. The native backend's loop rotation recognizes this.
@@ -421,12 +446,8 @@ func (fg *fgen) loop(init *Stmt, cond *Expr, post *Expr, body *Stmt, isDoWhile b
 	fb.End() // $continue
 
 	if post != nil {
-		t, err := fg.expr(post)
-		if err != nil {
+		if err := fg.discard(post); err != nil {
 			return err
-		}
-		if t.Kind != TVoid {
-			fb.Op(wasm.OpDrop)
 		}
 	}
 	if isDoWhile {
@@ -444,11 +465,10 @@ func (fg *fgen) loop(init *Stmt, cond *Expr, post *Expr, body *Stmt, isDoWhile b
 
 // cond emits an i32 truth value for an expression.
 func (fg *fgen) cond(e *Expr) error {
-	t, err := fg.expr(e)
-	if err != nil {
+	if err := fg.expr(e); err != nil {
 		return err
 	}
-	return fg.truthify(t, e.Line)
+	return fg.truthify(e.typ, e.Line)
 }
 
 // truthify converts the top of stack to an i32 boolean-compatible value.
@@ -474,12 +494,15 @@ func (fg *fgen) truthify(t *Type, line int) error {
 
 func (fg *fgen) switchStmt(s *Stmt) error {
 	fb := fg.fb
-	t, err := fg.expr(s.Cond)
-	if err != nil {
+	if err := fg.resolve(s.Cond); err != nil {
 		return err
 	}
+	t := s.Cond.typ
 	if !t.isInt() {
 		return fg.errf(s.Line, "switch on non-integer")
+	}
+	if err := fg.expr(s.Cond); err != nil {
+		return err
 	}
 	if t.is64() {
 		fb.Op(wasm.OpI32WrapI64)

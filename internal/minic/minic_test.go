@@ -413,6 +413,68 @@ int main() {
 	runAll(t, src, "30.000000\n", 0)
 }
 
+// TestBlockScopes checks that an inner declaration hides an outer one
+// only until its block closes.
+func TestBlockScopes(t *testing.T) {
+	src := `
+int x = 100;
+int main() {
+  int s = x;
+  int x = 1;
+  int i;
+  for (i = 0; i < 2; i++) {
+    int x = 10 + i;
+    s = s * 100 + x;
+  }
+  {
+    int x = 7;
+    { int x = 8; s = s + x; }
+    s = s + x;
+  }
+  print_int(s); print_nl();
+  print_int(x); print_nl();
+  return 0;
+}`
+	runAll(t, src, "1001026\n1\n", 0)
+}
+
+// TestSizeofExpr checks that sizeof of an expression measures the object
+// it designates, not the pointer an array, struct or string literal
+// evaluates to.
+func TestSizeofExpr(t *testing.T) {
+	src := `
+struct P { int x; int y; int z; };
+int g[10];
+int main() {
+  int l[6];
+  struct P s;
+  struct P arr[10];
+  print_int(sizeof(g)); print_nl();
+  print_int(sizeof(l)); print_nl();
+  print_int(sizeof(s)); print_nl();
+  print_int(sizeof(arr[0])); print_nl();
+  print_int(sizeof("abc")); print_nl();
+  return 0;
+}`
+	runAll(t, src, "40\n24\n12\n12\n4\n", 0)
+}
+
+// TestAggregateAddressArith checks that & of an aggregate lvalue is a
+// pointer to that aggregate, so arithmetic on it scales by its size.
+func TestAggregateAddressArith(t *testing.T) {
+	src := `
+struct P { int x; int y; int z; };
+int main() {
+  int c = 1;
+  struct P arr[10];
+  print_int(&arr[5] - &arr[0]); print_nl();
+  print_int((&arr[2] + 1) == &arr[3]); print_nl();
+  print_int((c ? &arr[4] : &arr[2]) - &arr[0]); print_nl();
+  return 0;
+}`
+	runAll(t, src, "5\n1\n4\n", 0)
+}
+
 func TestCompileErrors(t *testing.T) {
 	cases := []string{
 		`int main() { return x; }`,
@@ -421,6 +483,16 @@ func TestCompileErrors(t *testing.T) {
 		`int f(struct S s) { return 0; } int main() { return 0; }`,
 		`int main() { break; }`,
 		`int a[2] = {1, 2, 3}; int main() { return 0; }`,
+		`struct S { int x; }; int main() { struct S s; struct S *p = &s; return p.x; }`,
+		`int main() { int a = 0; return a->x; }`,
+		`int main() { int a = 0; return a[0] + *a; }`,
+		`int main() { int a = 0; return a(1); }`,
+		`int f(int a) { return a; } int main() { return f(1, 2); }`,
+		`int main() { return 1 = 2; }`,
+		`int main() { return &main != 0; }`,
+		`int f(int a) { return a; } int main() { int (*p)(int); p = f; p++; return (int)(p - f); }`,
+		`int main() { double d = 2.0; return d << 1; }`,
+		`int main() { double d = 2.0; return (int)~d; }`,
 	}
 	for _, src := range cases {
 		if _, err := minic.Compile(src, minic.ABI32); err == nil {

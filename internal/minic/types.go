@@ -122,6 +122,9 @@ func (t *Type) isScalar() bool {
 	return t.isInt() || t.isFloat() || t.Kind == TPtr
 }
 
+// isAggregate reports types whose objects evaluate to their address.
+func (t *Type) isAggregate() bool { return t.Kind == TArray || t.Kind == TStruct }
+
 // size returns the storage size under the given pointer size.
 func (t *Type) size(ptrSize int) int {
 	switch t.Kind {

@@ -16,6 +16,7 @@ import (
 	"errors"
 	"fmt"
 	"reflect"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -58,6 +59,12 @@ func degradedSuite(marker string) []*workloads.Workload {
 	return []*workloads.Workload{mk("deg-a"), mk("deg-b"), mk("deg-c"), mk("deg-d")}
 }
 
+// degradedRuns numbers the runs of TestDegradedSuiteContainsInjectedFaults
+// in this process: the injected compile panic poisons the build-cache
+// entry of the faulted deg-b source, so each run needs a source of its own
+// for its compile to reach the fault site again (-count=N).
+var degradedRuns atomic.Int64
+
 func TestDegradedSuiteContainsInjectedFaults(t *testing.T) {
 	if testing.Short() {
 		// A wall-clock run around a 4 s injected hang: the full tier runs
@@ -89,7 +96,7 @@ func TestDegradedSuiteContainsInjectedFaults(t *testing.T) {
 	defer restore()
 
 	faulted := degradedSuite("baseline")
-	faulted[1].Source = degradedSrc("deg-b", "faulted-only")
+	faulted[1].Source = degradedSrc("deg-b", fmt.Sprintf("faulted-only-%d", degradedRuns.Add(1)))
 	h1 := spec.NewHarness()
 	h1.Degraded = true
 	out, err := h1.RunSuite(context.Background(), faulted, cfgs)
