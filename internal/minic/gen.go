@@ -72,7 +72,7 @@ type gen struct {
 	strAddr    map[string]int64
 
 	funcs   map[string]*funcInfo
-	imports map[string]uint32
+	imports map[string]*funcInfo
 
 	table     []string // function names by table slot (slot 0 = null)
 	tableSlot map[string]int
@@ -111,7 +111,7 @@ func Compile(src string, abi ABI) (*wasm.Module, error) {
 		globalType: map[string]*Type{},
 		strAddr:    map[string]int64{},
 		funcs:      map[string]*funcInfo{},
-		imports:    map[string]uint32{},
+		imports:    map[string]*funcInfo{},
 		tableSlot:  map[string]int{},
 		table:      []string{""}, // slot 0 reserved (null)
 	}
@@ -128,7 +128,8 @@ func Compile(src string, abi ABI) (*wasm.Module, error) {
 func (g *gen) run() error {
 	// Imports first (the builder requires it).
 	for _, im := range syscallImports {
-		g.imports[im.name] = g.b.ImportFunc("env", im.name, g.wasmSig(im.sig))
+		idx := g.b.ImportFunc("env", im.name, g.wasmSig(im.sig))
+		g.imports[im.name] = &funcInfo{idx: idx, sig: im.sig}
 	}
 
 	// Lay out globals.
@@ -203,7 +204,7 @@ func (g *gen) run() error {
 	}, wasm.I32)
 	// The userspace runtime brackets main with the Browsix-SPEC perf
 	// marks (the XHRs of Figure 2 steps 4 and 6).
-	fb.Call(g.imports["perf_begin"]).Op(wasm.OpDrop)
+	fb.Call(g.imports["perf_begin"].idx).Op(wasm.OpDrop)
 	switch len(mainFn.sig.Params) {
 	case 0:
 		fb.Call(mainFn.idx)
@@ -216,7 +217,7 @@ func (g *gen) run() error {
 		fb.I32Const(0)
 	}
 	fb.LocalSet(2)
-	fb.Call(g.imports["perf_end"]).Op(wasm.OpDrop)
+	fb.Call(g.imports["perf_end"].idx).Op(wasm.OpDrop)
 	fb.LocalGet(2)
 	g.b.Export("_start", wasm.ExternFunc, fb.Index())
 

@@ -11,8 +11,7 @@ var (
 	sigInt    = &FuncSig{Ret: tyInt}
 )
 
-// intrinsics map directly to wasm instructions. heap_base and heap_end read
-// the heap globals.
+// intrinsics map directly to wasm instructions.
 var intrinsics = map[string]struct {
 	op  wasm.Opcode
 	sig *FuncSig
@@ -28,8 +27,6 @@ var intrinsics = map[string]struct {
 	"fmax":        {wasm.OpF64Max, sigMinMax},
 	"mem_pages":   {wasm.OpMemorySize, sigInt},
 	"grow_memory": {wasm.OpMemoryGrow, &FuncSig{Params: []*Type{tyInt}, Ret: tyInt}},
-	"heap_base":   {wasm.OpGlobalGet, sigInt},
-	"heap_end":    {wasm.OpGlobalGet, sigInt},
 }
 
 // call generates function calls: intrinsics, syscalls, direct calls, and
@@ -53,20 +50,22 @@ func (fg *fgen) call(e *Expr) error {
 		return nil
 	}
 	name := e.X.Name
-	in, ok := intrinsics[name]
-	switch {
-	case !ok:
-		if idx, ok := fg.g.imports[name]; ok {
-			fb.Call(idx)
-		} else {
-			fb.Call(fg.g.funcs[name].idx)
-		}
-	case in.op != wasm.OpGlobalGet:
-		fb.Op(in.op)
-	case name == "heap_base":
+	if name == "heap_base" {
 		fb.GlobalGet(fg.g.heapGlobal)
-	default:
-		fb.GlobalGet(fg.g.heapEndG)
+		return nil
 	}
+	if name == "heap_end" {
+		fb.GlobalGet(fg.g.heapEndG)
+		return nil
+	}
+	if in, ok := intrinsics[name]; ok {
+		fb.Op(in.op)
+		return nil
+	}
+	fi, ok := fg.g.imports[name]
+	if !ok {
+		fi = fg.g.funcs[name]
+	}
+	fb.Call(fi.idx)
 	return nil
 }

@@ -28,9 +28,7 @@ type fgen struct {
 	fd *FuncDecl
 	fb *wasm.FuncBuilder
 
-	locals    []binding      // declarations in scope, in order
-	names     map[string]int // index in locals of each name's innermost binding
-	scopes    []int          // len(locals) where each open scope began
+	scopes    []map[string]localInfo
 	addressed map[string]bool
 	frameSize int
 	hasFrame  bool
@@ -48,7 +46,6 @@ func (g *gen) genFunc(fd *FuncDecl) error {
 	fi := g.funcs[fd.Name]
 	fg := &fgen{
 		g: g, fd: fd,
-		names:     map[string]int{},
 		addressed: map[string]bool{},
 		scratch:   map[wasm.ValType][]uint32{},
 	}
@@ -65,9 +62,9 @@ func (g *gen) genFunc(fd *FuncDecl) error {
 		if fg.addressed[p.Name] {
 			// Spill the parameter into the frame.
 			off := fg.allocFrame(p.Type)
-			fg.declare(p.Name, localInfo{isMem: true, off: off, t: p.Type})
+			fg.scopes[0][p.Name] = localInfo{isMem: true, off: off, t: p.Type}
 		} else {
-			fg.declare(p.Name, localInfo{local: uint32(i), t: p.Type})
+			fg.scopes[0][p.Name] = localInfo{local: uint32(i), t: p.Type}
 		}
 	}
 
@@ -85,7 +82,7 @@ func (g *gen) genFunc(fd *FuncDecl) error {
 		fg.fb.LocalTee(fg.spLocal).GlobalSet(g.spGlobal)
 		// Copy addressed params into their slots.
 		for i, p := range fd.Params {
-			li := fg.locals[i].li
+			li := fg.scopes[0][p.Name]
 			if !li.isMem {
 				continue
 			}
@@ -184,40 +181,14 @@ func (fg *fgen) allocFrame(t *Type) int {
 	return off
 }
 
-// binding is one declared name.
-type binding struct {
-	name   string
-	li     localInfo
-	shadow int // index in locals of the binding it hides, or -1
-}
-
-func (fg *fgen) pushScope() { fg.scopes = append(fg.scopes, len(fg.locals)) }
-
-func (fg *fgen) popScope() {
-	start := fg.scopes[len(fg.scopes)-1]
-	for i := len(fg.locals) - 1; i >= start; i-- {
-		if b := fg.locals[i]; b.shadow < 0 {
-			delete(fg.names, b.name)
-		} else {
-			fg.names[b.name] = b.shadow
-		}
-	}
-	fg.locals = fg.locals[:start]
-	fg.scopes = fg.scopes[:len(fg.scopes)-1]
-}
-
-func (fg *fgen) declare(name string, li localInfo) {
-	shadow, ok := fg.names[name]
-	if !ok {
-		shadow = -1
-	}
-	fg.names[name] = len(fg.locals)
-	fg.locals = append(fg.locals, binding{name, li, shadow})
-}
+func (fg *fgen) pushScope() { fg.scopes = append(fg.scopes, map[string]localInfo{}) }
+func (fg *fgen) popScope()  { fg.scopes = fg.scopes[:len(fg.scopes)-1] }
 
 func (fg *fgen) lookup(name string) (localInfo, bool) {
-	if i, ok := fg.names[name]; ok {
-		return fg.locals[i].li, true
+	for i := len(fg.scopes) - 1; i >= 0; i-- {
+		if li, ok := fg.scopes[i][name]; ok {
+			return li, true
+		}
 	}
 	return localInfo{}, false
 }
@@ -385,7 +356,7 @@ func (fg *fgen) declStmt(s *Stmt) error {
 	} else {
 		li.local = fg.fb.AddLocal(fg.g.valType(t))
 	}
-	fg.declare(s.DeclName, li)
+	fg.scopes[len(fg.scopes)-1][s.DeclName] = li
 	if s.DeclInit == nil {
 		return nil
 	}

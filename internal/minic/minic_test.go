@@ -493,6 +493,7 @@ func TestCompileErrors(t *testing.T) {
 		`int f(int a) { return a; } int main() { int (*p)(int); p = f; p++; return (int)(p - f); }`,
 		`int main() { double d = 2.0; return d << 1; }`,
 		`int main() { double d = 2.0; return (int)~d; }`,
+		`int f(int a) { return a; } int main() { return sizeof(f); }`,
 	}
 	for _, src := range cases {
 		if _, err := minic.Compile(src, minic.ABI32); err == nil {

@@ -56,8 +56,14 @@ func (fg *fgen) typeNode(e *Expr) (*Type, error) {
 	case "str":
 		return &Type{Kind: TArray, Elem: tyChar, N: len(e.Sval) + 1}, nil
 	case "sizeof":
-		if e.X != nil {
-			return tyInt, fg.resolve(e.X)
+		if e.X == nil {
+			return tyInt, nil
+		}
+		if err := fg.resolve(e.X); err != nil {
+			return nil, err
+		}
+		if e.X.typ.Kind == TFunc {
+			return nil, fg.errf(e.Line, "sizeof of a function")
 		}
 		return tyInt, nil
 	case "cast":
@@ -237,17 +243,21 @@ func (e *Expr) value() *Type {
 }
 
 // directCall returns the signature of the function a call names directly:
-// an intrinsic, a syscall or a defined function, which take precedence in
-// that order over one another and over variables of the same name.
+// a heap global reader, an intrinsic, a syscall or a defined function, which
+// take precedence in that order over one another and over variables of the
+// same name.
 func (g *gen) directCall(e *Expr) (*FuncSig, bool) {
 	if e.X.Op != "var" {
 		return nil, false
 	}
+	if e.X.Name == "heap_base" || e.X.Name == "heap_end" {
+		return sigInt, true
+	}
 	if in, ok := intrinsics[e.X.Name]; ok {
 		return in.sig, true
 	}
-	if idx, ok := g.imports[e.X.Name]; ok {
-		return syscallImports[idx].sig, true
+	if fi, ok := g.imports[e.X.Name]; ok {
+		return fi.sig, true
 	}
 	if fi, ok := g.funcs[e.X.Name]; ok {
 		return fi.sig, true
