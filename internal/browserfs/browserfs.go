@@ -139,7 +139,7 @@ func (fs *FS) Create(p string) (*Inode, error) {
 		if ino.Mode.IsDir() {
 			return nil, ErrIsDir
 		}
-		ino.size = 0
+		ino.Truncate(0)
 		return ino, nil
 	}
 	ino := &Inode{}
@@ -338,12 +338,16 @@ func (ino *Inode) WriteAt(buf []byte, off int64, policy GrowthPolicy) int {
 	return len(buf)
 }
 
-// Truncate sets the file size.
+// Truncate sets the file size. Bytes past the size are kept zero, so a
+// later extension or a write past the end reads zeros in the gap, not the
+// bytes the truncation cut off.
 func (ino *Inode) Truncate(n int64) {
 	if int(n) > len(ino.data) {
 		nd := make([]byte, n)
 		copy(nd, ino.data[:ino.size])
 		ino.data = nd
+	} else if int(n) < ino.size {
+		clear(ino.data[n:ino.size])
 	}
 	ino.size = int(n)
 }

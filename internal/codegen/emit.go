@@ -229,13 +229,9 @@ func (e *emitter) emitFunc() error {
 			// Chrome's loop shape: the back edge lands on a reload point
 			// that the entry path jumps over (Figure 7c lines 5-10).
 			after := e.newLabel()
-			// The bind above is the back-edge target; move it: rebind a
-			// fresh label as the block label target... The block label is
-			// already bound here; emit the entry jump inside instead.
 			e.emitNote(x86.Inst{Op: x86.OJmp, Target: after}, "loop entry")
 			e.emitNote(x86.Inst{Op: x86.ONop}, "reload point")
 			e.prog.Bind(after)
-			_ = after
 		}
 		if err := e.emitBlock(b, bi); err != nil {
 			return fmt.Errorf("%s b%d: %w", f.Name, b.ID, err)

@@ -11,10 +11,12 @@ package cpu
 // dense handler kind that already encodes the operand shape — register,
 // immediate, or memory — plus pre-resolved register numbers (XMM registers
 // pre-offset to their array index), a pre-extracted effective-address
-// template, and the precomputed instruction-cache line number. Shapes the
-// decoder does not specialize fall back to uSlow, which executes the
-// original instruction through the legacy interpreter with identical
-// semantics.
+// template, and the precomputed instruction-cache line number.
+//
+// A micro-op kind exists only for a shape the compiler emits for the
+// benchmark programs (TestUopKindsMatchWorkloads pins both directions).
+// Every other shape decodes to uSlow, which executes the original
+// instruction through the legacy interpreter with identical semantics.
 
 import (
 	"sync"
@@ -29,55 +31,36 @@ type uopKind uint8
 const (
 	uSlow uopKind = iota // fallback: legacy-interpret Prog.Code[rip]
 	uNop
-	uMovRR     // gp <- gp
-	uMovRI     // gp <- imm
-	uMovLoad   // gp <- [ea]
-	uMovStore  // [ea] <- gp
-	uMovStoreI // [ea] <- imm
-	uExtR      // gp <- zx/sx(gp), alu = ext mode
-	uExtM      // gp <- zx/sx([ea])
-	uLea       // gp <- ea
-	uAluRR     // gp <- gp op gp, alu = aluAdd..aluImul
-	uAluRI     // gp <- gp op imm
-	uAluRM     // gp <- gp op [ea]
-	uAluMR     // [ea] <- [ea] op gp
-	uAluMI     // [ea] <- [ea] op imm
-	uShiftR    // gp <- gp shift cl-style reg, alu = shfShl..shfRor
-	uShiftI    // gp <- gp shift imm (count pre-masked)
-	uNegR
-	uNotR
-	uBitR // bsr/bsf/popcnt gp src, alu = bitBsr..bitPopcnt
-	uBitM
+	uMovRR    // gp <- gp
+	uMovRI    // gp <- imm
+	uMovStore // [ea] <- gp, widths 1 and 2 (4 and 8 are uMovStore32/64)
+	uExtR     // gp <- zx/sx(gp), alu = ext mode
+	uExtM     // gp <- zx/sx([ea])
+	uAluRR    // gp <- gp op gp, alu = aluAdd..aluImul
+	uAluRI    // gp <- gp op imm
+	uAluRM    // gp <- gp op [ea]
+	uAluMI    // [ea] <- [ea] op imm
+	uShiftR   // gp <- gp shift cl-style reg, alu = shfShl..shfRor
+	uShiftI   // gp <- gp shift imm (count pre-masked)
 	uCdq
 	uDivR // divisor in gp, alu = 1 for signed
-	uDivM // divisor in [ea]
 	uCmpRR
 	uCmpRI
 	uCmpRM
-	uCmpMR
-	uCmpMI
 	uTestRR
-	uTestRI
 	uSet
 	uCmovRR
-	uCmovRM
 	uJmp
 	uJcc
-	uJmpTable
 	uCall
 	uCallR // target in gp
-	uCallM // target in [ea]
 	uRet
 	uPushR
-	uPushI
-	uPushM
 	uPop
 	uUd2
 	uCallHost
-	uMovsdRR    // xmm <- xmm
-	uMovsdLoad  // xmm <- [ea]
-	uMovsdStore // [ea] <- xmm
-	uFAluRR     // xmm <- xmm fop xmm, alu = fAdd..fMax
+	uMovsdRR // xmm <- xmm
+	uFAluRR  // xmm <- xmm fop xmm, alu = fAdd..fMax
 	uFAluRM
 	uSqrtR
 	uSqrtM
@@ -87,27 +70,17 @@ const (
 	uCvtSI2SDM
 	uCvtTSD2SIR // alu = source float width
 	uCvtTSD2SIM
-	uCvtSD2SSR
-	uCvtSD2SSM
-	uCvtSS2SDR
-	uCvtSS2SDM
-	uMovqXR  // xmm <- gp bits
-	uMovqRX  // gp <- xmm bits
 	uLogicXX // andpd/xorpd, alu = 0 and / 1 xor
 	uLogicXM
-	uRoundR // alu = rounding mode
-	uRoundM
 
-	// Width-specialized variants of the four hottest memory kinds. Their
+	// Width-specialized variants of the hottest memory kinds. Their
 	// dispatch arms inline the whole linear-memory fast path: bounds check,
 	// load/store counter, dcache memo, and the fixed-width access.
 	uMovLoad32
 	uMovLoad64
 	uMovStore32
 	uMovStore64
-	uFLoad32
 	uFLoad64
-	uFStore32
 	uFStore64
 
 	// Macro-fused compare-and-branch kinds (see fusePairs): the flag-setting
@@ -148,13 +121,6 @@ const (
 	extSXD
 )
 
-// Bit-scan sub-operations.
-const (
-	bitBsr = iota
-	bitBsf
-	bitPopcnt
-)
-
 // Float ALU sub-operations.
 const (
 	fAdd = iota
@@ -174,7 +140,7 @@ const (
 // field, which is unused by conditional jumps.
 type uop struct {
 	kind  uopKind
-	alu   uint8 // sub-operation / ext mode / source width / rounding mode
+	alu   uint8 // sub-operation / ext mode / source width
 	w     uint8
 	cc    x86.CC
 	dst   uint8 // destination register (XMM pre-offset to 0-15)
@@ -185,7 +151,7 @@ type uop struct {
 	uns   bool   // unsigned conversion variant
 	line  uint32 // precomputed icache line (addr >> 6)
 	disp  int32
-	tgt   int32  // branch target index / jump-table index / host-function id
+	tgt   int32  // branch target index / host-function id
 	imm   uint64 // immediate / branch address for uJcc
 }
 
@@ -253,13 +219,11 @@ func decodeInst(in *x86.Inst, u *uop) {
 		case isGP(dst) && src.Kind == x86.KImm:
 			u.kind, u.dst = uMovRI, uint8(dst.Reg)
 			u.imm = movImm(uint64(src.Imm), in.W)
-		case isGP(dst) && src.Kind == x86.KMem:
-			u.kind, u.dst = uMovLoad, uint8(dst.Reg)
-			if in.W == 8 {
-				u.kind = uMovLoad64
-			} else if in.W == 4 {
-				u.kind = uMovLoad32
-			}
+		case isGP(dst) && src.Kind == x86.KMem && in.W == 8:
+			u.kind, u.dst = uMovLoad64, uint8(dst.Reg)
+			u.setEA(&src.Mem)
+		case isGP(dst) && src.Kind == x86.KMem && in.W == 4:
+			u.kind, u.dst = uMovLoad32, uint8(dst.Reg)
 			u.setEA(&src.Mem)
 		case dst.Kind == x86.KMem && isGP(src):
 			u.kind, u.src = uMovStore, uint8(src.Reg)
@@ -268,9 +232,6 @@ func decodeInst(in *x86.Inst, u *uop) {
 			} else if in.W == 4 {
 				u.kind = uMovStore32
 			}
-			u.setEA(&dst.Mem)
-		case dst.Kind == x86.KMem && src.Kind == x86.KImm:
-			u.kind, u.imm = uMovStoreI, uint64(src.Imm)
 			u.setEA(&dst.Mem)
 		}
 
@@ -301,12 +262,6 @@ func decodeInst(in *x86.Inst, u *uop) {
 			u.setEA(&src.Mem)
 		}
 
-	case x86.OLea:
-		if isGP(dst) && src.Kind == x86.KMem {
-			u.kind, u.dst = uLea, uint8(dst.Reg)
-			u.setEA(&src.Mem)
-		}
-
 	case x86.OAdd, x86.OSub, x86.OAnd, x86.OOr, x86.OXor, x86.OImul:
 		switch in.Op {
 		case x86.OAdd:
@@ -330,9 +285,6 @@ func decodeInst(in *x86.Inst, u *uop) {
 		case isGP(dst) && src.Kind == x86.KMem:
 			u.kind, u.dst = uAluRM, uint8(dst.Reg)
 			u.setEA(&src.Mem)
-		case dst.Kind == x86.KMem && isGP(src):
-			u.kind, u.src = uAluMR, uint8(src.Reg)
-			u.setEA(&dst.Mem)
 		case dst.Kind == x86.KMem && src.Kind == x86.KImm:
 			u.kind, u.imm = uAluMI, uint64(src.Imm)
 			u.setEA(&dst.Mem)
@@ -363,32 +315,6 @@ func decodeInst(in *x86.Inst, u *uop) {
 			}
 		}
 
-	case x86.ONeg:
-		if isGP(dst) {
-			u.kind, u.dst = uNegR, uint8(dst.Reg)
-		}
-	case x86.ONot:
-		if isGP(dst) {
-			u.kind, u.dst = uNotR, uint8(dst.Reg)
-		}
-
-	case x86.OBsr, x86.OBsf, x86.OPopcnt:
-		switch in.Op {
-		case x86.OBsr:
-			u.alu = bitBsr
-		case x86.OBsf:
-			u.alu = bitBsf
-		case x86.OPopcnt:
-			u.alu = bitPopcnt
-		}
-		switch {
-		case isGP(dst) && isGP(src):
-			u.kind, u.dst, u.src = uBitR, uint8(dst.Reg), uint8(src.Reg)
-		case isGP(dst) && src.Kind == x86.KMem:
-			u.kind, u.dst = uBitM, uint8(dst.Reg)
-			u.setEA(&src.Mem)
-		}
-
 	case x86.OCdq:
 		u.kind = uCdq
 
@@ -396,12 +322,8 @@ func decodeInst(in *x86.Inst, u *uop) {
 		if in.Op == x86.OIdiv {
 			u.alu = 1
 		}
-		switch {
-		case isGP(dst):
+		if isGP(dst) {
 			u.kind, u.dst = uDivR, uint8(dst.Reg)
-		case dst.Kind == x86.KMem:
-			u.kind = uDivM
-			u.setEA(&dst.Mem)
 		}
 
 	case x86.OCmp:
@@ -413,20 +335,11 @@ func decodeInst(in *x86.Inst, u *uop) {
 		case isGP(dst) && src.Kind == x86.KMem:
 			u.kind, u.dst = uCmpRM, uint8(dst.Reg)
 			u.setEA(&src.Mem)
-		case dst.Kind == x86.KMem && isGP(src):
-			u.kind, u.src = uCmpMR, uint8(src.Reg)
-			u.setEA(&dst.Mem)
-		case dst.Kind == x86.KMem && src.Kind == x86.KImm:
-			u.kind, u.imm = uCmpMI, uint64(src.Imm)
-			u.setEA(&dst.Mem)
 		}
 
 	case x86.OTest:
-		switch {
-		case isGP(dst) && isGP(src):
+		if isGP(dst) && isGP(src) {
 			u.kind, u.dst, u.src = uTestRR, uint8(dst.Reg), uint8(src.Reg)
-		case isGP(dst) && src.Kind == x86.KImm:
-			u.kind, u.dst, u.imm = uTestRI, uint8(dst.Reg), uint64(src.Imm)
 		}
 
 	case x86.OSet:
@@ -435,12 +348,8 @@ func decodeInst(in *x86.Inst, u *uop) {
 		}
 
 	case x86.OCmov:
-		switch {
-		case isGP(dst) && isGP(src):
+		if isGP(dst) && isGP(src) {
 			u.kind, u.dst, u.src = uCmovRR, uint8(dst.Reg), uint8(src.Reg)
-		case isGP(dst) && src.Kind == x86.KMem:
-			u.kind, u.dst = uCmovRM, uint8(dst.Reg)
-			u.setEA(&src.Mem)
 		}
 
 	case x86.OJmp:
@@ -448,32 +357,17 @@ func decodeInst(in *x86.Inst, u *uop) {
 	case x86.OJcc:
 		u.kind = uJcc
 		u.imm = uint64(in.Addr) // branch-predictor index
-	case x86.OJmpTable:
-		// u.tgt, taken from Target, indexes Program.Tables.
-		if isGP(dst) {
-			u.kind, u.dst = uJmpTable, uint8(dst.Reg)
-		}
 	case x86.OCall:
 		u.kind = uCall
 	case x86.OCallR:
-		switch {
-		case isGP(dst):
+		if isGP(dst) {
 			u.kind, u.dst = uCallR, uint8(dst.Reg)
-		case dst.Kind == x86.KMem:
-			u.kind = uCallM
-			u.setEA(&dst.Mem)
 		}
 	case x86.ORet:
 		u.kind = uRet
 	case x86.OPush:
-		switch {
-		case isGP(dst):
+		if isGP(dst) {
 			u.kind, u.src = uPushR, uint8(dst.Reg)
-		case dst.Kind == x86.KImm:
-			u.kind, u.imm = uPushI, uint64(dst.Imm)
-		case dst.Kind == x86.KMem:
-			u.kind = uPushM
-			u.setEA(&dst.Mem)
 		}
 	case x86.OPop:
 		if isGP(dst) {
@@ -489,21 +383,11 @@ func decodeInst(in *x86.Inst, u *uop) {
 		switch {
 		case isXMM(dst) && isXMM(src):
 			u.kind, u.dst, u.src = uMovsdRR, uint8(dst.Reg-x86.XMM0), uint8(src.Reg-x86.XMM0)
-		case isXMM(dst) && src.Kind == x86.KMem:
-			u.kind, u.dst = uMovsdLoad, uint8(dst.Reg-x86.XMM0)
-			if in.W == 8 {
-				u.kind = uFLoad64
-			} else if in.W == 4 {
-				u.kind = uFLoad32
-			}
+		case isXMM(dst) && src.Kind == x86.KMem && in.W == 8:
+			u.kind, u.dst = uFLoad64, uint8(dst.Reg-x86.XMM0)
 			u.setEA(&src.Mem)
-		case dst.Kind == x86.KMem && isXMM(src):
-			u.kind, u.src = uMovsdStore, uint8(src.Reg-x86.XMM0)
-			if in.W == 8 {
-				u.kind = uFStore64
-			} else if in.W == 4 {
-				u.kind = uFStore32
-			}
+		case dst.Kind == x86.KMem && isXMM(src) && in.W == 8:
+			u.kind, u.src = uFStore64, uint8(src.Reg-x86.XMM0)
 			u.setEA(&dst.Mem)
 		}
 
@@ -571,31 +455,6 @@ func decodeInst(in *x86.Inst, u *uop) {
 			u.setEA(&src.Mem)
 		}
 
-	case x86.OCvtsd2ss:
-		switch {
-		case isXMM(dst) && isXMM(src):
-			u.kind, u.dst, u.src = uCvtSD2SSR, uint8(dst.Reg-x86.XMM0), uint8(src.Reg-x86.XMM0)
-		case isXMM(dst) && src.Kind == x86.KMem:
-			u.kind, u.dst = uCvtSD2SSM, uint8(dst.Reg-x86.XMM0)
-			u.setEA(&src.Mem)
-		}
-	case x86.OCvtss2sd:
-		switch {
-		case isXMM(dst) && isXMM(src):
-			u.kind, u.dst, u.src = uCvtSS2SDR, uint8(dst.Reg-x86.XMM0), uint8(src.Reg-x86.XMM0)
-		case isXMM(dst) && src.Kind == x86.KMem:
-			u.kind, u.dst = uCvtSS2SDM, uint8(dst.Reg-x86.XMM0)
-			u.setEA(&src.Mem)
-		}
-
-	case x86.OMovq:
-		switch {
-		case isXMM(dst) && isGP(src):
-			u.kind, u.dst, u.src = uMovqXR, uint8(dst.Reg-x86.XMM0), uint8(src.Reg)
-		case isGP(dst) && isXMM(src):
-			u.kind, u.dst, u.src = uMovqRX, uint8(dst.Reg), uint8(src.Reg-x86.XMM0)
-		}
-
 	case x86.OAndpd, x86.OXorpd:
 		if in.Op == x86.OXorpd {
 			u.alu = 1
@@ -605,16 +464,6 @@ func decodeInst(in *x86.Inst, u *uop) {
 			u.kind, u.dst, u.src = uLogicXX, uint8(dst.Reg-x86.XMM0), uint8(src.Reg-x86.XMM0)
 		case isXMM(dst) && src.Kind == x86.KMem:
 			u.kind, u.dst = uLogicXM, uint8(dst.Reg-x86.XMM0)
-			u.setEA(&src.Mem)
-		}
-
-	case x86.ORound:
-		u.alu = uint8(in.Target)
-		switch {
-		case isXMM(dst) && isXMM(src):
-			u.kind, u.dst, u.src = uRoundR, uint8(dst.Reg-x86.XMM0), uint8(src.Reg-x86.XMM0)
-		case isXMM(dst) && src.Kind == x86.KMem:
-			u.kind, u.dst = uRoundM, uint8(dst.Reg-x86.XMM0)
 			u.setEA(&src.Mem)
 		}
 	}

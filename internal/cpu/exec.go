@@ -183,25 +183,9 @@ func run[T tier](m *Machine) error {
 				m.Regs[u.dst] = u.imm
 				rip++
 
-			case uMovLoad:
-				m.rip = rip
-				var v uint64
-				if v, err = m.load(m.uea(u), u.w); err != nil {
-					break chunk
-				}
-				m.Regs[u.dst] = v
-				rip++
-
 			case uMovStore:
 				m.rip = rip
 				if err = m.store(m.uea(u), u.w, m.Regs[u.src]); err != nil {
-					break chunk
-				}
-				rip++
-
-			case uMovStoreI:
-				m.rip = rip
-				if err = m.store(m.uea(u), u.w, u.imm); err != nil {
 					break chunk
 				}
 				rip++
@@ -244,14 +228,6 @@ func run[T tier](m *Machine) error {
 				m.Regs[u.dst] = v
 				rip++
 
-			case uLea:
-				v := uint64(m.uea(u))
-				if u.w == 4 {
-					v = uint64(uint32(v))
-				}
-				m.Regs[u.dst] = v
-				rip++
-
 			case uAluRR:
 				m.Regs[u.dst] = aluOp[T](m, u, m.Regs[u.dst], m.Regs[u.src])
 				rip++
@@ -282,18 +258,14 @@ func run[T tier](m *Machine) error {
 				m.Regs[u.dst] = aluOp[T](m, u, m.Regs[u.dst], b)
 				rip++
 
-			case uAluMR, uAluMI:
+			case uAluMI:
 				m.rip = rip
 				ea := m.uea(u)
-				b := u.imm
-				if u.kind == uAluMR {
-					b = m.Regs[u.src]
-				}
 				var a uint64
 				if a, err = m.load(ea, u.w); err != nil {
 					break chunk
 				}
-				if err = m.store(ea, u.w, aluOp[T](m, u, a, b)); err != nil {
+				if err = m.store(ea, u.w, aluOp[T](m, u, a, u.imm)); err != nil {
 					break chunk
 				}
 				rip++
@@ -312,35 +284,6 @@ func run[T tier](m *Machine) error {
 				m.Regs[u.dst] = shiftOp(u, m.Regs[u.dst], uint(u.imm))
 				rip++
 
-			case uNegR:
-				v := -m.Regs[u.dst]
-				if u.w == 4 {
-					v = uint64(uint32(v))
-				}
-				m.Regs[u.dst] = v
-				rip++
-
-			case uNotR:
-				v := ^m.Regs[u.dst]
-				if u.w == 4 {
-					v = uint64(uint32(v))
-				}
-				m.Regs[u.dst] = v
-				rip++
-
-			case uBitR:
-				m.Regs[u.dst] = bitOp(u, m.Regs[u.src])
-				rip++
-
-			case uBitM:
-				m.rip = rip
-				var v uint64
-				if v, err = m.load(m.uea(u), u.w); err != nil {
-					break chunk
-				}
-				m.Regs[u.dst] = bitOp(u, v)
-				rip++
-
 			case uCdq:
 				m.execCdq(u.w)
 				rip++
@@ -350,17 +293,6 @@ func run[T tier](m *Machine) error {
 				d := m.Regs[u.dst]
 				if u.w == 4 {
 					d = uint64(uint32(d))
-				}
-				if err = m.execDiv(d, u.w, u.alu == 1); err != nil {
-					break chunk
-				}
-				rip++
-
-			case uDivM:
-				m.rip = rip
-				var d uint64
-				if d, err = m.load(m.uea(u), u.w); err != nil {
-					break chunk
 				}
 				if err = m.execDiv(d, u.w, u.alu == 1); err != nil {
 					break chunk
@@ -397,25 +329,8 @@ func run[T tier](m *Machine) error {
 				m.setCmpFlags(m.Regs[u.dst], b, u.w)
 				rip++
 
-			case uCmpMR, uCmpMI:
-				m.rip = rip
-				b := u.imm
-				if u.kind == uCmpMR {
-					b = m.Regs[u.src]
-				}
-				var a uint64
-				if a, err = m.load(m.uea(u), u.w); err != nil {
-					break chunk
-				}
-				m.setCmpFlags(a, b, u.w)
-				rip++
-
 			case uTestRR:
 				m.setTestFlags(m.Regs[u.dst], m.Regs[u.src], u.w)
-				rip++
-
-			case uTestRI:
-				m.setTestFlags(m.Regs[u.dst], u.imm, u.w)
 				rip++
 
 			case uSet:
@@ -432,18 +347,6 @@ func run[T tier](m *Machine) error {
 					if u.w == 4 {
 						v = uint64(uint32(v))
 					}
-					m.Regs[u.dst] = v
-				}
-				rip++
-
-			case uCmovRM:
-				// cmov with a memory source performs the load either way.
-				m.rip = rip
-				var v uint64
-				if v, err = m.load(m.uea(u), u.w); err != nil {
-					break chunk
-				}
-				if m.cc(u.cc) {
 					m.Regs[u.dst] = v
 				}
 				rip++
@@ -473,32 +376,13 @@ func run[T tier](m *Machine) error {
 					rip++
 				}
 
-			case uJmpTable:
-				targets := m.Prog.Tables[u.tgt]
-				idx := int(uint32(m.Regs[u.dst]))
-				if idx < 0 || idx >= len(targets) {
-					err = &TrapError{Msg: "jump table index out of range", PC: rip}
-					break chunk
-				}
-				m.Counters.Loads++ // table entry fetch
-				m.Counters.Branches++
-				charge[T](m, qLoad+qBranch)
-				rip = targets[idx]
-
-			case uCall, uCallR, uCallM:
+			case uCall, uCallR:
 				t := uint64(u.tgt)
-				switch u.kind {
-				case uCallR:
-					t = m.Regs[u.dst]
-				case uCallM:
-					m.rip = rip
-					if t, err = m.load(m.uea(u), 8); err != nil {
+				if u.kind == uCallR {
+					if t = m.Regs[u.dst]; t >= uint64(len(ops)) {
+						err = &TrapError{Msg: "indirect call to invalid target", PC: rip}
 						break chunk
 					}
-				}
-				if u.kind != uCall && t >= uint64(len(ops)) {
-					err = &TrapError{Msg: "indirect call to invalid target", PC: rip}
-					break chunk
 				}
 				m.Regs[x86.RSP] -= 8
 				a := uint32(m.Regs[x86.RSP])
@@ -559,20 +443,6 @@ func run[T tier](m *Machine) error {
 				}
 				rip++
 
-			case uPushI, uPushM:
-				m.rip = rip
-				v := u.imm
-				if u.kind == uPushM {
-					if v, err = m.load(m.uea(u), 8); err != nil {
-						break chunk
-					}
-				}
-				m.Regs[x86.RSP] -= 8
-				if err = m.store(uint32(m.Regs[x86.RSP]), 8, v); err != nil {
-					break chunk
-				}
-				rip++
-
 			case uPop:
 				a := uint32(m.Regs[x86.RSP])
 				var v uint64
@@ -614,22 +484,6 @@ func run[T tier](m *Machine) error {
 
 			case uMovsdRR:
 				m.Xmm[u.dst] = m.Xmm[u.src]
-				rip++
-
-			case uMovsdLoad:
-				m.rip = rip
-				var v uint64
-				if v, err = m.load(m.uea(u), u.w); err != nil {
-					break chunk
-				}
-				m.Xmm[u.dst] = v
-				rip++
-
-			case uMovsdStore:
-				m.rip = rip
-				if err = m.store(m.uea(u), u.w, m.Xmm[u.src]); err != nil {
-					break chunk
-				}
 				rip++
 
 			case uFAluRR:
@@ -722,52 +576,6 @@ func run[T tier](m *Machine) error {
 				m.Regs[u.dst] = r
 				rip++
 
-			case uCvtSD2SSR:
-				charge[T](m, qCvt)
-				m.Xmm[u.dst] = cvtSD2SS(m.Xmm[u.src])
-				rip++
-
-			case uCvtSD2SSM:
-				m.rip = rip
-				var bv uint64
-				if bv, err = m.load(m.uea(u), 8); err != nil {
-					break chunk
-				}
-				charge[T](m, qCvt)
-				m.Xmm[u.dst] = cvtSD2SS(bv)
-				rip++
-
-			case uCvtSS2SDR:
-				charge[T](m, qCvt)
-				m.Xmm[u.dst] = cvtSS2SD(m.Xmm[u.src])
-				rip++
-
-			case uCvtSS2SDM:
-				m.rip = rip
-				var bv uint64
-				if bv, err = m.load(m.uea(u), 4); err != nil {
-					break chunk
-				}
-				charge[T](m, qCvt)
-				m.Xmm[u.dst] = cvtSS2SD(bv)
-				rip++
-
-			case uMovqXR:
-				v := m.Regs[u.src]
-				if u.w == 4 {
-					v = uint64(uint32(v))
-				}
-				m.Xmm[u.dst] = v
-				rip++
-
-			case uMovqRX:
-				v := m.Xmm[u.src]
-				if u.w == 4 {
-					v = uint64(uint32(v))
-				}
-				m.Regs[u.dst] = v
-				rip++
-
 			case uLogicXX, uLogicXM:
 				b := m.Xmm[u.src]
 				if u.kind == uLogicXM {
@@ -781,21 +589,6 @@ func run[T tier](m *Machine) error {
 				} else {
 					m.Xmm[u.dst] ^= b
 				}
-				rip++
-
-			case uRoundR:
-				charge[T](m, qCvt)
-				m.Xmm[u.dst] = bitsOf(roundMode(f64of(m.Xmm[u.src], u.w), u.alu), u.w)
-				rip++
-
-			case uRoundM:
-				m.rip = rip
-				var bv uint64
-				if bv, err = m.load(m.uea(u), u.w); err != nil {
-					break chunk
-				}
-				charge[T](m, qCvt)
-				m.Xmm[u.dst] = bitsOf(roundMode(f64of(bv, u.w), u.alu), u.w)
 				rip++
 
 			// Width-specialized memory kinds: the whole linear-memory fast
@@ -889,24 +682,6 @@ func run[T tier](m *Machine) error {
 				}
 				rip++
 
-			case uFLoad32:
-				a := m.uea(u)
-				if s, off, ok := m.fastSlab(a, 4); ok {
-					m.Counters.Loads++
-					if exact {
-						m.dtouch(a)
-					}
-					m.Xmm[u.dst] = uint64(binary.LittleEndian.Uint32(s[off:]))
-				} else {
-					m.rip = rip
-					var v uint64
-					if v, err = m.load(a, 4); err != nil {
-						break chunk
-					}
-					m.Xmm[u.dst] = v
-				}
-				rip++
-
 			case uFStore64:
 				a := m.uea(u)
 				if s, off, ok := m.fastSlab(a, 8); ok {
@@ -918,22 +693,6 @@ func run[T tier](m *Machine) error {
 				} else {
 					m.rip = rip
 					if err = m.store(a, 8, m.Xmm[u.src]); err != nil {
-						break chunk
-					}
-				}
-				rip++
-
-			case uFStore32:
-				a := m.uea(u)
-				if s, off, ok := m.fastSlab(a, 4); ok {
-					m.Counters.Stores++
-					if exact {
-						m.dtouch(a)
-					}
-					binary.LittleEndian.PutUint32(s[off:], uint32(m.Xmm[u.src]))
-				} else {
-					m.rip = rip
-					if err = m.store(a, 4, m.Xmm[u.src]); err != nil {
 						break chunk
 					}
 				}
@@ -1083,27 +842,6 @@ func extend(v uint64, mode uint8) uint64 {
 		return uint64(int64(int16(v)))
 	default: // extSXD
 		return uint64(int64(int32(uint32(v))))
-	}
-}
-
-// bitOp applies bsr/bsf/popcnt (modeled as lzcnt/tzcnt/popcnt).
-func bitOp(u *uop, v uint64) uint64 {
-	switch u.alu {
-	case bitBsr:
-		if u.w == 4 {
-			return uint64(bits.LeadingZeros32(uint32(v)))
-		}
-		return uint64(bits.LeadingZeros64(v))
-	case bitBsf:
-		if u.w == 4 {
-			return uint64(bits.TrailingZeros32(uint32(v)))
-		}
-		return uint64(bits.TrailingZeros64(v))
-	default: // bitPopcnt
-		if u.w == 4 {
-			return uint64(bits.OnesCount32(uint32(v)))
-		}
-		return uint64(bits.OnesCount64(v))
 	}
 }
 

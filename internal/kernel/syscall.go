@@ -118,12 +118,9 @@ func sysOpen(p *Process, a [4]uint32) (int32, error) {
 	fs := p.Kernel.FS
 	var ino *browserfs.Inode
 	var ferr error
-	switch {
-	case flags&OCreat != 0 && flags&OTrunc != 0:
-		ino, ferr = fs.Create(path)
-	case flags&OCreat != 0:
+	if flags&OCreat != 0 {
 		ino, ferr = fs.OpenOrCreate(path)
-	default:
+	} else {
 		ino, ferr = fs.Open(path)
 	}
 	if ferr != nil {
@@ -131,6 +128,9 @@ func sysOpen(p *Process, a [4]uint32) (int32, error) {
 	}
 	if ino.Mode.IsDir() {
 		return errno(browserfs.ErrIsDir), nil
+	}
+	if flags&OTrunc != 0 {
+		ino.Truncate(0)
 	}
 	fd := p.installFD(NewFileFD(fs, ino, flags&OAppend != 0))
 	return int32(fd), nil

@@ -93,13 +93,3 @@ func Int(p []byte, bits uint) (int64, int, error) {
 	}
 	return 0, 0, io.ErrUnexpectedEOF
 }
-
-// UintSize reports the number of bytes AppendUint would emit for v.
-func UintSize(v uint64) int {
-	n := 1
-	for v >= 0x80 {
-		v >>= 7
-		n++
-	}
-	return n
-}

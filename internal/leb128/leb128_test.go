@@ -16,9 +16,6 @@ func TestUintRoundTrip(t *testing.T) {
 		if got != v || n != len(b) {
 			t.Errorf("round trip %d: got %d (n=%d, len=%d)", v, got, n, len(b))
 		}
-		if n != UintSize(v) {
-			t.Errorf("UintSize(%d) = %d, want %d", v, UintSize(v), n)
-		}
 	}
 }
 

@@ -398,7 +398,11 @@ func (fg *fgen) expr(e *Expr) error {
 		if err := fg.cond(e.X); err != nil {
 			return err
 		}
-		fb.If(wasm.BlockOf(fg.g.valType(e.typ)))
+		bt := wasm.BlockVoid
+		if e.typ.Kind != TVoid {
+			bt = wasm.BlockOf(fg.g.valType(e.typ))
+		}
+		fb.If(bt)
 		if err := fg.exprTo(e.Y, e.typ, e.Line); err != nil {
 			return err
 		}

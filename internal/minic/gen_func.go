@@ -193,13 +193,6 @@ func (fg *fgen) lookup(name string) (localInfo, bool) {
 	return localInfo{}, false
 }
 
-// frameOffsets tracks allocation during generation: the prescan sized the
-// whole frame; generation re-allocates in the same order. To keep offsets
-// consistent we simply allocate fresh slots during generation too, but from
-// a second counter bounded by frameSize.
-// (allocFrame is reused; prescan and gen walk declarations in identical
-// order, so offsets line up.)
-
 func (fg *fgen) errf(line int, format string, args ...any) error {
 	return fmt.Errorf("minic: line %d (%s): %s", line, fg.fd.Name, fmt.Sprintf(format, args...))
 }

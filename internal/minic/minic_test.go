@@ -475,6 +475,40 @@ int main() {
 	runAll(t, src, "5\n1\n4\n", 0)
 }
 
+// TestConditionalArms runs ?: forms whose arms differ in type: two void
+// arms as a discarded statement, where only the chosen arm's side effect
+// happens, and a literal 0 opposite a pointer arm, which is that pointer
+// type's null.
+func TestConditionalArms(t *testing.T) {
+	src := `
+struct S { int x; };
+struct S s;
+int g;
+void f() { g = g * 10 + 1; }
+void h() { g = g * 10 + 2; }
+int main() {
+  struct S *p = &s;
+  int c = 1;
+  c ? f() : h();
+  c = 0;
+  c ? f() : h();
+  print_int(g); print_nl();
+  s.x = 7;
+  print_int((c ? 0 : p)->x + (!c ? p : 0)->x); print_nl();
+  print_int((c ? p : 0) == 0); print_nl();
+  return 0;
+}`
+	for _, cfg := range []*codegen.EngineConfig{codegen.Native(), codegen.Chrome()} {
+		res, err := pipeline.Do(context.Background(), &pipeline.Request{Module: src, Config: cfg})
+		if err != nil {
+			t.Fatalf("%s: %v", cfg.Name, err)
+		}
+		if want := "12\n14\n1\n"; res.Stdout != want || res.ExitCode != 0 {
+			t.Errorf("%s: stdout %q exit %d, want %q exit 0", cfg.Name, res.Stdout, res.ExitCode, want)
+		}
+	}
+}
+
 func TestCompileErrors(t *testing.T) {
 	cases := []string{
 		`int main() { return x; }`,
@@ -494,6 +528,8 @@ func TestCompileErrors(t *testing.T) {
 		`int main() { double d = 2.0; return d << 1; }`,
 		`int main() { double d = 2.0; return (int)~d; }`,
 		`int f(int a) { return a; } int main() { return sizeof(f); }`,
+		`void f() {} void h() {} int main() { int c = 1; int x = c ? f() : h(); return x; }`,
+		`struct S { int x; }; struct S s; int main() { struct S *p = &s; int c = 1; return (c ? p : 1)->x; }`,
 	}
 	for _, src := range cases {
 		if _, err := minic.Compile(src, minic.ABI32); err == nil {

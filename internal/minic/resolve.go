@@ -111,8 +111,13 @@ func (fg *fgen) typeNode(e *Expr) (*Type, error) {
 			return nil, err
 		}
 		at, bt := e.Y.value(), e.Z.value()
-		if sameType(at, bt) {
+		switch {
+		case sameType(at, bt):
 			return at, nil
+		case at.Kind == TPtr && isNullConst(e.Z):
+			return at, nil
+		case bt.Kind == TPtr && isNullConst(e.Y):
+			return bt, nil
 		}
 		return commonType(at, bt), nil
 	case "bin":
@@ -264,3 +269,7 @@ func (g *gen) directCall(e *Expr) (*FuncSig, bool) {
 	}
 	return nil, false
 }
+
+// isNullConst reports whether e is the literal 0, which a ?: arm opposite a
+// pointer arm takes as that pointer type's null.
+func isNullConst(e *Expr) bool { return e.Op == "num" && e.Ival == 0 }

@@ -28,23 +28,6 @@ const (
 	BranchMisses        Event = "branch-misses"
 )
 
-// RawPMU returns the raw event descriptor the paper lists for ev, or "".
-func RawPMU(ev Event) string {
-	switch ev {
-	case AllLoadsRetired:
-		return "r81d0"
-	case AllStoresRetired:
-		return "r82d0"
-	case BranchesRetired:
-		return "r00c4"
-	case ConditionalBranches:
-		return "r01c4"
-	case InstructionsRetired:
-		return "r1c0"
-	}
-	return ""
-}
-
 // Table3 lists the events with the paper's summary column.
 func Table3() []struct{ Event, Raw, Summary string } {
 	return []struct{ Event, Raw, Summary string }{

@@ -15,10 +15,14 @@ func TestCountersSubAndGet(t *testing.T) {
 }
 
 func TestRawPMU(t *testing.T) {
-	if RawPMU(AllLoadsRetired) != "r81d0" || RawPMU(InstructionsRetired) != "r1c0" {
+	raw := map[string]string{}
+	for _, r := range Table3() {
+		raw[r.Event] = r.Raw
+	}
+	if raw[string(AllLoadsRetired)] != "r81d0" || raw[string(InstructionsRetired)] != "r1c0" {
 		t.Error("raw descriptors wrong")
 	}
-	if RawPMU(CPUCycles) != "" {
+	if r, ok := raw[string(CPUCycles)]; !ok || r != "" {
 		t.Error("cpu-cycles has no raw descriptor in the paper")
 	}
 }

@@ -49,20 +49,6 @@ func Mean(xs []float64) float64 {
 	return sum / float64(len(xs))
 }
 
-// StdErr returns the standard error of the mean.
-func StdErr(xs []float64) float64 {
-	n := len(xs)
-	if n < 2 {
-		return 0
-	}
-	m := Mean(xs)
-	ss := 0.0
-	for _, x := range xs {
-		ss += (x - m) * (x - m)
-	}
-	return math.Sqrt(ss/float64(n-1)) / math.Sqrt(float64(n))
-}
-
 // Max returns the maximum of xs (0 when empty).
 func Max(xs []float64) float64 {
 	best := 0.0

@@ -27,13 +27,10 @@ func TestMedian(t *testing.T) {
 	}
 }
 
-func TestMeanStdErr(t *testing.T) {
+func TestMean(t *testing.T) {
 	xs := []float64{2, 4, 4, 4, 5, 5, 7, 9}
 	if m := Mean(xs); m != 5 {
 		t.Errorf("mean = %g", m)
-	}
-	if se := StdErr([]float64{5}); se != 0 {
-		t.Errorf("stderr single = %g", se)
 	}
 }
 

@@ -486,54 +486,3 @@ func memExtra(o Operand) uint8 {
 	}
 	return n
 }
-
-// ReadsMem reports whether the instruction reads a memory operand.
-func (in *Inst) ReadsMem() bool {
-	if in.Op == OLea {
-		return false
-	}
-	if in.Op == OPop || in.Op == ORet {
-		return true // stack read
-	}
-	if in.Op == OJmpTable {
-		return true // jump-table entry load
-	}
-	if in.Src.Kind == KMem {
-		return true
-	}
-	// Read-modify-write destination memory (add [m], r etc.).
-	if in.Dst.Kind == KMem {
-		switch in.Op {
-		case OAdd, OSub, OAnd, OOr, OXor, OImul, ONeg, ONot, OShl, OSar, OShr, OCmp, OTest:
-			return true
-		}
-	}
-	if (in.Op == OCallR || in.Op == OIdiv || in.Op == ODiv || in.Op == OUcomisd) && in.Dst.Kind == KMem {
-		return true
-	}
-	return false
-}
-
-// WritesMem reports whether the instruction writes a memory operand.
-func (in *Inst) WritesMem() bool {
-	if in.Op == OPush || in.Op == OCall || in.Op == OCallR {
-		return true // stack write
-	}
-	if in.Dst.Kind != KMem {
-		return false
-	}
-	switch in.Op {
-	case OCmp, OTest, OUcomisd, OIdiv, ODiv:
-		return false
-	}
-	return true
-}
-
-// IsBranch reports whether the instruction redirects control flow.
-func (in *Inst) IsBranch() bool {
-	switch in.Op {
-	case OJmp, OJcc, OCall, OCallR, ORet, OJmpTable:
-		return true
-	}
-	return false
-}

@@ -40,21 +40,10 @@ func TestEncodedSizesReasonable(t *testing.T) {
 	}
 }
 
-func TestMemStringAndClassify(t *testing.T) {
+func TestMemString(t *testing.T) {
 	in := Inst{Op: OAdd, W: 4, Dst: M(Mem{Base: RDI, Index: RCX, Scale: 4, Disp: 0x1130}), Src: R(RBX)}
-	if !in.ReadsMem() || !in.WritesMem() {
-		t.Error("add [mem], reg is read-modify-write")
-	}
-	cmp := Inst{Op: OCmp, W: 4, Dst: M(Mem{Base: RDI, Index: NoReg}), Src: Imm(1)}
-	if cmp.WritesMem() {
-		t.Error("cmp must not write memory")
-	}
 	if s := in.Dst.String(); s == "" {
 		t.Error("empty operand string")
-	}
-	jmp := Inst{Op: OJmp}
-	if !jmp.IsBranch() {
-		t.Error("jmp is a branch")
 	}
 }
 
