@@ -229,6 +229,9 @@ func TestSingleflightBatching(t *testing.T) {
 	if st.Budget.Capacity < 1 {
 		t.Errorf("/statz budget capacity %d", st.Budget.Capacity)
 	}
+	if b := st.Build; b.Entries < 1 || b.BudgetBytes <= 0 || b.ResidentBytes <= 0 || b.ResidentBytes > b.BudgetBytes {
+		t.Errorf("/statz build %+v, want entries and 0 < resident_bytes <= budget_bytes", b)
+	}
 }
 
 // busySrc runs long enough (~tens of ms) that a test can act while it is

@@ -6,8 +6,9 @@ package main
 //	               or a batch (JSON array) → NDJSON rows streamed as each
 //	               run completes, each row tagged with its array index.
 //	GET  /healthz  200 "ok" while serving, 503 "draining" during shutdown.
-//	GET  /statz    JSON snapshot: build-cache counters, scheduler budget,
-//	               fault-injection counters, per-tenant admission state.
+//	GET  /statz    JSON snapshot: build-cache counters and residency,
+//	               scheduler budget, fault-injection counters, per-tenant
+//	               admission state.
 //
 // Identical concurrent requests batch into one compile for free: the verbs
 // go through the pipeline's content-addressed singleflight cache, so the
@@ -211,6 +212,7 @@ func (s *server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 // statz is the /statz response shape.
 type statz struct {
 	Cache  pipeline.CacheStats       `json:"cache"`
+	Build  pipeline.BuildInfo        `json:"build"`
 	Budget budgetStat                `json:"budget"`
 	Faults map[string]fault.SiteStat `json:"faults,omitempty"`
 	Serve  serveStat                 `json:"serve"`
@@ -235,6 +237,7 @@ func (s *server) handleStatz(w http.ResponseWriter, r *http.Request) {
 	b := sched.Shared()
 	st := statz{
 		Cache: pipeline.Stats(),
+		Build: pipeline.BuildState(),
 		Budget: budgetStat{
 			Capacity: b.Capacity(),
 			InUse:    b.InUse(),

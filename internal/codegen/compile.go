@@ -419,10 +419,9 @@ func CompileContext(ctx context.Context, m *wasm.Module, cfg *EngineConfig) (*Co
 // mergeFragments concatenates the per-function fragment programs in
 // function order into one module program, resolving fragment-local
 // (negative) labels and function entry labels to global instruction
-// indices and rebasing each fragment's jump tables and listing notes. This
-// replaces the serial path's incremental Bind/ResolveTargets, so the merged
-// program binds no labels, like a decoded one. It also returns each
-// function's entry index.
+// indices and rebasing each fragment's jump tables and listing notes. It is
+// the compiler's one label resolver; the merged program binds no labels,
+// like a decoded one. It also returns each function's entry index.
 func mergeFragments(ctx *moduleCtx, frags []*compileScratch) (*x86.Program, []int, error) {
 	total := 0
 	for _, sc := range frags {

@@ -20,6 +20,7 @@ package cpu
 
 import (
 	"sync"
+	"unsafe"
 
 	"repro/internal/x86"
 )
@@ -154,6 +155,10 @@ type uop struct {
 	tgt   int32  // branch target index / host-function id
 	imm   uint64 // immediate / branch address for uJcc
 }
+
+// UopSize is the size of one micro-op: predecode attaches one per
+// instruction to a program, which the build cache counts as resident.
+const UopSize = unsafe.Sizeof(uop{})
 
 // decodedProgram is the predecoded view cached on x86.Program.
 type decodedProgram struct {

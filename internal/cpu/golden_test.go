@@ -7,6 +7,7 @@ package cpu
 // milliseconds instead of in the 40-second differential suites.
 
 import (
+	"fmt"
 	"testing"
 
 	"repro/internal/perf"
@@ -112,7 +113,7 @@ func buildGoldenProgram() *x86.Program {
 	ap(x86.Inst{Op: x86.ORet})
 
 	p.Layout()
-	if err := p.ResolveTargets(); err != nil {
+	if err := resolveLabels(p); err != nil {
 		panic(err)
 	}
 	return p
@@ -165,4 +166,34 @@ func TestPredecodeMatchesLegacy(t *testing.T) {
 	if c1 != c2 {
 		t.Errorf("counters differ:\n predecoded: %v\n legacy:     %v", c1.String(), c2.String())
 	}
+}
+
+// resolveLabels rewrites the label-id branch, call and jump-table targets of
+// a hand-built program to instruction indices through LabelTarget, the
+// lookup codegen's fragment merge resolves with.
+func resolveLabels(p *x86.Program) error {
+	resolve := func(t *int) error {
+		idx, ok := p.LabelTarget(*t)
+		if !ok {
+			return fmt.Errorf("undefined label L%d", *t)
+		}
+		*t = idx
+		return nil
+	}
+	for i := range p.Code {
+		switch p.Code[i].Op {
+		case x86.OJmp, x86.OJcc, x86.OCall:
+			if err := resolve(&p.Code[i].Target); err != nil {
+				return err
+			}
+		}
+	}
+	for _, table := range p.Tables {
+		for k := range table {
+			if err := resolve(&table[k]); err != nil {
+				return err
+			}
+		}
+	}
+	return nil
 }

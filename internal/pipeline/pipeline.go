@@ -1,9 +1,11 @@
 // Package pipeline is the shared artifact and execution layer every run
 // path in the reproduction sits on: a process-wide content-addressed build
-// cache (one compile per distinct mini-C source × engine configuration, no
-// matter how many harnesses, tests, or CLIs ask for it) layered over a
-// disk-backed artifact store (one compile per content address across
-// processes — repeated CLI invocations, test runs, and CI jobs start warm),
+// cache (one compile per distinct mini-C source × engine configuration,
+// shared by every harness, test, or CLI that asks for it while it stays
+// resident; the cache holds a fixed budget of estimated bytes and evicts
+// the least recently used module first) layered over a disk-backed
+// artifact store (one compile per content address across processes —
+// repeated CLI invocations, test runs, and CI jobs start warm),
 // a budget-bounded job scheduler for suite fan-out (internal/sched: suite
 // jobs and the per-function compile fan-out inside them draw workers from
 // one process-wide token budget, so parallelism is ~GOMAXPROCS at any
@@ -22,6 +24,7 @@
 package pipeline
 
 import (
+	"container/list"
 	"context"
 	"crypto/sha256"
 	"encoding/hex"
@@ -29,11 +32,14 @@ import (
 	"io"
 	"strings"
 	"sync"
+	"unsafe"
 
 	"repro/internal/codegen"
+	"repro/internal/cpu"
 	"repro/internal/fault"
 	"repro/internal/minic"
 	"repro/internal/wasm"
+	"repro/internal/x86"
 )
 
 // ABIFor returns the data model an engine compiles: x86-64 for the native
@@ -63,6 +69,7 @@ func Key(src string, cfg *codegen.EngineConfig) string {
 // the compile runs; once.Do makes concurrent requesters of the same key
 // share a single compile instead of racing.
 type buildEntry struct {
+	key  string
 	once sync.Once
 	cm   *codegen.CompiledModule
 	err  error
@@ -71,13 +78,125 @@ type buildEntry struct {
 	// Per-request Results carry it so a serving client can see whether its
 	// run compiled cold without racing other tenants for the global totals.
 	outcome CacheStats
+	// elem is the entry's place in buildLRU and bytes its estimated
+	// resident size. admit sets both as the entry's once.Do finishes;
+	// until then elem is nil and the entry is pinned.
+	elem  *list.Element
+	bytes int64
 }
+
+// buildBudget bounds the estimated resident bytes of completed entries. It
+// holds every catalogue workload built for the three stock engines (about
+// 22 MB) with headroom. It is a variable only so tests can shrink it.
+var buildBudget int64 = 32 << 20
+
+// failedEntryBytes is the nominal size of a failed or panicked build: it
+// holds no module, but it must still leave the cache in turn.
+const failedEntryBytes = 1 << 10
 
 var (
 	buildMu    sync.Mutex
 	buildCache = map[string]*buildEntry{}
-	stats      CacheStats
+	// buildLRU lists the completed entries, most recently used first;
+	// buildBytes is the sum of their bytes.
+	buildLRU       list.List
+	buildBytes     int64
+	buildEvictions uint64
+	stats          CacheStats
 )
+
+// BuildInfo is a snapshot of the build cache's residency (repro-serve's
+// /statz "build" object). Entries counts every entry, in-flight compiles
+// included; ResidentBytes sums the estimates of the completed ones, which
+// stays within BudgetBytes unless a single module alone exceeds it.
+type BuildInfo struct {
+	Entries       int    `json:"entries"`
+	ResidentBytes int64  `json:"resident_bytes"`
+	Evictions     uint64 `json:"evictions"`
+	BudgetBytes   int64  `json:"budget_bytes"`
+}
+
+// BuildState snapshots the build cache's residency.
+func BuildState() BuildInfo {
+	buildMu.Lock()
+	defer buildMu.Unlock()
+	return BuildInfo{
+		Entries:       len(buildCache),
+		ResidentBytes: buildBytes,
+		Evictions:     buildEvictions,
+		BudgetBytes:   buildBudget,
+	}
+}
+
+// admit puts e, whose once.Do is finishing, at the front of buildLRU and
+// evicts from the back until the completed entries fit buildBudget. It
+// never evicts e itself, so one module larger than the budget still
+// stays until the next admission.
+func admit(e *buildEntry) {
+	size := int64(failedEntryBytes)
+	if e.cm != nil {
+		size = moduleBytes(e.cm)
+	}
+	buildMu.Lock()
+	defer buildMu.Unlock()
+	if buildCache[e.key] != e {
+		// Dropped while in flight: its requesters still get the result,
+		// but the cache no longer holds it.
+		return
+	}
+	e.bytes = size
+	e.elem = buildLRU.PushFront(e)
+	buildBytes += size
+	for buildBytes > buildBudget {
+		last := buildLRU.Back().Value.(*buildEntry)
+		if last == e {
+			break
+		}
+		unlinkEntry(last)
+		buildEvictions++
+	}
+}
+
+// unlinkEntry removes e from the cache, and from buildLRU and buildBytes
+// when it has completed. The caller holds buildMu. A requester already
+// waiting on e's once.Do still gets its result; the next requester of the
+// same key starts a new entry and goes back through the disk and remote
+// tiers.
+func unlinkEntry(e *buildEntry) {
+	delete(buildCache, e.key)
+	if e.elem != nil {
+		buildLRU.Remove(e.elem)
+		e.elem = nil
+		buildBytes -= e.bytes
+	}
+}
+
+// moduleBytes estimates what cm keeps resident: the backing arrays of the
+// slices it owns, including the micro-op stream the first run attaches to
+// its program.
+func moduleBytes(cm *codegen.CompiledModule) int64 {
+	p := cm.Prog
+	n := uintptr(len(p.Code)) * (unsafe.Sizeof(x86.Inst{}) + cpu.UopSize)
+	n += uintptr(len(p.Funcs)) * unsafe.Sizeof(x86.FuncInfo{})
+	n += uintptr(len(p.Notes)) * unsafe.Sizeof(x86.Note{})
+	for _, note := range p.Notes {
+		n += uintptr(len(note.Text))
+	}
+	for _, t := range p.Tables {
+		n += unsafe.Sizeof(t) + uintptr(len(t))*unsafe.Sizeof(t[0])
+	}
+	n += uintptr(len(cm.Rodata))
+	for _, d := range cm.Data {
+		n += unsafe.Sizeof(d) + uintptr(len(d.Bytes))
+	}
+	n += uintptr(len(cm.Entries)) * unsafe.Sizeof(cm.Entries[0])
+	for _, sig := range cm.Sigs {
+		n += unsafe.Sizeof(sig) + uintptr(len(sig.Params)+len(sig.Results))*unsafe.Sizeof(wasm.ValType(0))
+	}
+	n += uintptr(len(cm.Table)) * unsafe.Sizeof(codegen.TableEntry{})
+	n += uintptr(len(cm.Stats)) * unsafe.Sizeof(codegen.FuncStats{})
+	return int64(n)
+}
 
 // CacheStats counts build-cache traffic since process start (or a snapshot,
 // via Sub). A memory hit found the module already resident; a disk hit
@@ -157,7 +276,10 @@ func count(c *uint64) {
 // the disk-backed artifact store. The returned module is shared (the same
 // pointer for the same content) and must be treated as immutable;
 // instantiation state lives in cpu.Machine, not here. Failed builds are
-// cached too (in memory only): identical inputs fail identically.
+// cached too (in memory only): identical inputs fail identically. Completed
+// entries, failed ones included, leave the cache least recently used first
+// once their estimated bytes exceed buildBudget; in-flight ones stay pinned,
+// so concurrent identical requests still share one compile.
 //
 // Cancellation is deliberately stripped before the compile runs: a cache
 // entry is shared by every requester of the same content, so one caller's
@@ -178,14 +300,19 @@ func build(ctx context.Context, src string, cfg *codegen.EngineConfig) (*codegen
 	buildMu.Lock()
 	e, ok := buildCache[k]
 	if !ok {
-		e = &buildEntry{}
+		e = &buildEntry{key: k}
 		buildCache[k] = e
 	} else {
 		stats.MemHits++
 		mine.MemHits++
+		if e.elem != nil {
+			buildLRU.MoveToFront(e.elem)
+		}
 	}
 	buildMu.Unlock()
 	e.once.Do(func() {
+		// Deferred so a failed or panicked build joins the LRU too.
+		defer admit(e)
 		// The compile fault site fires before the store is consulted, keyed
 		// by the suite-provided label (workload name) or the engine name, so
 		// an injected compile panic can never be masked by a warm cache.

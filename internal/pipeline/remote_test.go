@@ -120,7 +120,7 @@ func TestRemoteWarmsSecondWorker(t *testing.T) {
 
 	// Worker B: fresh local store, no memory entry, same remote.
 	withTestStore(t, defaultMaxBytes)
-	dropMemEntry(key)
+	dropBuilds(key)
 	before = Stats()
 	cmB, err := Compile(context.Background(), &Request{Module: src, Config: cfg})
 	if err != nil {
@@ -139,7 +139,7 @@ func TestRemoteWarmsSecondWorker(t *testing.T) {
 
 	// The remote hit backfilled worker B's local store: the next cold
 	// build hits disk, not the network.
-	dropMemEntry(key)
+	dropBuilds(key)
 	before = Stats()
 	if _, err := Compile(context.Background(), &Request{Module: src, Config: cfg}); err != nil {
 		t.Fatal(err)
@@ -248,7 +248,7 @@ func TestRemoteCorruptPayloadRejected(t *testing.T) {
 	// The key is negative-cached: a later cold build in this process does
 	// not trust the (now healed) remote copy and recompiles instead.
 	withTestStore(t, defaultMaxBytes)
-	dropMemEntry(key)
+	dropBuilds(key)
 	before = Stats()
 	if _, err := Compile(context.Background(), &Request{Module: src, Config: cfg}); err != nil {
 		t.Fatal(err)
@@ -313,7 +313,7 @@ func TestDegradedRemoteSuite(t *testing.T) {
 	t.Cleanup(func() { setRemote(prevRemote) })
 	withTestStore(t, defaultMaxBytes)
 	for i, src := range srcs {
-		dropMemEntry(keys[i])
+		dropBuilds(keys[i])
 		cm, err := Compile(context.Background(), &Request{Module: src, Config: cfg})
 		if err != nil {
 			t.Fatal(err)
@@ -331,7 +331,7 @@ func TestDegradedRemoteSuite(t *testing.T) {
 	rt.now = clock.Now
 	withTestStore(t, defaultMaxBytes)
 	for i, src := range srcs {
-		dropMemEntry(keys[i])
+		dropBuilds(keys[i])
 		if _, err := Compile(context.Background(), &Request{Module: src, Config: cfg}); err != nil {
 			t.Fatal(err)
 		}
@@ -355,7 +355,7 @@ func TestDegradedRemoteSuite(t *testing.T) {
 	var sawOpen, sawHalfOpen bool
 	degraded := make([]run, len(srcs))
 	for i, src := range srcs {
-		dropMemEntry(keys[i])
+		dropBuilds(keys[i])
 		if i == 3 {
 			// Cooldown elapses mid-suite: the breaker must be observed
 			// half-open before the probe that closes it. Drain the publish

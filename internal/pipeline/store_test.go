@@ -45,9 +45,7 @@ int main() {
 // store. State is restored on cleanup.
 func withTestStore(t *testing.T, maxBytes int64) *diskStore {
 	t.Helper()
-	buildMu.Lock()
-	clear(buildCache)
-	buildMu.Unlock()
+	dropBuilds()
 	fp, err := compilerFingerprint()
 	if err != nil {
 		t.Fatal(err)
@@ -59,12 +57,23 @@ func withTestStore(t *testing.T, maxBytes int64) *diskStore {
 	return r.active
 }
 
-// dropMemEntry evicts one key from the in-memory layer so the next Compile
-// goes back to disk.
-func dropMemEntry(key string) {
+// dropBuilds removes the named keys from the in-memory layer, so the next
+// Compile of each goes back to disk, or every entry when none is named. It
+// keeps the LRU list and the resident-bytes total consistent with the map.
+func dropBuilds(keys ...string) {
 	buildMu.Lock()
-	delete(buildCache, key)
-	buildMu.Unlock()
+	defer buildMu.Unlock()
+	if len(keys) == 0 {
+		for _, e := range buildCache {
+			unlinkEntry(e)
+		}
+		return
+	}
+	for _, k := range keys {
+		if e, ok := buildCache[k]; ok {
+			unlinkEntry(e)
+		}
+	}
 }
 
 // execCounters runs cm in a fresh kernel and returns the retired
@@ -91,7 +100,7 @@ func TestStoreRoundTripBitIdentical(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	dropMemEntry(key)
+	dropBuilds(key)
 	before := Stats()
 	loaded, err := Compile(context.Background(), &Request{Module: storeProbeSrc, Config: cfg}) // disk hit
 	if err != nil {
@@ -201,7 +210,7 @@ func TestStoreCorruptionFallsBackToRecompile(t *testing.T) {
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			s := withTestStore(t, defaultMaxBytes)
-			dropMemEntry(key) // force the publish path against this store
+			dropBuilds(key) // force the publish path against this store
 			// Publish a clean artifact.
 			if _, err := Compile(context.Background(), &Request{Module: storeProbeSrc, Config: cfg}); err != nil {
 				t.Fatal(err)
@@ -211,7 +220,7 @@ func TestStoreCorruptionFallsBackToRecompile(t *testing.T) {
 				t.Fatalf("artifact not published: %v", err)
 			}
 			tc.mutate(t, p)
-			dropMemEntry(key)
+			dropBuilds(key)
 
 			before := Stats()
 			cm, err := Compile(context.Background(), &Request{Module: storeProbeSrc, Config: cfg})
@@ -231,7 +240,7 @@ func TestStoreCorruptionFallsBackToRecompile(t *testing.T) {
 					out, refOut, insts, refInsts, cycles, refCycles)
 			}
 			// The recompile republishes a clean artifact over the damage.
-			dropMemEntry(key)
+			dropBuilds(key)
 			before = Stats()
 			if _, err := Compile(context.Background(), &Request{Module: storeProbeSrc, Config: cfg}); err != nil {
 				t.Fatal(err)
@@ -268,7 +277,7 @@ func TestStoreConcurrentWriters(t *testing.T) {
 					errs <- fmt.Errorf("module missing _start")
 					return
 				}
-				dropMemEntry(key)
+				dropBuilds(key)
 			}
 		}()
 	}
@@ -278,7 +287,7 @@ func TestStoreConcurrentWriters(t *testing.T) {
 		t.Error(err)
 	}
 	// The survivor on disk must be a valid artifact.
-	dropMemEntry(key)
+	dropBuilds(key)
 	before := Stats()
 	if _, err := Compile(context.Background(), &Request{Module: storeProbeSrc, Config: cfg}); err != nil {
 		t.Fatal(err)
@@ -409,7 +418,7 @@ func TestStoreEvictionBoundsSize(t *testing.T) {
 	}
 	// The most recently written artifact must still be loadable.
 	last := Key(srcs[len(srcs)-1], codegen.Native())
-	dropMemEntry(last)
+	dropBuilds(last)
 	before := Stats()
 	if _, err := Compile(context.Background(), &Request{Module: srcs[len(srcs)-1], Config: codegen.Native()}); err != nil {
 		t.Fatal(err)
@@ -489,7 +498,7 @@ func TestStoreInspectAndGC(t *testing.T) {
 
 	// The evicted builds are recoverable: a rebuild recompiles and
 	// republishes under the same key.
-	dropMemEntry(keys[0])
+	dropBuilds(keys[0])
 	src0 := fmt.Sprintf("%s\n// inspect variant %d\n", storeProbeSrc, 0)
 	if _, err := Compile(context.Background(), &Request{Module: src0, Config: codegen.Chrome()}); err != nil {
 		t.Fatal(err)
@@ -759,7 +768,7 @@ func TestQuarantineKeepsCorruptArtifact(t *testing.T) {
 	cfg := codegen.Firefox()
 	key := Key(storeProbeSrc, cfg)
 	s := withTestStore(t, defaultMaxBytes)
-	dropMemEntry(key)
+	dropBuilds(key)
 	if _, err := Compile(context.Background(), &Request{Module: storeProbeSrc, Config: cfg}); err != nil {
 		t.Fatal(err)
 	}
@@ -771,7 +780,7 @@ func TestQuarantineKeepsCorruptArtifact(t *testing.T) {
 	if err := os.WriteFile(p, data[:len(data)/2], 0o644); err != nil {
 		t.Fatal(err)
 	}
-	dropMemEntry(key)
+	dropBuilds(key)
 
 	before := Stats()
 	if _, err := Compile(context.Background(), &Request{Module: storeProbeSrc, Config: cfg}); err != nil {

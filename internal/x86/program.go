@@ -27,7 +27,7 @@ type Program struct {
 	Code  []Inst
 	Funcs []FuncInfo
 	// labels maps label ids to instruction indices while a program is
-	// being built (Bind, ResolveTargets). A merged or decoded program has
+	// being built (Bind, LabelTarget). A merged or decoded program has
 	// resolved every target and carries none.
 	labels map[int]int
 
@@ -118,33 +118,6 @@ func (p *Program) Layout() {
 		addr += uint32(in.Size)
 	}
 	p.CodeBytes = addr - 0x1000
-}
-
-// ResolveTargets converts label-id targets into instruction indices, storing
-// them back into Target and the jump tables. It must run after all labels
-// are bound.
-func (p *Program) ResolveTargets() error {
-	for i := range p.Code {
-		in := &p.Code[i]
-		switch in.Op {
-		case OJmp, OJcc, OCall:
-			idx, ok := p.labels[in.Target]
-			if !ok {
-				return fmt.Errorf("x86: undefined label L%d at %d", in.Target, i)
-			}
-			in.Target = idx
-		}
-	}
-	for n, table := range p.Tables {
-		for k, t := range table {
-			idx, ok := p.labels[t]
-			if !ok {
-				return fmt.Errorf("x86: undefined label L%d in jump table %d", t, n)
-			}
-			table[k] = idx
-		}
-	}
-	return nil
 }
 
 // Disasm renders the instructions of function fn as an assembly listing with

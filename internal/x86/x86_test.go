@@ -1,6 +1,7 @@
 package x86
 
 import (
+	"fmt"
 	"reflect"
 	"strings"
 	"testing"
@@ -55,7 +56,7 @@ func TestProgramLabels(t *testing.T) {
 	p.AppendNote(Inst{Op: ONop}, "")
 	p.Bind(8)
 	p.AppendNote(Inst{Op: ORet}, "done")
-	if err := p.ResolveTargets(); err != nil {
+	if err := resolveLabels(p); err != nil {
 		t.Fatal(err)
 	}
 	if p.Code[0].Target != 2 {
@@ -103,4 +104,34 @@ func TestInstLayout(t *testing.T) {
 		}
 	}
 	walk(reflect.TypeOf(Inst{}), "Inst")
+}
+
+// resolveLabels rewrites the label-id branch, call and jump-table targets of
+// a hand-built program to instruction indices through LabelTarget, the
+// lookup codegen's fragment merge resolves with.
+func resolveLabels(p *Program) error {
+	resolve := func(t *int) error {
+		idx, ok := p.LabelTarget(*t)
+		if !ok {
+			return fmt.Errorf("undefined label L%d", *t)
+		}
+		*t = idx
+		return nil
+	}
+	for i := range p.Code {
+		switch p.Code[i].Op {
+		case OJmp, OJcc, OCall:
+			if err := resolve(&p.Code[i].Target); err != nil {
+				return err
+			}
+		}
+	}
+	for _, table := range p.Tables {
+		for k := range table {
+			if err := resolve(&table[k]); err != nil {
+				return err
+			}
+		}
+	}
+	return nil
 }
