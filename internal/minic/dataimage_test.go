@@ -14,7 +14,7 @@ import (
 	"repro/internal/workloads"
 )
 
-var updateImages = flag.Bool("update", false, "rewrite "+dataImageGolden)
+var update = flag.Bool("update", false, "rewrite "+dataImageGolden+" and "+modulesGolden)
 
 // dataImageGolden records, per catalogue workload and ABI, the initial
 // memory image the compiler emits and the layout words derived from it.
@@ -70,7 +70,7 @@ func TestDataImageGolden(t *testing.T) {
 		}
 	}
 	got := sb.String()
-	if *updateImages {
+	if *update {
 		if err := os.WriteFile(dataImageGolden, []byte(got), 0o644); err != nil {
 			t.Fatal(err)
 		}
