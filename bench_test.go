@@ -597,14 +597,37 @@ func frontEndBenchWorkloads() []*workloads.Workload {
 	return workloads.ByName(append(workloads.SPECCPU(), workloads.Polybench()...), "433.milc", "2mm")
 }
 
+// warmBenchSource is shaped like a serving request's small warm program:
+// about fifteen lines, so the runtime prelude linked into it is most of
+// what the front end reads.
+const warmBenchSource = `
+int v[64];
+int main() {
+  int i; int k; int s;
+  s = 17;
+  for (i = 0; i < 64; i++) { v[i] = (i * 7 + s) % 1009; }
+  for (k = 0; k < 40; k++) {
+    for (i = 1; i < 64; i++) { v[i] = (v[i] + v[i - 1] * 7) % 65521; }
+  }
+  for (i = 0; i < 64; i++) { s = (s * 31 + v[i]) % 1000003; }
+  print_int(s); print_nl();
+  return 0;
+}
+`
+
 // BenchmarkMinicCompile measures the mini-C front end alone (lex, parse,
-// wasm generation): ns/op and allocs/op per module.
+// wasm generation): ns/op and allocs/op per module. warm compiles the small
+// program above, tracking the fixed cost every compile pays.
 func BenchmarkMinicCompile(b *testing.B) {
+	srcs := []struct{ name, src string }{{"warm", warmBenchSource}}
 	for _, w := range frontEndBenchWorkloads() {
-		b.Run(w.Name, func(b *testing.B) {
+		srcs = append(srcs, struct{ name, src string }{w.Name, w.Source})
+	}
+	for _, s := range srcs {
+		b.Run(s.name, func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				if _, err := minic.Compile(w.Source, minic.ABI32); err != nil {
+				if _, err := minic.Compile(s.src, minic.ABI32); err != nil {
 					b.Fatal(err)
 				}
 			}

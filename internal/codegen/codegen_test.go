@@ -244,7 +244,7 @@ func buildBrTableModule() *wasm.Module {
 	fb.Block(wasm.BlockVoid)
 	fb.Block(wasm.BlockVoid)
 	fb.LocalGet(0)
-	fb.Emit(wasm.Instr{Op: wasm.OpBrTable, Table: []uint32{0, 1, 2}})
+	fb.BrTable([]uint32{0, 1, 2})
 	fb.End()
 	fb.I32Const(10).Return()
 	fb.End()

@@ -58,7 +58,8 @@ type lowerer struct {
 	ctrls  []lctrl
 	nimp   int
 	body   []wasm.Instr
-	dead   bool // current position unreachable
+	brTabs [][]uint32 // the function's br_table target lists
+	dead   bool       // current position unreachable
 }
 
 // LowerFunc lowers module function fi (module space, not import space)
@@ -83,6 +84,7 @@ func lowerFuncInto(m *wasm.Module, fi int, cfg *EngineConfig, sc *compileScratch
 		ctrls:  lo.ctrls[:0],
 		nimp:   m.NumImportedFuncs(),
 		body:   wf.Body,
+		brTabs: wf.BrTables,
 	}
 	sc.vtype = sc.vtype[:0]
 	lo.f.Name = m.FuncName(uint32(m.NumImportedFuncs() + fi))

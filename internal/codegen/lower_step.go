@@ -195,8 +195,9 @@ func (lo *lowerer) step(pc int, in *wasm.Instr) (int, error) {
 		idx := lo.pop()
 		t := ins(ir.BrTable)
 		t.A = idx
-		t.Targets = lo.sc.arena.Targets(len(in.Table))[:0]
-		for _, d := range in.Table {
+		tbl := lo.brTabs[in.I64]
+		t.Targets = lo.sc.arena.Targets(len(tbl))[:0]
+		for _, d := range tbl {
 			fr := lo.frameAt(int(d))
 			var tb int
 			switch {

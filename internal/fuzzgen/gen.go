@@ -639,7 +639,7 @@ func (c *fctx) stmt() {
 			tbl[i] = ts[r.intn(len(ts))]
 		}
 		c.ex(wasm.I32, 2)
-		c.fb.Emit(wasm.Instr{Op: wasm.OpBrTable, Table: tbl})
+		c.fb.BrTable(tbl)
 	case 11:
 		if c.canCall && c.callLeaf(valTypes[r.intn(len(valTypes))], 3) {
 			c.fb.Op(wasm.OpDrop)

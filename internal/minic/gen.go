@@ -99,7 +99,7 @@ type funcInfo struct {
 // Compile compiles mini-C source (with the runtime prelude) to a validated
 // wasm module under the given ABI.
 func Compile(src string, abi ABI) (*wasm.Module, error) {
-	prog, err := Parse(src + "\n" + runtimeSource)
+	prog, err := parseProgram(src)
 	if err != nil {
 		return nil, err
 	}

@@ -536,7 +536,7 @@ func (fg *fgen) switchStmt(s *Stmt) error {
 		if min != 0 {
 			fb.I32Const(int32(min)).Op(wasm.OpI32Sub)
 		}
-		fb.Emit(wasm.Instr{Op: wasm.OpBrTable, Table: table})
+		fb.BrTable(table)
 	} else {
 		for i, c := range s.Cases {
 			if c.IsDefault {

@@ -14,6 +14,7 @@ import (
 	"fmt"
 	"strconv"
 	"strings"
+	"sync"
 )
 
 // tokKind classifies tokens.
@@ -30,12 +31,17 @@ const (
 	tKeyword
 )
 
-var keywords = map[string]bool{
-	"int": true, "long": true, "char": true, "double": true, "float": true,
-	"void": true, "unsigned": true, "struct": true, "if": true, "else": true,
-	"while": true, "for": true, "do": true, "return": true, "break": true,
-	"continue": true, "sizeof": true, "static": true, "const": true,
-	"switch": true, "case": true, "default": true,
+// isKeyword reports whether an identifier-shaped word is a keyword. A
+// switch compiles to a length-then-content search, which is cheaper than
+// hashing every identifier into a map.
+func isKeyword(s string) bool {
+	switch s {
+	case "int", "long", "char", "double", "float", "void", "unsigned", "struct",
+		"if", "else", "while", "for", "do", "return", "break", "continue",
+		"sizeof", "static", "const", "switch", "case", "default":
+		return true
+	}
+	return false
 }
 
 // token is one lexeme.
@@ -62,9 +68,14 @@ type lexer struct {
 	toks []token
 }
 
+// bytesPerToken presizes token slices: the catalogue sources average 2.5
+// source bytes per token and the densest has 2, so a slice of len/2 tokens
+// almost never regrows.
+const bytesPerToken = 2
+
 // lexAll tokenizes the whole input.
 func lexAll(src string) ([]token, error) {
-	lx := &lexer{src: src, line: 1}
+	lx := &lexer{src: src, line: 1, toks: make([]token, 0, len(src)/bytesPerToken+1)}
 	for {
 		t, err := lx.next()
 		if err != nil {
@@ -75,6 +86,55 @@ func lexAll(src string) ([]token, error) {
 			return lx.toks, nil
 		}
 	}
+}
+
+// tokens is a token stream in two parts: head, then tail with every line
+// shifted by tailLine. A program's stream is its own tokens followed by the
+// shared runtime tokens, read in place rather than copied per compile.
+type tokens struct {
+	head     []token // no EOF token
+	tail     []token // ends with the EOF token; read-only
+	tailLine int
+}
+
+// at returns token i; past the end it returns the EOF token.
+func (ts *tokens) at(i int) token {
+	if i < len(ts.head) {
+		return ts.head[i]
+	}
+	i -= len(ts.head)
+	if i >= len(ts.tail) {
+		i = len(ts.tail) - 1
+	}
+	t := ts.tail[i]
+	t.line += ts.tailLine
+	return t
+}
+
+// runtimeToks holds the runtime prelude's tokens, lexed once and shared
+// read-only by every compile.
+var runtimeToks = sync.OnceValue(func() []token {
+	toks, err := lexAll(runtimeSource)
+	if err != nil {
+		panic("minic: runtime prelude: " + err.Error())
+	}
+	return toks
+})
+
+// lexProgram tokenizes src followed by the runtime prelude. The stream
+// equals lexAll(src + "\n" + runtimeSource) token for token: no token of src
+// reaches past its end, so the runtime lexes alone the same way, one line
+// below src's EOF line. A source that fails to lex, or holds a NUL byte
+// (which the lexer reads as end of input), is lexed concatenated instead,
+// so its errors and truncation stay the same.
+func lexProgram(src string) (tokens, error) {
+	toks, err := lexAll(src)
+	if err != nil || strings.IndexByte(src, 0) >= 0 {
+		toks, err := lexAll(src + "\n" + runtimeSource)
+		return tokens{tail: toks}, err
+	}
+	eof := toks[len(toks)-1]
+	return tokens{head: toks[:len(toks)-1], tail: runtimeToks(), tailLine: eof.line}, nil
 }
 
 func (lx *lexer) errf(format string, args ...any) error {
@@ -149,7 +209,7 @@ lexed:
 		}
 		text := lx.src[start:lx.pos]
 		k := tIdent
-		if keywords[text] {
+		if isKeyword(text) {
 			k = tKeyword
 		}
 		return token{kind: k, text: text, line: lx.line}, nil
@@ -168,31 +228,45 @@ lexed:
 		return lx.lexChar()
 	}
 
-	// Punctuation: longest match first.
-	for _, p := range punct3 {
-		if strings.HasPrefix(lx.src[lx.pos:], p) {
-			lx.pos += 3
-			return token{kind: tPunct, text: p, line: lx.line}, nil
-		}
-	}
-	for _, p := range punct2 {
-		if strings.HasPrefix(lx.src[lx.pos:], p) {
-			lx.pos += 2
-			return token{kind: tPunct, text: p, line: lx.line}, nil
-		}
-	}
-	lx.pos++
-	return token{kind: tPunct, text: lx.src[lx.pos-1 : lx.pos], line: lx.line}, nil
+	return lx.punct(c), nil
 }
 
-// Multi-character punctuation, matched longest first.
-var (
-	punct3 = []string{"<<=", ">>=", "..."}
-	punct2 = []string{
-		"<<", ">>", "<=", ">=", "==", "!=", "&&", "||", "->",
-		"+=", "-=", "*=", "/=", "%=", "&=", "|=", "^=", "++", "--",
+// punct lexes an operator or punctuation token starting with c, longest
+// match first, dispatching on c rather than scanning a list of operators.
+func (lx *lexer) punct(c byte) token {
+	n := 1
+	c1 := lx.at(1)
+	switch c {
+	case '<', '>': // << <<= <= and >> >>= >=
+		if c1 == c {
+			n = 2
+			if lx.at(2) == '=' {
+				n = 3
+			}
+		} else if c1 == '=' {
+			n = 2
+		}
+	case '.': // ...
+		if c1 == '.' && lx.at(2) == '.' {
+			n = 3
+		}
+	case '=', '!', '*', '/', '%', '^': // == != *= /= %= ^=
+		if c1 == '=' {
+			n = 2
+		}
+	case '&', '|', '+': // && &= || |= ++ +=
+		if c1 == c || c1 == '=' {
+			n = 2
+		}
+	case '-': // -- -= ->
+		if c1 == '-' || c1 == '=' || c1 == '>' {
+			n = 2
+		}
 	}
-)
+	t := token{kind: tPunct, text: lx.src[lx.pos : lx.pos+n], line: lx.line}
+	lx.pos += n
+	return t
+}
 
 func (lx *lexer) lexNumber() (token, error) {
 	start := lx.pos
@@ -261,17 +335,24 @@ func isHex(c byte) bool {
 
 func (lx *lexer) lexString() (token, error) {
 	lx.pos++ // opening quote
+	start := lx.pos
+	// A literal without escapes is a slice of the source; sb builds the
+	// text only once an escape is seen.
 	var sb strings.Builder
+	escaped := false
 	for {
 		c := lx.peekc()
 		if c == 0 || c == '\n' {
 			return token{}, lx.errf("unterminated string")
 		}
 		if c == '"' {
-			lx.pos++
 			break
 		}
 		if c == '\\' {
+			if !escaped {
+				sb.WriteString(lx.src[start:lx.pos])
+				escaped = true
+			}
 			lx.pos++
 			e, err := lx.escape()
 			if err != nil {
@@ -280,10 +361,17 @@ func (lx *lexer) lexString() (token, error) {
 			sb.WriteByte(e)
 			continue
 		}
-		sb.WriteByte(c)
+		if escaped {
+			sb.WriteByte(c)
+		}
 		lx.pos++
 	}
-	return token{kind: tString, text: sb.String(), line: lx.line}, nil
+	text := lx.src[start:lx.pos]
+	if escaped {
+		text = sb.String()
+	}
+	lx.pos++ // closing quote
+	return token{kind: tString, text: text, line: lx.line}, nil
 }
 
 func (lx *lexer) lexChar() (token, error) {

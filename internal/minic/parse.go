@@ -4,7 +4,7 @@ import "fmt"
 
 // parser is a recursive-descent parser over the token stream.
 type parser struct {
-	toks    []token
+	toks    tokens
 	pos     int
 	structs map[string]*StructType
 	prog    *Program
@@ -16,6 +16,20 @@ func Parse(src string) (*Program, error) {
 	if err != nil {
 		return nil, err
 	}
+	return parseTokens(tokens{tail: toks})
+}
+
+// parseProgram builds the AST for src linked with the runtime prelude, as
+// Parse(src + "\n" + runtimeSource) would, without re-lexing the runtime.
+func parseProgram(src string) (*Program, error) {
+	toks, err := lexProgram(src)
+	if err != nil {
+		return nil, err
+	}
+	return parseTokens(toks)
+}
+
+func parseTokens(toks tokens) (*Program, error) {
 	p := &parser{
 		toks:    toks,
 		structs: map[string]*StructType{},
@@ -28,13 +42,8 @@ func Parse(src string) (*Program, error) {
 	return p.prog, nil
 }
 
-func (p *parser) tok() token { return p.toks[p.pos] }
-func (p *parser) peek(i int) token {
-	if p.pos+i >= len(p.toks) {
-		return p.toks[len(p.toks)-1]
-	}
-	return p.toks[p.pos+i]
-}
+func (p *parser) tok() token       { return p.toks.at(p.pos) }
+func (p *parser) peek(i int) token { return p.toks.at(p.pos + i) }
 
 func (p *parser) errf(format string, args ...any) error {
 	return fmt.Errorf("minic: line %d: near %q: %s", p.tok().line, p.tok().String(), fmt.Sprintf(format, args...))

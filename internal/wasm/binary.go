@@ -128,7 +128,7 @@ func Encode(m *Module) []byte {
 		for _, g := range m.Globals {
 			b = append(b, byte(g.Type.Type))
 			b = appendBool(b, g.Type.Mutable)
-			b = appendInstr(b, g.Init)
+			b = appendInstr(b, g.Init, nil)
 			b = append(b, byte(OpEnd))
 		}
 		section(secGlobal, b)
@@ -159,7 +159,7 @@ func Encode(m *Module) []byte {
 		b = leb128.AppendUint(b, uint64(len(m.Elems)))
 		for _, e := range m.Elems {
 			b = leb128.AppendUint(b, uint64(e.TableIdx))
-			b = appendInstr(b, e.Offset)
+			b = appendInstr(b, e.Offset, nil)
 			b = append(b, byte(OpEnd))
 			b = leb128.AppendUint(b, uint64(len(e.Funcs)))
 			for _, f := range e.Funcs {
@@ -187,7 +187,7 @@ func Encode(m *Module) []byte {
 		b = leb128.AppendUint(b, uint64(len(m.Data)))
 		for _, d := range m.Data {
 			b = leb128.AppendUint(b, uint64(d.MemIdx))
-			b = appendInstr(b, d.Offset)
+			b = appendInstr(b, d.Offset, nil)
 			b = append(b, byte(OpEnd))
 			b = leb128.AppendUint(b, uint64(len(d.Bytes)))
 			b = append(b, d.Bytes...)
@@ -241,12 +241,14 @@ func encodeFuncBody(f *Func) []byte {
 		b = append(b, byte(r.t))
 	}
 	for _, in := range f.Body {
-		b = appendInstr(b, in)
+		b = appendInstr(b, in, f)
 	}
 	return b
 }
 
-func appendInstr(b []byte, in Instr) []byte {
+// appendInstr encodes in; f resolves br_table target lists and is nil for
+// constant expressions.
+func appendInstr(b []byte, in Instr, f *Func) []byte {
 	b = append(b, byte(in.Op))
 	switch in.Op {
 	case OpBlock, OpLoop, OpIf:
@@ -261,8 +263,12 @@ func appendInstr(b []byte, in Instr) []byte {
 		b = leb128.AppendUint(b, uint64(in.I64))
 		b = append(b, 0x00) // table index (MVP: always 0)
 	case OpBrTable:
-		b = leb128.AppendUint(b, uint64(len(in.Table)-1))
-		for _, t := range in.Table {
+		var tbl []uint32
+		if f != nil {
+			tbl = f.BrTargets(in)
+		}
+		b = leb128.AppendUint(b, uint64(len(tbl)-1))
+		for _, t := range tbl {
 			b = leb128.AppendUint(b, uint64(t))
 		}
 	case OpI32Const:
@@ -748,7 +754,7 @@ func decodeCodeSection(d *decoder, m *Module, typeIdxs []uint32) error {
 			}
 		}
 		for !bd.eof() {
-			in, err := decodeInstr(bd)
+			in, err := decodeInstr(bd, &f.BrTables)
 			if err != nil {
 				return fmt.Errorf("wasm: func %d: %w", i, err)
 			}
@@ -764,7 +770,8 @@ func decodeCodeSection(d *decoder, m *Module, typeIdxs []uint32) error {
 
 // decodeConstExpr reads a single constant instruction followed by end.
 func decodeConstExpr(d *decoder) (Instr, error) {
-	in, err := decodeInstr(d)
+	var brTables [][]uint32 // a br_table is rejected below
+	in, err := decodeInstr(d, &brTables)
 	if err != nil {
 		return Instr{}, err
 	}
@@ -773,7 +780,7 @@ func decodeConstExpr(d *decoder) (Instr, error) {
 	default:
 		return Instr{}, fmt.Errorf("wasm: non-constant initializer %s", OpName(in.Op))
 	}
-	end, err := decodeInstr(d)
+	end, err := decodeInstr(d, &brTables)
 	if err != nil {
 		return Instr{}, err
 	}
@@ -783,7 +790,9 @@ func decodeConstExpr(d *decoder) (Instr, error) {
 	return in, nil
 }
 
-func decodeInstr(d *decoder) (Instr, error) {
+// decodeInstr reads one instruction, appending a br_table's target list to
+// brTables.
+func decodeInstr(d *decoder, brTables *[][]uint32) (Instr, error) {
 	opb, err := d.byte()
 	if err != nil {
 		return Instr{}, err
@@ -832,14 +841,16 @@ func decodeInstr(d *decoder) (Instr, error) {
 		if n > 1<<20 {
 			return Instr{}, errors.New("br_table too large")
 		}
-		in.Table = make([]uint32, 0, n+1)
+		tbl := make([]uint32, 0, n+1)
 		for j := uint32(0); j <= n; j++ {
 			t, err := d.u32()
 			if err != nil {
 				return Instr{}, err
 			}
-			in.Table = append(in.Table, t)
+			tbl = append(tbl, t)
 		}
+		in.I64 = int64(len(*brTables))
+		*brTables = append(*brTables, tbl)
 	case OpI32Const:
 		v, err := d.int(32)
 		if err != nil {

@@ -221,6 +221,15 @@ func (fb *FuncBuilder) BrIf(depth uint32) *FuncBuilder {
 	return fb.Emit(Instr{Op: OpBrIf, I64: int64(depth)})
 }
 
+// BrTable branches to targets[i] for the popped index i, or to the final
+// (default) target when i is out of range. The builder records targets in
+// the function's BrTables side table.
+func (fb *FuncBuilder) BrTable(targets []uint32) *FuncBuilder {
+	f := fb.fn()
+	f.BrTables = append(f.BrTables, targets)
+	return fb.Emit(Instr{Op: OpBrTable, I64: int64(len(f.BrTables) - 1)})
+}
+
 // Call calls function index f.
 func (fb *FuncBuilder) Call(f uint32) *FuncBuilder {
 	return fb.Emit(Instr{Op: OpCall, I64: int64(f)})

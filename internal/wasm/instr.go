@@ -226,26 +226,27 @@ const (
 )
 
 // Instr is one WebAssembly instruction. Immediates are stored in the fields
-// relevant to the opcode; unused fields are zero.
+// relevant to the opcode; unused fields are zero. Instr holds no pointer and
+// fits 32 bytes (TestInstrLayout), so a function body is a noscan array the
+// garbage collector never walks: br_table keeps its target list in the
+// function's BrTables side table.
 type Instr struct {
-	Op Opcode
-
 	// I64 holds integer immediates: i32.const/i64.const values, branch
-	// depths, local/global/function/type indices.
+	// depths, local/global/function/type indices, and the index of a
+	// br_table's target list in Func.BrTables.
 	I64 int64
 
 	// F64 holds f32.const (widened) and f64.const immediates.
 	F64 float64
 
-	// Block is the block type for block/loop/if.
-	Block BlockType
-
-	// Table holds the br_table target list; the final entry is the default.
-	Table []uint32
-
 	// Align and Offset form the memarg of load/store instructions.
 	Align  uint32
 	Offset uint32
+
+	Op Opcode
+
+	// Block is the block type for block/loop/if.
+	Block BlockType
 }
 
 func (in Instr) String() string {
@@ -259,7 +260,7 @@ func (in Instr) String() string {
 		OpLocalGet, OpLocalSet, OpLocalTee, OpGlobalGet, OpGlobalSet:
 		return fmt.Sprintf("%s %d", name, in.I64)
 	case OpBrTable:
-		return fmt.Sprintf("%s %v", name, in.Table)
+		return fmt.Sprintf("%s #%d", name, in.I64)
 	case OpBlock, OpLoop, OpIf:
 		if in.Block.HasResult {
 			return fmt.Sprintf("%s (result %s)", name, in.Block.Result)

@@ -413,11 +413,10 @@ func (inst *Instance) call(idx uint32, args []uint64, depth int) ([]uint64, erro
 			}
 		case OpBrTable:
 			i := uint32(pop())
-			var d uint32
-			if int(i) < len(in.Table)-1 {
-				d = in.Table[i]
-			} else {
-				d = in.Table[len(in.Table)-1]
+			tbl := f.BrTables[in.I64]
+			d := tbl[len(tbl)-1]
+			if int(i) < len(tbl)-1 {
+				d = tbl[i]
 			}
 			np, err := branch(int(d), pc)
 			if err != nil {

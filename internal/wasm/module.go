@@ -40,6 +40,19 @@ type Func struct {
 	TypeIdx uint32
 	Locals  []ValType // locals beyond the parameters
 	Body    []Instr
+	// BrTables holds the target lists of the body's br_table instructions,
+	// each indexed by its instruction's I64; a list's final entry is the
+	// default target.
+	BrTables [][]uint32
+}
+
+// BrTargets returns the target list of the br_table instruction in, or nil
+// if its index is outside f.BrTables.
+func (f *Func) BrTargets(in Instr) []uint32 {
+	if in.I64 < 0 || in.I64 >= int64(len(f.BrTables)) {
+		return nil
+	}
+	return f.BrTables[in.I64]
 }
 
 // Table is a funcref table.

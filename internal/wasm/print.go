@@ -66,7 +66,11 @@ func Print(m *Module) string {
 				indent = 4
 			}
 			sb.WriteString(strings.Repeat(" ", indent))
-			sb.WriteString(in.String())
+			if in.Op == OpBrTable {
+				fmt.Fprintf(&sb, "%s %v", OpName(in.Op), f.BrTargets(in))
+			} else {
+				sb.WriteString(in.String())
+			}
 			sb.WriteString("\n")
 			switch in.Op {
 			case OpBlock, OpLoop, OpIf, OpElse:

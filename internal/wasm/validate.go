@@ -171,6 +171,7 @@ type ctrlFrame struct {
 
 type validator struct {
 	m        *Module
+	fn       *Func
 	stack    []ValType
 	ctrls    []ctrlFrame
 	locals   []ValType
@@ -255,7 +256,7 @@ func (v *validator) branchTo(depth int64) (*ctrlFrame, error) {
 func validateBody(m *Module, f *Func, nfuncs, nglobals, nmems, ntables int) error {
 	ft := m.Types[f.TypeIdx]
 	v := &validator{
-		m: m, nfuncs: nfuncs, nglobals: nglobals, nmems: nmems, ntables: ntables,
+		m: m, fn: f, nfuncs: nfuncs, nglobals: nglobals, nmems: nmems, ntables: ntables,
 		locals: append(append([]ValType{}, ft.Params...), f.Locals...),
 	}
 	v.pushCtrl(0, ft.Results)
@@ -350,15 +351,16 @@ func (v *validator) step(in Instr) error {
 		if _, err := v.pop(I32); err != nil {
 			return err
 		}
-		if len(in.Table) == 0 {
-			return errors.New("empty br_table")
+		tbl := v.fn.BrTargets(in)
+		if len(tbl) == 0 {
+			return fmt.Errorf("br_table %d: no target list (%d in the function)", in.I64, len(v.fn.BrTables))
 		}
-		def, err := v.branchTo(int64(in.Table[len(in.Table)-1]))
+		def, err := v.branchTo(int64(tbl[len(tbl)-1]))
 		if err != nil {
 			return err
 		}
 		defTypes := def.labelTypes()
-		for _, tgt := range in.Table[:len(in.Table)-1] {
+		for _, tgt := range tbl[:len(tbl)-1] {
 			fr, err := v.branchTo(int64(tgt))
 			if err != nil {
 				return err

@@ -273,7 +273,7 @@ func TestBrTable(t *testing.T) {
 	fb.Block(BlockVoid)
 	fb.Block(BlockVoid)
 	fb.LocalGet(0)
-	fb.Emit(Instr{Op: OpBrTable, Table: []uint32{0, 1, 2}})
+	fb.BrTable([]uint32{0, 1, 2})
 	fb.End()
 	fb.I32Const(10).Return()
 	fb.End()
