@@ -41,9 +41,45 @@ int main() {
   return 0;
 }`
 
-// TestArtifactGolden pins the encoded artifact of every catalogue workload
-// and of a jump-table probe, per engine, by length and sha256 (CompileTime
-// cleared). A change to the in-memory instruction representation must
+// floatProbeSrc shares f32 and f64 constants across functions and takes
+// fabs/fabsf and negations at both widths, so rodata holds f32 constants,
+// f64 constants and all four sign masks. A float ++/-- is mini-C's only
+// source of f32.const; no catalogue workload has one.
+const floatProbeSrc = `
+float stepf(float x) {
+  float y;
+  y = x * 1.25f + 0.75f;
+  y++;
+  return -fabsf(y);
+}
+double stepd(double x) {
+  double y;
+  y = x * 1.25 + 0.75;
+  y--;
+  return -fabs(y);
+}
+double mix(double a, float b) {
+  double r;
+  b--;
+  r = fabs(a - 2.5) * 1.25 + fabsf(b * 0.75f);
+  return -r - (double)(-b);
+}
+int main() {
+  int i; double acc; float accf;
+  acc = 0.0; accf = 0.0f;
+  for (i = 0; i < 6; i++) {
+    acc = acc + stepd((double)i - 2.5) + mix(acc * 0.5, accf);
+    accf = accf + stepf((float)i - 2.5f);
+    accf++;
+  }
+  print_fixed((int)(acc * 1000.0)); print_nl();
+  print_fixed((int)(accf * 1000.0f)); print_nl();
+  return 0;
+}`
+
+// TestArtifactGolden pins the encoded artifact of every catalogue workload,
+// of a jump-table probe and of a float-constant probe, per engine (the
+// asm.js engines included), by length and sha256 (CompileTime cleared). A change to the in-memory instruction representation must
 // leave every artifact byte-identical. It compiles directly, bypassing the
 // build cache and the artifact store, so a warm store cannot answer.
 // Regenerate with `go test ./internal/codegen -run TestArtifactGolden -update`.
@@ -53,11 +89,11 @@ func TestArtifactGolden(t *testing.T) {
 	for _, w := range append(workloads.SPECCPU(), workloads.Polybench()...) {
 		sources = append(sources, source{w.Name, w.Source})
 	}
-	sources = append(sources, source{"switch-probe", switchProbeSrc})
+	sources = append(sources, source{"switch-probe", switchProbeSrc}, source{"float-probe", floatProbeSrc})
 
 	var sb strings.Builder
 	for _, s := range sources {
-		for _, cfg := range []*codegen.EngineConfig{codegen.Native(), codegen.Chrome(), codegen.Firefox()} {
+		for _, cfg := range []*codegen.EngineConfig{codegen.Native(), codegen.Chrome(), codegen.Firefox(), codegen.AsmJSChrome(), codegen.AsmJSFirefox()} {
 			m, err := minic.Compile(s.src, pipeline.ABIFor(cfg))
 			if err != nil {
 				t.Fatalf("%s/%s: %v", s.name, cfg.Name, err)
