@@ -7,6 +7,7 @@ import (
 	"repro/internal/codegen"
 	"repro/internal/cpu"
 	"repro/internal/wasm"
+	"repro/internal/x86"
 )
 
 // engines under test.
@@ -347,6 +348,91 @@ func TestNativeSmallerThanChrome(t *testing.T) {
 		t.Errorf("native matmul has %d instructions, chrome %d; expected native < chrome", ni, ci)
 	}
 	t.Logf("matmul instructions: native=%d chrome=%d", ni, ci)
+}
+
+// TestDeclinedRotationLowersNoGuard compiles an inner loop whose top test
+// loads from linear memory and branches to the outer loop. Rotation cannot
+// exit to a loop frame, so native declines it; the declined guard must not
+// be lowered as well, or its load survives DCE and native reads memory
+// twice per iteration where Chrome, which never rotates, reads once.
+func TestDeclinedRotationLowersNoGuard(t *testing.T) {
+	b := wasm.NewModuleBuilder()
+	b.Memory(1, 1)
+	b.Data(4, []byte{1, 0, 0, 0, 1, 0, 0, 0, 1, 0, 0, 0})
+	// count(p): n = 0; do { n++; p += 4 } while (mem[p] != 0); return n.
+	fb := b.Func("count", wasm.FuncType{Params: []wasm.ValType{wasm.I32}, Results: []wasm.ValType{wasm.I32}}, wasm.I32)
+	fb.Block(wasm.BlockVoid)
+	fb.Loop(wasm.BlockVoid)
+	fb.LocalGet(1).I32Const(1).Op(wasm.OpI32Add).LocalSet(1)
+	fb.LocalGet(0).I32Const(4).Op(wasm.OpI32Add).LocalSet(0)
+	fb.Loop(wasm.BlockVoid)
+	fb.LocalGet(0).Load(wasm.OpI32Load, 0).BrIf(1)
+	fb.Br(2)
+	fb.End()
+	fb.End()
+	fb.End()
+	fb.LocalGet(1)
+	b.Export("count", wasm.ExternFunc, fb.Index())
+	m := b.Module()
+	runBoth(t, m, "count", 0)
+
+	linearOperands := func(cfg *codegen.EngineConfig) int {
+		cm, err := codegen.Compile(m, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		n := 0
+		for _, in := range cm.Prog.Code {
+			for _, op := range []x86.Operand{in.Dst, in.Src} {
+				if op.Kind == x86.KMem && (op.Mem.Base == cfg.MemBase || op.Mem.Index == cfg.MemBase) {
+					n++
+				}
+			}
+		}
+		return n
+	}
+	nat, chr := linearOperands(codegen.Native()), linearOperands(codegen.Chrome())
+	if nat != 1 || chr != 1 {
+		t.Errorf("linear-memory operands: native %d, chrome %d; want 1 each", nat, chr)
+	}
+}
+
+// TestRotatedLoopEdges covers rotation's exit and back-edge shapes: a
+// back edge from a block nested in a rotated loop must re-run the test
+// against the loop's own exit frame, and a top test that leaves the whole
+// function (a frame with no follow block) is not rotated.
+func TestRotatedLoopEdges(t *testing.T) {
+	b := wasm.NewModuleBuilder()
+	// nested(n): s = 0; while (n != 0) { s += 3; { n--; continue } } return s.
+	fb := b.Func("nested", wasm.FuncType{Params: []wasm.ValType{wasm.I32}, Results: []wasm.ValType{wasm.I32}}, wasm.I32)
+	fb.Block(wasm.BlockVoid)
+	fb.Loop(wasm.BlockVoid)
+	fb.LocalGet(0).Op(wasm.OpI32Eqz).BrIf(1)
+	fb.LocalGet(1).I32Const(3).Op(wasm.OpI32Add).LocalSet(1)
+	fb.Block(wasm.BlockVoid)
+	fb.LocalGet(0).I32Const(1).Op(wasm.OpI32Sub).LocalSet(0)
+	fb.Br(1)
+	fb.End()
+	fb.End()
+	fb.End()
+	fb.LocalGet(1)
+	b.Export("nested", wasm.ExternFunc, fb.Index())
+	// leave(n): while (n != 0) { g += 3; n-- } in a void function whose
+	// loop test branches straight out of the function.
+	g := b.GlobalI32(0)
+	fb = b.Func("leave", wasm.FuncType{Params: []wasm.ValType{wasm.I32}})
+	fb.Loop(wasm.BlockVoid)
+	fb.LocalGet(0).Op(wasm.OpI32Eqz).BrIf(1)
+	fb.GlobalGet(g).I32Const(3).Op(wasm.OpI32Add).GlobalSet(g)
+	fb.LocalGet(0).I32Const(1).Op(wasm.OpI32Sub).LocalSet(0)
+	fb.Br(0)
+	fb.End()
+	b.Export("leave", wasm.ExternFunc, fb.Index())
+	m := b.Module()
+	for _, n := range []uint64{0, 1, 5} {
+		runBoth(t, m, "nested", n)
+		runBoth(t, m, "leave", n)
+	}
 }
 
 // buildMatmulModule builds matmul over i32 matrices at fixed sizes

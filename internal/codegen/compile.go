@@ -2,132 +2,27 @@ package codegen
 
 import (
 	"context"
-	"encoding/binary"
 	"fmt"
 	"math"
-	"sync"
 	"time"
 
 	"repro/internal/fault"
-	"repro/internal/ir"
 	"repro/internal/regalloc"
 	"repro/internal/wasm"
 	"repro/internal/x86"
 )
 
-// moduleCtx is shared emission state across a module's functions. During
-// the parallel emission phase it is effectively read-only: the rodata pool
-// is fully populated by a serial prescan (prescanConsts) before emitters
-// run and then sealed, so floatConst/maskConst only ever hit the intern
-// index — a sealed-pool miss (a prescan/emission mismatch bug) panics via
-// roMiss rather than interning at a scheduling-dependent address.
+// moduleCtx is shared emission state across a module's functions,
+// read-only while functions emit in parallel. The rodata pool is written
+// only by mergeFragments, which interns each fragment's constants serially
+// in function order.
 type moduleCtx struct {
 	cfg       *EngineConfig
 	funcLabel []int // module-function index -> entry label
 	tableSize int
-	roMu      sync.Mutex
-	roSealed  bool // set after prescan: emission-phase misses are a bug
 	rodata    []byte
 	roIndex   map[uint64]uint32
 	hostNames []string
-}
-
-// roMiss is the sealed-pool miss path: the serial prescan is supposed to
-// have interned every constant emission will ask for. A miss after sealing
-// means prescanConsts and the emitter disagreed about some instruction; in
-// parallel emission the constant's address would then depend on goroutine
-// scheduling, silently breaking the byte-identical-artifact invariant the
-// store keys rely on. Fail loudly and deterministically instead.
-func (c *moduleCtx) roMiss(what string) {
-	panic(fmt.Sprintf("codegen: rodata %s requested during emission but not interned by prescan", what))
-}
-
-// floatConst interns an 8-byte float constant in rodata, returning its
-// absolute address.
-func (c *moduleCtx) floatConst(v float64, w uint8) uint32 {
-	var bits uint64
-	if w == 4 {
-		bits = uint64(math.Float32bits(float32(v))) | 1<<63 // distinct key space
-	} else {
-		bits = math.Float64bits(v)
-	}
-	c.roMu.Lock()
-	defer c.roMu.Unlock()
-	if a, ok := c.roIndex[bits]; ok {
-		return a
-	}
-	if c.roSealed {
-		c.roMiss(fmt.Sprintf("float constant %v/w%d", v, w))
-	}
-	addr := uint32(x86.RodataBase) + uint32(len(c.rodata))
-	var buf [8]byte
-	if w == 4 {
-		binary.LittleEndian.PutUint32(buf[:], math.Float32bits(float32(v)))
-	} else {
-		binary.LittleEndian.PutUint64(buf[:], math.Float64bits(v))
-	}
-	c.rodata = append(c.rodata, buf[:]...)
-	c.roIndex[bits] = addr
-	return addr
-}
-
-// maskConst interns the abs/neg bit masks.
-func (c *moduleCtx) maskConst(signFlip bool, w uint8) uint32 {
-	var v uint64
-	switch {
-	case signFlip && w == 8:
-		v = 0x8000000000000000
-	case signFlip && w == 4:
-		v = 0x80000000
-	case !signFlip && w == 8:
-		v = 0x7fffffffffffffff
-	default:
-		v = 0x7fffffff
-	}
-	key := v ^ 0xdeadbeef<<32 // avoid colliding with float keys
-	c.roMu.Lock()
-	defer c.roMu.Unlock()
-	if a, ok := c.roIndex[key]; ok {
-		return a
-	}
-	if c.roSealed {
-		c.roMiss(fmt.Sprintf("mask constant signFlip=%v/w%d", signFlip, w))
-	}
-	addr := uint32(x86.RodataBase) + uint32(len(c.rodata))
-	var buf [8]byte
-	binary.LittleEndian.PutUint64(buf[:], v)
-	c.rodata = append(c.rodata, buf[:]...)
-	c.roIndex[key] = addr
-	return addr
-}
-
-// prescanConsts interns, in IR order, every rodata constant function f's
-// emission will request: FConst materializations (skipping dead
-// destinations and +0.0, exactly as the emitter does) and the FAbs/FNeg
-// masks. Compile runs it serially in function order between the parallel
-// frontend and emission phases, so constant addresses — and therefore the
-// emitted instruction bytes — are independent of emission concurrency and
-// identical to what a fully serial compile interns.
-func prescanConsts(ctx *moduleCtx, f *ir.Func, ra *regalloc.Result) {
-	for _, b := range f.Blocks {
-		for i := range b.Ins {
-			in := &b.Ins[i]
-			switch in.Op {
-			case ir.FConst:
-				if ra.Loc[in.Dst].Kind == regalloc.LocNone {
-					continue
-				}
-				if in.F64 == 0 && !math.Signbit(in.F64) {
-					continue
-				}
-				ctx.floatConst(in.F64, in.W)
-			case ir.FAbs:
-				ctx.maskConst(false, in.W)
-			case ir.FNeg:
-				ctx.maskConst(true, in.W)
-			}
-		}
-	}
 }
 
 func (c *moduleCtx) hostName(i int) string {
@@ -202,12 +97,12 @@ type CompiledModule struct {
 // Functions compile independently: the frontend (lowering, optimization,
 // liveness, register allocation) and the emission of per-function machine
 // fragments both fan out over the shared scheduler, borrowing worker slots
-// from the process-wide budget (sched.Shared; Workers caps the width), with
-// two short serial passes between them — the rodata prescan that fixes
-// constant addresses in function order, and the fragment merge that
-// concatenates the fragments and resolves branch/call targets to global
-// instruction indices. When concurrent suite jobs hold the whole budget the
-// compile simply runs serially on its caller's goroutine. The output is
+// from the process-wide budget (sched.Shared; Workers caps the width). One
+// short serial pass follows them: the fragment merge, which concatenates
+// the fragments in function order, resolves branch/call targets to global
+// instruction indices and places rodata constants. When concurrent suite
+// jobs hold the whole budget the compile simply runs serially on its
+// caller's goroutine. The output is
 // byte-identical at any worker count and any budget size.
 func Compile(m *wasm.Module, cfg *EngineConfig) (*CompiledModule, error) {
 	return CompileContext(context.Background(), m, cfg)
@@ -310,16 +205,7 @@ func CompileContext(ctx context.Context, m *wasm.Module, cfg *EngineConfig) (*Co
 		return nil, err
 	}
 
-	// Phase 2 (serial): intern rodata constants in function order, so
-	// constant addresses match a serial compile exactly. The pool is then
-	// sealed: an emission-phase miss (a prescan/emitter mismatch bug)
-	// panics instead of interning at a scheduling-dependent address.
-	for _, sc := range frags {
-		prescanConsts(mctx, sc.f, sc.res)
-	}
-	mctx.roSealed = true
-
-	// Phase 3 (parallel): emit every function into its scratch fragment.
+	// Phase 2 (parallel): emit every function into its scratch fragment.
 	err = runPerFunc(ctx, n, func(fi int) error {
 		sc := frags[fi]
 		em := &emitter{ctx: mctx, cfg: cfg, f: sc.f, ra: sc.res, sc: sc, prog: sc.frag}
@@ -344,7 +230,7 @@ func CompileContext(ctx context.Context, m *wasm.Module, cfg *EngineConfig) (*Co
 		return nil, err
 	}
 
-	// Phase 4 (serial): merge fragments in function order.
+	// Phase 3 (serial): merge fragments in function order.
 	prog, entries, err := mergeFragments(mctx, frags)
 	if err != nil {
 		releaseAll()
@@ -421,7 +307,10 @@ func CompileContext(ctx context.Context, m *wasm.Module, cfg *EngineConfig) (*Co
 // (negative) labels and function entry labels to global instruction
 // indices and rebasing each fragment's jump tables and listing notes. It is
 // the compiler's one label resolver; the merged program binds no labels,
-// like a decoded one. It also returns each function's entry index.
+// like a decoded one. It also places rodata: each fragment's constant uses
+// are interned into ctx.rodata in function and emission order, so constant
+// addresses never depend on emission concurrency. It returns each
+// function's entry index.
 func mergeFragments(ctx *moduleCtx, frags []*compileScratch) (*x86.Program, []int, error) {
 	total := 0
 	for _, sc := range frags {
@@ -479,6 +368,15 @@ func mergeFragments(ctx *moduleCtx, frags []*compileScratch) (*x86.Program, []in
 				}
 			}
 			prog.Tables = append(prog.Tables, table)
+		}
+		for _, u := range sc.roUses {
+			addr, ok := ctx.roIndex[u.key]
+			if !ok {
+				addr = uint32(x86.RodataBase) + uint32(len(ctx.rodata))
+				ctx.rodata = append(ctx.rodata, u.data[:]...)
+				ctx.roIndex[u.key] = addr
+			}
+			prog.Code[base+u.at].Src.Mem.Disp = int32(addr)
 		}
 		for _, n := range sc.frag.Notes {
 			n.Idx += base

@@ -21,8 +21,9 @@ import (
 
 // multiFuncSource is a mini-C program with enough functions — including
 // float constants, masks, loops, and indirect control flow — to exercise
-// every cross-function coupling of the compiler (entry labels, rodata
-// interning order, fragment merging).
+// every cross-function coupling of the compiler: entry labels, and the
+// fragment merge that resolves them and places rodata constants shared
+// across functions.
 const multiFuncSource = `
 double scale(double x) { return x * 2.5 + 0.125; }
 double flip(double x) { return -x; }
@@ -134,8 +135,8 @@ func TestCompileDeterminism(t *testing.T) {
 
 // TestCompileScratchStress hammers the pooled compile scratch from many
 // goroutines compiling different modules under different configs at once;
-// run with -race to check the pool and the shared rodata index. Each result
-// is compared against a reference compile.
+// run with -race to check the pool, whose fragments carry their rodata
+// uses to the merge. Each result is compared against a reference compile.
 func TestCompileScratchStress(t *testing.T) {
 	type job struct {
 		name string

@@ -182,6 +182,7 @@ func (e *emitter) emitFunc() error {
 	f := e.f
 	sc := e.sc
 	e.prog.Reset()
+	sc.roUses = sc.roUses[:0]
 	e.localL = 0
 	start := len(e.prog.Code)
 

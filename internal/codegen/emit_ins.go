@@ -1,6 +1,7 @@
 package codegen
 
 import (
+	"encoding/binary"
 	"fmt"
 	"math"
 
@@ -13,6 +14,50 @@ import (
 // zero-extends the displacement of base-less operands.
 func absMem(addr uint32) x86.Operand {
 	return x86.Operand{Kind: x86.KMem, Mem: x86.Mem{Base: x86.NoReg, Index: x86.NoReg, Disp: int32(addr)}}
+}
+
+// floatConst emits in with its source reading the in.W-byte float constant
+// v from rodata.
+func (e *emitter) floatConst(in x86.Inst, v float64) {
+	var key uint64
+	var data [8]byte
+	if in.W == 4 {
+		bits := math.Float32bits(float32(v))
+		key = uint64(bits) | 1<<63 // distinct key space
+		binary.LittleEndian.PutUint32(data[:], bits)
+	} else {
+		key = math.Float64bits(v)
+		binary.LittleEndian.PutUint64(data[:], key)
+	}
+	e.rodataUse(in, key, data)
+}
+
+// maskConst emits in with its source reading the in.W-byte abs (clear the
+// sign) or, with signFlip, neg (flip the sign) bit mask from rodata.
+func (e *emitter) maskConst(in x86.Inst, signFlip bool) {
+	var v uint64
+	switch {
+	case signFlip && in.W == 8:
+		v = 0x8000000000000000
+	case signFlip && in.W == 4:
+		v = 0x80000000
+	case !signFlip && in.W == 8:
+		v = 0x7fffffffffffffff
+	default:
+		v = 0x7fffffff
+	}
+	var data [8]byte
+	binary.LittleEndian.PutUint64(data[:], v)
+	e.rodataUse(in, v^0xdeadbeef<<32, data) // avoid colliding with float keys
+}
+
+// rodataUse emits in reading a rodata constant whose address is fixed only
+// when the module's fragments merge: its source is absMem(0), and the use
+// is recorded for mergeFragments to intern the constant and patch the
+// displacement.
+func (e *emitter) rodataUse(in x86.Inst, key uint64, data [8]byte) {
+	in.Src = absMem(0)
+	e.sc.roUses = append(e.sc.roUses, roUse{at: e.prog.Append(in), key: key, data: data})
 }
 
 // ccX maps an IR condition to an x86 condition (integer, signed/unsigned).
@@ -82,8 +127,7 @@ func (e *emitter) emitIns(b *ir.Block, idx int, bi int) error {
 		if in.F64 == 0 && !math.Signbit(in.F64) {
 			e.emit(x86.Inst{Op: x86.OXorpd, W: 8, Dst: x86.R(d), Src: x86.R(d)})
 		} else {
-			addr := e.ctx.floatConst(in.F64, in.W)
-			e.emit(x86.Inst{Op: x86.OMovsd, W: in.W, Dst: x86.R(d), Src: absMem(addr)})
+			e.floatConst(x86.Inst{Op: x86.OMovsd, W: in.W, Dst: x86.R(d)}, in.F64)
 		}
 		flush()
 
@@ -195,7 +239,7 @@ func (e *emitter) emitIns(b *ir.Block, idx int, bi int) error {
 		if d != a {
 			e.emit(x86.Inst{Op: x86.OMovsd, W: in.W, Dst: x86.R(d), Src: x86.R(a)})
 		}
-		e.emit(x86.Inst{Op: x86.OAndpd, W: in.W, Dst: x86.R(d), Src: absMem(e.ctx.maskConst(false, in.W))})
+		e.maskConst(x86.Inst{Op: x86.OAndpd, W: in.W, Dst: x86.R(d)}, false)
 		flush()
 
 	case ir.FNeg:
@@ -204,7 +248,7 @@ func (e *emitter) emitIns(b *ir.Block, idx int, bi int) error {
 		if d != a {
 			e.emit(x86.Inst{Op: x86.OMovsd, W: in.W, Dst: x86.R(d), Src: x86.R(a)})
 		}
-		e.emit(x86.Inst{Op: x86.OXorpd, W: in.W, Dst: x86.R(d), Src: absMem(e.ctx.maskConst(true, in.W))})
+		e.maskConst(x86.Inst{Op: x86.OXorpd, W: in.W, Dst: x86.R(d)}, true)
 		flush()
 
 	case ir.FCeil, ir.FFloor, ir.FTrunc, ir.FNearest:

@@ -233,16 +233,6 @@ func AsmJSFirefox() *EngineConfig {
 	return c
 }
 
-// isCalleeSaved reports whether r is callee-saved under cfg.
-func (cfg *EngineConfig) isCalleeSaved(r x86.Reg) bool {
-	for _, c := range cfg.CalleeSaved {
-		if c == r {
-			return true
-		}
-	}
-	return false
-}
-
 // calleeSavedSet returns the callee-saved set as a map for the allocators.
 func (cfg *EngineConfig) calleeSavedSet() map[x86.Reg]bool {
 	m := make(map[x86.Reg]bool, len(cfg.CalleeSaved))

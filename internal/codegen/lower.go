@@ -40,7 +40,7 @@ type lctrl struct {
 	// Rotated-loop support (native config).
 	rotated bool
 	rotTest []wasm.Instr // the pure test sequence re-evaluated at latches
-	rotExit int          // wasm branch depth of the exit, relative to inside the loop
+	rotExit int          // index in ctrls of the exit frame, which stays put while the loop is open
 	body    *ir.Block    // rotated loop body (back-edge target)
 }
 
@@ -291,19 +291,8 @@ func (lo *lowerer) emitRotatedBackedge(fr *lctrl) error {
 			return fmt.Errorf("rotated test: %w", err)
 		}
 	}
-	cond := lo.pop()
-	exitFr := lo.frameAt(fr.rotExit)
-	if exitFr.resultV != ir.NoV {
-		return fmt.Errorf("rotated loop exit carries a result")
-	}
-	var exitID int
-	if exitFr.op == wasm.OpLoop {
-		exitID = exitFr.header.ID
-	} else {
-		exitID = exitFr.follow.ID
-	}
-	t := lo.fuseCond(cond)
-	t.Targets = lo.targets2(exitID, fr.body.ID)
+	t := lo.fuseCond(lo.pop())
+	t.Targets = lo.targets2(lo.ctrls[fr.rotExit].follow.ID, fr.body.ID)
 	lo.emit(t)
 	return nil
 }
@@ -356,10 +345,11 @@ func (lo *lowerer) protectLocal(v ir.VReg) {
 }
 
 // scanRotatable checks whether the loop starting after pc (which indexes the
-// OpLoop) begins with a pure test sequence ending in br_if to an enclosing
-// frame. It returns the sequence, the br_if depth, and the pc just past the
-// br_if, or ok=false.
-func (lo *lowerer) scanRotatable(pc int) (seq []wasm.Instr, depth int, next int, ok bool) {
+// OpLoop, whose frame is not pushed yet) begins with a pure test sequence
+// ending in br_if to an enclosing block or if that carries no result. It
+// returns the sequence, the exit frame's index in ctrls, and the pc just
+// past the br_if, or ok=false.
+func (lo *lowerer) scanRotatable(pc int) (seq []wasm.Instr, exit int, next int, ok bool) {
 	delta := 0
 	for i := pc + 1; i < len(lo.body); i++ {
 		in := &lo.body[i]
@@ -394,9 +384,15 @@ func (lo *lowerer) scanRotatable(pc int) (seq []wasm.Instr, depth int, next int,
 			if delta != 1 || in.I64 == 0 {
 				return nil, 0, 0, false
 			}
+			// Depth d inside the loop is depth d-1 outside it. The
+			// exit edge carries no value and must leave the loop.
+			ex := lo.frameAt(int(in.I64) - 1)
+			if (ex.op != wasm.OpBlock && ex.op != wasm.OpIf) || ex.resultV != ir.NoV {
+				return nil, 0, 0, false
+			}
 			// Sequence consumed nothing below its own pushes and leaves
 			// exactly the condition: rotatable.
-			return lo.body[pc+1 : i], int(in.I64), i + 1, true
+			return lo.body[pc+1 : i], len(lo.ctrls) - int(in.I64), i + 1, true
 		default:
 			return nil, 0, 0, false
 		}

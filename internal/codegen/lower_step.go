@@ -29,32 +29,24 @@ func (lo *lowerer) step(pc int, in *wasm.Instr) (int, error) {
 			fr.resultV = lo.newV(in.Block.Result)
 		}
 		if lo.cfg.RotateLoops {
-			if seq, depth, next, ok := lo.scanRotatable(pc); ok {
+			if seq, exit, next, ok := lo.scanRotatable(pc); ok {
 				// Guard + bottom-test rotation. Push the frame first so
 				// branch depths inside the test resolve correctly.
 				fr.rotated = true
 				fr.rotTest = seq
-				fr.rotExit = depth
+				fr.rotExit = exit
 				fr.body = lo.newBlock()
 				lo.ctrls = append(lo.ctrls, fr)
-				frp := &lo.ctrls[len(lo.ctrls)-1]
 				// Lower the guard: test once before entering the loop.
 				for i := range seq {
 					if _, err := lo.step(-1, &seq[i]); err != nil {
 						return 0, err
 					}
 				}
-				cond := lo.pop()
-				exitFr := lo.frameAt(depth)
-				if exitFr.resultV != ir.NoV || exitFr.op == wasm.OpLoop {
-					// Cannot rotate after all; fall back (rare).
-					lo.ctrls = lo.ctrls[:len(lo.ctrls)-1]
-					return lo.lowerPlainLoop(pc, in)
-				}
-				t := lo.fuseCond(cond)
-				t.Targets = lo.targets2(exitFr.follow.ID, frp.body.ID)
+				t := lo.fuseCond(lo.pop())
+				t.Targets = lo.targets2(lo.ctrls[exit].follow.ID, fr.body.ID)
 				lo.emit(t)
-				lo.startBlock(frp.body)
+				lo.startBlock(fr.body)
 				return next, nil
 			}
 		}
@@ -125,8 +117,6 @@ func (lo *lowerer) step(pc int, in *wasm.Instr) (int, error) {
 		}
 
 	case wasm.OpBr:
-		fr := lo.frameAt(int(in.I64))
-		_ = fr
 		if err := lo.branchToFrame(int(in.I64)); err != nil {
 			return 0, err
 		}
@@ -380,20 +370,6 @@ func (lo *lowerer) step(pc int, in *wasm.Instr) (int, error) {
 			return 0, err
 		}
 	}
-	return pc + 1, nil
-}
-
-// lowerPlainLoop handles OpLoop without rotation (fallback path).
-func (lo *lowerer) lowerPlainLoop(pc int, in *wasm.Instr) (int, error) {
-	fr := lctrl{op: wasm.OpLoop, follow: lo.newBlock(), stackH: len(lo.stack), resultV: ir.NoV}
-	if in.Block.HasResult {
-		fr.resType = in.Block.Result
-		fr.resultV = lo.newV(in.Block.Result)
-	}
-	fr.header = lo.newBlock()
-	lo.ctrls = append(lo.ctrls, fr)
-	lo.emitJump(fr.header)
-	lo.startBlock(fr.header)
 	return pc + 1, nil
 }
 

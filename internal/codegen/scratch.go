@@ -65,7 +65,18 @@ type compileScratch struct {
 	fusePlans  []fusePlan
 	pmoves     []pmove
 	pending    []pmove
+	roUses     []roUse // rodata constants the fragment reads
 	stats      FuncStats
+}
+
+// roUse is one rodata constant read by a fragment instruction: the
+// instruction at fragment index at reads data, interned under key.
+// mergeFragments places the constant and patches the instruction's source
+// displacement to its address.
+type roUse struct {
+	at   int
+	key  uint64
+	data [8]byte
 }
 
 // accessRef is one memory access (instruction index) grouped by address vreg

@@ -417,13 +417,6 @@ func (s Bitset) OrWith(t Bitset) bool {
 	return changed
 }
 
-// Copy duplicates the set.
-func (s Bitset) Copy() Bitset {
-	c := make(Bitset, len(s))
-	copy(c, s)
-	return c
-}
-
 // ForEach calls fn for each set bit.
 func (s Bitset) ForEach(fn func(VReg)) {
 	for w, word := range s {

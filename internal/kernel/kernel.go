@@ -179,9 +179,6 @@ type Process struct {
 	budgeted bool
 }
 
-// Done returns a channel closed when the process exits.
-func (p *Process) Done() <-chan struct{} { return p.done }
-
 // TotalCycles returns the process's total simulated cycles.
 func (p *Process) TotalCycles() uint64 { return p.Inst.Counters.Cycles }
 
@@ -447,12 +444,4 @@ func (k *Kernel) WaitPID(pid int) (int, error) {
 		return p.ExitCode, p.ExitErr
 	}
 	return p.ExitCode, nil
-}
-
-// Proc returns a live process by pid.
-func (k *Kernel) Proc(pid int) (*Process, bool) {
-	k.mu.Lock()
-	defer k.mu.Unlock()
-	p, ok := k.procs[pid]
-	return p, ok
 }

@@ -34,10 +34,7 @@ type fgen struct {
 	hasFrame  bool
 	spLocal   uint32
 	loops     []loopCtx
-
-	// genFrameOff mirrors the prescan's allocation order during statement
-	// generation so offsets line up.
-	genFrameOff int
+	frameOff  map[*Stmt]int // memory-local decl -> frame offset, set by prescanFrame
 
 	scratch map[wasm.ValType][]uint32
 }
@@ -47,6 +44,7 @@ func (g *gen) genFunc(fd *FuncDecl) error {
 	fg := &fgen{
 		g: g, fd: fd,
 		addressed: map[string]bool{},
+		frameOff:  map[*Stmt]int{},
 		scratch:   map[wasm.ValType][]uint32{},
 	}
 	fg.fb = g.b.Func(fd.Name, g.wasmSig(fi.sig))
@@ -68,9 +66,8 @@ func (g *gen) genFunc(fd *FuncDecl) error {
 		}
 	}
 
-	// Pre-size the frame by scanning declarations; generation re-allocates
-	// in the same order starting after the parameter slots.
-	fg.genFrameOff = fg.frameSize
+	// Lay out the frame by scanning declarations, after the parameter
+	// slots; generation reads each memory local's recorded offset.
 	fg.prescanFrame(fd.Body)
 
 	if fg.frameSize > 0 {
@@ -148,7 +145,7 @@ func markAddressed(s *Stmt, out map[string]bool) {
 	walkS(s)
 }
 
-// prescanFrame sizes the frame for memory locals.
+// prescanFrame gives every memory local a frame offset and sizes the frame.
 func (fg *fgen) prescanFrame(s *Stmt) {
 	if s == nil {
 		return
@@ -156,7 +153,7 @@ func (fg *fgen) prescanFrame(s *Stmt) {
 	if s.Op == "decl" {
 		t := s.DeclType
 		if t.isAggregate() || fg.addressed[s.DeclName] {
-			fg.allocFrame(t)
+			fg.frameOff[s] = fg.allocFrame(t)
 		}
 	}
 	fg.prescanFrame(s.Init)
@@ -340,10 +337,11 @@ func (fg *fgen) declStmt(s *Stmt) error {
 	t := s.DeclType
 	li := localInfo{t: t}
 	if t.isAggregate() || fg.addressed[s.DeclName] {
-		// Allocate with the same policy as the prescan.
-		li.isMem = true
-		li.off = alignUp(fg.genFrameOff, t.alignof(fg.g.abi.PtrSize))
-		fg.genFrameOff = li.off + t.size(fg.g.abi.PtrSize)
+		off, ok := fg.frameOff[s]
+		if !ok {
+			return fg.errf(s.Line, "internal: no frame slot for local %s", s.DeclName)
+		}
+		li.isMem, li.off = true, off
 	} else if !t.isScalar() {
 		return fg.errf(s.Line, "bad local type %s", t)
 	} else {

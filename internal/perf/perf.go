@@ -80,20 +80,6 @@ func (c *Counters) Get(ev Event) uint64 {
 	return 0
 }
 
-// Add accumulates o into c.
-func (c *Counters) Add(o *Counters) {
-	c.Loads += o.Loads
-	c.Stores += o.Stores
-	c.Branches += o.Branches
-	c.CondBranches += o.CondBranches
-	c.Instructions += o.Instructions
-	c.Cycles += o.Cycles
-	c.L1IMisses += o.L1IMisses
-	c.L1DMisses += o.L1DMisses
-	c.L2Misses += o.L2Misses
-	c.BranchMiss += o.BranchMiss
-}
-
 // Sub returns c - o (for interval measurements).
 func (c *Counters) Sub(o *Counters) Counters {
 	return Counters{
