@@ -10,6 +10,7 @@ package repro_test
 
 import (
 	"context"
+	"fmt"
 	"runtime"
 	"sync"
 	"testing"
@@ -27,61 +28,36 @@ import (
 
 var (
 	harness   = spec.NewHarness()
-	specOnce  sync.Once
-	polyOnce  sync.Once
-	asmOnce   sync.Once
-	specSuite *spec.SuiteResults
-	polySuite *spec.SuiteResults
-	asmSuite  *spec.SuiteResults
+	suitesMu  sync.Mutex
+	suiteRuns = map[string]*spec.SuiteResults{}
 )
 
-func specResults(b *testing.B) *spec.SuiteResults {
-	specOnce.Do(func() {
-		r, err := harness.RunSPEC(context.Background())
+// suiteResults runs the named spec.Suites matrix at the exact tier once per
+// process; after a failed run every benchmark that needs it skips.
+func suiteResults(b *testing.B, name string) *spec.SuiteResults {
+	suitesMu.Lock()
+	defer suitesMu.Unlock()
+	r, ran := suiteRuns[name]
+	if !ran {
+		s := spec.SuiteNamed(name)
+		var err error
+		r, err = harness.RunSuite(context.Background(), s.Workloads(false), s.Configs(codegen.FidelityExact))
+		suiteRuns[name] = r
 		if err != nil {
 			b.Fatal(err)
 		}
-		specSuite = r
-	})
-	if specSuite == nil {
+	}
+	if r == nil {
 		b.Skip("earlier suite failure")
 	}
-	return specSuite
-}
-
-func polyResults(b *testing.B) *spec.SuiteResults {
-	polyOnce.Do(func() {
-		r, err := harness.RunPolybench(context.Background())
-		if err != nil {
-			b.Fatal(err)
-		}
-		polySuite = r
-	})
-	if polySuite == nil {
-		b.Skip("earlier suite failure")
-	}
-	return polySuite
-}
-
-func asmResults(b *testing.B) *spec.SuiteResults {
-	asmOnce.Do(func() {
-		r, err := harness.RunAsmJS(context.Background())
-		if err != nil {
-			b.Fatal(err)
-		}
-		asmSuite = r
-	})
-	if asmSuite == nil {
-		b.Skip("earlier suite failure")
-	}
-	return asmSuite
+	return r
 }
 
 // BenchmarkFig1_PolybenchThresholds counts kernels within 1.1x/1.5x/2x/2.5x
 // of native (paper: 13 of 24 within 1.1x in 2019).
 func BenchmarkFig1_PolybenchThresholds(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		s := polyResults(b)
+		s := suiteResults(b, "polybench")
 		counts := map[float64]int{}
 		for r := range s.R {
 			best := stats.Min([]float64{
@@ -106,7 +82,7 @@ func BenchmarkFig1_PolybenchThresholds(b *testing.B) {
 // (paper: near parity, far below the SPEC gap).
 func BenchmarkFig3a_PolybenchRelative(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		s := polyResults(b)
+		s := suiteResults(b, "polybench")
 		b.ReportMetric(stats.Geomean(s.Relative(1)), "chrome-x")
 		b.ReportMetric(stats.Geomean(s.Relative(2)), "firefox-x")
 		b.Log("\n" + spec.Fig3(s, "Figure 3a — PolybenchC"))
@@ -117,7 +93,7 @@ func BenchmarkFig3a_PolybenchRelative(b *testing.B) {
 // Chrome, 1.45x Firefox geomean).
 func BenchmarkFig3b_SPECRelative(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		s := specResults(b)
+		s := suiteResults(b, "spec")
 		b.ReportMetric(stats.Geomean(s.Relative(1)), "chrome-x")
 		b.ReportMetric(stats.Geomean(s.Relative(2)), "firefox-x")
 		b.Log("\n" + spec.Fig3(s, "Figure 3b — SPEC CPU"))
@@ -128,7 +104,7 @@ func BenchmarkFig3b_SPECRelative(b *testing.B) {
 // geomean 1.55x/1.45x, median 1.53x/1.54x).
 func BenchmarkTable1_SPECTimes(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		s := specResults(b)
+		s := suiteResults(b, "spec")
 		b.ReportMetric(stats.Geomean(s.Relative(1)), "chrome-geomean-x")
 		b.ReportMetric(stats.Median(s.Relative(1)), "chrome-median-x")
 		b.ReportMetric(stats.Geomean(s.Relative(2)), "firefox-geomean-x")
@@ -166,7 +142,7 @@ func BenchmarkTable2_CompileTimes(b *testing.B) {
 // mean 0.2%, max 1.2%).
 func BenchmarkFig4_BrowsixOverhead(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		s := specResults(b)
+		s := suiteResults(b, "spec")
 		var shares []float64
 		for r := range s.R {
 			shares = append(shares, s.R[r][2].BrowsixShare*100)
@@ -181,8 +157,8 @@ func BenchmarkFig4_BrowsixOverhead(b *testing.B) {
 // (paper: 1.54x Chrome, 1.39x Firefox).
 func BenchmarkFig5_AsmJS(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		w := specResults(b)
-		a := asmResults(b)
+		w := suiteResults(b, "spec")
+		a := suiteResults(b, "asmjs")
 		var rc, rf []float64
 		for r := range w.R {
 			rc = append(rc, a.R[r][0].Seconds/w.R[r][1].Seconds)
@@ -197,8 +173,8 @@ func BenchmarkFig5_AsmJS(b *testing.B) {
 // BenchmarkFig6_AsmJSBest reports best-asm.js vs best-wasm (paper: 1.3x).
 func BenchmarkFig6_AsmJSBest(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		w := specResults(b)
-		a := asmResults(b)
+		w := suiteResults(b, "spec")
+		a := suiteResults(b, "asmjs")
 		var ratios []float64
 		for r := range w.R {
 			bw := stats.Min([]float64{w.R[r][1].Seconds, w.R[r][2].Seconds})
@@ -248,18 +224,24 @@ func BenchmarkFig7_MatmulCodegen(b *testing.B) {
 // (paper: always between 2x and 3.4x).
 func BenchmarkFig8_MatmulSweep(b *testing.B) {
 	for i := 0; i < b.N; i++ {
+		s, err := harness.Fig8()
+		if err != nil {
+			b.Fatal(err)
+		}
+		// The same workloads and configs as Fig8's, so the harness memo
+		// answers every run.
+		cfgs := spec.SuiteNamed("polybench").Configs(codegen.FidelityExact)
 		var worst, best float64
 		for _, sz := range spec.Fig8Sizes {
 			w := &workloads.Workload{
-				Name:   "matmul-sweep",
+				Name:   fmt.Sprintf("matmul-%dx%dx%d", sz[0], sz[1], sz[2]),
 				Source: spec.MatmulSource(sz[0], sz[1], sz[2]),
 			}
-			w.Name = w.Name + "-" + string(rune('a'+sz[0]/10))
-			rs, err := harness.RunSuite(context.Background(), []*workloads.Workload{w}, spec.EngineSet())
+			rs, err := harness.RunSuite(context.Background(), []*workloads.Workload{w}, cfgs)
 			if err != nil {
 				b.Fatal(err)
 			}
-			r := rs[0][1].Seconds / rs[0][0].Seconds
+			r := rs.R[0][1].Seconds / rs.R[0][0].Seconds
 			if best == 0 || r < best {
 				best = r
 			}
@@ -269,10 +251,6 @@ func BenchmarkFig8_MatmulSweep(b *testing.B) {
 		}
 		b.ReportMetric(best, "chrome-min-x")
 		b.ReportMetric(worst, "chrome-max-x")
-		s, err := harness.Fig8()
-		if err != nil {
-			b.Fatal(err)
-		}
 		b.Log("\n" + s)
 	}
 }
@@ -283,7 +261,7 @@ func BenchmarkFig8_MatmulSweep(b *testing.B) {
 // 1.54x/1.38x).
 func BenchmarkFig9_Counters(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		s := specResults(b)
+		s := suiteResults(b, "spec")
 		b.ReportMetric(stats.Geomean(s.CounterRatios(perf.AllLoadsRetired, 1)), "loads-chrome-x")
 		b.ReportMetric(stats.Geomean(s.CounterRatios(perf.AllStoresRetired, 1)), "stores-chrome-x")
 		b.ReportMetric(stats.Geomean(s.CounterRatios(perf.BranchesRetired, 1)), "branches-chrome-x")
@@ -298,7 +276,7 @@ func BenchmarkFig9_Counters(b *testing.B) {
 // Chrome / 2.04x Firefox geomean; sjeng 26.5x/18.6x).
 func BenchmarkFig10_ICache(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		s := specResults(b)
+		s := suiteResults(b, "spec")
 		c := s.CounterRatios(perf.L1ICacheLoadMisses, 1)
 		f := s.CounterRatios(perf.L1ICacheLoadMisses, 2)
 		b.ReportMetric(stats.Geomean(c), "chrome-x")

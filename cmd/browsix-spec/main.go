@@ -36,7 +36,6 @@ func main() {
 
 	h := spec.NewHarness()
 	h.Degraded = *degraded
-	h.Fidelity = fid
 	exitCode := 0
 	reportTotals := func() {}
 	if *cachestats {
@@ -55,58 +54,55 @@ func main() {
 	}
 
 	ctx := context.Background()
-	// suite runs one of the harness's suites at most once per process.
-	suite := func(run func(context.Context) (*spec.SuiteResults, error)) func() *spec.SuiteResults {
-		var res *spec.SuiteResults
-		return func() *spec.SuiteResults {
-			if res == nil {
-				before := pipeline.Stats()
-				r, err := run(ctx)
-				if *cachestats && r != nil {
-					fmt.Fprintf(os.Stderr, "browsix-spec: spec suite (%d workloads × %d engines) cache: %v\n",
-						len(r.Workloads), len(r.Engines), pipeline.Stats().Sub(before))
-				}
-				if err != nil && r == nil {
-					emit("", err)
-				}
-				if err != nil {
-					// Degraded run: results usable, failure summary to stderr,
-					// nonzero exit at the end.
-					fmt.Fprintln(os.Stderr, "browsix-spec:", err)
-					exitCode = 1
-				}
-				res = r
-			}
+	// results runs the named suite of spec.Suites at most once per process.
+	results := map[string]*spec.SuiteResults{}
+	suite := func(name string) *spec.SuiteResults {
+		if res, ok := results[name]; ok {
 			return res
 		}
+		s := spec.SuiteNamed(name)
+		before := pipeline.Stats()
+		r, err := h.RunSuite(ctx, s.Workloads(false), s.Configs(fid))
+		if *cachestats && r != nil {
+			fmt.Fprintf(os.Stderr, "browsix-spec: %s suite (%d workloads × %d engines) cache: %v\n",
+				name, len(r.Workloads), len(r.Engines), pipeline.Stats().Sub(before))
+		}
+		if err != nil && r == nil {
+			emit("", err)
+		}
+		if err != nil {
+			// Degraded run: results usable, failure summary to stderr,
+			// nonzero exit at the end.
+			fmt.Fprintln(os.Stderr, "browsix-spec:", err)
+			exitCode = 1
+		}
+		results[name] = r
+		return r
 	}
-	needSpec := suite(h.RunSPEC)
-	needPoly := suite(h.RunPolybench)
-	needAsm := suite(h.RunAsmJS)
 
 	run := func(which string) {
 		switch which {
 		case "table1", "1":
-			emit(spec.Table1(needSpec()), nil)
+			emit(spec.Table1(suite("spec")), nil)
 		case "table2", "2":
 			s, err := h.Table2()
 			emit(s, err)
 		case "table3", "3":
 			emit(spec.Table3(), nil)
 		case "table4", "4":
-			emit(spec.Table4(needSpec()), nil)
+			emit(spec.Table4(suite("spec")), nil)
 		case "fig1":
-			emit(spec.Fig1(needPoly()), nil)
+			emit(spec.Fig1(suite("polybench")), nil)
 		case "fig3a":
-			emit(spec.Fig3(needPoly(), "Figure 3a — PolybenchC"), nil)
+			emit(spec.Fig3(suite("polybench"), "Figure 3a — PolybenchC"), nil)
 		case "fig3b":
-			emit(spec.Fig3(needSpec(), "Figure 3b — SPEC CPU"), nil)
+			emit(spec.Fig3(suite("spec"), "Figure 3b — SPEC CPU"), nil)
 		case "fig4":
-			emit(spec.Fig4(needSpec()), nil)
+			emit(spec.Fig4(suite("spec")), nil)
 		case "fig5":
-			emit(spec.Fig5(needSpec(), needAsm()), nil)
+			emit(spec.Fig5(suite("spec"), suite("asmjs")), nil)
 		case "fig6":
-			emit(spec.Fig6(needSpec(), needAsm()), nil)
+			emit(spec.Fig6(suite("spec"), suite("asmjs")), nil)
 		case "fig7":
 			s, err := spec.Fig7()
 			emit(s, err)
@@ -114,9 +110,9 @@ func main() {
 			s, err := h.Fig8()
 			emit(s, err)
 		case "fig9":
-			emit(spec.Fig9(needSpec()), nil)
+			emit(spec.Fig9(suite("spec")), nil)
 		case "fig10":
-			emit(spec.Fig10(needSpec()), nil)
+			emit(spec.Fig10(suite("spec")), nil)
 		default:
 			fmt.Fprintf(os.Stderr, "browsix-spec: unknown selector %q\n", which)
 			os.Exit(2)

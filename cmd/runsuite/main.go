@@ -11,7 +11,7 @@
 //
 // Usage:
 //
-//	runsuite [-suite polybench|spec|all] [-short] [-degraded]
+//	runsuite [-suite polybench|spec|asmjs|all] [-short] [-degraded] [-fidelity exact|functional]
 package main
 
 import (
@@ -20,17 +20,21 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"strings"
 	"time"
 
 	"repro/internal/codegen"
 	"repro/internal/config"
 	"repro/internal/pipeline"
 	"repro/internal/spec"
-	"repro/internal/workloads"
 )
 
 func main() {
-	suite := flag.String("suite", "polybench", "suite to run: polybench, spec, all")
+	var names []string
+	for _, s := range spec.Suites {
+		names = append(names, s.Name)
+	}
+	suite := flag.String("suite", "polybench", "suite to run: "+strings.Join(names, ", ")+", or all")
 	short := flag.Bool("short", false, "run the scaled-down short subsets")
 	degraded := flag.Bool("degraded", false, "survive individual workload failures: report FAIL rows, exit nonzero")
 	fidelity := flag.String("fidelity", "", "simulation tier: exact or functional (default $REPRO_FIDELITY, else exact)")
@@ -42,27 +46,13 @@ func main() {
 		os.Exit(2)
 	}
 
-	type job struct {
-		name string
-		ws   []*workloads.Workload
-		cfgs []*codegen.EngineConfig
-	}
-	var jobs []job
-	if *suite == "polybench" || *suite == "all" {
-		ws := workloads.Polybench()
-		if *short {
-			ws = workloads.ShortPolybench()
+	var suites []*spec.Suite
+	for i := range spec.Suites {
+		if s := &spec.Suites[i]; *suite == s.Name || *suite == "all" {
+			suites = append(suites, s)
 		}
-		jobs = append(jobs, job{"polybench", ws, []*codegen.EngineConfig{codegen.Native(), codegen.Chrome()}})
 	}
-	if *suite == "spec" || *suite == "all" {
-		ws := workloads.SPECCPU()
-		if *short {
-			ws = workloads.ShortSPEC()
-		}
-		jobs = append(jobs, job{"spec", ws, spec.EngineSet()})
-	}
-	if len(jobs) == 0 {
+	if len(suites) == 0 {
 		fmt.Fprintf(os.Stderr, "runsuite: unknown suite %q\n", *suite)
 		os.Exit(2)
 	}
@@ -70,22 +60,20 @@ func main() {
 	h := spec.NewHarness()
 	h.Degraded = *degraded
 	exit := 0
-	for _, j := range jobs {
-		for _, cfg := range j.cfgs {
-			cfg.Fidelity = fid
-		}
+	for _, s := range suites {
+		ws, cfgs := s.Workloads(*short), s.Configs(fid)
 		before := pipeline.Stats()
-		out, err := h.RunSuite(context.Background(), j.ws, j.cfgs)
+		out, err := h.RunSuite(context.Background(), ws, cfgs)
 		var sf *spec.SuiteFailure
 		if err != nil && !errors.As(err, &sf) {
 			// A strict failure (or a degraded suite the scheduler aborted)
 			// has no matrix to report; stop, but still flush and report.
-			fmt.Fprintf(os.Stderr, "runsuite: %s: %v\n", j.name, err)
+			fmt.Fprintf(os.Stderr, "runsuite: %s: %v\n", s.Name, err)
 			exit = 1
 			break
 		}
-		ok, rows := 0, len(j.ws)*len(j.cfgs)
-		for _, row := range out {
+		ok, rows := 0, len(ws)*len(cfgs)
+		for _, row := range out.R {
 			for _, r := range row {
 				if r != nil && r.Err == nil {
 					ok++
@@ -93,7 +81,7 @@ func main() {
 			}
 		}
 		fmt.Printf("suite %s: %d/%d runs ok (%d workloads × %d engines) cache: %v\n",
-			j.name, ok, rows, len(j.ws), len(j.cfgs), pipeline.Stats().Sub(before))
+			s.Name, ok, rows, len(ws), len(cfgs), pipeline.Stats().Sub(before))
 		if sf != nil {
 			for _, f := range sf.Failures {
 				fmt.Printf("FAIL %s on %s\n", f.Bench, f.Engine)

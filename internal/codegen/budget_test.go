@@ -32,11 +32,9 @@ func TestConcurrentCompilesStayWithinBudget(t *testing.T) {
 		budget  = 3
 		callers = 8
 	)
-	prevCap := sched.SetSharedCapacity(budget)
-	defer sched.SetSharedCapacity(prevCap)
-	prevWorkers := codegen.Workers
-	codegen.Workers = 0 // scheduler default: as wide as the budget allows
-	defer func() { codegen.Workers = prevWorkers }()
+	// Each compile's fan-out asks for 8 workers, more than the budget
+	// holds, so the budget is what bounds them.
+	defer pinWidth(8, budget)()
 
 	// Reference artifacts, compiled serially before the budget is measured.
 	type unit struct {
@@ -47,7 +45,7 @@ func TestConcurrentCompilesStayWithinBudget(t *testing.T) {
 	var units []unit
 	for _, cfg := range engines() {
 		m := buildModule(t, src, cfg)
-		units = append(units, unit{cfg, compileAt(t, m, cfg, 1)})
+		units = append(units, unit{cfg, compileAt(t, m, cfg, 0, 1)})
 	}
 
 	sched.Shared().ResetPeak()

@@ -97,13 +97,13 @@ type CompiledModule struct {
 // Functions compile independently: the frontend (lowering, optimization,
 // liveness, register allocation) and the emission of per-function machine
 // fragments both fan out over the shared scheduler, borrowing worker slots
-// from the process-wide budget (sched.Shared; Workers caps the width). One
-// short serial pass follows them: the fragment merge, which concatenates
-// the fragments in function order, resolves branch/call targets to global
-// instruction indices and places rodata constants. When concurrent suite
-// jobs hold the whole budget the compile simply runs serially on its
-// caller's goroutine. The output is
-// byte-identical at any worker count and any budget size.
+// from the process-wide budget (sched.Shared; GOMAXPROCS caps the width).
+// One short serial pass follows them: the fragment merge, which
+// concatenates the fragments in function order, resolves branch/call
+// targets to global instruction indices and places rodata constants. When
+// concurrent suite jobs hold the whole budget the compile simply runs
+// serially on its caller's goroutine. The output is byte-identical at any
+// worker count and any budget size.
 func Compile(m *wasm.Module, cfg *EngineConfig) (*CompiledModule, error) {
 	return CompileContext(context.Background(), m, cfg)
 }

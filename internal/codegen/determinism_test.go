@@ -9,6 +9,7 @@ package codegen_test
 import (
 	"bytes"
 	"fmt"
+	"runtime"
 	"sync"
 	"testing"
 
@@ -70,28 +71,30 @@ func encodeNormalized(t testing.TB, cm *codegen.CompiledModule) []byte {
 	return data
 }
 
-// compileAt compiles m with the given worker count and returns the
-// normalized artifact bytes.
-func compileAt(t testing.TB, m *wasm.Module, cfg *codegen.EngineConfig, workers int) []byte {
-	t.Helper()
-	prev := codegen.Workers
-	codegen.Workers = workers
-	defer func() { codegen.Workers = prev }()
-	cm, err := codegen.Compile(m, cfg)
-	if err != nil {
-		t.Fatalf("%s: compile (workers=%d): %v", cfg.Name, workers, err)
+// pinWidth sets the width of Compile's per-function fan-out and returns
+// the restore: procs is runtime.GOMAXPROCS, the fan-out's width (0 leaves
+// it alone), and tokens the shared scheduler budget its helpers borrow
+// from. At one token the top-level fan-out holds the only token and
+// borrows no helper, so the compile is serial.
+func pinWidth(procs, tokens int) (restore func()) {
+	prevProcs := runtime.GOMAXPROCS(procs)
+	prevCap := sched.SetSharedCapacity(tokens)
+	return func() {
+		sched.SetSharedCapacity(prevCap)
+		runtime.GOMAXPROCS(prevProcs)
 	}
-	return encodeNormalized(t, cm)
 }
 
-// compileAtBudget compiles m with the given worker cap while the shared
-// scheduler budget is pinned to tokens, returning the normalized artifact
-// bytes.
-func compileAtBudget(t testing.TB, m *wasm.Module, cfg *codegen.EngineConfig, workers, tokens int) []byte {
+// compileAt compiles m at the width pinWidth(procs, tokens) sets and
+// returns the normalized artifact bytes.
+func compileAt(t testing.TB, m *wasm.Module, cfg *codegen.EngineConfig, procs, tokens int) []byte {
 	t.Helper()
-	prev := sched.SetSharedCapacity(tokens)
-	defer sched.SetSharedCapacity(prev)
-	return compileAt(t, m, cfg, workers)
+	defer pinWidth(procs, tokens)()
+	cm, err := codegen.Compile(m, cfg)
+	if err != nil {
+		t.Fatalf("%s: compile (GOMAXPROCS=%d, budget %d): %v", cfg.Name, procs, tokens, err)
+	}
+	return encodeNormalized(t, cm)
 }
 
 // TestCompileDeterminism pins serial == parallel, byte for byte, for every
@@ -107,22 +110,22 @@ func TestCompileDeterminism(t *testing.T) {
 		for _, cfg := range engines() {
 			t.Run(name+"/"+cfg.Name, func(t *testing.T) {
 				m := buildModule(t, src, cfg)
-				serial := compileAt(t, m, cfg, 1)
-				parallel := compileAt(t, m, cfg, 8)
+				serial := compileAt(t, m, cfg, 0, 1)
+				parallel := compileAt(t, m, cfg, 8, 8)
 				if !bytes.Equal(serial, parallel) {
 					t.Fatalf("serial and parallel artifacts differ (%d vs %d bytes)",
 						len(serial), len(parallel))
 				}
 				// Repeat with a warm scratch pool: recycled arenas must not
 				// leak state between compiles.
-				again := compileAt(t, m, cfg, 8)
+				again := compileAt(t, m, cfg, 8, 8)
 				if !bytes.Equal(serial, again) {
 					t.Fatal("warm-pool recompile produced a different artifact")
 				}
 				// And across budget sizes, including a budget of one token
 				// (no helpers at all — pure inline compilation).
 				for _, tokens := range []int{1, 2, 16} {
-					got := compileAtBudget(t, m, cfg, 8, tokens)
+					got := compileAt(t, m, cfg, 16, tokens)
 					if !bytes.Equal(serial, got) {
 						t.Fatalf("artifact differs at budget %d (%d vs %d bytes)",
 							tokens, len(serial), len(got))
@@ -153,7 +156,7 @@ func TestCompileScratchStress(t *testing.T) {
 				name: fmt.Sprintf("src%d/%s", si, cfg.Name),
 				m:    m,
 				cfg:  cfg,
-				want: compileAt(t, m, cfg, 1),
+				want: compileAt(t, m, cfg, 0, 1),
 			})
 		}
 	}

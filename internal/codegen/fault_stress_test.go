@@ -54,7 +54,7 @@ func TestCompileFaultContainmentStress(t *testing.T) {
 	refs := make([][]byte, nMods)
 	for i := range mods {
 		mods[i] = buildModule(t, stressModuleSrc(i), cfg)
-		refs[i] = compileAt(t, mods[i], cfg, 4)
+		refs[i] = compileAt(t, mods[i], cfg, 4, 4)
 	}
 
 	disarm, err := fault.ArmSpec(fmt.Sprintf("codegen.func@helper_m%d=panic:*", faulted))
@@ -65,11 +65,7 @@ func TestCompileFaultContainmentStress(t *testing.T) {
 
 	for _, tokens := range []int{1, 2, 16} {
 		t.Run(fmt.Sprintf("budget-%d", tokens), func(t *testing.T) {
-			prevCap := sched.SetSharedCapacity(tokens)
-			defer sched.SetSharedCapacity(prevCap)
-			prevW := codegen.Workers
-			codegen.Workers = 4
-			defer func() { codegen.Workers = prevW }()
+			defer pinWidth(4, tokens)()
 
 			arts := make([][]byte, nMods)
 			errs := make([]error, nMods)

@@ -11,17 +11,6 @@ import (
 	"repro/internal/x86"
 )
 
-// Workers caps per-function compile parallelism inside Compile. 0 selects
-// the scheduler default (GOMAXPROCS); 1 forces serial compilation. The cap
-// is an upper bound, not a reservation: the actual fan-out borrows worker
-// slots from the process-wide scheduler budget (sched.Shared), so many
-// modules compiling concurrently — suite cold start — collectively stay
-// within one budget instead of spawning Workers goroutines each. The
-// setting never affects output: serial and parallel compiles of the same
-// module produce byte-identical programs at any budget size (pinned by
-// TestCompileDeterminism).
-var Workers int
-
 // compileScratch owns every transient of one function's compilation — the
 // lowerer and its IR arena, the optimizer worklists, liveness, register
 // allocation, and the emitter's fragment program — pooled via sync.Pool the
@@ -139,20 +128,13 @@ func growSlice[T any](s []T, n int) []T {
 	return s
 }
 
-// compileWorkers resolves the Workers knob.
-func compileWorkers() int {
-	if Workers > 0 {
-		return Workers
-	}
-	return sched.DefaultWorkers()
-}
-
 // runPerFunc runs fn for every function index, fanning out over the shared
-// scheduler when more than one worker is configured. Extra workers are
-// borrowed from the process-wide budget (sched.Shared) token by token
-// inside RunJobs — a compile that starts while suite fan-out holds every
-// token runs serially on the calling goroutine, and one that outlives the
-// contention picks up freed tokens mid-run. ctx carries the scheduler's
+// scheduler up to GOMAXPROCS wide. The width is an upper bound, not a
+// reservation: extra workers are borrowed from the process-wide budget
+// (sched.Shared) token by token inside RunJobs — a compile that starts
+// while suite fan-out holds every token runs serially on the calling
+// goroutine, and one that outlives the contention picks up freed tokens
+// mid-run. ctx carries the scheduler's
 // pool marker when the compile was reached from inside a fan-out
 // (pipeline.Compile threads it through), so a nested compile never
 // double-charges the budget for its own goroutine; a cancelled ctx stops
@@ -160,7 +142,7 @@ func compileWorkers() int {
 // Outputs are index-addressed, so serial and parallel runs are
 // indistinguishable on success.
 func runPerFunc(ctx context.Context, n int, fn func(int) error) error {
-	workers := compileWorkers()
+	workers := sched.DefaultWorkers()
 	if workers <= 1 || n <= 1 {
 		for i := 0; i < n; i++ {
 			if err := ctx.Err(); err != nil {

@@ -110,7 +110,7 @@ func (c *Counters) String() string {
 		{"loads", c.Loads}, {"stores", c.Stores},
 		{"branches", c.Branches}, {"cond-branches", c.CondBranches},
 		{"L1i-misses", c.L1IMisses}, {"L1d-misses", c.L1DMisses},
-		{"branch-misses", c.BranchMiss},
+		{"L2-misses", c.L2Misses}, {"branch-misses", c.BranchMiss},
 	}
 	var parts []string
 	for _, r := range rows {

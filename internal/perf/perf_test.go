@@ -1,6 +1,11 @@
 package perf
 
-import "testing"
+import (
+	"fmt"
+	"reflect"
+	"strings"
+	"testing"
+)
 
 func TestCountersSubAndGet(t *testing.T) {
 	a := Counters{Loads: 100, Stores: 50, Cycles: 1000, Instructions: 400}
@@ -11,6 +16,23 @@ func TestCountersSubAndGet(t *testing.T) {
 	}
 	if d.Get(AllLoadsRetired) != 70 || d.Get(CPUCycles) != 800 {
 		t.Error("get wrong")
+	}
+}
+
+// TestCountersStringPrintsEveryField gives each counter a distinct value
+// and requires String to print all of them, so a counter mismatch reported
+// through String can always show the field that diverged.
+func TestCountersStringPrintsEveryField(t *testing.T) {
+	var c Counters
+	v := reflect.ValueOf(&c).Elem()
+	for i := 0; i < v.NumField(); i++ {
+		v.Field(i).SetUint(uint64(1001 + i))
+	}
+	s := c.String()
+	for i := 0; i < v.NumField(); i++ {
+		if !strings.Contains(s, fmt.Sprintf("=%d", 1001+i)) {
+			t.Errorf("String() omits %s: %s", v.Type().Field(i).Name, s)
+		}
 	}
 }
 

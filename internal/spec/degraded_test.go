@@ -116,7 +116,7 @@ func TestDegradedSuiteContainsInjectedFaults(t *testing.T) {
 
 	for wi, w := range faulted {
 		for ci := range cfgs {
-			r := out[wi][ci]
+			r := out.R[wi][ci]
 			switch w.Name {
 			case "deg-b": // injected compile panic
 				var pe *sched.JobPanicError
@@ -147,9 +147,9 @@ func TestDegradedSuiteContainsInjectedFaults(t *testing.T) {
 					t.Errorf("%s/%s: unfaulted run failed: %v", w.Name, cfgs[ci].Name, r.Err)
 					continue
 				}
-				if !reflect.DeepEqual(r, baseRes[wi][ci]) {
+				if !reflect.DeepEqual(r, baseRes.R[wi][ci]) {
 					t.Errorf("%s/%s: result differs from fault-free run:\n got %+v\nwant %+v",
-						w.Name, cfgs[ci].Name, r, baseRes[wi][ci])
+						w.Name, cfgs[ci].Name, r, baseRes.R[wi][ci])
 				}
 			}
 		}

@@ -12,49 +12,59 @@ import (
 	"repro/internal/workloads"
 )
 
-// SuiteResults bundles a full run of one suite across engines: rows are
-// workloads, columns follow the engine order passed to RunSuite.
+// SuiteResults is the matrix RunSuite returns: rows are workloads, columns
+// follow the engine order passed to RunSuite.
 type SuiteResults struct {
 	Workloads []*workloads.Workload
 	Engines   []*codegen.EngineConfig
 	R         [][]*Result
 }
 
-// applyFidelity stamps the harness's tier selection onto a fresh config
-// set. Config constructors are pure; the tier is harness state so that one
-// -fidelity flag (or $REPRO_FIDELITY) reaches every suite the binary runs.
-func (h *Harness) applyFidelity(cfgs []*codegen.EngineConfig) []*codegen.EngineConfig {
+// Suite is one measured matrix of the evaluation: a workload list, its
+// -short subset (the same workloads at the same sizes), and the engines
+// every workload runs on. Suites is the only place that pairs them; the
+// CLIs, the benchmarks and the tests all read it.
+type Suite struct {
+	Name        string
+	full, short func() []*workloads.Workload
+	engines     func() []*codegen.EngineConfig
+}
+
+// Suites lists the paper's matrices: Polybench (Figures 1 and 3a) and SPEC
+// (Figures 3b, 4, 9 and 10, Tables 1 and 4) on native and the wasm
+// engines, and SPEC on the asm.js engines (Figures 5 and 6).
+var Suites = []Suite{
+	{"polybench", workloads.Polybench, workloads.ShortPolybench, EngineSet},
+	{"spec", workloads.SPECCPU, workloads.ShortSPEC, EngineSet},
+	{"asmjs", workloads.SPECCPU, workloads.ShortSPEC, AsmJSEngines},
+}
+
+// SuiteNamed returns the suite called name, or nil.
+func SuiteNamed(name string) *Suite {
+	for i := range Suites {
+		if Suites[i].Name == name {
+			return &Suites[i]
+		}
+	}
+	return nil
+}
+
+// Workloads returns the suite's workloads: the -short subset when short.
+func (s *Suite) Workloads(short bool) []*workloads.Workload {
+	if short {
+		return s.short()
+	}
+	return s.full()
+}
+
+// Configs returns fresh engine configs, in column order, with the
+// simulation tier stamped on them.
+func (s *Suite) Configs(tier codegen.Fidelity) []*codegen.EngineConfig {
+	cfgs := s.engines()
 	for _, cfg := range cfgs {
-		cfg.Fidelity = h.Fidelity
+		cfg.Fidelity = tier
 	}
 	return cfgs
-}
-
-// RunSPEC runs the SPEC-shaped suite on native/Chrome/Firefox.
-func (h *Harness) RunSPEC(ctx context.Context) (*SuiteResults, error) {
-	return h.runSet(ctx, workloads.SPECCPU(), EngineSet())
-}
-
-// RunPolybench runs the PolybenchC suite on native/Chrome/Firefox.
-func (h *Harness) RunPolybench(ctx context.Context) (*SuiteResults, error) {
-	return h.runSet(ctx, workloads.Polybench(), EngineSet())
-}
-
-// RunAsmJS runs the SPEC suite on the asm.js configurations.
-func (h *Harness) RunAsmJS(ctx context.Context) (*SuiteResults, error) {
-	return h.runSet(ctx, workloads.SPECCPU(), AsmJSEngines())
-}
-
-// runSet runs ws on cfgs under the harness's fidelity tier and bundles the
-// matrix. err may be a *SuiteFailure from a degraded run: the results are
-// usable (failed rows are Err-marked), the run still reads as failed.
-func (h *Harness) runSet(ctx context.Context, ws []*workloads.Workload, cfgs []*codegen.EngineConfig) (*SuiteResults, error) {
-	cfgs = h.applyFidelity(cfgs)
-	r, err := h.RunSuite(ctx, ws, cfgs)
-	if r == nil {
-		return nil, err
-	}
-	return &SuiteResults{Workloads: ws, Engines: cfgs, R: r}, err
 }
 
 // Relative returns, per workload, time(engine col)/time(col 0).
@@ -394,8 +404,10 @@ var Fig8Sizes = [][3]int{
 	{60, 66, 72}, {70, 77, 84}, {80, 88, 96}, {90, 99, 108}, {100, 110, 120},
 }
 
-// Fig8 runs the matmul sweep and renders relative times.
+// Fig8 runs the matmul sweep, a Polybench-style kernel, on the Polybench
+// suite's engines at the exact tier and renders relative times.
 func (h *Harness) Fig8() (string, error) {
+	cfgs := SuiteNamed("polybench").Configs(codegen.FidelityExact)
 	var sb strings.Builder
 	sb.WriteString("Figure 8 — matmul relative execution time across sizes (native = 1.0)\n")
 	fmt.Fprintf(&sb, "%-16s %10s %10s\n", "size (NIxNKxNJ)", "chrome", "firefox")
@@ -404,14 +416,13 @@ func (h *Harness) Fig8() (string, error) {
 			Name:   fmt.Sprintf("matmul-%dx%dx%d", sz[0], sz[1], sz[2]),
 			Source: MatmulSource(sz[0], sz[1], sz[2]),
 		}
-		rs, err := h.RunSuite(context.Background(), []*workloads.Workload{w}, EngineSet())
+		rs, err := h.RunSuite(context.Background(), []*workloads.Workload{w}, cfgs)
 		if err != nil {
 			return "", err
 		}
-		n := rs[0][0].Seconds
+		row := rs.R[0]
 		fmt.Fprintf(&sb, "%-16s %10.2f %10.2f\n",
-			fmt.Sprintf("%dx%dx%d", sz[0], sz[1], sz[2]),
-			rs[0][1].Seconds/n, rs[0][2].Seconds/n)
+			fmt.Sprintf("%dx%dx%d", sz[0], sz[1], sz[2]), rel(row, 1), rel(row, 2))
 	}
 	return sb.String(), nil
 }

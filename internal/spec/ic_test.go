@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"repro/internal/codegen"
-	"repro/internal/spec"
 	"repro/internal/workloads"
 )
 
@@ -13,7 +12,6 @@ func TestSjengICache(t *testing.T) {
 	if testing.Short() {
 		t.Skip("sjeng triple-engine run is slow")
 	}
-	h := spec.NewHarness()
 	var w *workloads.Workload
 	for _, x := range workloads.SPECCPU() {
 		if x.Name == "458.sjeng" {
@@ -23,7 +21,7 @@ func TestSjengICache(t *testing.T) {
 	var miss [3]uint64
 	var secs [3]float64
 	for i, cfg := range []*codegen.EngineConfig{codegen.Native(), codegen.Chrome(), codegen.Firefox()} {
-		r, err := h.Run(context.Background(), w, cfg)
+		r, err := shared.Run(context.Background(), w, cfg)
 		if err != nil {
 			t.Fatal(err)
 		}

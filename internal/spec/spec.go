@@ -94,12 +94,6 @@ type Result struct {
 // harness state: they come from the process-wide content-addressed cache in
 // internal/pipeline, so concurrent harnesses share compiles.
 type Harness struct {
-	// Fidelity selects the simulation tier for the harness-owned suites
-	// (RunSPEC, RunPolybench, RunAsmJS). The zero value is the exact tier.
-	// Callers that pass their own configs to RunSuite set
-	// codegen.EngineConfig.Fidelity on the configs instead.
-	Fidelity codegen.Fidelity
-
 	// Degraded makes suite runs survive individual failures: a workload ×
 	// engine run that fails (build error, panic, watchdog timeout, empty or
 	// mismatching output) becomes a Result with Err set, its row is still
@@ -282,15 +276,16 @@ func (h *Harness) Run(ctx context.Context, w *workloads.Workload, cfg *codegen.E
 }
 
 // RunSuite runs every workload in ws under every engine in cfgs, validating
-// outputs across engines with the cmp check, and returns results indexed
-// [workload][engine]. Executions run in parallel on the shared scheduler
+// outputs across engines with the cmp check, and returns the matrix,
+// indexed R[workload][engine]. The simulation tier is the configs' own
+// (see Suite.Configs). Executions run in parallel on the shared scheduler
 // (each is fully isolated in its own kernel), bounded by the shared
 // budget; cancelling ctx stops the suite early, and every failing workload/engine
 // pair is reported in the returned error, not just the first. A degraded
 // run returns the full matrix alongside the *SuiteFailure: surviving rows
 // are real measurements, failed rows carry Err-marked entries, and the
 // caller decides whether to render despite the error.
-func (h *Harness) RunSuite(ctx context.Context, ws []*workloads.Workload, cfgs []*codegen.EngineConfig) ([][]*Result, error) {
+func (h *Harness) RunSuite(ctx context.Context, ws []*workloads.Workload, cfgs []*codegen.EngineConfig) (*SuiteResults, error) {
 	out := make([][]*Result, len(ws))
 	for wi := range out {
 		out[wi] = make([]*Result, len(cfgs))
@@ -347,13 +342,14 @@ func (h *Harness) RunSuite(ctx context.Context, ws []*workloads.Workload, cfgs [
 	// instructions) are claimed first, so one long SPEC program overlaps
 	// the cheap Polybench kernels instead of starting after them.
 	err := sched.RunJobsWeighted(ctx, 0, jobs)
+	res := &SuiteResults{Workloads: ws, Engines: cfgs, R: out}
 	if len(failures) > 0 {
-		return out, errors.Join(err, &SuiteFailure{Failures: failures, Total: len(jobs)})
+		return res, errors.Join(err, &SuiteFailure{Failures: failures, Total: len(jobs)})
 	}
 	if err != nil {
 		return nil, err
 	}
-	return out, nil
+	return res, nil
 }
 
 // cmpRow is the cross-engine cmp check over one complete row: every engine

@@ -68,12 +68,12 @@ func TestDegradedSuiteMarksSilentRow(t *testing.T) {
 		!strings.Contains(sf.Failures[0].Err.Error(), "no output") {
 		t.Fatalf("failures = %v, want one no-output failure for silent-row", sf.Failures)
 	}
-	for ci, r := range rs[0] {
+	for ci, r := range rs.R[0] {
 		if r.Err == nil {
 			t.Errorf("silent-row on %s: row not marked failed", cfgs[ci].Name)
 		}
 	}
-	for ci, r := range rs[1] {
+	for ci, r := range rs.R[1] {
 		if r.Err != nil || r.Output != "7\n" {
 			t.Errorf("loud-row on %s = (%q, %v), want a clean measurement", cfgs[ci].Name, r.Output, r.Err)
 		}
@@ -104,10 +104,11 @@ func TestHarnessResultsKeyedByConfigContent(t *testing.T) {
 // TestHarnessSingleBenchmark runs one benchmark through the full Figure 2
 // chain (runspec -> specinvoke -> benchmark) and checks the recording.
 func TestHarnessSingleBenchmark(t *testing.T) {
-	h := spec.NewHarness()
-	w := workloads.SPECCPU()[3] // 444.namd: medium-sized
+	// 445.gobmk is in the -short subset too, so the SPEC matrix of either
+	// tier has already measured it on the shared harness.
+	w := workloads.ByName(workloads.SPECCPU(), "445.gobmk")[0]
 	for _, cfg := range spec.EngineSet() {
-		r, err := h.Run(context.Background(), w, cfg)
+		r, err := shared.Run(context.Background(), w, cfg)
 		if err != nil {
 			t.Fatalf("%s: %v", cfg.Name, err)
 		}
@@ -126,10 +127,9 @@ func TestHarnessSingleBenchmark(t *testing.T) {
 // TestWasmSlowerThanNativeOnSPEC checks the paper's headline direction:
 // geomean slowdown > 1 for both browsers on a compute-bound subset.
 func TestWasmSlowerThanNativeOnSPEC(t *testing.T) {
-	h := spec.NewHarness()
 	names := map[string]bool{"444.namd": true, "453.povray": true, "473.astar": true}
 	if testing.Short() {
-		names = map[string]bool{"473.astar": true}
+		names = map[string]bool{"470.lbm": true} // a row of the -short matrix
 	}
 	subset := []*workloads.Workload{}
 	for _, w := range workloads.SPECCPU() {
@@ -137,14 +137,14 @@ func TestWasmSlowerThanNativeOnSPEC(t *testing.T) {
 			subset = append(subset, w)
 		}
 	}
-	rs, err := h.RunSuite(context.Background(), subset, spec.EngineSet())
+	rs, err := shared.RunSuite(context.Background(), subset, spec.EngineSet())
 	if err != nil {
 		t.Fatal(err)
 	}
 	for i, w := range subset {
-		n := rs[i][0].Seconds
-		c := rs[i][1].Seconds
-		f := rs[i][2].Seconds
+		n := rs.R[i][0].Seconds
+		c := rs.R[i][1].Seconds
+		f := rs.R[i][2].Seconds
 		t.Logf("%s: native=%.2fms chrome=%.2fx firefox=%.2fx", w.Name, n*1000, c/n, f/n)
 		if c <= n {
 			t.Errorf("%s: chrome (%.3fms) not slower than native (%.3fms)", w.Name, c*1000, n*1000)
@@ -158,9 +158,8 @@ func TestWasmSlowerThanNativeOnSPEC(t *testing.T) {
 // TestBrowsixOverheadSmall checks the Figure 4 claim: kernel time is a tiny
 // share of a compute benchmark.
 func TestBrowsixOverheadSmall(t *testing.T) {
-	h := spec.NewHarness()
-	w := workloads.SPECCPU()[3] // namd: few syscalls
-	r, err := h.Run(context.Background(), w, codegen.Firefox())
+	w := workloads.ByName(workloads.SPECCPU(), "445.gobmk")[0] // few syscalls; a -short row too
+	r, err := shared.Run(context.Background(), w, codegen.Firefox())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -197,19 +196,18 @@ func TestMcfAnomaly(t *testing.T) {
 	if testing.Short() {
 		t.Skip("mcf is the largest workload")
 	}
-	h := spec.NewHarness()
 	var mcf *workloads.Workload
 	for _, w := range workloads.SPECCPU() {
 		if w.Name == "429.mcf" {
 			mcf = w
 		}
 	}
-	rs, err := h.RunSuite(context.Background(), []*workloads.Workload{mcf}, spec.EngineSet())
+	rs, err := shared.RunSuite(context.Background(), []*workloads.Workload{mcf}, spec.EngineSet())
 	if err != nil {
 		t.Fatal(err)
 	}
-	n := rs[0][0].Seconds
-	c := rs[0][1].Seconds
+	n := rs.R[0][0].Seconds
+	c := rs.R[0][1].Seconds
 	t.Logf("mcf: chrome/native = %.2f", c/n)
 	if c/n > 1.15 {
 		t.Errorf("mcf chrome slowdown %.2f; expected near or below 1.0 (pointer density)", c/n)
@@ -219,17 +217,16 @@ func TestMcfAnomaly(t *testing.T) {
 // TestRunSuiteFillsMatrix checks RunSuite returns every row of the matrix,
 // in workload order and with the engines in the order given.
 func TestRunSuiteFillsMatrix(t *testing.T) {
-	h := spec.NewHarness()
-	ws := workloads.Polybench()[:3]
+	ws := spec.SuiteNamed("polybench").Workloads(testing.Short())[:3]
 	cfgs := spec.EngineSet()
-	rs, err := h.RunSuite(context.Background(), ws, cfgs)
+	rs, err := shared.RunSuite(context.Background(), ws, cfgs)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(rs) != len(ws) {
-		t.Fatalf("got %d rows, want %d", len(rs), len(ws))
+	if len(rs.R) != len(ws) {
+		t.Fatalf("got %d rows, want %d", len(rs.R), len(ws))
 	}
-	for wi, row := range rs {
+	for wi, row := range rs.R {
 		if len(row) != len(cfgs) {
 			t.Fatalf("row %d has %d entries, want %d", wi, len(row), len(cfgs))
 		}
